@@ -36,12 +36,13 @@ void ablation_sample_size(std::size_t n, const bench::Scale& scale) {
             core::SampleSelectConfig cfg;
             cfg.sample_size = s;
             cfg.seed = rep * 3 + 1;
-            const auto r = core::sample_select<float>(dev, data, data::random_rank(n, rep), cfg);
+            const auto r =
+                core::try_sample_select<float>(dev, data, data::random_rank(n, rep), cfg).value();
             levels.add(static_cast<double>(r.levels));
             ns.add(r.sim_ns);
             // measure first-level imbalance with the approximate variant
             simt::Device dev2(simt::arch_v100(), {.record_profiles = false});
-            const auto a = core::approx_select<float>(dev2, data, n / 2, cfg);
+            const auto a = core::try_approx_select<float>(dev2, data, n / 2, cfg).value();
             imbalance.add(static_cast<double>(a.max_bucket) /
                           (static_cast<double>(n) / 256.0));
         }
@@ -67,7 +68,8 @@ void ablation_base_case(std::size_t n, const bench::Scale& scale) {
             core::SampleSelectConfig cfg;
             cfg.base_case_size = bc;
             cfg.seed = rep * 3 + 1;
-            const auto r = core::sample_select<float>(dev, data, data::random_rank(n, rep), cfg);
+            const auto r =
+                core::try_sample_select<float>(dev, data, data::random_rank(n, rep), cfg).value();
             levels.add(static_cast<double>(r.levels));
             ns.add(r.sim_ns);
         }
@@ -95,8 +97,9 @@ void ablation_dynamic_parallelism(std::size_t n, const bench::Scale& scale) {
             core::SampleSelectConfig cfg;
             cfg.num_buckets = 16;
             cfg.seed = rep * 3 + 1;
-            const auto r =
-                core::sample_select<float>(dev, data, data::random_rank(size, rep), cfg);
+            const auto r = core::try_sample_select<float>(dev, data, data::random_rank(size, rep),
+                                                          cfg)
+                               .value();
             dp_ns.add(r.sim_ns);
             launches.add(static_cast<double>(r.launches));
             double host_total = 0;

@@ -34,11 +34,11 @@ void bench_multiselect(std::size_t n, const bench::Scale& scale) {
             std::vector<std::size_t> ranks;
             for (std::size_t i = 1; i <= m; ++i) ranks.push_back(i * n / (m + 1));
             simt::Device d1(simt::arch_v100(), {.record_profiles = false});
-            multi.add(core::multi_select<float>(d1, data, ranks, {}).sim_ns);
+            multi.add(core::try_multi_select<float>(d1, data, ranks, {}).value().sim_ns);
             simt::Device d2(simt::arch_v100(), {.record_profiles = false});
             double total = 0;
             for (std::size_t r : ranks) {
-                total += core::sample_select<float>(d2, data, r, {}).sim_ns;
+                total += core::try_sample_select<float>(d2, data, r, {}).value().sim_ns;
             }
             repeated.add(total);
         }
@@ -67,7 +67,8 @@ void bench_batched(const bench::Scale& scale) {
             for (auto& r : ranks) r = rng.bounded(len);
 
             simt::Device d1(simt::arch_v100(), {.record_profiles = false});
-            batched.add(core::batched_select<float>(d1, flat, offsets, ranks, {}).sim_ns);
+            batched.add(
+                core::try_batched_select<float>(d1, flat, offsets, ranks, {}).value().sim_ns);
 
             simt::Device d2(simt::arch_v100(), {.record_profiles = false});
             double total = 0;
@@ -77,7 +78,7 @@ void bench_batched(const bench::Scale& scale) {
                                                  static_cast<std::ptrdiff_t>(offsets[i + 1]));
                 const std::vector<std::size_t> off{0, len};
                 const std::vector<std::size_t> rk{ranks[i]};
-                total += core::batched_select<float>(d2, seq, off, rk, {}).sim_ns;
+                total += core::try_batched_select<float>(d2, seq, off, rk, {}).value().sim_ns;
             }
             individual.add(total);
         }
@@ -97,7 +98,7 @@ void bench_topk(std::size_t n, const bench::Scale& scale) {
         const auto data = data::generate<float>(
             {.n = n, .dist = data::Distribution::uniform_real, .seed = rep + 1});
         simt::Device d(simt::arch_v100(), {.record_profiles = false});
-        sort_ns.add(core::sample_sort<float>(d, data, {}).sim_ns);
+        sort_ns.add(core::try_sample_sort<float>(d, data, {}).value().sim_ns);
     }
     for (const std::size_t k : {std::size_t{10}, std::size_t{1000}, n / 100}) {
         stats::Accumulator plain;
@@ -106,9 +107,9 @@ void bench_topk(std::size_t n, const bench::Scale& scale) {
             const auto data = data::generate<float>(
                 {.n = n, .dist = data::Distribution::uniform_real, .seed = rep + 1});
             simt::Device d1(simt::arch_v100(), {.record_profiles = false});
-            plain.add(core::topk_largest<float>(d1, data, k, {}).sim_ns);
+            plain.add(core::try_topk_largest<float>(d1, data, k, {}).value().sim_ns);
             simt::Device d2(simt::arch_v100(), {.record_profiles = false});
-            indexed.add(core::topk_largest_with_indices<float>(d2, data, k, {}).sim_ns);
+            indexed.add(core::try_topk_largest_with_indices<float>(d2, data, k, {}).value().sim_ns);
         }
         t.add_row({std::to_string(k), bench::fmt_fixed(plain.mean() / 1e6, 3),
                    bench::fmt_fixed(indexed.mean() / 1e6, 3),
@@ -127,7 +128,7 @@ void bench_sort(const bench::Scale& scale) {
             const auto data = data::generate<float>(
                 {.n = n, .dist = data::Distribution::uniform_real, .seed = rep + 1});
             simt::Device d(simt::arch_v100(), {.record_profiles = false});
-            const auto r = core::sample_sort<float>(d, data, {});
+            const auto r = core::try_sample_sort<float>(d, data, {}).value();
             ns.add(r.sim_ns);
             depth.add(static_cast<double>(r.max_depth));
         }

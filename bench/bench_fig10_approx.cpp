@@ -39,8 +39,9 @@ int main() {
         core::SampleSelectConfig cfg;
         cfg.num_buckets = 256;
         cfg.seed = rep * 5 + 1;
-        exact_ns.add(
-            core::sample_select<float>(dev, data, data::random_rank(n, rep), cfg).sim_ns);
+        exact_ns.add(core::try_sample_select<float>(dev, data, data::random_rank(n, rep), cfg)
+                         .value()
+                         .sim_ns);
     }
     t.add_row({"exact (b=256)", "0", "0", bench::fmt_eng(bench::throughput(n, exact_ns.mean())),
                "1.00x"});
@@ -56,7 +57,7 @@ int main() {
             cfg.num_buckets = buckets;
             cfg.seed = rep * 5 + 1;
             const auto res =
-                core::approx_select<float>(dev, data, data::random_rank(n, rep), cfg);
+                core::try_approx_select<float>(dev, data, data::random_rank(n, rep), cfg).value();
             err.add(static_cast<double>(res.rank_error) / static_cast<double>(n));
             ns.add(res.sim_ns);
         }

@@ -24,7 +24,7 @@ double run(const simt::ArchSpec& arch, const core::SampleSelectConfig& cfg, std:
         {.n = n, .dist = data::Distribution::uniform_distinct, .seed = rep + 1});
     core::SampleSelectConfig c = cfg;
     c.seed = rep * 13 + 5;
-    return core::sample_select<float>(dev, data, data::random_rank(n, rep), c).sim_ns;
+    return core::try_sample_select<float>(dev, data, data::random_rank(n, rep), c).value().sim_ns;
 }
 
 void panel(const simt::ArchSpec& arch, simt::AtomicSpace space, const std::string& title,

@@ -28,7 +28,7 @@ double run_sample(const simt::ArchSpec& arch, simt::AtomicSpace space, std::size
     cfg.num_buckets = 256;
     cfg.atomic_space = space;
     cfg.seed = rep * 7 + 3;
-    return core::sample_select<T>(dev, data, data::random_rank(n, rep), cfg).sim_ns;
+    return core::try_sample_select<T>(dev, data, data::random_rank(n, rep), cfg).value().sim_ns;
 }
 
 template <typename T>

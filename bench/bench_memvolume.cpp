@@ -28,7 +28,7 @@ Volume sample_vol(std::size_t n) {
     const auto data =
         data::generate<T>({.n = n, .dist = data::Distribution::uniform_real, .seed = 3});
     core::SampleSelectConfig cfg;
-    const auto r = core::sample_select<T>(dev, data, n / 2, cfg);
+    const auto r = core::try_sample_select<T>(dev, data, n / 2, cfg).value();
     const auto c = dev.counter_totals();
     return {static_cast<double>(c.total_global_bytes()) / sizeof(T) / static_cast<double>(n),
             static_cast<double>(r.aux_bytes) / static_cast<double>(n * sizeof(T)),
@@ -57,7 +57,9 @@ Volume approx_vol(std::size_t n) {
     auto dbuf = dev.alloc<T>(n);
     std::copy(data.begin(), data.end(), dbuf.data());
     dev.tracker().set_baseline();
-    (void)core::approx_select_device<T>(dev, std::span<const T>(dbuf.span()), n / 2, cfg);
+    const std::size_t ranks[] = {n / 2};
+    (void)core::try_approx_multi_select<T>(dev, std::span<const T>(dbuf.span()), ranks, cfg)
+        .value();
     const auto c = dev.counter_totals();
     return {static_cast<double>(c.total_global_bytes()) / sizeof(T) / static_cast<double>(n),
             static_cast<double>(dev.tracker().peak_above_baseline()) /

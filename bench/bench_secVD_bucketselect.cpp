@@ -28,7 +28,7 @@ struct Row {
 Row run(const std::string& algo, const std::vector<float>& data, std::size_t rank) {
     simt::Device dev(simt::arch_v100(), {.record_profiles = false});
     if (algo == "SampleSelect") {
-        const auto r = core::sample_select<float>(dev, data, rank, {});
+        const auto r = core::try_sample_select<float>(dev, data, rank, {}).value();
         return {r.sim_ns, static_cast<double>(r.levels)};
     }
     if (algo == "BucketSelect") {

@@ -68,7 +68,7 @@ void BM_SampleSelectEndToEnd(benchmark::State& state) {
     std::size_t aux_bytes = 0;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         benchmark::DoNotOptimize(res.value);
         allocs += dev.tracker().alloc_count();
         reuses += dev.tracker().reuse_count();
@@ -94,14 +94,14 @@ void BM_SampleSelectWarmPool(benchmark::State& state) {
     simt::Device dev(simt::arch_v100(), {.record_profiles = false});
     {
         // Warm the size classes once outside the timed region.
-        auto warm = core::sample_select<float>(dev, data, n / 2, {});
+        auto warm = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         benchmark::DoNotOptimize(warm.value);
     }
     const std::uint64_t a0 = dev.tracker().alloc_count();
     const std::uint64_t r0 = dev.tracker().reuse_count();
     std::size_t aux_bytes = 0;
     for (auto _ : state) {
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         benchmark::DoNotOptimize(res.value);
         aux_bytes = res.aux_bytes;
     }
@@ -170,7 +170,7 @@ void BM_SampleSelectUnderSan(benchmark::State& state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_sanitizer(mode);
         const auto t0 = std::chrono::steady_clock::now();
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         benchmark::DoNotOptimize(res.value);
         return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     };
@@ -186,7 +186,7 @@ void BM_SampleSelectUnderSan(benchmark::State& state) {
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_sanitizer(simt::SanMode::strict);
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         benchmark::DoNotOptimize(res.value);
         checks += dev.sanitizer()->checks();
     }
@@ -214,7 +214,7 @@ void BM_SampleSelectUnderStreamSan(benchmark::State& state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_stream_sanitizer(mode);
         const auto t0 = std::chrono::steady_clock::now();
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         benchmark::DoNotOptimize(res.value);
         return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     };
@@ -230,7 +230,7 @@ void BM_SampleSelectUnderStreamSan(benchmark::State& state) {
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_stream_sanitizer(simt::StreamSanMode::strict);
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         benchmark::DoNotOptimize(res.value);
         checks += dev.stream_sanitizer()->checks();
     }
@@ -296,7 +296,7 @@ void BM_ApproxSelect(benchmark::State& state) {
     cfg.num_buckets = 1024;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::approx_select<float>(dev, data, n / 2, cfg);
+        auto res = core::try_approx_select<float>(dev, data, n / 2, cfg).value();
         benchmark::DoNotOptimize(res.value);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -365,7 +365,7 @@ void BM_Argselect(benchmark::State& state) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 9});
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::argselect(dev, keys, n / 2, {});
+        auto res = core::try_argselect(dev, keys, n / 2, {}).value();
         benchmark::DoNotOptimize(res.index);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -431,7 +431,7 @@ void BM_PlannerAdversarial(benchmark::State& state) {
     simt::RobustnessCounters rc;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::topk_largest<float>(dev, data, k, {});
+        auto res = core::try_topk_largest<float>(dev, data, k, {}).value();
         benchmark::DoNotOptimize(res.threshold);
         rc += dev.robustness();
         state.SetIterationTime(dev.elapsed_ns() * 1e-9);

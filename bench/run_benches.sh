@@ -13,6 +13,10 @@
 # baseline measured on the same host; compare items_per_second against it.
 set -euo pipefail
 
+if [[ $# -gt 2 ]]; then
+    echo "usage: $0 [build-dir] [out-json]" >&2
+    exit 2
+fi
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 out_json="${2:-${repo_root}/results/BENCH_simulator.json}"
@@ -29,14 +33,7 @@ echo "running ${bench_bin} -> ${out_json}"
 "${bench_bin}" \
     --benchmark_out="${out_json}" \
     --benchmark_out_format=json \
-    --benchmark_min_time=1 \
-    "$@" >/dev/null 2>&1 || {
-    # benchmark rejects positional args forwarded from $1/$2; rerun plain.
-    "${bench_bin}" \
-        --benchmark_out="${out_json}" \
-        --benchmark_out_format=json \
-        --benchmark_min_time=1 >/dev/null
-}
+    --benchmark_min_time=1 >/dev/null
 
 # One-line summary per benchmark: items/sec plus, where the benchmark
 # records them, the memory-pool counters (backing allocations and pool

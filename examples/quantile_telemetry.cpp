@@ -54,7 +54,7 @@ int main() {
     }
 
     simt::Device dev(simt::arch_v100());
-    const auto res = core::multi_select<float>(dev, latencies, ranks, {});
+    const auto res = core::try_multi_select<float>(dev, latencies, ranks, {}).value();
 
     std::cout << "latency samples : " << n << "\n";
     for (std::size_t i = 0; i < ranks.size(); ++i) {

@@ -29,7 +29,7 @@ int main() {
 
     // ---- 1. exact selection ------------------------------------------------
     core::SampleSelectConfig cfg;           // 256 buckets, shared atomics, ...
-    const auto exact = core::sample_select<float>(dev, data, k, cfg);
+    const auto exact = core::try_sample_select<float>(dev, data, k, cfg).value();
     std::cout << "exact median        = " << exact.value << "\n"
               << "  recursion levels  = " << exact.levels << "\n"
               << "  simulated time    = " << exact.sim_ns / 1e6 << " ms ("
@@ -38,7 +38,7 @@ int main() {
     // ---- 2. approximate selection (one bucketing level) ---------------------
     core::SampleSelectConfig acfg;
     acfg.num_buckets = 1024;                // no oracles -> up to 1024 buckets
-    const auto approx = core::approx_select<float>(dev, data, k, acfg);
+    const auto approx = core::try_approx_select<float>(dev, data, k, acfg).value();
     std::cout << "approx median       = " << approx.value << "\n"
               << "  exact rank        = " << approx.splitter_rank << " (target " << k << ")\n"
               << "  rel. rank error   = "
@@ -48,7 +48,7 @@ int main() {
 
     // ---- 3. top-k selection (fused filter, Sec. IV-I) -----------------------
     const std::size_t topk = 10;
-    const auto top = core::topk_largest<float>(dev, data, topk, cfg);
+    const auto top = core::try_topk_largest<float>(dev, data, topk, cfg).value();
     std::cout << "top-" << topk << " threshold    = " << top.threshold << "\n"
               << "  simulated time    = " << top.sim_ns / 1e6 << " ms\n";
     return 0;

@@ -27,8 +27,8 @@ int main() {
     core::SampleSelectConfig cfg2;
     cfg2.stream = s2;
 
-    const auto r1 = core::sample_select<float>(dev, a, n / 2, cfg1);
-    const auto r2 = core::sample_select<float>(dev, b, n / 2, cfg2);
+    const auto r1 = core::try_sample_select<float>(dev, a, n / 2, cfg1).value();
+    const auto r2 = core::try_sample_select<float>(dev, b, n / 2, cfg2).value();
 
     const double busy1 = dev.stream_clock(s1);
     const double busy2 = dev.stream_clock(s2);

@@ -51,10 +51,10 @@ int main() {
     // Approximate: one counting level, 1024 buckets, no oracles.
     core::SampleSelectConfig acfg;
     acfg.num_buckets = 1024;
-    const auto approx = core::approx_select<double>(dev, mags, rank, acfg);
+    const auto approx = core::try_approx_select<double>(dev, mags, rank, acfg).value();
 
     // Exact, for comparison (a real sweep would skip this).
-    const auto exact = core::sample_select<double>(dev, mags, rank, {});
+    const auto exact = core::try_sample_select<double>(dev, mags, rank, {}).value();
 
     const auto kept = static_cast<std::size_t>(
         std::count_if(mags.begin(), mags.end(), [&](double m) { return m >= approx.value; }));

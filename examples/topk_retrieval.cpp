@@ -46,7 +46,7 @@ int main() {
     core::SampleSelectConfig cfg;
     // A ranker needs document ids, not just scores: the indexed variant
     // returns the original positions of the k best scores.
-    const auto top = core::topk_largest_with_indices<float>(dev, scores, k, cfg);
+    const auto top = core::try_topk_largest_with_indices<float>(dev, scores, k, cfg).value();
 
     // Rank the k survivors exactly (k is tiny, sorting is free).
     std::vector<std::size_t> order(k);

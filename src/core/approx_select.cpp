@@ -1,7 +1,6 @@
 #include "core/approx_select.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "core/float_order.hpp"
@@ -13,11 +12,7 @@ template <typename T>
 Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::span<const T> input,
                                                      std::span<const std::size_t> ranks,
                                                      const SampleSelectConfig& cfg) {
-    try {
-        cfg.validate(/*exact=*/false);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/false); !vs.ok()) return vs;
     const std::size_t n = input.size();
     if (ranks.empty()) return ApproxMultiResult<T>{};
     for (const std::size_t r : ranks) {
@@ -121,13 +116,6 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
 }
 
 template <typename T>
-ApproxMultiResult<T> approx_multi_select(simt::Device& dev, std::span<const T> input,
-                                         std::span<const std::size_t> ranks,
-                                         const SampleSelectConfig& cfg) {
-    return try_approx_multi_select<T>(dev, input, ranks, cfg).take_or_throw();
-}
-
-template <typename T>
 Result<ApproxResult<T>> try_approx_select(simt::Device& dev, std::span<const T> input,
                                           std::size_t rank, const SampleSelectConfig& cfg) {
     PipelineContext ctx(dev, cfg);
@@ -138,20 +126,6 @@ Result<ApproxResult<T>> try_approx_select(simt::Device& dev, std::span<const T> 
     auto multi = try_approx_multi_select<T>(dev, std::span<const T>(buf.span()), ranks, cfg);
     if (!multi.ok()) return multi.status();
     return multi.value().points.front();
-}
-
-template <typename T>
-ApproxResult<T> approx_select_device(simt::Device& dev, std::span<const T> data, std::size_t rank,
-                                     const SampleSelectConfig& cfg) {
-    const std::size_t ranks[] = {rank};
-    auto multi = approx_multi_select<T>(dev, data, ranks, cfg);
-    return multi.points.front();
-}
-
-template <typename T>
-ApproxResult<T> approx_select(simt::Device& dev, std::span<const T> input, std::size_t rank,
-                              const SampleSelectConfig& cfg) {
-    return try_approx_select<T>(dev, input, rank, cfg).take_or_throw();
 }
 
 template Result<ApproxMultiResult<float>> try_approx_multi_select<float>(
@@ -167,22 +141,5 @@ template Result<ApproxResult<double>> try_approx_select<double>(simt::Device&,
                                                                 std::span<const double>,
                                                                 std::size_t,
                                                                 const SampleSelectConfig&);
-template ApproxMultiResult<float> approx_multi_select<float>(simt::Device&,
-                                                             std::span<const float>,
-                                                             std::span<const std::size_t>,
-                                                             const SampleSelectConfig&);
-template ApproxMultiResult<double> approx_multi_select<double>(simt::Device&,
-                                                               std::span<const double>,
-                                                               std::span<const std::size_t>,
-                                                               const SampleSelectConfig&);
-template ApproxResult<float> approx_select<float>(simt::Device&, std::span<const float>,
-                                                  std::size_t, const SampleSelectConfig&);
-template ApproxResult<double> approx_select<double>(simt::Device&, std::span<const double>,
-                                                    std::size_t, const SampleSelectConfig&);
-template ApproxResult<float> approx_select_device<float>(simt::Device&, std::span<const float>,
-                                                         std::size_t, const SampleSelectConfig&);
-template ApproxResult<double> approx_select_device<double>(simt::Device&,
-                                                           std::span<const double>, std::size_t,
-                                                           const SampleSelectConfig&);
 
 }  // namespace gpusel::core

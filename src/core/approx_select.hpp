@@ -33,11 +33,6 @@ struct ApproxResult {
     std::uint64_t launches = 0;
 };
 
-/// Approximates the element of the given rank with one bucketing level.
-template <typename T>
-[[nodiscard]] ApproxResult<T> approx_select(simt::Device& dev, std::span<const T> input,
-                                            std::size_t rank, const SampleSelectConfig& cfg);
-
 /// Multi-rank approximation: the bucket prefix sums of a single counting
 /// level contain the exact ranks of *all* splitters, so approximating any
 /// number of target ranks costs one pass.  points[i] answers ranks[i].
@@ -48,14 +43,9 @@ struct ApproxMultiResult {
     std::uint64_t launches = 0;
 };
 
-template <typename T>
-[[nodiscard]] ApproxMultiResult<T> approx_multi_select(simt::Device& dev,
-                                                       std::span<const T> input,
-                                                       std::span<const std::size_t> ranks,
-                                                       const SampleSelectConfig& cfg);
-
-/// Fault-hardened variants: typed Status for bad arguments, out-of-range
-/// ranks, rejected NaN keys and exhausted fault retries.  Under
+/// Approximates every requested rank with one shared bucketing level.
+/// Bad arguments, out-of-range ranks, rejected NaN keys and exhausted
+/// fault retries come back as a typed Status.  Under
 /// NanPolicy::propagate_largest a rank inside the NaN tail answers quiet
 /// NaN with zero rank error (every tail element is NaN).
 template <typename T>
@@ -63,17 +53,12 @@ template <typename T>
     simt::Device& dev, std::span<const T> input, std::span<const std::size_t> ranks,
     const SampleSelectConfig& cfg);
 
+/// Approximates the element of the given rank with one bucketing level.
 template <typename T>
 [[nodiscard]] Result<ApproxResult<T>> try_approx_select(simt::Device& dev,
                                                         std::span<const T> input,
                                                         std::size_t rank,
                                                         const SampleSelectConfig& cfg);
-
-/// Device-resident variant (does not copy the input).
-template <typename T>
-[[nodiscard]] ApproxResult<T> approx_select_device(simt::Device& dev, std::span<const T> data,
-                                                   std::size_t rank,
-                                                   const SampleSelectConfig& cfg);
 
 extern template Result<ApproxMultiResult<float>> try_approx_multi_select<float>(
     simt::Device&, std::span<const float>, std::span<const std::size_t>,
@@ -89,23 +74,5 @@ extern template Result<ApproxResult<double>> try_approx_select<double>(simt::Dev
                                                                        std::span<const double>,
                                                                        std::size_t,
                                                                        const SampleSelectConfig&);
-extern template ApproxMultiResult<float> approx_multi_select<float>(
-    simt::Device&, std::span<const float>, std::span<const std::size_t>,
-    const SampleSelectConfig&);
-extern template ApproxMultiResult<double> approx_multi_select<double>(
-    simt::Device&, std::span<const double>, std::span<const std::size_t>,
-    const SampleSelectConfig&);
-extern template ApproxResult<float> approx_select<float>(simt::Device&, std::span<const float>,
-                                                         std::size_t, const SampleSelectConfig&);
-extern template ApproxResult<double> approx_select<double>(simt::Device&, std::span<const double>,
-                                                           std::size_t, const SampleSelectConfig&);
-extern template ApproxResult<float> approx_select_device<float>(simt::Device&,
-                                                                std::span<const float>,
-                                                                std::size_t,
-                                                                const SampleSelectConfig&);
-extern template ApproxResult<double> approx_select_device<double>(simt::Device&,
-                                                                  std::span<const double>,
-                                                                  std::size_t,
-                                                                  const SampleSelectConfig&);
 
 }  // namespace gpusel::core

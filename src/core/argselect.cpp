@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 #include "bitonic/bitonic.hpp"
@@ -94,11 +93,7 @@ Status extract_upto(const PipelineContext& ctx, std::span<const ArgPair> pairs, 
 
 /// Shared front-end validation; n must fit the 32-bit pair payload.
 Status check_args(const SampleSelectConfig& cfg, std::size_t n, const char* who) {
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
     if (n > static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
         return Status::failure(SelectError::invalid_argument,
                                std::string(who) + ": input too large for 32-bit index payloads");
@@ -147,11 +142,6 @@ Result<ArgSelectResult> try_argselect(simt::Device& dev, std::span<const float> 
     res.resamples = r.resamples;
     res.fallback_levels = r.fallback_levels;
     return res;
-}
-
-ArgSelectResult argselect(simt::Device& dev, std::span<const float> keys, std::size_t rank,
-                          const SampleSelectConfig& cfg) {
-    return try_argselect(dev, keys, rank, cfg).take_or_throw();
 }
 
 Result<ArgTopKResult> try_topk_largest_indices(simt::Device& dev, std::span<const float> keys,
@@ -234,11 +224,6 @@ Result<ArgTopKResult> try_topk_largest_indices(simt::Device& dev, std::span<cons
     res.sim_ns = dev.elapsed_ns() - t0;
     res.launches = dev.launch_count() - l0;
     return res;
-}
-
-ArgTopKResult topk_largest_indices(simt::Device& dev, std::span<const float> keys, std::size_t k,
-                                   const SampleSelectConfig& cfg) {
-    return try_topk_largest_indices(dev, keys, k, cfg).take_or_throw();
 }
 
 Result<KeyValueSortResult> try_partial_sort_by_key(simt::Device& dev,
@@ -341,12 +326,6 @@ Result<KeyValueSortResult> try_partial_sort_by_key(simt::Device& dev,
     res.sim_ns = dev.elapsed_ns() - t0;
     res.launches = dev.launch_count() - l0;
     return res;
-}
-
-KeyValueSortResult partial_sort_by_key(simt::Device& dev, std::span<const float> keys,
-                                       std::span<const std::uint32_t> payloads, std::size_t k,
-                                       const SampleSelectConfig& cfg) {
-    return try_partial_sort_by_key(dev, keys, payloads, k, cfg).take_or_throw();
 }
 
 }  // namespace gpusel::core

@@ -6,13 +6,13 @@
 // the payload tie-break makes every answer deterministic, including on
 // all-equal inputs.
 //
-//  * argselect(keys, rank): the (key, index) pair std::nth_element would
+//  * try_argselect(keys, rank): the (key, index) pair std::nth_element would
 //    place at `rank` under (key total order, then index) -- the index
 //    stability policy.
-//  * topk_largest_indices(keys, k): the k largest keys with their original
+//  * try_topk_largest_indices(keys, k): the k largest keys with their original
 //    positions, sorted descending; equal keys by ascending index.  Runs on
 //    negated-key pairs so the tie-break still prefers smaller indices.
-//  * partial_sort_by_key(keys, payloads, k): the k smallest (key, payload)
+//  * try_partial_sort_by_key(keys, payloads, k): the k smallest (key, payload)
 //    records in ascending key order -- select the k-th smallest pair as a
 //    threshold, extract exactly k pairs in one compress-store pass, sort
 //    only those (device bitonic when they fit the network).
@@ -48,15 +48,11 @@ struct ArgSelectResult {
     std::size_t nan_count = 0;
 };
 
-/// Fault-hardened argselect: the (key, original index) pair of the given
+/// The (key, original index) pair of the given
 /// 0-based ascending rank under the total order (key, then index).
 [[nodiscard]] Result<ArgSelectResult> try_argselect(simt::Device& dev,
                                                     std::span<const float> keys, std::size_t rank,
                                                     const SampleSelectConfig& cfg);
-
-/// Throwing wrapper over try_argselect.
-[[nodiscard]] ArgSelectResult argselect(simt::Device& dev, std::span<const float> keys,
-                                        std::size_t rank, const SampleSelectConfig& cfg);
 
 struct ArgTopKResult {
     /// The k largest keys, sorted descending (ties: ascending index).
@@ -70,17 +66,13 @@ struct ArgTopKResult {
     std::size_t nan_count = 0;
 };
 
-/// Fault-hardened top-k-with-indices: the k largest keys and their
+/// The k largest keys and their
 /// original positions, fully ordered (descending key, ascending index on
 /// ties) -- what a retrieval workload consumes directly.
 [[nodiscard]] Result<ArgTopKResult> try_topk_largest_indices(simt::Device& dev,
                                                              std::span<const float> keys,
                                                              std::size_t k,
                                                              const SampleSelectConfig& cfg);
-
-/// Throwing wrapper over try_topk_largest_indices.
-[[nodiscard]] ArgTopKResult topk_largest_indices(simt::Device& dev, std::span<const float> keys,
-                                                 std::size_t k, const SampleSelectConfig& cfg);
 
 struct KeyValueSortResult {
     /// The k smallest keys in ascending order (ties: ascending original
@@ -93,18 +85,11 @@ struct KeyValueSortResult {
     std::size_t nan_count = 0;
 };
 
-/// Fault-hardened key/value partial sort (the avx512_qsort_kv shape):
-/// returns the k smallest (key, payload) records in ascending key order.
+/// Key/value partial sort (the avx512_qsort_kv shape): returns the k
+/// smallest (key, payload) records in ascending key order.
 /// `payloads.size()` must equal `keys.size()`.
 [[nodiscard]] Result<KeyValueSortResult> try_partial_sort_by_key(
     simt::Device& dev, std::span<const float> keys, std::span<const std::uint32_t> payloads,
     std::size_t k, const SampleSelectConfig& cfg);
-
-/// Throwing wrapper over try_partial_sort_by_key.
-[[nodiscard]] KeyValueSortResult partial_sort_by_key(simt::Device& dev,
-                                                     std::span<const float> keys,
-                                                     std::span<const std::uint32_t> payloads,
-                                                     std::size_t k,
-                                                     const SampleSelectConfig& cfg);
 
 }  // namespace gpusel::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -57,10 +56,6 @@ Result<int> try_resolve_stream_count(std::size_t batch, int requested) {
         want = static_cast<long>(batch);
     }
     return static_cast<int>(want);
-}
-
-int resolve_stream_count(std::size_t batch, int requested) {
-    return try_resolve_stream_count(batch, requested).take_or_throw();
 }
 
 StreamFan::StreamFan(simt::Device& dev, int count, int base_stream) : dev_(&dev) {
@@ -159,11 +154,7 @@ template <typename T>
 Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>> problems) {
     simt::Device& dev = *dev_;
     const SampleSelectConfig& cfg = cfg_;
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
     if (problems.empty()) {
         return Status::failure(SelectError::invalid_argument, "batch_executor: empty batch");
     }

@@ -63,9 +63,6 @@ inline constexpr long kMaxStreamFan = 256;
 /// whole fleet onto one stream).  An empty value counts as unset.
 [[nodiscard]] Result<int> try_resolve_stream_count(std::size_t batch, int requested = 0);
 
-/// Legacy wrapper: try_resolve_stream_count or throw_status().
-[[nodiscard]] int resolve_stream_count(std::size_t batch, int requested = 0);
-
 /// RAII fan of streams: lane 0 is the caller's base stream, lanes 1..n-1
 /// are leased from the device and returned on destruction.  Callers should
 /// join() before the fan is destroyed -- released leases may be handed to

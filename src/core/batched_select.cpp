@@ -1,6 +1,5 @@
 #include "core/batched_select.hpp"
 
-#include <stdexcept>
 
 namespace gpusel::core {
 
@@ -10,11 +9,7 @@ Result<BatchedSelectResult<T>> try_batched_select(simt::Device& dev, std::span<c
                                                   std::span<const std::size_t> ranks,
                                                   const SampleSelectConfig& cfg,
                                                   const BatchOptions& opts) {
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
     if (offsets.size() < 2 || ranks.size() != offsets.size() - 1) {
         return Status::failure(SelectError::invalid_argument,
                                "batched_select: need offsets of size m+1 and m ranks");
@@ -60,24 +55,10 @@ Result<BatchedSelectResult<T>> try_batched_select(simt::Device& dev, std::span<c
     return res;
 }
 
-template <typename T>
-BatchedSelectResult<T> batched_select(simt::Device& dev, std::span<const T> flat,
-                                      std::span<const std::size_t> offsets,
-                                      std::span<const std::size_t> ranks,
-                                      const SampleSelectConfig& cfg, const BatchOptions& opts) {
-    return try_batched_select<T>(dev, flat, offsets, ranks, cfg, opts).take_or_throw();
-}
-
 template Result<BatchedSelectResult<float>> try_batched_select<float>(
     simt::Device&, std::span<const float>, std::span<const std::size_t>,
     std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
 template Result<BatchedSelectResult<double>> try_batched_select<double>(
-    simt::Device&, std::span<const double>, std::span<const std::size_t>,
-    std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
-template BatchedSelectResult<float> batched_select<float>(
-    simt::Device&, std::span<const float>, std::span<const std::size_t>,
-    std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
-template BatchedSelectResult<double> batched_select<double>(
     simt::Device&, std::span<const double>, std::span<const std::size_t>,
     std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
 

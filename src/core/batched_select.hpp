@@ -45,9 +45,13 @@ struct BatchedSelectResult {
     double serial_ns = 0.0;
 };
 
-/// Fault-hardened batched selection: malformed batch shapes and
-/// out-of-range ranks come back as a typed Status instead of exceptions.
-/// `opts` sizes the stream fan (default: GPUSEL_STREAMS, then
+/// Selects ranks[i] from the i-th sequence of a CSR-style batch:
+/// sequence i occupies flat[offsets[i] .. offsets[i+1]).
+/// Requirements: offsets is non-decreasing with offsets.front() == 0 and
+/// offsets.back() == flat.size(); ranks[i] < length of sequence i (in
+/// particular no empty sequences); ranks.size() == offsets.size() - 1.
+/// Malformed batch shapes and out-of-range ranks come back as a typed
+/// Status.  `opts` sizes the stream fan (default: GPUSEL_STREAMS, then
 /// min(batch, 8); see core/batch_executor.hpp).
 template <typename T>
 [[nodiscard]] Result<BatchedSelectResult<T>> try_batched_select(
@@ -55,28 +59,10 @@ template <typename T>
     std::span<const std::size_t> ranks, const SampleSelectConfig& cfg,
     const BatchOptions& opts = {});
 
-/// Selects ranks[i] from the i-th sequence of a CSR-style batch:
-/// sequence i occupies flat[offsets[i] .. offsets[i+1]).
-/// Requirements: offsets is non-decreasing with offsets.front() == 0 and
-/// offsets.back() == flat.size(); ranks[i] < length of sequence i (in
-/// particular no empty sequences); ranks.size() == offsets.size() - 1.
-template <typename T>
-[[nodiscard]] BatchedSelectResult<T> batched_select(simt::Device& dev, std::span<const T> flat,
-                                                    std::span<const std::size_t> offsets,
-                                                    std::span<const std::size_t> ranks,
-                                                    const SampleSelectConfig& cfg,
-                                                    const BatchOptions& opts = {});
-
 extern template Result<BatchedSelectResult<float>> try_batched_select<float>(
     simt::Device&, std::span<const float>, std::span<const std::size_t>,
     std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
 extern template Result<BatchedSelectResult<double>> try_batched_select<double>(
-    simt::Device&, std::span<const double>, std::span<const std::size_t>,
-    std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
-extern template BatchedSelectResult<float> batched_select<float>(
-    simt::Device&, std::span<const float>, std::span<const std::size_t>,
-    std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
-extern template BatchedSelectResult<double> batched_select<double>(
     simt::Device&, std::span<const double>, std::span<const std::size_t>,
     std::span<const std::size_t>, const SampleSelectConfig&, const BatchOptions&);
 

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "core/status.hpp"
 #include "simt/block.hpp"
 
 namespace gpusel::core {
@@ -93,30 +95,37 @@ struct SampleSelectConfig {
     }
 
     /// Validates the configuration; `exact` selects the stricter oracle
-    /// bucket limit.
-    void validate(bool exact = true) const {
-        auto fail = [](const std::string& msg) { throw std::invalid_argument(msg); };
+    /// bucket limit.  Failures come back as SelectError::invalid_argument.
+    [[nodiscard]] Status validate(bool exact = true) const {
+        auto fail = [](std::string msg) {
+            return Status::failure(SelectError::invalid_argument, std::move(msg));
+        };
         if (num_buckets < 2 || (num_buckets & (num_buckets - 1)) != 0) {
-            fail("num_buckets must be a power of two >= 2");
+            return fail("num_buckets must be a power of two >= 2");
         }
         const int limit = exact ? kMaxExactBuckets : kMaxApproxBuckets;
         if (num_buckets > limit) {
-            fail("num_buckets exceeds " + std::to_string(limit) +
-                 (exact ? " (one-byte oracles)" : " (shared-memory capacity)"));
+            return fail("num_buckets exceeds " + std::to_string(limit) +
+                        (exact ? " (one-byte oracles)" : " (shared-memory capacity)"));
         }
         const int s = effective_sample_size();
-        if (s < num_buckets) fail("sample_size must be >= num_buckets");
-        if (s > 4096) fail("sample_size exceeds the single-block bitonic sort capacity (4096)");
+        if (s < num_buckets) return fail("sample_size must be >= num_buckets");
+        if (s > 4096) {
+            return fail("sample_size exceeds the single-block bitonic sort capacity (4096)");
+        }
         if (block_dim <= 0 || block_dim % simt::kWarpSize != 0 || block_dim > 1024) {
-            fail("block_dim must be a positive multiple of 32, at most 1024");
+            return fail("block_dim must be a positive multiple of 32, at most 1024");
         }
-        if (unroll < 1 || unroll > 16) fail("unroll must be in [1, 16]");
+        if (unroll < 1 || unroll > 16) return fail("unroll must be in [1, 16]");
         if (base_case_size < 2 || base_case_size > 4096) {
-            fail("base_case_size must be in [2, 4096] (bitonic sort capacity)");
+            return fail("base_case_size must be in [2, 4096] (bitonic sort capacity)");
         }
-        if (max_stalled_levels < 0) fail("max_stalled_levels must be >= 0");
-        if (max_levels < 1) fail("max_levels must be >= 1");
-        if (deadline_ns < 0.0) fail("deadline_ns must be >= 0 (absolute sim-ns, 0 = none)");
+        if (max_stalled_levels < 0) return fail("max_stalled_levels must be >= 0");
+        if (max_levels < 1) return fail("max_levels must be >= 1");
+        if (deadline_ns < 0.0) {
+            return fail("deadline_ns must be >= 0 (absolute sim-ns, 0 = none)");
+        }
+        return Status::success();
     }
 };
 

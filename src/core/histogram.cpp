@@ -1,6 +1,5 @@
 #include "core/histogram.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "core/float_order.hpp"
@@ -13,11 +12,7 @@ namespace gpusel::core {
 template <typename T>
 Result<EquiDepthHistogram<T>> try_equi_depth_histogram(simt::Device& dev, std::span<const T> data,
                                                        const SampleSelectConfig& cfg) {
-    try {
-        cfg.validate(/*exact=*/false);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/false); !vs.ok()) return vs;
     const std::size_t n = data.size();
     if (n == 0) {
         return Status::failure(SelectError::empty_input, "histogram of an empty dataset");
@@ -87,12 +82,6 @@ Result<EquiDepthHistogram<T>> try_equi_depth_histogram(simt::Device& dev, std::s
 }
 
 template <typename T>
-EquiDepthHistogram<T> equi_depth_histogram(simt::Device& dev, std::span<const T> data,
-                                           const SampleSelectConfig& cfg) {
-    return try_equi_depth_histogram<T>(dev, data, cfg).take_or_throw();
-}
-
-template <typename T>
 Result<RankQueryResult<T>> try_rank_of(simt::Device& dev, std::span<const T> data, T v,
                                        const SampleSelectConfig& cfg) {
     const std::size_t n = data.size();
@@ -136,12 +125,6 @@ Result<RankQueryResult<T>> try_rank_of(simt::Device& dev, std::span<const T> dat
     return res;
 }
 
-template <typename T>
-RankQueryResult<T> rank_of(simt::Device& dev, std::span<const T> data, T v,
-                           const SampleSelectConfig& cfg) {
-    return try_rank_of<T>(dev, data, v, cfg).take_or_throw();
-}
-
 template Result<EquiDepthHistogram<float>> try_equi_depth_histogram<float>(
     simt::Device&, std::span<const float>, const SampleSelectConfig&);
 template Result<EquiDepthHistogram<double>> try_equi_depth_histogram<double>(
@@ -151,15 +134,5 @@ template Result<RankQueryResult<float>> try_rank_of<float>(simt::Device&, std::s
 template Result<RankQueryResult<double>> try_rank_of<double>(simt::Device&,
                                                              std::span<const double>, double,
                                                              const SampleSelectConfig&);
-template EquiDepthHistogram<float> equi_depth_histogram<float>(simt::Device&,
-                                                               std::span<const float>,
-                                                               const SampleSelectConfig&);
-template EquiDepthHistogram<double> equi_depth_histogram<double>(simt::Device&,
-                                                                 std::span<const double>,
-                                                                 const SampleSelectConfig&);
-template RankQueryResult<float> rank_of<float>(simt::Device&, std::span<const float>, float,
-                                               const SampleSelectConfig&);
-template RankQueryResult<double> rank_of<double>(simt::Device&, std::span<const double>, double,
-                                                 const SampleSelectConfig&);
 
 }  // namespace gpusel::core

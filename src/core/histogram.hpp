@@ -8,7 +8,7 @@
 // histogram supports approximate CDF / rank-bound queries through the same
 // implicit search tree the kernels traverse.
 //
-// rank_of answers the inverse of selection -- "what is the rank of value
+// try_rank_of answers the inverse of selection -- "what is the rank of value
 // v?" -- with one tripartition counting pass ({< v, == v, > v}).
 
 #include <cstdint>
@@ -56,19 +56,13 @@ struct EquiDepthHistogram {
     }
 };
 
-/// Fault-hardened histogram: empty input and bad config come back as a
-/// typed Status; NaN keys (float/double) land in the last bucket, exactly
+/// Builds an equi-depth histogram with cfg.num_buckets buckets (counting
+/// pass + device scan for the cumulative sums).  Empty input and bad
+/// config come back as a typed Status; NaN keys (float/double) land in the last bucket, exactly
 /// where find_bucket sends a NaN probe, or fail under NanPolicy::reject.
 template <typename T>
 [[nodiscard]] Result<EquiDepthHistogram<T>> try_equi_depth_histogram(
     simt::Device& dev, std::span<const T> data, const SampleSelectConfig& cfg);
-
-/// Builds an equi-depth histogram with cfg.num_buckets buckets (counting
-/// pass + device scan for the cumulative sums).
-template <typename T>
-[[nodiscard]] EquiDepthHistogram<T> equi_depth_histogram(simt::Device& dev,
-                                                         std::span<const T> data,
-                                                         const SampleSelectConfig& cfg);
 
 template <typename T>
 struct RankQueryResult {
@@ -79,16 +73,11 @@ struct RankQueryResult {
     double sim_ns = 0.0;
 };
 
-/// Fault-hardened rank query; `v` may be NaN (it equals exactly the NaN
+/// Exact rank of `v` in `data` via one counting pass; `v` may be NaN (it equals exactly the NaN
 /// keys and exceeds every numeric key, per the total order).
 template <typename T>
 [[nodiscard]] Result<RankQueryResult<T>> try_rank_of(simt::Device& dev, std::span<const T> data,
                                                      T v, const SampleSelectConfig& cfg = {});
-
-/// Exact rank of `v` in `data` via one counting pass.
-template <typename T>
-[[nodiscard]] RankQueryResult<T> rank_of(simt::Device& dev, std::span<const T> data, T v,
-                                         const SampleSelectConfig& cfg = {});
 
 extern template Result<EquiDepthHistogram<float>> try_equi_depth_histogram<float>(
     simt::Device&, std::span<const float>, const SampleSelectConfig&);
@@ -101,14 +90,5 @@ extern template Result<RankQueryResult<double>> try_rank_of<double>(simt::Device
                                                                     std::span<const double>,
                                                                     double,
                                                                     const SampleSelectConfig&);
-extern template EquiDepthHistogram<float> equi_depth_histogram<float>(simt::Device&,
-                                                                      std::span<const float>,
-                                                                      const SampleSelectConfig&);
-extern template EquiDepthHistogram<double> equi_depth_histogram<double>(
-    simt::Device&, std::span<const double>, const SampleSelectConfig&);
-extern template RankQueryResult<float> rank_of<float>(simt::Device&, std::span<const float>,
-                                                      float, const SampleSelectConfig&);
-extern template RankQueryResult<double> rank_of<double>(simt::Device&, std::span<const double>,
-                                                        double, const SampleSelectConfig&);
 
 }  // namespace gpusel::core

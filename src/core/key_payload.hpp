@@ -7,7 +7,7 @@
 // comparison -- key first, payload as tie-break -- so that selection over
 // (key, index) pairs is fully deterministic: equal keys are ordered by
 // payload, which for argselect is the element's original position.  This
-// is the index stability policy: `argselect(keys, rank)` returns exactly
+// is the index stability policy: `try_argselect(keys, rank)` returns exactly
 // the pair std::nth_element would place at `rank` under the same
 // lexicographic order.
 //

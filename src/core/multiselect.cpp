@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
 #include "core/batch_executor.hpp"
@@ -144,11 +143,7 @@ template <typename T>
 Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const T> input,
                                               std::span<const std::size_t> ranks,
                                               const SampleSelectConfig& cfg) {
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
     const std::size_t n = input.size();
     if (ranks.empty()) return MultiSelectResult<T>{};
     for (std::size_t r : ranks) {
@@ -219,13 +214,6 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
     return res;
 }
 
-template <typename T>
-MultiSelectResult<T> multi_select(simt::Device& dev, std::span<const T> input,
-                                  std::span<const std::size_t> ranks,
-                                  const SampleSelectConfig& cfg) {
-    return try_multi_select<T>(dev, input, ranks, cfg).take_or_throw();
-}
-
 template Result<MultiSelectResult<float>> try_multi_select<float>(simt::Device&,
                                                                   std::span<const float>,
                                                                   std::span<const std::size_t>,
@@ -234,11 +222,5 @@ template Result<MultiSelectResult<double>> try_multi_select<double>(simt::Device
                                                                     std::span<const double>,
                                                                     std::span<const std::size_t>,
                                                                     const SampleSelectConfig&);
-template MultiSelectResult<float> multi_select<float>(simt::Device&, std::span<const float>,
-                                                      std::span<const std::size_t>,
-                                                      const SampleSelectConfig&);
-template MultiSelectResult<double> multi_select<double>(simt::Device&, std::span<const double>,
-                                                        std::span<const std::size_t>,
-                                                        const SampleSelectConfig&);
 
 }  // namespace gpusel::core

@@ -43,19 +43,13 @@ struct MultiSelectResult {
     int streams_used = 1;
 };
 
-/// Fault-hardened multi-rank selection: every failure mode as a typed
-/// Status instead of an exception.
+/// Selects all requested order statistics of `input`; every failure mode
+/// comes back as a typed Status.
 template <typename T>
 [[nodiscard]] Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev,
                                                             std::span<const T> input,
                                                             std::span<const std::size_t> ranks,
                                                             const SampleSelectConfig& cfg);
-
-/// Selects all requested order statistics of `input`.
-template <typename T>
-[[nodiscard]] MultiSelectResult<T> multi_select(simt::Device& dev, std::span<const T> input,
-                                                std::span<const std::size_t> ranks,
-                                                const SampleSelectConfig& cfg);
 
 extern template Result<MultiSelectResult<float>> try_multi_select<float>(
     simt::Device&, std::span<const float>, std::span<const std::size_t>,
@@ -63,13 +57,5 @@ extern template Result<MultiSelectResult<float>> try_multi_select<float>(
 extern template Result<MultiSelectResult<double>> try_multi_select<double>(
     simt::Device&, std::span<const double>, std::span<const std::size_t>,
     const SampleSelectConfig&);
-extern template MultiSelectResult<float> multi_select<float>(simt::Device&,
-                                                             std::span<const float>,
-                                                             std::span<const std::size_t>,
-                                                             const SampleSelectConfig&);
-extern template MultiSelectResult<double> multi_select<double>(simt::Device&,
-                                                               std::span<const double>,
-                                                               std::span<const std::size_t>,
-                                                               const SampleSelectConfig&);
 
 }  // namespace gpusel::core

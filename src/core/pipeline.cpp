@@ -41,13 +41,6 @@ T LevelOutcome<T>::equality_value(std::int32_t b) const {
     return tree.splitters[ub - 1];
 }
 
-namespace {
-
-/// The count -> (reduce) -> select-bucket tail of a level, shared by the
-/// sampled level (b = cfg.num_buckets splitters) and the deterministic
-/// fallback level (a 4-bucket tripartition tree).  Buffer lengths follow
-/// the *tree's* bucket count -- identical to cfg.num_buckets on the
-/// sampled path, so its event stream and pool traffic are unchanged.
 template <typename T>
 LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data,
                              std::size_t rank, simt::LaunchOrigin origin, SearchTree<T> tree,
@@ -94,6 +87,8 @@ LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data
     }
     return lv;
 }
+
+namespace {
 
 /// Deterministic pivot for the guaranteed-progress fallback: the median of
 /// 9 elements at fixed strided positions, fetched by a tiny single-block
@@ -256,6 +251,12 @@ void sort_base_case(const PipelineContext& ctx, std::span<T> data, simt::LaunchO
 
 template struct LevelOutcome<float>;
 template struct LevelOutcome<double>;
+template LevelOutcome<float> finish_level<float>(const PipelineContext&, std::span<const float>,
+                                                 std::size_t, simt::LaunchOrigin,
+                                                 SearchTree<float>, const LevelOptions&);
+template LevelOutcome<double> finish_level<double>(const PipelineContext&, std::span<const double>,
+                                                   std::size_t, simt::LaunchOrigin,
+                                                   SearchTree<double>, const LevelOptions&);
 template LevelOutcome<float> run_bucket_level<float>(const PipelineContext&,
                                                      std::span<const float>, std::size_t,
                                                      simt::LaunchOrigin, std::uint64_t,
@@ -310,6 +311,10 @@ template void sort_base_case<float>(const PipelineContext&, std::span<float>, si
 template void sort_base_case<double>(const PipelineContext&, std::span<double>,
                                      simt::LaunchOrigin);
 template struct LevelOutcome<ArgPair>;
+template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
+                                                     std::span<const ArgPair>, std::size_t,
+                                                     simt::LaunchOrigin, SearchTree<ArgPair>,
+                                                     const LevelOptions&);
 template LevelOutcome<ArgPair> run_bucket_level<ArgPair>(const PipelineContext&,
                                                          std::span<const ArgPair>, std::size_t,
                                                          simt::LaunchOrigin, std::uint64_t,

@@ -20,6 +20,9 @@
 //                          memset so event counts are unchanged.
 //   * run_bucket_level  -- the level executor; returns a LevelOutcome
 //                          owning the level's pooled buffers.
+//   * finish_level      -- its count -> (reduce) -> select-bucket tail over
+//                          a caller-supplied tree (the sharded front-ends
+//                          count against a merged splitter tree).
 //   * filter_bucket / filter_topk -- bucket extraction on top of an
 //                          outcome.
 //   * DataHolder/PingPong -- the two data buffers ping-ponged across
@@ -27,7 +30,7 @@
 //                          allocation per level (Sec. IV-A: auxiliary
 //                          storage stays <= n/4 bytes for float).
 //   * SelectionPipeline -- the linear-descent driver (one bucket per
-//                          level) used by sample_select and top-k.
+//                          level) used by try_sample_select and top-k.
 //
 // Event-count contract: for a given front-end and config the kernel launch
 // sequence (names, grids, origins, counters) is byte-identical to the
@@ -167,6 +170,18 @@ struct LevelOutcome {
     /// splitters[b - 1].
     [[nodiscard]] T equality_value(std::int32_t b) const;
 };
+
+/// The count -> (reduce) -> select-bucket tail of a level over `tree`,
+/// shared by the sampled level (b = cfg.num_buckets splitters), the
+/// deterministic fallback level (a 4-bucket tripartition tree) and the
+/// sharded passes over a merged splitter tree.  Buffer lengths follow the
+/// *tree's* bucket count -- identical to cfg.num_buckets on the sampled
+/// path, so its event stream and pool traffic are unchanged.  `rank` is
+/// only read when opt.locate is set.
+template <typename T>
+[[nodiscard]] LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data,
+                                           std::size_t rank, simt::LaunchOrigin origin,
+                                           SearchTree<T> tree, const LevelOptions& opt = {});
 
 /// Runs one bucketing level over `data`: sample splitters -> count ->
 /// (reduce in shared mode) -> select-bucket (when opt.locate).
@@ -464,6 +479,14 @@ private:
 
 extern template struct LevelOutcome<float>;
 extern template struct LevelOutcome<double>;
+extern template LevelOutcome<float> finish_level<float>(const PipelineContext&,
+                                                        std::span<const float>, std::size_t,
+                                                        simt::LaunchOrigin, SearchTree<float>,
+                                                        const LevelOptions&);
+extern template LevelOutcome<double> finish_level<double>(const PipelineContext&,
+                                                          std::span<const double>, std::size_t,
+                                                          simt::LaunchOrigin, SearchTree<double>,
+                                                          const LevelOptions&);
 extern template LevelOutcome<float> run_bucket_level<float>(const PipelineContext&,
                                                             std::span<const float>, std::size_t,
                                                             simt::LaunchOrigin, std::uint64_t,
@@ -519,6 +542,10 @@ extern template void sort_base_case<float>(const PipelineContext&, std::span<flo
 extern template void sort_base_case<double>(const PipelineContext&, std::span<double>,
                                             simt::LaunchOrigin);
 extern template struct LevelOutcome<ArgPair>;
+extern template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
+                                                            std::span<const ArgPair>, std::size_t,
+                                                            simt::LaunchOrigin, SearchTree<ArgPair>,
+                                                            const LevelOptions&);
 extern template LevelOutcome<ArgPair> run_bucket_level<ArgPair>(const PipelineContext&,
                                                                 std::span<const ArgPair>,
                                                                 std::size_t, simt::LaunchOrigin,

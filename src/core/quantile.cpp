@@ -24,7 +24,9 @@ Result<std::size_t> try_quantile_rank(std::size_t n, double q, QuantileMethod me
 }
 
 std::size_t quantile_rank(std::size_t n, double q, QuantileMethod method) {
-    return try_quantile_rank(n, q, method).take_or_throw();
+    Result<std::size_t> r = try_quantile_rank(n, q, method);
+    if (!r.ok()) throw std::invalid_argument(r.status().message);
+    return r.value();
 }
 
 }  // namespace gpusel::core

@@ -1,18 +1,17 @@
 #pragma once
 // Quantile convenience layer over the selection algorithms: maps q in [0,1]
-// to a 0-based rank with an explicit tie-breaking method and dispatches to
-// exact SampleSelect, the approximate variant, or the multi-rank driver —
-// all of which execute their bucketing levels through core::SelectionPipeline
-// (see docs/architecture.md), so quantile queries share the pooled device
-// arena with every other front-end.  ("Quantile selection in order
-// statistics" is the first application the paper's introduction lists.)
+// to a 0-based rank with an explicit tie-breaking method.  try_quantile
+// answers one exact quantile through SampleSelect; approximate or multiple
+// quantiles pass quantile_rank's ranks to try_approx_select or
+// try_multi_select.  All of them execute their bucketing levels through
+// core::SelectionPipeline (see docs/architecture.md), so quantile queries
+// share the pooled device arena with every other front-end.  ("Quantile
+// selection in order statistics" is the first application the paper's
+// introduction lists.)
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
-#include "core/approx_select.hpp"
-#include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
 
 namespace gpusel::core {
@@ -25,24 +24,16 @@ enum class QuantileMethod {
 };
 
 /// Rank of the q-quantile of an n-element dataset.  q must be in [0, 1],
-/// n > 0.
+/// n > 0; anything else throws std::invalid_argument.
 [[nodiscard]] std::size_t quantile_rank(std::size_t n, double q,
                                         QuantileMethod method = QuantileMethod::nearest);
 
-/// Fault-hardened quantile_rank: empty datasets and out-of-range (or NaN)
+/// Non-throwing quantile_rank: empty datasets and out-of-range (or NaN)
 /// quantile positions come back as a typed Status.
 [[nodiscard]] Result<std::size_t> try_quantile_rank(
     std::size_t n, double q, QuantileMethod method = QuantileMethod::nearest);
 
-/// Exact q-quantile via SampleSelect.
-template <typename T>
-[[nodiscard]] T quantile(simt::Device& dev, std::span<const T> data, double q,
-                         const SampleSelectConfig& cfg = {},
-                         QuantileMethod method = QuantileMethod::nearest) {
-    return sample_select<T>(dev, data, quantile_rank(data.size(), q, method), cfg).value;
-}
-
-/// Fault-hardened exact q-quantile: bad quantile positions and every
+/// Exact q-quantile via SampleSelect: bad quantile positions and every
 /// selection failure mode surface as a typed Status.
 template <typename T>
 [[nodiscard]] Result<T> try_quantile(simt::Device& dev, std::span<const T> data, double q,
@@ -53,34 +44,6 @@ template <typename T>
     auto sel = try_sample_select<T>(dev, data, rank.value(), cfg);
     if (!sel.ok()) return sel.status();
     return sel.value().value;
-}
-
-/// Approximate q-quantile (single bucketing level).
-template <typename T>
-[[nodiscard]] ApproxResult<T> approx_quantile(simt::Device& dev, std::span<const T> data,
-                                              double q, const SampleSelectConfig& cfg = {},
-                                              QuantileMethod method = QuantileMethod::nearest) {
-    return approx_select<T>(dev, data, quantile_rank(data.size(), q, method), cfg);
-}
-
-/// Exact multi-quantile via the shared-recursion multi-rank driver.
-template <typename T>
-[[nodiscard]] std::vector<T> quantiles(simt::Device& dev, std::span<const T> data,
-                                       std::span<const double> qs,
-                                       const SampleSelectConfig& cfg = {},
-                                       QuantileMethod method = QuantileMethod::nearest) {
-    std::vector<std::size_t> ranks(qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-        ranks[i] = quantile_rank(data.size(), qs[i], method);
-    }
-    return multi_select<T>(dev, data, ranks, cfg).values;
-}
-
-/// Exact median (the classic special case).
-template <typename T>
-[[nodiscard]] T median(simt::Device& dev, std::span<const T> data,
-                       const SampleSelectConfig& cfg = {}) {
-    return quantile<T>(dev, data, 0.5, cfg, QuantileMethod::lower);
 }
 
 }  // namespace gpusel::core

@@ -1,7 +1,6 @@
 #include "core/sample_select.hpp"
 
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "core/backend.hpp"
@@ -176,11 +175,7 @@ template <typename T>
 Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T> data,
                                                  std::size_t rank,
                                                  const SampleSelectConfig& cfg, int stream) {
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status s = cfg.validate(/*exact=*/true); !s.ok()) return s;
     const std::size_t n = data.size();
     if (n == 0 || rank >= n) {
         return Status::failure(SelectError::rank_out_of_range, "rank out of range");
@@ -229,13 +224,6 @@ Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T
 }
 
 template <typename T>
-Result<SelectResult<T>> try_sample_select_device(simt::Device& dev, simt::DeviceBuffer<T> data,
-                                                 std::size_t rank,
-                                                 const SampleSelectConfig& cfg) {
-    return try_sample_select_staged<T>(dev, DataHolder<T>::adopt(std::move(data)), rank, cfg);
-}
-
-template <typename T>
 Result<SelectResult<T>> try_sample_select(simt::Device& dev, std::span<const T> input,
                                           std::size_t rank, const SampleSelectConfig& cfg) {
     PipelineContext ctx(dev, cfg);
@@ -247,74 +235,17 @@ Result<SelectResult<T>> try_sample_select(simt::Device& dev, std::span<const T> 
     return try_sample_select_staged<T>(dev, std::move(staged), rank, cfg);
 }
 
-template <typename T>
-SelectResult<T> sample_select_staged(simt::Device& dev, DataHolder<T> data, std::size_t rank,
-                                     const SampleSelectConfig& cfg, int stream) {
-    return try_sample_select_staged<T>(dev, std::move(data), rank, cfg, stream).take_or_throw();
-}
-
-template <typename T>
-SelectResult<T> sample_select_device(simt::Device& dev, simt::DeviceBuffer<T> data,
-                                     std::size_t rank, const SampleSelectConfig& cfg) {
-    return try_sample_select_device<T>(dev, std::move(data), rank, cfg).take_or_throw();
-}
-
-template <typename T>
-SelectResult<T> sample_select(simt::Device& dev, std::span<const T> input, std::size_t rank,
-                              const SampleSelectConfig& cfg) {
-    return try_sample_select<T>(dev, input, rank, cfg).take_or_throw();
-}
-
-template Result<SelectResult<float>> try_sample_select<float>(simt::Device&,
-                                                              std::span<const float>, std::size_t,
-                                                              const SampleSelectConfig&);
-template Result<SelectResult<double>> try_sample_select<double>(simt::Device&,
-                                                                std::span<const double>,
-                                                                std::size_t,
-                                                                const SampleSelectConfig&);
-template Result<SelectResult<float>> try_sample_select_device<float>(simt::Device&,
-                                                                     simt::DeviceBuffer<float>,
-                                                                     std::size_t,
-                                                                     const SampleSelectConfig&);
-template Result<SelectResult<double>> try_sample_select_device<double>(simt::Device&,
-                                                                       simt::DeviceBuffer<double>,
-                                                                       std::size_t,
-                                                                       const SampleSelectConfig&);
-template Result<SelectResult<float>> try_sample_select_staged<float>(simt::Device&,
-                                                                     DataHolder<float>,
-                                                                     std::size_t,
-                                                                     const SampleSelectConfig&,
-                                                                     int);
-template Result<SelectResult<double>> try_sample_select_staged<double>(simt::Device&,
-                                                                       DataHolder<double>,
-                                                                       std::size_t,
-                                                                       const SampleSelectConfig&,
-                                                                       int);
-template SelectResult<float> sample_select<float>(simt::Device&, std::span<const float>,
-                                                  std::size_t, const SampleSelectConfig&);
-template SelectResult<double> sample_select<double>(simt::Device&, std::span<const double>,
-                                                    std::size_t, const SampleSelectConfig&);
-template SelectResult<float> sample_select_device<float>(simt::Device&, simt::DeviceBuffer<float>,
-                                                         std::size_t, const SampleSelectConfig&);
-template SelectResult<double> sample_select_device<double>(simt::Device&,
-                                                           simt::DeviceBuffer<double>,
-                                                           std::size_t, const SampleSelectConfig&);
-template SelectResult<float> sample_select_staged<float>(simt::Device&, DataHolder<float>,
-                                                         std::size_t, const SampleSelectConfig&,
-                                                         int);
-template SelectResult<double> sample_select_staged<double>(simt::Device&, DataHolder<double>,
-                                                           std::size_t, const SampleSelectConfig&,
-                                                           int);
-template Result<SelectResult<ArgPair>> try_sample_select<ArgPair>(simt::Device&,
-                                                                  std::span<const ArgPair>,
-                                                                  std::size_t,
-                                                                  const SampleSelectConfig&);
+template Result<SelectResult<float>> try_sample_select<float>(
+    simt::Device&, std::span<const float>, std::size_t, const SampleSelectConfig&);
+template Result<SelectResult<double>> try_sample_select<double>(
+    simt::Device&, std::span<const double>, std::size_t, const SampleSelectConfig&);
+template Result<SelectResult<ArgPair>> try_sample_select<ArgPair>(
+    simt::Device&, std::span<const ArgPair>, std::size_t, const SampleSelectConfig&);
+template Result<SelectResult<float>> try_sample_select_staged<float>(
+    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
+template Result<SelectResult<double>> try_sample_select_staged<double>(
+    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
 template Result<SelectResult<ArgPair>> try_sample_select_staged<ArgPair>(
     simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
-template SelectResult<ArgPair> sample_select<ArgPair>(simt::Device&, std::span<const ArgPair>,
-                                                      std::size_t, const SampleSelectConfig&);
-template SelectResult<ArgPair> sample_select_staged<ArgPair>(simt::Device&, DataHolder<ArgPair>,
-                                                             std::size_t,
-                                                             const SampleSelectConfig&, int);
 
 }  // namespace gpusel::core

@@ -44,60 +44,30 @@ struct SelectResult {
     std::size_t nan_count = 0;
 };
 
-/// Fault-hardened entry points (docs/robustness.md): identical semantics
-/// to the throwing variants below, but every failure mode -- bad
-/// argument, rank out of range, rejected NaN keys, exhausted fault
-/// retries, exhausted progress policy, depth cap -- comes back as a typed
-/// Status instead of an exception.  Float/double inputs run the NaN
-/// staging pre-pass: NaNs sort above +inf (NanPolicy::propagate_largest)
-/// and a rank inside the NaN tail yields quiet NaN without touching the
-/// device.
+/// Selects the element of the given 0-based rank from `input`.  The input
+/// is copied to a device buffer before timing starts (the paper measures
+/// the selection, not the transfer).  Every failure mode -- bad argument,
+/// rank out of range, rejected NaN keys, exhausted fault retries,
+/// exhausted progress policy, depth cap -- comes back as a typed Status
+/// (docs/robustness.md).  Float/double inputs run the NaN staging
+/// pre-pass: NaNs sort above +inf (NanPolicy::propagate_largest) and a
+/// rank inside the NaN tail yields quiet NaN without touching the device.
 template <typename T>
 [[nodiscard]] Result<SelectResult<T>> try_sample_select(simt::Device& dev,
                                                         std::span<const T> input, std::size_t rank,
                                                         const SampleSelectConfig& cfg);
 
-template <typename T>
-[[nodiscard]] Result<SelectResult<T>> try_sample_select_device(simt::Device& dev,
-                                                               simt::DeviceBuffer<T> data,
-                                                               std::size_t rank,
-                                                               const SampleSelectConfig& cfg);
-
-/// `stream` overrides the selection's stream (every launch and pooled
-/// checkout); the default -1 keeps cfg.stream.  Used by the batch executor
-/// to run many staged selections concurrently on leased streams.
+/// Lowest-level entry: selects from an already-staged pipeline data holder
+/// (adopted device buffer or pooled block), which is consumed.  Used by the
+/// batched and top-k front-ends to feed pooled buffers into the same
+/// descent.  `stream` overrides the selection's stream (every launch and
+/// pooled checkout); the default -1 keeps cfg.stream.
 template <typename T>
 [[nodiscard]] Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev,
                                                                DataHolder<T> data,
                                                                std::size_t rank,
                                                                const SampleSelectConfig& cfg,
                                                                int stream = -1);
-
-/// Selects the element of the given 0-based rank from `input`.
-/// The input is copied to a device buffer before timing starts (the paper
-/// measures the selection, not the transfer).  Thin wrapper over
-/// try_sample_select that rethrows the Status (std::invalid_argument /
-/// std::out_of_range for precondition codes, SelectException otherwise).
-template <typename T>
-[[nodiscard]] SelectResult<T> sample_select(simt::Device& dev, std::span<const T> input,
-                                            std::size_t rank, const SampleSelectConfig& cfg);
-
-/// Device-resident variant: consumes `data` (the buffer is recycled as a
-/// ping-pong scratch target from level 2 on, so its contents are not
-/// preserved).
-template <typename T>
-[[nodiscard]] SelectResult<T> sample_select_device(simt::Device& dev, simt::DeviceBuffer<T> data,
-                                                   std::size_t rank,
-                                                   const SampleSelectConfig& cfg);
-
-/// Lowest-level entry: selects from an already-staged pipeline data holder
-/// (adopted device buffer or pooled block).  Used by the batched and top-k
-/// front-ends to feed pooled buffers into the same descent.
-template <typename T>
-[[nodiscard]] SelectResult<T> sample_select_staged(simt::Device& dev, DataHolder<T> data,
-                                                   std::size_t rank,
-                                                   const SampleSelectConfig& cfg,
-                                                   int stream = -1);
 
 namespace detail {
 
@@ -120,52 +90,17 @@ extern template Result<SelectResult<ArgPair>> sample_select_descend<ArgPair>(
 
 }  // namespace detail
 
-extern template Result<SelectResult<float>> try_sample_select<float>(simt::Device&,
-                                                                     std::span<const float>,
-                                                                     std::size_t,
-                                                                     const SampleSelectConfig&);
-extern template Result<SelectResult<double>> try_sample_select<double>(simt::Device&,
-                                                                       std::span<const double>,
-                                                                       std::size_t,
-                                                                       const SampleSelectConfig&);
-extern template Result<SelectResult<float>> try_sample_select_device<float>(
-    simt::Device&, simt::DeviceBuffer<float>, std::size_t, const SampleSelectConfig&);
-extern template Result<SelectResult<double>> try_sample_select_device<double>(
-    simt::Device&, simt::DeviceBuffer<double>, std::size_t, const SampleSelectConfig&);
+extern template Result<SelectResult<float>> try_sample_select<float>(
+    simt::Device&, std::span<const float>, std::size_t, const SampleSelectConfig&);
+extern template Result<SelectResult<double>> try_sample_select<double>(
+    simt::Device&, std::span<const double>, std::size_t, const SampleSelectConfig&);
+extern template Result<SelectResult<ArgPair>> try_sample_select<ArgPair>(
+    simt::Device&, std::span<const ArgPair>, std::size_t, const SampleSelectConfig&);
 extern template Result<SelectResult<float>> try_sample_select_staged<float>(
     simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
 extern template Result<SelectResult<double>> try_sample_select_staged<double>(
     simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
-extern template SelectResult<float> sample_select<float>(simt::Device&, std::span<const float>,
-                                                         std::size_t, const SampleSelectConfig&);
-extern template SelectResult<double> sample_select<double>(simt::Device&, std::span<const double>,
-                                                           std::size_t, const SampleSelectConfig&);
-extern template SelectResult<float> sample_select_device<float>(simt::Device&,
-                                                                simt::DeviceBuffer<float>,
-                                                                std::size_t,
-                                                                const SampleSelectConfig&);
-extern template SelectResult<double> sample_select_device<double>(simt::Device&,
-                                                                  simt::DeviceBuffer<double>,
-                                                                  std::size_t,
-                                                                  const SampleSelectConfig&);
-extern template SelectResult<float> sample_select_staged<float>(simt::Device&, DataHolder<float>,
-                                                                std::size_t,
-                                                                const SampleSelectConfig&, int);
-extern template SelectResult<double> sample_select_staged<double>(simt::Device&,
-                                                                  DataHolder<double>, std::size_t,
-                                                                  const SampleSelectConfig&, int);
-extern template Result<SelectResult<ArgPair>> try_sample_select<ArgPair>(
-    simt::Device&, std::span<const ArgPair>, std::size_t, const SampleSelectConfig&);
 extern template Result<SelectResult<ArgPair>> try_sample_select_staged<ArgPair>(
     simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
-extern template SelectResult<ArgPair> sample_select<ArgPair>(simt::Device&,
-                                                             std::span<const ArgPair>,
-                                                             std::size_t,
-                                                             const SampleSelectConfig&);
-extern template SelectResult<ArgPair> sample_select_staged<ArgPair>(simt::Device&,
-                                                                    DataHolder<ArgPair>,
-                                                                    std::size_t,
-                                                                    const SampleSelectConfig&,
-                                                                    int);
 
 }  // namespace gpusel::core

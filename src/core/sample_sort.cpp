@@ -1,6 +1,5 @@
 #include "core/sample_sort.hpp"
 
-#include <stdexcept>
 
 #include "bitonic/bitonic.hpp"
 #include "core/float_order.hpp"
@@ -168,11 +167,7 @@ Result<SortResult<T>> try_sample_sort(simt::Device& dev, std::span<const T> inpu
     // shared-atomic hierarchy regardless of cfg.atomic_space.
     SampleSelectConfig sort_cfg = cfg;
     sort_cfg.atomic_space = simt::AtomicSpace::shared;
-    try {
-        sort_cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = sort_cfg.validate(/*exact=*/true); !vs.ok()) return vs;
 
     const std::size_t n = input.size();
     PipelineContext ctx(dev, sort_cfg);
@@ -209,20 +204,10 @@ Result<SortResult<T>> try_sample_sort(simt::Device& dev, std::span<const T> inpu
     return res;
 }
 
-template <typename T>
-SortResult<T> sample_sort(simt::Device& dev, std::span<const T> input,
-                          const SampleSelectConfig& cfg) {
-    return try_sample_sort<T>(dev, input, cfg).take_or_throw();
-}
-
 template Result<SortResult<float>> try_sample_sort<float>(simt::Device&, std::span<const float>,
                                                           const SampleSelectConfig&);
 template Result<SortResult<double>> try_sample_sort<double>(simt::Device&,
                                                             std::span<const double>,
                                                             const SampleSelectConfig&);
-template SortResult<float> sample_sort<float>(simt::Device&, std::span<const float>,
-                                              const SampleSelectConfig&);
-template SortResult<double> sample_sort<double>(simt::Device&, std::span<const double>,
-                                                const SampleSelectConfig&);
 
 }  // namespace gpusel::core

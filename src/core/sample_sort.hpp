@@ -30,16 +30,11 @@ struct SortResult {
     std::size_t nan_count = 0;
 };
 
-/// Fault-hardened sample sort: injected faults, rejected NaN keys and
+/// Fully sorts `input` ascending.  Injected faults, rejected NaN keys and
 /// exhausted recursion depth come back as a typed Status.
 template <typename T>
 [[nodiscard]] Result<SortResult<T>> try_sample_sort(simt::Device& dev, std::span<const T> input,
                                                     const SampleSelectConfig& cfg);
-
-/// Fully sorts `input` ascending.
-template <typename T>
-[[nodiscard]] SortResult<T> sample_sort(simt::Device& dev, std::span<const T> input,
-                                        const SampleSelectConfig& cfg);
 
 extern template Result<SortResult<float>> try_sample_sort<float>(simt::Device&,
                                                                  std::span<const float>,
@@ -47,9 +42,5 @@ extern template Result<SortResult<float>> try_sample_sort<float>(simt::Device&,
 extern template Result<SortResult<double>> try_sample_sort<double>(simt::Device&,
                                                                    std::span<const double>,
                                                                    const SampleSelectConfig&);
-extern template SortResult<float> sample_sort<float>(simt::Device&, std::span<const float>,
-                                                     const SampleSelectConfig&);
-extern template SortResult<double> sample_sort<double>(simt::Device&, std::span<const double>,
-                                                       const SampleSelectConfig&);
 
 }  // namespace gpusel::core

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
-#include "core/count_kernel.hpp"
-#include "core/filter_kernel.hpp"
 #include "core/float_order.hpp"
 #include "core/multiselect.hpp"
 #include "core/pipeline.hpp"
@@ -24,12 +21,16 @@ namespace {
 /// per-shard descents never share a splitter sample stream.
 constexpr std::uint64_t kShardSeedStep = 0x9e3779b97f4a7c15ull;
 
+/// Level-executor options over a merged (not sampled) tree: the caller
+/// already knows which bucket it wants, so no select_bucket runs.  Count-
+/// only passes skip the oracles and per-block offsets a filter needs.
+constexpr LevelOptions kCountOnly{
+    .write_oracles = false, .keep_block_offsets = false, .locate = false};
+constexpr LevelOptions kCountForFilter{
+    .write_oracles = true, .keep_block_offsets = true, .locate = false};
+
 Status validate_shard_config(const ShardSelectConfig& cfg) {
-    try {
-        cfg.select.validate(true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.select.validate(true); !vs.ok()) return vs;
     const int b = cfg.splitter_buckets;
     if (b < 2 || b > kMaxExactBuckets || (b & (b - 1)) != 0) {
         return Status::failure(SelectError::invalid_argument,
@@ -364,37 +365,21 @@ Status phase_count(ShardEnv<T>& env, const MergeState<T>& ms, std::size_t rank,
         const int sd = env.stream[static_cast<std::size_t>(d)];
         cfgB.stream = sd;
         PipelineContext ctx(dev, cfgB, sd);
-        std::optional<simt::PooledBuffer<std::int32_t>> totals_keep;
-        std::vector<std::int32_t> host_totals(b, 0);
+        // The level owns the device totals; it stays alive until their
+        // transfer to the root is issued below.
+        std::optional<LevelOutcome<T>> lv;
         Status st = with_fault_retry(ctx, [&] {
-            totals_keep.reset();
+            lv.reset();
             auto staged = DataHolder<T>::stage(ctx, chunk);
-            const PipelinePlan pl = PipelinePlan::make(dev, nj, cfgB, false);
-            auto totals = ctx.scratch<std::int32_t>(b);
-            std::optional<simt::PooledBuffer<std::int32_t>> bc;
-            std::span<std::int32_t> bcs{};
-            if (pl.shared_mode) {
-                bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
-                bcs = bc->span();
-            } else {
-                launch_memset32(dev, totals.span(), simt::LaunchOrigin::host, sd);
-            }
-            const int grid =
-                count_kernel<T>(dev, std::span<const T>(staged.span()),
-                                ms.device_tree[static_cast<std::size_t>(d)], {}, totals.span(),
-                                bcs, cfgB, simt::LaunchOrigin::host, sd);
-            if (pl.shared_mode) {
-                reduce_kernel(dev, bcs, grid, ms.b_eff, totals.span(), false,
-                              simt::LaunchOrigin::host, cfgB.block_dim, sd);
-            }
-            std::copy(totals.span().begin(), totals.span().end(), host_totals.begin());
-            totals_keep.emplace(std::move(totals));
+            lv.emplace(finish_level<T>(ctx, std::span<const T>(staged.span()), 0,
+                                       simt::LaunchOrigin::host,
+                                       ms.device_tree[static_cast<std::size_t>(d)], kCountOnly));
         });
         if (!st.ok()) return st;
         env.sample_peaks();
         for (std::size_t i = 0; i < b; ++i) {
-            out.shard_totals[j][i] = host_totals[i];
-            out.totals[i] += host_totals[i];
+            out.shard_totals[j][i] = lv->totals[i];
+            out.totals[i] += lv->totals[i];
         }
         if (d != 0) {
             // The counts travel to the root like any other payload, so the
@@ -402,12 +387,10 @@ Status phase_count(ShardEnv<T>& env, const MergeState<T>& ms, std::size_t rank,
             // already host-visible.
             if (!landing) landing.emplace(rdev.pooled<std::int32_t>(b, rstream));
             const auto rec = env.group.template transfer<std::int32_t>(
-                d, std::span<const std::int32_t>(totals_keep->span()), 0, 0, landing->span(), 0,
-                b, sd);
+                d, lv->totals_span(), 0, 0, landing->span(), 0, b, sd);
             rdev.wait_event(rstream, rec.ready_ns);
             dev.wait_event(sd, rec.src_done_ns);
         }
-        totals_keep.reset();
     }
 
     out.prefix.assign(b + 1, 0);
@@ -466,8 +449,6 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
         const auto fj = static_cast<std::size_t>(
             co.shard_totals[j][static_cast<std::size_t>(co.bucket)]);
         if (fj == 0) continue;
-        const auto& chunk = env.chunks[j];
-        const std::size_t nj = chunk.size();
         const int d = env.shard_dev[j];
         simt::Device& dev = env.group.device(d);
         const int sd = env.stream[static_cast<std::size_t>(d)];
@@ -476,34 +457,13 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
         std::optional<simt::PooledBuffer<T>> frag_keep;
         Status st = with_fault_retry(ctx, [&] {
             frag_keep.reset();
-            auto staged = DataHolder<T>::stage(ctx, chunk);
-            const PipelinePlan pl = PipelinePlan::make(dev, nj, cfgB, true);
-            auto oracles = ctx.scratch<std::uint8_t>(nj);
-            auto totals = ctx.scratch<std::int32_t>(static_cast<std::size_t>(ms.b_eff));
-            std::optional<simt::PooledBuffer<std::int32_t>> bc;
-            std::span<std::int32_t> bcs{};
-            if (pl.shared_mode) {
-                bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
-                bcs = bc->span();
-            } else {
-                launch_memset32(dev, totals.span(), simt::LaunchOrigin::host, sd);
-            }
-            const int grid =
-                count_kernel<T>(dev, std::span<const T>(staged.span()),
-                                ms.device_tree[static_cast<std::size_t>(d)], oracles.span(),
-                                totals.span(), bcs, cfgB, simt::LaunchOrigin::host, sd);
-            std::optional<simt::PooledBuffer<std::int32_t>> gctr;
-            if (pl.shared_mode) {
-                reduce_kernel(dev, bcs, grid, ms.b_eff, totals.span(), true,
-                              simt::LaunchOrigin::host, cfgB.block_dim, sd);
-            } else {
-                gctr.emplace(ctx.zeroed_i32(1, simt::LaunchOrigin::host));
-            }
+            auto staged = DataHolder<T>::stage(ctx, env.chunks[j]);
+            const std::span<const T> data(staged.span());
+            const LevelOutcome<T> lv =
+                finish_level<T>(ctx, data, 0, simt::LaunchOrigin::host,
+                                ms.device_tree[static_cast<std::size_t>(d)], kCountForFilter);
             auto frag = dev.pooled<T>(fj, sd);
-            filter_kernel<T>(dev, std::span<const T>(staged.span()), oracles.span(), co.bucket,
-                             frag.span(), bcs, ms.b_eff,
-                             gctr ? gctr->span() : std::span<std::int32_t>{}, cfgB,
-                             simt::LaunchOrigin::host, grid, sd);
+            filter_bucket<T>(ctx, data, lv, co.bucket, frag.span(), simt::LaunchOrigin::host);
             frag_keep.emplace(std::move(frag));
         });
         if (!st.ok()) return st;
@@ -777,8 +737,7 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
     std::size_t off = 0;
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
         const auto& chunk = env.chunks[j];
-        const std::size_t nj = chunk.size();
-        if (nj == 0) continue;
+        if (chunk.empty()) continue;
         const int d = env.shard_dev[j];
         simt::Device& dev = env.group.device(d);
         const int sd = env.stream[static_cast<std::size_t>(d)];
@@ -790,34 +749,14 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
             frag_keep.reset();
             qj = 0;
             auto staged = DataHolder<T>::stage(ctx, chunk);
-            const PipelinePlan pl = PipelinePlan::make(dev, nj, cfg3, true);
-            auto oracles = ctx.scratch<std::uint8_t>(nj);
-            auto totals = ctx.scratch<std::int32_t>(4);
-            std::optional<simt::PooledBuffer<std::int32_t>> bc;
-            std::span<std::int32_t> bcs{};
-            if (pl.shared_mode) {
-                bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
-                bcs = bc->span();
-            } else {
-                launch_memset32(dev, totals.span(), simt::LaunchOrigin::host, sd);
-            }
-            const int grid = count_kernel<T>(dev, std::span<const T>(staged.span()),
-                                             tri[static_cast<std::size_t>(d)], oracles.span(),
-                                             totals.span(), bcs, cfg3, simt::LaunchOrigin::host,
-                                             sd);
-            std::optional<simt::PooledBuffer<std::int32_t>> gctr;
-            if (pl.shared_mode) {
-                reduce_kernel(dev, bcs, grid, 4, totals.span(), true, simt::LaunchOrigin::host,
-                              cfg3.block_dim, sd);
-            } else {
-                gctr.emplace(ctx.zeroed_i32(1, simt::LaunchOrigin::host));
-            }
-            qj = static_cast<std::size_t>(totals[3]);
+            const std::span<const T> data(staged.span());
+            const LevelOutcome<T> lv =
+                finish_level<T>(ctx, data, 0, simt::LaunchOrigin::host,
+                                tri[static_cast<std::size_t>(d)], kCountForFilter);
+            qj = static_cast<std::size_t>(lv.totals[3]);
             if (qj == 0) return;
             auto frag = dev.pooled<T>(qj, sd);
-            filter_kernel<T>(dev, std::span<const T>(staged.span()), oracles.span(), 3,
-                             frag.span(), bcs, 4, gctr ? gctr->span() : std::span<std::int32_t>{},
-                             cfg3, simt::LaunchOrigin::host, grid, sd);
+            filter_bucket<T>(ctx, data, lv, 3, frag.span(), simt::LaunchOrigin::host);
             frag_keep.emplace(std::move(frag));
         });
         if (!st.ok()) return st;
@@ -907,24 +846,9 @@ Status StreamingQuantile<T>::observe(std::span<const T> chunk) {
     std::vector<std::int32_t> host_totals(b, 0);
     Status st = with_fault_retry(ctx, [&] {
         auto staged = DataHolder<T>::stage(ctx, clean);
-        const PipelinePlan pl = PipelinePlan::make(*dev_, clean.size(), cfgB, false);
-        auto totals = ctx.scratch<std::int32_t>(b);
-        std::optional<simt::PooledBuffer<std::int32_t>> bc;
-        std::span<std::int32_t> bcs{};
-        if (pl.shared_mode) {
-            bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
-            bcs = bc->span();
-        } else {
-            launch_memset32(*dev_, totals.span(), simt::LaunchOrigin::host, ctx.stream());
-        }
-        const int grid = count_kernel<T>(*dev_, std::span<const T>(staged.span()), tree_, {},
-                                         totals.span(), bcs, cfgB, simt::LaunchOrigin::host,
-                                         ctx.stream());
-        if (pl.shared_mode) {
-            reduce_kernel(*dev_, bcs, grid, tree_.num_buckets, totals.span(), false,
-                          simt::LaunchOrigin::host, cfgB.block_dim, ctx.stream());
-        }
-        std::copy(totals.span().begin(), totals.span().end(), host_totals.begin());
+        const LevelOutcome<T> lv = finish_level<T>(ctx, std::span<const T>(staged.span()), 0,
+                                                   simt::LaunchOrigin::host, tree_, kCountOnly);
+        std::copy(lv.totals.span().begin(), lv.totals.span().end(), host_totals.begin());
     });
     if (!st.ok()) return st;
     for (std::size_t i = 0; i < b; ++i) totals_[i] += host_totals[i];

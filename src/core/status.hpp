@@ -13,15 +13,16 @@
 //   * Result<T>    -- expected<T, Status>-style sum type returned by the
 //                     `try_*` front-end entry points.
 //
-// The legacy value-returning entry points (sample_select, topk_largest,
-// ...) remain as thin wrappers that call the try_* variant and rethrow the
-// Status through throw_status(), preserving the std::exception types the
-// pre-existing API contract documented (std::invalid_argument,
-// std::out_of_range).  New code that must survive faults uses try_*.
+// Each front-end has exactly one entry point, its try_* function.  Callers
+// that cannot handle a failure use `try_x(...).value()`, which aborts with
+// the Status message on an error in every build type.  Only quantile_rank
+// and SelectServer's constructor throw std::invalid_argument (a constructor
+// cannot return a Status).
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -109,40 +110,11 @@ struct [[nodiscard]] Status {
         assert(code != SelectError::none);
         return {code, std::move(message)};
     }
-    /// "code: message" for logs and exception payloads.
+    /// "code: message" for logs and diagnostics.
     [[nodiscard]] std::string to_message() const {
         return std::string(to_string(code)) + ": " + message;
     }
 };
-
-/// Exception carrying a Status, thrown by the legacy wrappers for codes
-/// that have no pre-existing std::exception contract (faults, progress).
-class SelectException : public std::runtime_error {
-public:
-    explicit SelectException(Status status)
-        : std::runtime_error(status.to_message()), status_(std::move(status)) {}
-    [[nodiscard]] const Status& status() const noexcept { return status_; }
-
-private:
-    Status status_;
-};
-
-/// Rethrows a Status with the exception type the legacy API documented:
-/// argument/precondition problems keep their std types so existing callers
-/// (and tests) see unchanged behavior; fault/progress codes surface as
-/// SelectException.
-[[noreturn]] inline void throw_status(const Status& s) {
-    switch (s.code) {
-        case SelectError::invalid_argument:
-        case SelectError::empty_input:
-        case SelectError::nan_keys_rejected:
-            throw std::invalid_argument(s.message);
-        case SelectError::rank_out_of_range:
-            throw std::out_of_range(s.message);
-        default:
-            throw SelectException(s);
-    }
-}
 
 /// Minimal expected<T, Status>: either a value or a non-ok Status.
 /// [[nodiscard]] like Status: ignoring a Result drops both the answer and
@@ -163,26 +135,38 @@ public:
     [[nodiscard]] const Status& status() const noexcept { return status_; }
     [[nodiscard]] SelectError error() const noexcept { return status_.code; }
 
+    /// The value.  Accessing the value of a failed Result prints the Status
+    /// and aborts in every build type (a release build must not read an
+    /// empty optional).
     [[nodiscard]] const T& value() const& noexcept {
-        assert(ok());
+        check();
         return *value_;
     }
     [[nodiscard]] T& value() & noexcept {
-        assert(ok());
+        check();
         return *value_;
+    }
+    /// By value on an rvalue Result, so `const auto& v = try_x(...).value();`
+    /// binds to a lifetime-extended copy instead of a dead temporary.
+    [[nodiscard]] T value() && {
+        check();
+        return std::move(*value_);
     }
     /// Moves the value out (the Result is left valueless).
     [[nodiscard]] T take() {
-        assert(ok());
-        return std::move(*value_);
-    }
-    /// Legacy bridge: the value, or throw_status() on error.
-    [[nodiscard]] T take_or_throw() {
-        if (!ok()) throw_status(status_);
+        check();
         return std::move(*value_);
     }
 
 private:
+    void check() const noexcept {
+        if (!ok()) {
+            std::fprintf(stderr, "gpusel: value() of a failed Result: %s\n",
+                         status_.to_message().c_str());
+            std::abort();
+        }
+    }
+
     std::optional<T> value_;
     Status status_;  ///< success() while value_ holds
 };

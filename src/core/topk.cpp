@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 #include <utility>
 
 #include "core/backend.hpp"
@@ -135,11 +134,7 @@ template Result<TopKResult<ArgPair>> sample_topk_descend<ArgPair>(
 template <typename T>
 Result<TopKResult<T>> try_topk_largest(simt::Device& dev, std::span<const T> input, std::size_t k,
                                        const SampleSelectConfig& cfg) {
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
     const std::size_t n0 = input.size();
     if (k == 0 || k > n0) {
         return Status::failure(SelectError::rank_out_of_range, "k must be in [1, n]");
@@ -203,11 +198,7 @@ Result<TopKResult<T>> try_topk_largest(simt::Device& dev, std::span<const T> inp
 template <typename T>
 Result<TopKResult<T>> try_topk_smallest(simt::Device& dev, std::span<const T> input,
                                         std::size_t k, const SampleSelectConfig& cfg) {
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
     const std::size_t n = input.size();
     if (k == 0 || k > n) {
         return Status::failure(SelectError::rank_out_of_range, "k must be in [1, n]");
@@ -278,11 +269,7 @@ template <typename T>
 Result<TopKIndexResult<T>> try_topk_largest_with_indices(simt::Device& dev,
                                                          std::span<const T> input, std::size_t k,
                                                          const SampleSelectConfig& cfg) {
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
     const std::size_t n = input.size();
     if (k == 0 || k > n) {
         return Status::failure(SelectError::rank_out_of_range, "k must be in [1, n]");
@@ -456,24 +443,6 @@ Result<TopKBatchResult<T>> try_topk_largest_batch(simt::Device& dev,
     return res;
 }
 
-template <typename T>
-TopKResult<T> topk_largest(simt::Device& dev, std::span<const T> input, std::size_t k,
-                           const SampleSelectConfig& cfg) {
-    return try_topk_largest<T>(dev, input, k, cfg).take_or_throw();
-}
-
-template <typename T>
-TopKResult<T> topk_smallest(simt::Device& dev, std::span<const T> input, std::size_t k,
-                            const SampleSelectConfig& cfg) {
-    return try_topk_smallest<T>(dev, input, k, cfg).take_or_throw();
-}
-
-template <typename T>
-TopKIndexResult<T> topk_largest_with_indices(simt::Device& dev, std::span<const T> input,
-                                             std::size_t k, const SampleSelectConfig& cfg) {
-    return try_topk_largest_with_indices<T>(dev, input, k, cfg).take_or_throw();
-}
-
 template Result<TopKResult<float>> try_topk_largest<float>(simt::Device&, std::span<const float>,
                                                            std::size_t,
                                                            const SampleSelectConfig&);
@@ -497,21 +466,5 @@ template Result<TopKBatchResult<float>> try_topk_largest_batch<float>(
 template Result<TopKBatchResult<double>> try_topk_largest_batch<double>(
     simt::Device&, std::span<const TopKBatchProblem<double>>, const SampleSelectConfig&,
     const BatchOptions&);
-template TopKResult<float> topk_largest<float>(simt::Device&, std::span<const float>, std::size_t,
-                                               const SampleSelectConfig&);
-template TopKResult<double> topk_largest<double>(simt::Device&, std::span<const double>,
-                                                 std::size_t, const SampleSelectConfig&);
-template TopKResult<float> topk_smallest<float>(simt::Device&, std::span<const float>,
-                                                std::size_t, const SampleSelectConfig&);
-template TopKResult<double> topk_smallest<double>(simt::Device&, std::span<const double>,
-                                                  std::size_t, const SampleSelectConfig&);
-template TopKIndexResult<float> topk_largest_with_indices<float>(simt::Device&,
-                                                                 std::span<const float>,
-                                                                 std::size_t,
-                                                                 const SampleSelectConfig&);
-template TopKIndexResult<double> topk_largest_with_indices<double>(simt::Device&,
-                                                                   std::span<const double>,
-                                                                   std::size_t,
-                                                                   const SampleSelectConfig&);
 
 }  // namespace gpusel::core

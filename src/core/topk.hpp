@@ -35,20 +35,21 @@ struct TopKResult {
     std::size_t nan_count = 0;
 };
 
-/// Fault-hardened top-k entry points: same results as the throwing
-/// variants, every failure mode as a typed Status.
+/// Returns the k largest elements of `input` (0 < k <= n); every failure
+/// mode comes back as a typed Status.
 template <typename T>
 [[nodiscard]] Result<TopKResult<T>> try_topk_largest(simt::Device& dev, std::span<const T> input,
                                                      std::size_t k, const SampleSelectConfig& cfg);
+
+/// Returns the k smallest elements; `threshold` is the k-th smallest.
+/// Implemented by running the fused top-k machinery on the negated values
+/// (one extra negation pass each way, charged to the simulated clock) --
+/// selection is comparison-based, so negation is an order-reversing
+/// bijection that costs exactly two streaming passes.
 template <typename T>
 [[nodiscard]] Result<TopKResult<T>> try_topk_smallest(simt::Device& dev, std::span<const T> input,
                                                       std::size_t k,
                                                       const SampleSelectConfig& cfg);
-
-/// Returns the k largest elements of `input` (0 < k <= n).
-template <typename T>
-[[nodiscard]] TopKResult<T> topk_largest(simt::Device& dev, std::span<const T> input,
-                                         std::size_t k, const SampleSelectConfig& cfg);
 
 /// One problem of a top-k batch.
 template <typename T>
@@ -99,29 +100,14 @@ struct TopKIndexResult {
     std::size_t nan_count = 0;
 };
 
-template <typename T>
-[[nodiscard]] Result<TopKIndexResult<T>> try_topk_largest_with_indices(
-    simt::Device& dev, std::span<const T> input, std::size_t k, const SampleSelectConfig& cfg);
-
 /// Top-k with index payloads (what retrieval workloads need: document ids,
 /// not just scores).  Finds the threshold with exact SampleSelect, then one
 /// gather pass extracts (value, index) pairs: all elements above the
 /// threshold plus enough threshold-equal elements to reach exactly k (ties
 /// broken by position order of extraction).
 template <typename T>
-[[nodiscard]] TopKIndexResult<T> topk_largest_with_indices(simt::Device& dev,
-                                                           std::span<const T> input,
-                                                           std::size_t k,
-                                                           const SampleSelectConfig& cfg);
-
-/// Returns the k smallest elements; `threshold` is the k-th smallest.
-/// Implemented by running the fused top-k machinery on the negated values
-/// (one extra negation pass each way, charged to the simulated clock) --
-/// selection is comparison-based, so negation is an order-reversing
-/// bijection that costs exactly two streaming passes.
-template <typename T>
-[[nodiscard]] TopKResult<T> topk_smallest(simt::Device& dev, std::span<const T> input,
-                                          std::size_t k, const SampleSelectConfig& cfg);
+[[nodiscard]] Result<TopKIndexResult<T>> try_topk_largest_with_indices(
+    simt::Device& dev, std::span<const T> input, std::size_t k, const SampleSelectConfig& cfg);
 
 namespace detail {
 
@@ -170,17 +156,5 @@ extern template Result<TopKBatchResult<float>> try_topk_largest_batch<float>(
 extern template Result<TopKBatchResult<double>> try_topk_largest_batch<double>(
     simt::Device&, std::span<const TopKBatchProblem<double>>, const SampleSelectConfig&,
     const BatchOptions&);
-extern template TopKResult<float> topk_largest<float>(simt::Device&, std::span<const float>,
-                                                      std::size_t, const SampleSelectConfig&);
-extern template TopKResult<double> topk_largest<double>(simt::Device&, std::span<const double>,
-                                                        std::size_t, const SampleSelectConfig&);
-extern template TopKResult<float> topk_smallest<float>(simt::Device&, std::span<const float>,
-                                                       std::size_t, const SampleSelectConfig&);
-extern template TopKResult<double> topk_smallest<double>(simt::Device&, std::span<const double>,
-                                                         std::size_t, const SampleSelectConfig&);
-extern template TopKIndexResult<float> topk_largest_with_indices<float>(
-    simt::Device&, std::span<const float>, std::size_t, const SampleSelectConfig&);
-extern template TopKIndexResult<double> topk_largest_with_indices<double>(
-    simt::Device&, std::span<const double>, std::size_t, const SampleSelectConfig&);
 
 }  // namespace gpusel::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -74,7 +75,10 @@ double ServerMetrics::latency_percentile(double pct) const {
 
 SelectServer::SelectServer(simt::Device& dev, ServerConfig cfg)
     : dev_(dev), cfg_(std::move(cfg)), breakers_(cfg_.breaker) {
-    cfg_.select.validate(/*exact=*/true);
+    // A constructor cannot return a Status: a bad config throws.
+    if (Status vs = cfg_.select.validate(/*exact=*/true); !vs.ok()) {
+        throw std::invalid_argument(vs.message);
+    }
     if (cfg_.max_batch == 0) cfg_.max_batch = 1;
     busy_until_ns_ = dev_.stream_clock(cfg_.select.stream);
 }

@@ -26,7 +26,7 @@ TEST(ApproxSelect, Allows1024Buckets) {
     const std::size_t n = 1 << 14;
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 2});
-    EXPECT_NO_THROW((void)core::approx_select<float>(dev, data, n / 2, approx_cfg(1024)));
+    EXPECT_TRUE(core::try_approx_select<float>(dev, data, n / 2, approx_cfg(1024)).ok());
 }
 
 TEST(ApproxSelect, ReportedRankErrorMatchesDataset) {
@@ -35,7 +35,7 @@ TEST(ApproxSelect, ReportedRankErrorMatchesDataset) {
     const auto data = data::generate<double>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 7});
     const std::size_t rank = n / 3;
-    const auto res = core::approx_select<double>(dev, data, rank, approx_cfg(256));
+    const auto res = core::try_approx_select<double>(dev, data, rank, approx_cfg(256)).value();
     // splitter_rank claims the exact rank of the returned value
     EXPECT_EQ(stats::min_rank<double>(data, res.value), res.splitter_rank);
     EXPECT_EQ(res.rank_error,
@@ -54,7 +54,7 @@ TEST_P(ApproxErrorBound, ErrorAtMostMaxBucketSize) {
         const std::size_t rank = data::random_rank(n, seed);
         SampleSelectConfig cfg = approx_cfg(buckets);
         cfg.seed = seed * 31 + 1;
-        const auto res = core::approx_select<float>(dev, data, rank, cfg);
+        const auto res = core::try_approx_select<float>(dev, data, rank, cfg).value();
         // Sec. II-C: worst case half the max bucket size for interior ranks;
         // boundary ranks can see up to one full bucket.
         EXPECT_LE(res.rank_error, res.max_bucket);
@@ -74,7 +74,9 @@ TEST(ApproxSelect, MoreBucketsSmallerError) {
             SampleSelectConfig cfg = approx_cfg(b);
             cfg.seed = s;
             total += static_cast<double>(
-                core::approx_select<float>(dev, data, data::random_rank(n, s), cfg).rank_error);
+                core::try_approx_select<float>(dev, data, data::random_rank(n, s), cfg)
+                    .value()
+                    .rank_error);
         }
         return total / 8.0;
     };
@@ -87,9 +89,9 @@ TEST(ApproxSelect, RadicallyLessWorkThanExact) {
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 5});
     simt::Device dex(simt::arch_v100());
-    const auto exact = core::sample_select<float>(dex, data, n / 2, approx_cfg(256));
+    const auto exact = core::try_sample_select<float>(dex, data, n / 2, approx_cfg(256)).value();
     simt::Device dap(simt::arch_v100());
-    const auto approx = core::approx_select<float>(dap, data, n / 2, approx_cfg(256));
+    const auto approx = core::try_approx_select<float>(dap, data, n / 2, approx_cfg(256)).value();
     EXPECT_LT(approx.sim_ns, exact.sim_ns);
     // no oracles, no filter: strictly less global-memory traffic
     EXPECT_LT(dap.counter_totals().total_global_bytes(),
@@ -100,8 +102,8 @@ TEST(ApproxSelect, ApproxBucketLimitEnforced) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 1 << 12, .dist = data::Distribution::uniform_real, .seed = 1});
-    EXPECT_THROW((void)core::approx_select<float>(dev, data, 100, approx_cfg(2048)),
-                 std::invalid_argument);
+    EXPECT_EQ(core::try_approx_select<float>(dev, data, 100, approx_cfg(2048)).error(),
+              core::SelectError::invalid_argument);
 }
 
 TEST(ApproxSelect, WorksWithGlobalAtomics) {
@@ -111,7 +113,7 @@ TEST(ApproxSelect, WorksWithGlobalAtomics) {
         {.n = n, .dist = data::Distribution::normal, .seed = 9});
     SampleSelectConfig cfg = approx_cfg(256);
     cfg.atomic_space = simt::AtomicSpace::global;
-    const auto res = core::approx_select<float>(dev, data, n / 2, cfg);
+    const auto res = core::try_approx_select<float>(dev, data, n / 2, cfg).value();
     EXPECT_LE(res.rank_error, res.max_bucket);
 }
 
@@ -122,7 +124,7 @@ TEST(ApproxSelect, DuplicateHeavyDataStillBounded) {
                                              .dist = data::Distribution::uniform_distinct,
                                              .distinct_values = 16,
                                              .seed = 4});
-    const auto res = core::approx_select<float>(dev, data, n / 2, approx_cfg(256));
+    const auto res = core::try_approx_select<float>(dev, data, n / 2, approx_cfg(256)).value();
     // With duplicated splitters the reported boundary rank may land anywhere
     // in the value's rank interval (equality buckets shift the boundary past
     // the duplicates), but never outside it.
@@ -142,7 +144,7 @@ TEST(ApproxSelect, SmoothDataSmallValueError) {
     const auto data = data::generate<double>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 6});
     const std::size_t rank = n / 2;
-    const auto res = core::approx_select<double>(dev, data, rank, approx_cfg(1024));
+    const auto res = core::try_approx_select<double>(dev, data, rank, approx_cfg(1024)).value();
     const double exact = stats::nth_element_reference(data, rank);
     EXPECT_NEAR(res.value, exact, 0.01);  // uniform on [0,1): rank err ~ value err
 }

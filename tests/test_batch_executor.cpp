@@ -65,20 +65,20 @@ private:
 
 TEST(BatchExecutor, ResolveStreamCountPolicy) {
     StreamsEnv env(nullptr);  // make sure the ambient variable is unset
-    EXPECT_EQ(core::resolve_stream_count(0), 1);
-    EXPECT_EQ(core::resolve_stream_count(1), 1);
-    EXPECT_EQ(core::resolve_stream_count(3), 3);
-    EXPECT_EQ(core::resolve_stream_count(8), 8);
-    EXPECT_EQ(core::resolve_stream_count(100), 8);  // default cap
-    EXPECT_EQ(core::resolve_stream_count(100, 4), 4);
-    EXPECT_EQ(core::resolve_stream_count(2, 16), 2);  // clamped to batch
+    EXPECT_EQ(core::try_resolve_stream_count(0).value(), 1);
+    EXPECT_EQ(core::try_resolve_stream_count(1).value(), 1);
+    EXPECT_EQ(core::try_resolve_stream_count(3).value(), 3);
+    EXPECT_EQ(core::try_resolve_stream_count(8).value(), 8);
+    EXPECT_EQ(core::try_resolve_stream_count(100).value(), 8);  // default cap
+    EXPECT_EQ(core::try_resolve_stream_count(100, 4).value(), 4);
+    EXPECT_EQ(core::try_resolve_stream_count(2, 16).value(), 2);  // clamped to batch
 }
 
 TEST(BatchExecutor, ResolveStreamCountReadsEnvironment) {
     StreamsEnv env("5");
-    EXPECT_EQ(core::resolve_stream_count(100), 5);
-    EXPECT_EQ(core::resolve_stream_count(3), 3);       // still clamped to batch
-    EXPECT_EQ(core::resolve_stream_count(100, 2), 2);  // explicit request wins
+    EXPECT_EQ(core::try_resolve_stream_count(100).value(), 5);
+    EXPECT_EQ(core::try_resolve_stream_count(3).value(), 3);       // still clamped to batch
+    EXPECT_EQ(core::try_resolve_stream_count(100, 2).value(), 2);  // explicit request wins
 }
 
 TEST(BatchExecutor, ResolveStreamCountRejectsMalformedEnvironment) {
@@ -91,30 +91,27 @@ TEST(BatchExecutor, ResolveStreamCountRejectsMalformedEnvironment) {
         EXPECT_EQ(r.status().code, core::SelectError::invalid_argument)
             << "GPUSEL_STREAMS=" << bad;
         EXPECT_FALSE(r.status().message.empty());
-        // The legacy throwing wrapper surfaces the same error (throw_status
-        // maps invalid_argument onto the standard exception).
-        EXPECT_THROW((void)core::resolve_stream_count(100), std::invalid_argument);
     }
 }
 
 TEST(BatchExecutor, ResolveStreamCountAcceptsPaddedEnvironment) {
     {
         StreamsEnv env("  6  ");  // surrounding whitespace is not an error
-        EXPECT_EQ(core::try_resolve_stream_count(100).take_or_throw(), 6);
+        EXPECT_EQ(core::try_resolve_stream_count(100).value(), 6);
     }
     {
         StreamsEnv env("");  // empty string means unset, not malformed
-        EXPECT_EQ(core::try_resolve_stream_count(100).take_or_throw(), 8);
+        EXPECT_EQ(core::try_resolve_stream_count(100).value(), 8);
     }
     {
         StreamsEnv env("256");  // cap itself is still legal
-        EXPECT_EQ(core::try_resolve_stream_count(1000).take_or_throw(), 256);
+        EXPECT_EQ(core::try_resolve_stream_count(1000).value(), 256);
     }
 }
 
 TEST(BatchExecutor, ResolveStreamCountExplicitRequestSkipsEnvironment) {
     StreamsEnv env("abc");  // malformed, but an explicit request never reads it
-    EXPECT_EQ(core::try_resolve_stream_count(100, 4).take_or_throw(), 4);
+    EXPECT_EQ(core::try_resolve_stream_count(100, 4).value(), 4);
 }
 
 TEST(BatchExecutor, StreamFanLeasesAndReleases) {
@@ -382,14 +379,14 @@ TEST(BatchExecutor, MultiSelectFanMatchesSerialAndNeverSlower) {
     {
         StreamsEnv env("1");
         simt::Device dev(simt::arch_v100());
-        serial = core::multi_select<float>(dev, input, ranks, cfg);
+        serial = core::try_multi_select<float>(dev, input, ranks, cfg).value();
         EXPECT_EQ(serial.streams_used, 1);
     }
     core::MultiSelectResult<float> fanned;
     {
         StreamsEnv env("4");
         simt::Device dev(simt::arch_v100());
-        fanned = core::multi_select<float>(dev, input, ranks, cfg);
+        fanned = core::try_multi_select<float>(dev, input, ranks, cfg).value();
         EXPECT_EQ(fanned.streams_used, 4);
     }
     // The host recurses depth-first either way, so results and launch

@@ -57,7 +57,7 @@ TEST(BatchedSelect, SmallBatchOfSmallSequences) {
     b.add({10}, 0);             // singleton
     b.add({5, 5, 5, 5}, 2);     // duplicates
     b.add({9, 8, 7, 6, 5}, 0);  // min
-    const auto res = core::batched_select<float>(dev, b.flat, b.offsets, b.ranks, {});
+    const auto res = core::try_batched_select<float>(dev, b.flat, b.offsets, b.ranks, {}).value();
     EXPECT_EQ(res.values, (std::vector<float>{2, 10, 5, 5}));
     EXPECT_EQ(res.batched_sequences, 4u);
     EXPECT_EQ(res.recursive_sequences, 0u);
@@ -66,7 +66,7 @@ TEST(BatchedSelect, SmallBatchOfSmallSequences) {
 TEST(BatchedSelect, SingleLaunchPerStreamForShortSequences) {
     simt::Device dev(simt::arch_v100());
     const auto b = random_batch(100, 1000, 5);
-    const auto res = core::batched_select<float>(dev, b.flat, b.offsets, b.ranks, {});
+    const auto res = core::try_batched_select<float>(dev, b.flat, b.offsets, b.ranks, {}).value();
     expect_batch_correct(b, res);
     // One fused launch per stream of the fan, nothing else.
     EXPECT_EQ(res.launches, static_cast<std::uint64_t>(res.streams_used));
@@ -76,8 +76,8 @@ TEST(BatchedSelect, SingleLaunchPerStreamForShortSequences) {
 TEST(BatchedSelect, SingleStreamKeepsOneFusedLaunch) {
     simt::Device dev(simt::arch_v100());
     const auto b = random_batch(100, 1000, 5);
-    const auto res = core::batched_select<float>(dev, b.flat, b.offsets, b.ranks, {},
-                                                 {.streams = 1});
+    const auto res = core::try_batched_select<float>(dev, b.flat, b.offsets, b.ranks, {},
+                                                 {.streams = 1}).value();
     expect_batch_correct(b, res);
     EXPECT_EQ(res.streams_used, 1);
     EXPECT_EQ(res.launches, 1u);  // all sequences in one batched kernel
@@ -87,11 +87,11 @@ TEST(BatchedSelect, SingleStreamKeepsOneFusedLaunch) {
 TEST(BatchedSelect, MultiStreamMatchesSingleStreamValues) {
     const auto b = random_batch(64, 3000, 21);
     simt::Device serial_dev(simt::arch_v100());
-    const auto serial = core::batched_select<float>(serial_dev, b.flat, b.offsets, b.ranks, {},
-                                                    {.streams = 1});
+    const auto serial = core::try_batched_select<float>(serial_dev, b.flat, b.offsets, b.ranks, {},
+                                                    {.streams = 1}).value();
     simt::Device fan_dev(simt::arch_v100());
-    const auto fanned = core::batched_select<float>(fan_dev, b.flat, b.offsets, b.ranks, {},
-                                                    {.streams = 4});
+    const auto fanned = core::try_batched_select<float>(fan_dev, b.flat, b.offsets, b.ranks, {},
+                                                    {.streams = 4}).value();
     EXPECT_EQ(fanned.values, serial.values);
     EXPECT_EQ(fanned.streams_used, 4);
     // Overlap accounting: wall is the slowest lane, serial the sum, so the
@@ -104,7 +104,8 @@ TEST(BatchedSelect, RandomBatchesParameterized) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         simt::Device dev(simt::arch_v100());
         const auto b = random_batch(32, 4096, seed);
-        const auto res = core::batched_select<float>(dev, b.flat, b.offsets, b.ranks, {});
+        const auto res =
+            core::try_batched_select<float>(dev, b.flat, b.offsets, b.ranks, {}).value();
         expect_batch_correct(b, res);
     }
 }
@@ -116,7 +117,7 @@ TEST(BatchedSelect, LongSequencesFallBackToRecursion) {
     const auto big = data::generate<float>(
         {.n = 20000, .dist = data::Distribution::uniform_real, .seed = 7});
     b.add(big, 10000);
-    const auto res = core::batched_select<float>(dev, b.flat, b.offsets, b.ranks, {});
+    const auto res = core::try_batched_select<float>(dev, b.flat, b.offsets, b.ranks, {}).value();
     expect_batch_correct(b, res);
     EXPECT_EQ(res.batched_sequences, 1u);
     EXPECT_EQ(res.recursive_sequences, 1u);
@@ -126,7 +127,7 @@ TEST(BatchedSelect, BatchedCheaperThanIndividualSelections) {
     const auto b = random_batch(200, 2048, 11);
     simt::Device batched_dev(simt::arch_v100());
     const auto batched =
-        core::batched_select<float>(batched_dev, b.flat, b.offsets, b.ranks, {});
+        core::try_batched_select<float>(batched_dev, b.flat, b.offsets, b.ranks, {}).value();
     expect_batch_correct(b, batched);
 
     // Individual one-sequence "batches" pay a launch per sequence.
@@ -138,7 +139,7 @@ TEST(BatchedSelect, BatchedCheaperThanIndividualSelections) {
                                      b.flat.begin() + static_cast<std::ptrdiff_t>(b.offsets[s + 1]));
         const std::vector<std::size_t> off{0, seq.size()};
         const std::vector<std::size_t> rk{b.ranks[s]};
-        individual += core::batched_select<float>(single_dev, seq, off, rk, {}).sim_ns;
+        individual += core::try_batched_select<float>(single_dev, seq, off, rk, {}).value().sim_ns;
     }
     EXPECT_LT(batched.sim_ns, individual / 10.0);
 }
@@ -147,22 +148,25 @@ TEST(BatchedSelect, ValidatesInputs) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> flat{1, 2, 3};
     // offsets not spanning flat
-    EXPECT_THROW((void)core::batched_select<float>(dev, flat, std::vector<std::size_t>{0, 2},
-                                                   std::vector<std::size_t>{0}, {}),
-                 std::invalid_argument);
+    EXPECT_EQ(core::try_batched_select<float>(dev, flat, std::vector<std::size_t>{0, 2},
+                                              std::vector<std::size_t>{0}, {})
+                  .error(),
+              core::SelectError::invalid_argument);
     // rank out of range
-    EXPECT_THROW((void)core::batched_select<float>(dev, flat, std::vector<std::size_t>{0, 3},
-                                                   std::vector<std::size_t>{3}, {}),
-                 std::out_of_range);
+    EXPECT_EQ(core::try_batched_select<float>(dev, flat, std::vector<std::size_t>{0, 3},
+                                              std::vector<std::size_t>{3}, {})
+                  .error(),
+              core::SelectError::rank_out_of_range);
     // empty sequence
-    EXPECT_THROW((void)core::batched_select<float>(dev, flat,
-                                                   std::vector<std::size_t>{0, 0, 3},
-                                                   std::vector<std::size_t>{0, 0}, {}),
-                 std::invalid_argument);
+    EXPECT_EQ(core::try_batched_select<float>(dev, flat, std::vector<std::size_t>{0, 0, 3},
+                                              std::vector<std::size_t>{0, 0}, {})
+                  .error(),
+              core::SelectError::empty_input);
     // ranks size mismatch
-    EXPECT_THROW((void)core::batched_select<float>(dev, flat, std::vector<std::size_t>{0, 3},
-                                                   std::vector<std::size_t>{0, 1}, {}),
-                 std::invalid_argument);
+    EXPECT_EQ(core::try_batched_select<float>(dev, flat, std::vector<std::size_t>{0, 3},
+                                              std::vector<std::size_t>{0, 1}, {})
+                  .error(),
+              core::SelectError::invalid_argument);
 }
 
 TEST(BatchedSelect, DoublePrecision) {
@@ -171,7 +175,7 @@ TEST(BatchedSelect, DoublePrecision) {
     std::iota(flat.begin(), flat.end(), 0.0);
     const std::vector<std::size_t> offsets{0, 2500, 5000};
     const std::vector<std::size_t> ranks{100, 2400};
-    const auto res = core::batched_select<double>(dev, flat, offsets, ranks, {});
+    const auto res = core::try_batched_select<double>(dev, flat, offsets, ranks, {}).value();
     EXPECT_EQ(res.values[0], 100.0);
     EXPECT_EQ(res.values[1], 2500.0 + 2400.0);
 }

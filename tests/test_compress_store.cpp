@@ -214,7 +214,7 @@ core::ArgSelectResult reference_argselect(const std::vector<float>& keys, std::s
 
 void expect_argselect_matches(const std::vector<float>& keys, std::size_t rank) {
     simt::Device dev(simt::arch_v100());
-    const auto got = core::argselect(dev, keys, rank, {});
+    const auto got = core::try_argselect(dev, keys, rank, {}).value();
     const auto want = reference_argselect(keys, rank);
     if (std::isnan(want.key)) {
         EXPECT_TRUE(std::isnan(got.key)) << "rank=" << rank;
@@ -247,7 +247,7 @@ TEST(ArgSelect, AllEqualKeys) {
     for (const std::size_t rank : {std::size_t{0}, std::size_t{1000}, keys.size() - 1}) {
         expect_argselect_matches(keys, rank);  // index must equal rank exactly
         simt::Device dev(simt::arch_v100());
-        EXPECT_EQ(core::argselect(dev, keys, rank, {}).index, rank);
+        EXPECT_EQ(core::try_argselect(dev, keys, rank, {}).value().index, rank);
     }
 }
 
@@ -268,9 +268,9 @@ TEST(ArgSelect, SpecialValuesAndNanTail) {
     }
     // The three NaN-tail ranks answer the NaN indices in ascending order.
     simt::Device dev(simt::arch_v100());
-    EXPECT_EQ(core::argselect(dev, keys, 1021, {}).index, 10u);
-    EXPECT_EQ(core::argselect(dev, keys, 1022, {}).index, 500u);
-    EXPECT_EQ(core::argselect(dev, keys, 1023, {}).index, 900u);
+    EXPECT_EQ(core::try_argselect(dev, keys, 1021, {}).value().index, 10u);
+    EXPECT_EQ(core::try_argselect(dev, keys, 1022, {}).value().index, 500u);
+    EXPECT_EQ(core::try_argselect(dev, keys, 1023, {}).value().index, 900u);
 }
 
 TEST(ArgSelect, MatchesCpuReferenceOnPairs) {
@@ -285,7 +285,7 @@ TEST(ArgSelect, MatchesCpuReferenceOnPairs) {
     }
     simt::Device dev(simt::arch_v100());
     for (const std::size_t rank : {std::size_t{17}, keys.size() / 2, keys.size() - 2}) {
-        const auto got = core::argselect(dev, keys, rank, {});
+        const auto got = core::try_argselect(dev, keys, rank, {}).value();
         const auto ref = baselines::cpu_nth_element<ArgPair>(pairs, rank);
         EXPECT_EQ(got.key, ref.value.key) << "rank=" << rank;
         EXPECT_EQ(got.index, ref.value.payload) << "rank=" << rank;
@@ -310,7 +310,7 @@ TEST(ArgTopK, SortedDescendingWithStableIndices) {
     simt::Device dev(simt::arch_v100());
     for (const std::size_t k : {std::size_t{1}, std::size_t{64}, std::size_t{1000},
                                 keys.size()}) {
-        const auto res = core::topk_largest_indices(dev, keys, k, {});
+        const auto res = core::try_topk_largest_indices(dev, keys, k, {}).value();
         ASSERT_EQ(res.values.size(), k);
         ASSERT_EQ(res.indices.size(), k);
 
@@ -334,7 +334,7 @@ TEST(ArgTopK, NanKeysClaimTopSlotsFirst) {
     std::vector<float> keys{2.0f, std::numeric_limits<float>::quiet_NaN(), 1.0f,
                             std::numeric_limits<float>::quiet_NaN(), 5.0f};
     simt::Device dev(simt::arch_v100());
-    const auto res = core::topk_largest_indices(dev, keys, 3, {});
+    const auto res = core::try_topk_largest_indices(dev, keys, 3, {}).value();
     ASSERT_EQ(res.values.size(), 3u);
     EXPECT_TRUE(std::isnan(res.values[0]));
     EXPECT_TRUE(std::isnan(res.values[1]));
@@ -356,7 +356,7 @@ TEST(PartialSortByKey, PrefixMatchesStableSort) {
     }
     simt::Device dev(simt::arch_v100());
     for (const std::size_t k : {std::size_t{1}, std::size_t{100}, std::size_t{5000}, n}) {
-        const auto res = core::partial_sort_by_key(dev, keys, payloads, k, {});
+        const auto res = core::try_partial_sort_by_key(dev, keys, payloads, k, {}).value();
         ASSERT_EQ(res.keys.size(), k);
         ASSERT_EQ(res.payloads.size(), k);
 
@@ -378,7 +378,7 @@ TEST(PartialSortByKey, NanTailAndDegenerate) {
                             std::numeric_limits<float>::infinity()};
     std::vector<std::uint32_t> payloads{10, 11, 12, 13, 14};
     simt::Device dev(simt::arch_v100());
-    const auto res = core::partial_sort_by_key(dev, keys, payloads, keys.size(), {});
+    const auto res = core::try_partial_sort_by_key(dev, keys, payloads, keys.size(), {}).value();
     ASSERT_EQ(res.keys.size(), keys.size());
     // -0.0 and +0.0 tie on the key and resolve by original index.
     EXPECT_EQ(res.payloads[0], 12u);

@@ -60,7 +60,7 @@ class Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(Fuzz, SampleSelectAgreesWithReference) {
     const auto c = make_case(GetParam());
     simt::Device dev(simt::arch_v100());
-    const auto r = core::sample_select<float>(dev, c.data, c.rank, c.cfg);
+    const auto r = core::try_sample_select<float>(dev, c.data, c.rank, c.cfg).value();
     EXPECT_EQ(stats::rank_error<float>(c.data, r.value, c.rank), 0u) << c.description;
 }
 
@@ -91,7 +91,7 @@ TEST_P(Fuzz, TopKContainsExactlyTheLargest) {
     const auto c = make_case(GetParam() + 3000);
     const std::size_t k = 1 + c.rank % std::min<std::size_t>(c.data.size(), 500);
     simt::Device dev(simt::arch_v100());
-    const auto r = core::topk_largest<float>(dev, c.data, k, c.cfg);
+    const auto r = core::try_topk_largest<float>(dev, c.data, k, c.cfg).value();
     ASSERT_EQ(r.elements.size(), k) << c.description;
     std::vector<float> expect(c.data);
     std::sort(expect.begin(), expect.end(), std::greater<>());
@@ -104,7 +104,7 @@ TEST_P(Fuzz, TopKContainsExactlyTheLargest) {
 TEST_P(Fuzz, K20PresetAgreesToo) {
     const auto c = make_case(GetParam() + 4000);
     simt::Device dev(simt::preset("K20Xm"));
-    const auto r = core::sample_select<float>(dev, c.data, c.rank, c.cfg);
+    const auto r = core::try_sample_select<float>(dev, c.data, c.rank, c.cfg).value();
     EXPECT_EQ(stats::rank_error<float>(c.data, r.value, c.rank), 0u) << c.description;
 }
 

@@ -28,7 +28,7 @@ TEST_P(AllAlgorithmsAgree, OnSameDataset) {
     (void)ref;
 
     simt::Device d1(simt::arch_v100());
-    const auto sample = core::sample_select<float>(d1, data, rank, {});
+    const auto sample = core::try_sample_select<float>(d1, data, rank, {}).value();
     simt::Device d2(simt::arch_v100());
     const auto quick = baselines::quick_select<float>(d2, data, rank, {});
     simt::Device d3(simt::arch_v100());
@@ -61,7 +61,7 @@ double select_ns(const simt::ArchSpec& arch, simt::AtomicSpace space, std::size_
     core::SampleSelectConfig cfg;
     cfg.num_buckets = 256;
     cfg.atomic_space = space;
-    return core::sample_select<float>(dev, data, n / 2, cfg).sim_ns;
+    return core::try_sample_select<float>(dev, data, n / 2, cfg).value().sim_ns;
 }
 
 double quick_ns(const simt::ArchSpec& arch, simt::AtomicSpace space, std::size_t n) {
@@ -120,8 +120,8 @@ TEST(Fig8Shapes, DoublePrecisionSampleSelectNearSinglePrecision) {
     const auto ddata = data::generate<double>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 71});
     core::SampleSelectConfig cfg;
-    const double tf = core::sample_select<float>(df, fdata, n / 2, cfg).sim_ns;
-    const double td = core::sample_select<double>(dd, ddata, n / 2, cfg).sim_ns;
+    const double tf = core::try_sample_select<float>(df, fdata, n / 2, cfg).value().sim_ns;
+    const double td = core::try_sample_select<double>(dd, ddata, n / 2, cfg).value().sim_ns;
     EXPECT_LT(td, 1.5 * tf);
 }
 
@@ -134,7 +134,7 @@ TEST(RobustnessShape, SampleSelectStableOnAdversarialBucketSelectNot) {
 
     auto sample_time = [&](const std::vector<double>& d) {
         simt::Device dev(simt::arch_v100());
-        return core::sample_select<double>(dev, d, n / 2, {}).sim_ns;
+        return core::try_sample_select<double>(dev, d, n / 2, {}).value().sim_ns;
     };
     auto bucket_time = [&](const std::vector<double>& d) {
         simt::Device dev(simt::arch_v100());
@@ -158,7 +158,7 @@ TEST(SerialReference, AgreesWithDeviceImplementation) {
                                                  .seed = 79});
         const std::size_t rank = data::random_rank(n, d + 1);
         simt::Device dev(simt::arch_v100());
-        const auto device = core::sample_select<float>(dev, data, rank, {});
+        const auto device = core::try_sample_select<float>(dev, data, rank, {}).value();
         const auto serial = baselines::serial_sample_select<float>(data, rank, 64, 512, 3);
         EXPECT_EQ(stats::rank_error<float>(data, device.value, rank), 0u);
         EXPECT_EQ(stats::rank_error<float>(data, serial, rank), 0u);

@@ -27,7 +27,7 @@ Volumes sample_select_volume(std::size_t n) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 3});
     core::SampleSelectConfig cfg;
     cfg.num_buckets = 256;
-    const auto res = core::sample_select<T>(dev, data, n / 2, cfg);
+    const auto res = core::try_sample_select<T>(dev, data, n / 2, cfg).value();
     const auto c = dev.counter_totals();
     return {static_cast<double>(c.total_global_bytes()) / sizeof(T), res.aux_bytes,
             static_cast<double>(n * sizeof(T))};
@@ -107,7 +107,7 @@ TEST(MemVolume, ApproxTouchesInputOnlyOnce) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 3});
     core::SampleSelectConfig cfg;
     cfg.num_buckets = 1024;
-    (void)core::approx_select<float>(dev, data, n / 2, cfg);
+    (void)core::try_approx_select<float>(dev, data, n / 2, cfg).value();
     const auto c = dev.counter_totals();
     const double per_element =
         static_cast<double>(c.total_global_bytes()) / sizeof(float) / static_cast<double>(n);

@@ -16,7 +16,7 @@ using namespace gpusel;
 TEST(MultiSelect, EmptyRanksGiveEmptyResult) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
-    const auto res = core::multi_select<float>(dev, data, {}, {});
+    const auto res = core::try_multi_select<float>(dev, data, {}, {}).value();
     EXPECT_TRUE(res.values.empty());
 }
 
@@ -26,7 +26,7 @@ TEST(MultiSelect, SingleRankMatchesReference) {
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 3});
     const std::vector<std::size_t> ranks{n / 2};
-    const auto res = core::multi_select<float>(dev, data, ranks, {});
+    const auto res = core::try_multi_select<float>(dev, data, ranks, {}).value();
     ASSERT_EQ(res.values.size(), 1u);
     EXPECT_EQ(stats::rank_error<float>(data, res.values[0], n / 2), 0u);
 }
@@ -37,7 +37,7 @@ TEST(MultiSelect, QuartilesOfUniformData) {
     const auto data = data::generate<double>(
         {.n = n, .dist = data::Distribution::normal, .seed = 5});
     const std::vector<std::size_t> ranks{n / 4, n / 2, 3 * n / 4};
-    const auto res = core::multi_select<double>(dev, data, ranks, {});
+    const auto res = core::try_multi_select<double>(dev, data, ranks, {}).value();
     ASSERT_EQ(res.values.size(), 3u);
     for (std::size_t i = 0; i < ranks.size(); ++i) {
         EXPECT_EQ(stats::rank_error<double>(data, res.values[i], ranks[i]), 0u);
@@ -52,7 +52,7 @@ TEST(MultiSelect, UnsortedRanksPreserveOutputOrder) {
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::exponential, .seed = 7});
     const std::vector<std::size_t> ranks{n - 1, 0, n / 2};
-    const auto res = core::multi_select<float>(dev, data, ranks, {});
+    const auto res = core::try_multi_select<float>(dev, data, ranks, {}).value();
     for (std::size_t i = 0; i < ranks.size(); ++i) {
         EXPECT_EQ(stats::rank_error<float>(data, res.values[i], ranks[i]), 0u);
     }
@@ -69,7 +69,7 @@ TEST(MultiSelect, ManyRanksAcrossDuplicates) {
                                              .seed = 9});
     std::vector<std::size_t> ranks;
     for (std::size_t i = 0; i < 16; ++i) ranks.push_back(i * n / 16);
-    const auto res = core::multi_select<float>(dev, data, ranks, {});
+    const auto res = core::try_multi_select<float>(dev, data, ranks, {}).value();
     for (std::size_t i = 0; i < ranks.size(); ++i) {
         EXPECT_EQ(stats::rank_error<float>(data, res.values[i], ranks[i]), 0u) << i;
     }
@@ -85,13 +85,13 @@ TEST(MultiSelect, SharedWorkCheaperThanRepeatedSelect) {
     for (std::size_t i = 1; i <= 9; ++i) ranks.push_back(i * n / 10);
 
     simt::Device multi_dev(simt::arch_v100());
-    const auto multi = core::multi_select<float>(multi_dev, data, ranks, {});
+    const auto multi = core::try_multi_select<float>(multi_dev, data, ranks, {}).value();
 
     simt::Device single_dev(simt::arch_v100());
     double single_total = 0;
     for (std::size_t r : ranks) {
         const std::vector<std::size_t> one{r};
-        single_total += core::multi_select<float>(single_dev, data, one, {}).sim_ns;
+        single_total += core::try_multi_select<float>(single_dev, data, one, {}).value().sim_ns;
     }
     EXPECT_LT(multi.sim_ns, single_total * 0.5);
 }
@@ -100,7 +100,8 @@ TEST(MultiSelect, OutOfRangeRankThrows) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
     const std::vector<std::size_t> ranks{3};
-    EXPECT_THROW((void)core::multi_select<float>(dev, data, ranks, {}), std::out_of_range);
+    EXPECT_EQ(core::try_multi_select<float>(dev, data, ranks, {}).error(),
+              core::SelectError::rank_out_of_range);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ TEST(Pipeline, MillionElementAuxBytesWithinQuarterPlusSlack) {
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 21});
     core::SampleSelectConfig cfg;
-    const auto res = core::sample_select<float>(dev, data, n / 2, cfg);
+    const auto res = core::try_sample_select<float>(dev, data, n / 2, cfg).value();
 
     const auto plan = core::PipelinePlan::make(dev, n, cfg);
     // scratch_bytes() = oracles (n bytes = n*sizeof(float)/4) + totals +
@@ -51,8 +51,8 @@ TEST(Pipeline, WarmPoolKeepsEventStreamIdentical) {
     const std::size_t n = 1 << 16;
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 22});
-    const auto cold = core::sample_select<float>(dev, data, n / 3, {});
-    const auto warm = core::sample_select<float>(dev, data, n / 3, {});
+    const auto cold = core::try_sample_select<float>(dev, data, n / 3, {}).value();
+    const auto warm = core::try_sample_select<float>(dev, data, n / 3, {}).value();
     EXPECT_EQ(cold.value, warm.value);
     EXPECT_EQ(cold.launches, warm.launches);
     EXPECT_EQ(cold.levels, warm.levels);
@@ -77,7 +77,7 @@ TEST(MultiSelectEdge, DuplicateRanksReturnOneValuePerQuery) {
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 23});
     const std::vector<std::size_t> ranks{n / 2, n / 2, 7, n / 2, 7};
-    const auto res = core::multi_select<float>(dev, data, ranks, {});
+    const auto res = core::try_multi_select<float>(dev, data, ranks, {}).value();
     ASSERT_EQ(res.values.size(), ranks.size());
     for (std::size_t i = 0; i < ranks.size(); ++i) {
         EXPECT_EQ(stats::rank_error<float>(data, res.values[i], ranks[i]), 0u) << "query " << i;
@@ -93,7 +93,7 @@ TEST(MultiSelectEdge, MinimumAndMaximumRanks) {
     const auto data = data::generate<double>(
         {.n = n, .dist = data::Distribution::normal, .seed = 24});
     const std::vector<std::size_t> ranks{0, n - 1};
-    const auto res = core::multi_select<double>(dev, data, ranks, {});
+    const auto res = core::try_multi_select<double>(dev, data, ranks, {}).value();
     ASSERT_EQ(res.values.size(), 2u);
     EXPECT_EQ(res.values[0], *std::min_element(data.begin(), data.end()));
     EXPECT_EQ(res.values[1], *std::max_element(data.begin(), data.end()));
@@ -103,7 +103,7 @@ TEST(MultiSelectEdge, SingleElementInput) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{42.0f};
     const std::vector<std::size_t> ranks{0};
-    const auto res = core::multi_select<float>(dev, data, ranks, {});
+    const auto res = core::try_multi_select<float>(dev, data, ranks, {}).value();
     ASSERT_EQ(res.values.size(), 1u);
     EXPECT_EQ(res.values[0], 42.0f);
 }
@@ -113,7 +113,7 @@ TEST(BatchedSelectEdge, SingleElementSequences) {
     const std::vector<float> flat{3.0f, 1.0f, 2.0f};
     const std::vector<std::size_t> offsets{0, 1, 2, 3};
     const std::vector<std::size_t> ranks{0, 0, 0};
-    const auto res = core::batched_select<float>(dev, flat, offsets, ranks, {});
+    const auto res = core::try_batched_select<float>(dev, flat, offsets, ranks, {}).value();
     ASSERT_EQ(res.values.size(), 3u);
     EXPECT_EQ(res.values[0], 3.0f);
     EXPECT_EQ(res.values[1], 1.0f);
@@ -129,7 +129,7 @@ TEST(BatchedSelectEdge, ExtremeRanksPerSequence) {
         {.n = 2 * len, .dist = data::Distribution::uniform_real, .seed = 25});
     const std::vector<std::size_t> offsets{0, len, 2 * len};
     const std::vector<std::size_t> ranks{0, len - 1};  // min of seq 0, max of seq 1
-    const auto res = core::batched_select<float>(dev, flat, offsets, ranks, {});
+    const auto res = core::try_batched_select<float>(dev, flat, offsets, ranks, {}).value();
     ASSERT_EQ(res.values.size(), 2u);
     EXPECT_EQ(res.values[0], *std::min_element(flat.begin(), flat.begin() + len));
     EXPECT_EQ(res.values[1], *std::max_element(flat.begin() + len, flat.end()));
@@ -144,7 +144,7 @@ TEST(BatchedSelectEdge, AllSequencesTakeRecursiveFallback) {
     std::vector<std::size_t> offsets(m + 1);
     for (std::size_t i = 0; i <= m; ++i) offsets[i] = i * len;
     const std::vector<std::size_t> ranks{0, len / 2, len - 1};
-    const auto res = core::batched_select<float>(dev, flat, offsets, ranks, {});
+    const auto res = core::try_batched_select<float>(dev, flat, offsets, ranks, {}).value();
     ASSERT_EQ(res.values.size(), m);
     EXPECT_EQ(res.batched_sequences, 0u);
     EXPECT_EQ(res.recursive_sequences, m);

@@ -193,7 +193,7 @@ TEST(Planner, AllEqualInputRoutesToRadix) {
     ScopedEnv env("GPUSEL_BACKEND", nullptr);
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data(8192, 7.0f);
-    const auto r = core::sample_select<float>(dev, data, 4096, {});
+    const auto r = core::try_sample_select<float>(dev, data, 4096, {}).value();
     EXPECT_EQ(r.value, 7.0f);
     EXPECT_TRUE(r.equality_exit);
     EXPECT_EQ(dev.robustness().backend_radix, 1u);
@@ -215,7 +215,7 @@ TEST(Planner, HeavyDuplicateInputRoutesToRadix) {
                                              .dist = data::Distribution::uniform_distinct,
                                              .distinct_values = 2,
                                              .seed = 3});
-    const auto r = core::sample_select<float>(dev, data, 4096, {});
+    const auto r = core::try_sample_select<float>(dev, data, 4096, {}).value();
     EXPECT_EQ(stats::rank_error<float>(data, r.value, 4096), 0u);
     EXPECT_EQ(dev.robustness().backend_radix, 1u);
     ASSERT_FALSE(dev.planner_log().empty());
@@ -227,7 +227,7 @@ TEST(Planner, UniformInputKeepsSampledDescent) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 8192, .dist = data::Distribution::uniform_real, .seed = 17});
-    const auto r = core::sample_select<float>(dev, data, 1234, {});
+    const auto r = core::try_sample_select<float>(dev, data, 1234, {}).value();
     EXPECT_EQ(stats::rank_error<float>(data, r.value, 1234), 0u);
     EXPECT_EQ(dev.robustness().backend_sample, 1u);
     EXPECT_EQ(dev.robustness().backend_radix, 0u);
@@ -240,7 +240,7 @@ TEST(Planner, SmallInputRoutesToBitonic) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 512, .dist = data::Distribution::uniform_real, .seed = 9});
-    const auto r = core::sample_select<float>(dev, data, 100, {});
+    const auto r = core::try_sample_select<float>(dev, data, 100, {}).value();
     EXPECT_EQ(stats::rank_error<float>(data, r.value, 100), 0u);
     EXPECT_EQ(r.levels, 0u);
     EXPECT_EQ(dev.robustness().backend_bitonic, 1u);
@@ -253,7 +253,7 @@ TEST(Planner, DeepTopKRoutesToRadix) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 8192, .dist = data::Distribution::uniform_real, .seed = 29});
-    const auto r = core::topk_largest<float>(dev, data, 4096, {});
+    const auto r = core::try_topk_largest<float>(dev, data, 4096, {}).value();
     EXPECT_EQ(r.elements.size(), 4096u);
     EXPECT_EQ(dev.robustness().backend_radix, 1u);
     ASSERT_EQ(dev.planner_log().size(), 1u);
@@ -261,7 +261,7 @@ TEST(Planner, DeepTopKRoutesToRadix) {
 
     // Shallow top-k on the same distribution stays with the sampler.
     dev.clear_planner_log();
-    const auto r2 = core::topk_largest<float>(dev, data, 10, {});
+    const auto r2 = core::try_topk_largest<float>(dev, data, 10, {}).value();
     EXPECT_EQ(r2.elements.size(), 10u);
     EXPECT_EQ(dev.robustness().backend_sample, 1u);
 }
@@ -272,7 +272,7 @@ TEST(Planner, MultiselectRecordsStructuralDecision) {
     const auto data = data::generate<float>(
         {.n = 4096, .dist = data::Distribution::uniform_real, .seed = 5});
     const std::size_t ranks[] = {10, 100, 1000};
-    const auto r = core::multi_select<float>(dev, data, ranks, {});
+    const auto r = core::try_multi_select<float>(dev, data, ranks, {}).value();
     EXPECT_EQ(r.values.size(), 3u);
     bool found = false;
     for (const auto& ev : dev.planner_log()) {
@@ -293,7 +293,7 @@ TEST(Planner, ThrashFeedbackSwitchesToRadixOnce) {
     // rule must reroute the next selection to radix even though the probe
     // sees a healthy distribution.
     dev.robustness().resamples += 5;
-    const auto r1 = core::sample_select<float>(dev, data, 4000, {});
+    const auto r1 = core::try_sample_select<float>(dev, data, 4000, {}).value();
     EXPECT_EQ(stats::rank_error<float>(data, r1.value, 4000), 0u);
     ASSERT_EQ(dev.planner_log().size(), 1u);
     EXPECT_EQ(dev.planner_log().front().reason, "sampler thrash feedback");
@@ -302,7 +302,7 @@ TEST(Planner, ThrashFeedbackSwitchesToRadixOnce) {
     // The mark advanced; with no new thrash the next decision is back to
     // the sampled descent.
     dev.clear_planner_log();
-    const auto r2 = core::sample_select<float>(dev, data, 4000, {});
+    const auto r2 = core::try_sample_select<float>(dev, data, 4000, {}).value();
     EXPECT_EQ(stats::rank_error<float>(data, r2.value, 4000), 0u);
     ASSERT_EQ(dev.planner_log().size(), 1u);
     EXPECT_EQ(dev.planner_log().front().backend, "sample");
@@ -317,12 +317,12 @@ TEST(Planner, ThrashFeedbackIgnoresDissimilarShapes) {
         {.n = 262144, .dist = data::Distribution::uniform_real, .seed = 34});
 
     // A selection establishes the feedback shape (n = 8192, float).
-    (void)core::sample_select<float>(dev, small, 100, {});
+    (void)core::try_sample_select<float>(dev, small, 100, {}).value();
     // Thrash counters grow, but the next selection's shape is 32x larger:
     // stale feedback from a dissimilar problem must NOT reroute it.
     dev.robustness().resamples += 5;
     dev.clear_planner_log();
-    const auto r1 = core::sample_select<float>(dev, large, 100000, {});
+    const auto r1 = core::try_sample_select<float>(dev, large, 100000, {}).value();
     EXPECT_EQ(stats::rank_error<float>(large, r1.value, 100000), 0u);
     ASSERT_GE(dev.planner_log().size(), 1u);
     EXPECT_NE(dev.planner_log().front().reason, std::string("sampler thrash feedback"));
@@ -331,7 +331,7 @@ TEST(Planner, ThrashFeedbackIgnoresDissimilarShapes) {
     // feedback applies.
     dev.robustness().resamples += 5;
     dev.clear_planner_log();
-    const auto r2 = core::sample_select<float>(dev, large, 100000, {});
+    const auto r2 = core::try_sample_select<float>(dev, large, 100000, {}).value();
     EXPECT_EQ(stats::rank_error<float>(large, r2.value, 100000), 0u);
     ASSERT_GE(dev.planner_log().size(), 1u);
     EXPECT_EQ(dev.planner_log().front().reason, std::string("sampler thrash feedback"));
@@ -343,7 +343,7 @@ TEST(Planner, EnvOverrideForcesSampleOnDuplicates) {
     ScopedEnv env("GPUSEL_BACKEND", "sample");
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data(8192, 1.0f);
-    const auto r = core::sample_select<float>(dev, data, 100, {});
+    const auto r = core::try_sample_select<float>(dev, data, 100, {}).value();
     EXPECT_EQ(r.value, 1.0f);
     EXPECT_EQ(dev.robustness().backend_sample, 1u);
     EXPECT_EQ(dev.robustness().backend_radix, 0u);
@@ -358,7 +358,7 @@ TEST(Planner, EnvOverrideForcesRadixOnUniform) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 8192, .dist = data::Distribution::uniform_real, .seed = 13});
-    const auto r = core::sample_select<float>(dev, data, 2222, {});
+    const auto r = core::try_sample_select<float>(dev, data, 2222, {}).value();
     EXPECT_EQ(stats::rank_error<float>(data, r.value, 2222), 0u);
     EXPECT_EQ(dev.robustness().backend_radix, 1u);
     EXPECT_EQ(dev.robustness().backend_env_overrides, 1u);
@@ -369,7 +369,7 @@ TEST(Planner, EnvOverrideAutoLetsThePlannerDecide) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 8192, .dist = data::Distribution::uniform_real, .seed = 13});
-    (void)core::sample_select<float>(dev, data, 2222, {});
+    (void)core::try_sample_select<float>(dev, data, 2222, {}).value();
     EXPECT_EQ(dev.robustness().backend_sample, 1u);
     EXPECT_EQ(dev.robustness().backend_env_overrides, 0u);
 }
@@ -382,7 +382,7 @@ TEST(Planner, InfeasibleEnvOverrideFallsThrough) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 8192, .dist = data::Distribution::uniform_real, .seed = 19});
-    const auto r = core::sample_select<float>(dev, data, 4096, {});
+    const auto r = core::try_sample_select<float>(dev, data, 4096, {}).value();
     EXPECT_EQ(stats::rank_error<float>(data, r.value, 4096), 0u);
     EXPECT_EQ(dev.robustness().backend_sample, 1u);
     EXPECT_EQ(dev.robustness().backend_bitonic, 0u);
@@ -428,14 +428,14 @@ TEST(Planner, AdversarialMatrixAllBackendsAgree) {
 
                 // Rank selection: the value at rank k must be exact.
                 simt::Device sel_dev(simt::arch_v100());
-                const auto r = core::sample_select<float>(sel_dev, data, k, {});
+                const auto r = core::try_sample_select<float>(sel_dev, data, k, {}).value();
                 EXPECT_EQ(r.value, sorted[k]);
                 EXPECT_EQ(sel_dev.robustness().backend_env_overrides, 1u);
 
                 // Top-k: the selected multiset must equal the reference
                 // top-k slice (identical across backends by transitivity).
                 simt::Device topk_dev(simt::arch_v100());
-                const auto t = core::topk_largest<float>(topk_dev, data, k, {});
+                const auto t = core::try_topk_largest<float>(topk_dev, data, k, {}).value();
                 ASSERT_EQ(t.elements.size(), k);
                 std::vector<float> got = t.elements;
                 std::sort(got.begin(), got.end());

@@ -156,11 +156,11 @@ TEST(MemoryPool, WarmSelectionAllocatesAtLeastFiveTimesLess) {
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 11});
 
-    (void)core::sample_select<float>(dev, data, n / 2, {});
+    (void)core::try_sample_select<float>(dev, data, n / 2, {}).value();
     const auto cold_allocs = dev.tracker().alloc_count();
     ASSERT_GT(cold_allocs, 0u);
 
-    (void)core::sample_select<float>(dev, data, n / 2, {});
+    (void)core::try_sample_select<float>(dev, data, n / 2, {}).value();
     const auto warm_allocs = dev.tracker().alloc_count() - cold_allocs;
     EXPECT_LE(warm_allocs * 5, cold_allocs)
         << "warm run made " << warm_allocs << " backing allocations vs " << cold_allocs

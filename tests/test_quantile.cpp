@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/approx_select.hpp"
+#include "core/multiselect.hpp"
 #include "data/distributions.hpp"
 #include "stats/order_stats.hpp"
 
@@ -44,7 +46,7 @@ TEST(Quantile, ExactMatchesReference) {
         {.n = n, .dist = data::Distribution::lognormal, .seed = 3});
     for (const double q : {0.1, 0.5, 0.9, 0.99}) {
         const auto rank = quantile_rank(n, q);
-        const float v = core::quantile<float>(dev, data, q);
+        const float v = core::try_quantile<float>(dev, data, q).value();
         EXPECT_EQ(stats::rank_error<float>(data, v, rank), 0u) << "q=" << q;
     }
 }
@@ -52,7 +54,7 @@ TEST(Quantile, ExactMatchesReference) {
 TEST(Quantile, MedianShortcut) {
     simt::Device dev(simt::arch_v100());
     const std::vector<double> data{5, 1, 9, 3, 7};
-    EXPECT_EQ(core::median<double>(dev, data), 5.0);
+    EXPECT_EQ(core::try_quantile<double>(dev, data, 0.5, {}, QuantileMethod::lower).value(), 5.0);
 }
 
 TEST(Quantile, ApproxWithinBucketBound) {
@@ -60,7 +62,7 @@ TEST(Quantile, ApproxWithinBucketBound) {
     const std::size_t n = 1 << 15;
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 7});
-    const auto r = core::approx_quantile<float>(dev, data, 0.75);
+    const auto r = core::try_approx_select<float>(dev, data, quantile_rank(n, 0.75), {}).value();
     EXPECT_LE(r.rank_error, r.max_bucket);
 }
 
@@ -70,7 +72,9 @@ TEST(Quantile, MultiQuantilesOrderedAndCorrect) {
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::exponential, .seed = 11});
     const std::vector<double> qs{0.25, 0.5, 0.75};
-    const auto vs = core::quantiles<float>(dev, data, qs);
+    std::vector<std::size_t> ranks;
+    for (const double q : qs) ranks.push_back(quantile_rank(n, q));
+    const auto vs = core::try_multi_select<float>(dev, data, ranks, {}).value().values;
     ASSERT_EQ(vs.size(), 3u);
     EXPECT_LE(vs[0], vs[1]);
     EXPECT_LE(vs[1], vs[2]);
@@ -86,7 +90,7 @@ TEST(ApproxMulti, OnePassManyRanks) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 13});
     std::vector<std::size_t> ranks;
     for (std::size_t i = 1; i < 10; ++i) ranks.push_back(i * n / 10);
-    const auto res = core::approx_multi_select<float>(dev, data, ranks, {});
+    const auto res = core::try_approx_multi_select<float>(dev, data, ranks, {}).value();
     ASSERT_EQ(res.points.size(), ranks.size());
     for (std::size_t i = 0; i < ranks.size(); ++i) {
         const auto& p = res.points[i];
@@ -108,15 +112,15 @@ TEST(ApproxMulti, CostIndependentOfRankCount) {
     const std::vector<std::size_t> one{n / 2};
     std::vector<std::size_t> many;
     for (std::size_t i = 0; i < 50; ++i) many.push_back(i * n / 50);
-    const double t1 = core::approx_multi_select<float>(dev, data, one, {}).sim_ns;
-    const double t50 = core::approx_multi_select<float>(dev, data, many, {}).sim_ns;
+    const double t1 = core::try_approx_multi_select<float>(dev, data, one, {}).value().sim_ns;
+    const double t50 = core::try_approx_multi_select<float>(dev, data, many, {}).value().sim_ns;
     EXPECT_NEAR(t50, t1, t1 * 0.01);  // identical device work
 }
 
 TEST(ApproxMulti, EmptyRanks) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
-    const auto res = core::approx_multi_select<float>(dev, data, {}, {});
+    const auto res = core::try_approx_multi_select<float>(dev, data, {}, {}).value();
     EXPECT_TRUE(res.points.empty());
 }
 

@@ -143,14 +143,25 @@ TEST(TypedErrors, QuantileRank) {
     EXPECT_EQ(ok.value(), 5u);
 }
 
+// One precondition failure of each kind, each reported as its typed code.
 TEST(TypedErrors, LegacyWrappersKeepExceptionTypes) {
     simt::Device dev(simt::arch_v100());
     const std::vector<double> data{1.0, 2.0, 3.0};
-    EXPECT_THROW((void)core::sample_select<double>(dev, data, 9, {}), std::out_of_range);
-    EXPECT_THROW((void)core::equi_depth_histogram<double>(dev, {}, {}), std::invalid_argument);
+    EXPECT_EQ(core::try_sample_select<double>(dev, data, 9, {}).error(),
+              core::SelectError::rank_out_of_range);
+    EXPECT_EQ(core::try_equi_depth_histogram<double>(dev, {}, {}).error(),
+              core::SelectError::empty_input);
     core::SampleSelectConfig bad;
     bad.num_buckets = 13;
-    EXPECT_THROW((void)core::sample_select<double>(dev, data, 1, bad), std::invalid_argument);
+    EXPECT_EQ(core::try_sample_select<double>(dev, data, 1, bad).error(),
+              core::SelectError::invalid_argument);
+}
+
+TEST(TypedErrors, ValueOfFailedResultAborts) {
+    simt::Device dev(simt::arch_v100());
+    const std::vector<double> data{1.0, 2.0, 3.0};
+    EXPECT_DEATH((void)core::try_sample_select<double>(dev, data, 9, {}).value(),
+                 "rank_out_of_range: rank out of range");
 }
 
 // ---- float key semantics: NaN / +-inf / -0.0 --------------------------------

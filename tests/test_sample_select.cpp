@@ -20,7 +20,7 @@ template <typename T>
 void expect_selects_correctly(const std::vector<T>& data, std::size_t rank,
                               const SampleSelectConfig& cfg) {
     simt::Device dev(simt::arch_v100());
-    const auto res = core::sample_select<T>(dev, data, rank, cfg);
+    const auto res = core::try_sample_select<T>(dev, data, rank, cfg).value();
     const T expect = stats::nth_element_reference(data, rank);
     // Values may be duplicated: compare rank intervals, not bit patterns.
     EXPECT_EQ(stats::rank_error<T>(data, res.value, rank), 0u)
@@ -33,7 +33,7 @@ TEST(SampleSelect, TinyInputsGoStraightToBaseCase) {
     const std::vector<float> data{5, 3, 9, 1, 7};
     for (std::size_t k = 0; k < data.size(); ++k) {
         simt::Device dev(simt::arch_v100());
-        const auto res = core::sample_select<float>(dev, data, k, cfg);
+        const auto res = core::try_sample_select<float>(dev, data, k, cfg).value();
         EXPECT_EQ(res.value, stats::nth_element_reference(data, k));
         EXPECT_EQ(res.levels, 0u);
     }
@@ -42,9 +42,10 @@ TEST(SampleSelect, TinyInputsGoStraightToBaseCase) {
 TEST(SampleSelect, RejectsInvalidRank) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
-    EXPECT_THROW((void)core::sample_select<float>(dev, data, 3, {}), std::out_of_range);
-    EXPECT_THROW((void)core::sample_select<float>(dev, std::vector<float>{}, 0, {}),
-                 std::out_of_range);
+    EXPECT_EQ(core::try_sample_select<float>(dev, data, 3, {}).error(),
+              core::SelectError::rank_out_of_range);
+    EXPECT_EQ(core::try_sample_select<float>(dev, std::vector<float>{}, 0, {}).error(),
+              core::SelectError::rank_out_of_range);
 }
 
 TEST(SampleSelect, RejectsInvalidConfig) {
@@ -52,9 +53,11 @@ TEST(SampleSelect, RejectsInvalidConfig) {
     const std::vector<float> data{1, 2, 3};
     SampleSelectConfig cfg;
     cfg.num_buckets = 100;  // not a power of two
-    EXPECT_THROW((void)core::sample_select<float>(dev, data, 1, cfg), std::invalid_argument);
+    EXPECT_EQ(core::try_sample_select<float>(dev, data, 1, cfg).error(),
+              core::SelectError::invalid_argument);
     cfg.num_buckets = 512;  // exceeds the one-byte oracle limit
-    EXPECT_THROW((void)core::sample_select<float>(dev, data, 1, cfg), std::invalid_argument);
+    EXPECT_EQ(core::try_sample_select<float>(dev, data, 1, cfg).error(),
+              core::SelectError::invalid_argument);
 }
 
 // ---- the paper's main correctness sweep -----------------------------------
@@ -111,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(PaperValues, SampleSelectDuplicates,
 TEST(SampleSelect, AllEqualTerminatesViaEqualityBucket) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data(1 << 14, 3.5f);
-    const auto res = core::sample_select<float>(dev, data, 1234, {});
+    const auto res = core::try_sample_select<float>(dev, data, 1234, {}).value();
     EXPECT_EQ(res.value, 3.5f);
     EXPECT_TRUE(res.equality_exit);
     EXPECT_EQ(res.levels, 1u);  // one counting level, no filter needed
@@ -167,7 +170,7 @@ TEST(SampleSelect, RecursionDepthLogarithmic) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 3});
     SampleSelectConfig cfg;
     cfg.num_buckets = 256;
-    const auto res = core::sample_select<float>(dev, data, n / 2, cfg);
+    const auto res = core::try_sample_select<float>(dev, data, n / 2, cfg).value();
     // 2^18 / 256 = 1024 = base case: one level should normally suffice;
     // allow slack for an unlucky oversized bucket.
     EXPECT_LE(res.levels, 3u);
@@ -182,7 +185,7 @@ TEST(SampleSelect, MoreBucketsReduceLevels) {
         simt::Device dev(simt::arch_v100());
         SampleSelectConfig cfg;
         cfg.num_buckets = b;
-        return core::sample_select<float>(dev, data, n / 2, cfg).levels;
+        return core::try_sample_select<float>(dev, data, n / 2, cfg).value().levels;
     };
     EXPECT_LE(levels(256), levels(4));
 }
@@ -195,7 +198,7 @@ TEST(SampleSelect, UsesDeviceLaunchesAfterFirstLevel) {
     SampleSelectConfig cfg;
     cfg.num_buckets = 16;  // force several levels
     dev.clear_profiles();
-    (void)core::sample_select<float>(dev, data, n / 2, cfg);
+    (void)core::try_sample_select<float>(dev, data, n / 2, cfg).value();
     bool saw_device_launch = false;
     for (const auto& p : dev.profiles()) {
         if (p.origin == simt::LaunchOrigin::device) saw_device_launch = true;
@@ -209,8 +212,8 @@ TEST(SampleSelect, DeterministicAcrossRuns) {
         {.n = n, .dist = data::Distribution::normal, .seed = 11});
     simt::Device dev1(simt::arch_v100());
     simt::Device dev2(simt::arch_v100());
-    const auto a = core::sample_select<float>(dev1, data, 777, {});
-    const auto b = core::sample_select<float>(dev2, data, 777, {});
+    const auto a = core::try_sample_select<float>(dev1, data, 777, {}).value();
+    const auto b = core::try_sample_select<float>(dev2, data, 777, {}).value();
     EXPECT_EQ(a.value, b.value);
     EXPECT_EQ(a.sim_ns, b.sim_ns);
     EXPECT_EQ(a.launches, b.launches);
@@ -222,7 +225,7 @@ TEST(SampleSelect, WorksOnBothArchPresets) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 13});
     for (const char* arch : {"K20Xm", "V100"}) {
         simt::Device dev(simt::preset(arch));
-        const auto res = core::sample_select<float>(dev, data, n / 4, {});
+        const auto res = core::try_sample_select<float>(dev, data, n / 4, {}).value();
         EXPECT_EQ(stats::rank_error<float>(data, res.value, n / 4), 0u) << arch;
     }
 }

@@ -15,7 +15,7 @@ using namespace gpusel;
 template <typename T>
 void expect_sorts(const std::vector<T>& data, const core::SampleSelectConfig& cfg = {}) {
     simt::Device dev(simt::arch_v100());
-    const auto res = core::sample_sort<T>(dev, data, cfg);
+    const auto res = core::try_sample_sort<T>(dev, data, cfg).value();
     std::vector<T> expect(data);
     std::sort(expect.begin(), expect.end());
     ASSERT_EQ(res.sorted.size(), expect.size());
@@ -60,7 +60,7 @@ TEST(SampleSort, LargerMultiLevel) {
     cfg.num_buckets = 16;  // force at least two levels at n = 2^16
     const auto data = data::generate<float>(
         {.n = 1 << 16, .dist = data::Distribution::normal, .seed = 7});
-    const auto res = core::sample_sort<float>(dev, data, cfg);
+    const auto res = core::try_sample_sort<float>(dev, data, cfg).value();
     EXPECT_TRUE(std::is_sorted(res.sorted.begin(), res.sorted.end()));
     EXPECT_GE(res.max_depth, 1u);
 }

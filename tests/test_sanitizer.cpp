@@ -323,11 +323,11 @@ TEST(SimTSan, KernelEventCountsAreByteIdenticalUnderSan) {
 
     simt::Device dev_off(simt::arch_v100());
     dev_off.set_sanitizer(simt::SanMode::off);
-    const auto r_off = core::sample_select<float>(dev_off, data, rank, cfg);
+    const auto r_off = core::try_sample_select<float>(dev_off, data, rank, cfg).value();
 
     simt::Device dev_on(simt::arch_v100());
     dev_on.set_sanitizer(simt::SanMode::strict);
-    const auto r_on = core::sample_select<float>(dev_on, data, rank, cfg);
+    const auto r_on = core::try_sample_select<float>(dev_on, data, rank, cfg).value();
 
     EXPECT_EQ(r_off.value, r_on.value);
     EXPECT_EQ(dev_off.launch_count(), dev_on.launch_count());

@@ -115,7 +115,7 @@ TEST(Server, QuantileMapsToRank) {
     ASSERT_TRUE(r.status.ok()) << r.status.message;
     const std::size_t rank = core::try_quantile_rank(data.size(), 0.9,
                                                      core::QuantileMethod::nearest)
-                                 .take_or_throw();
+                                 .value();
     EXPECT_EQ(stats::rank_error<float>(data, r.value, rank), 0u);
 }
 

@@ -360,8 +360,8 @@ TEST(Streams, TwoSelectionsOverlapEndToEnd) {
     c1.stream = s1;
     gpusel::core::SampleSelectConfig c2;
     c2.stream = s2;
-    const auto r1 = gpusel::core::sample_select<float>(dev, data, n / 4, c1);
-    const auto r2 = gpusel::core::sample_select<float>(dev, data, 3 * n / 4, c2);
+    const auto r1 = gpusel::core::try_sample_select<float>(dev, data, n / 4, c1).value();
+    const auto r2 = gpusel::core::try_sample_select<float>(dev, data, 3 * n / 4, c2).value();
     // Wall clock is the max over the two streams' busy time, not the sum.
     const double busy1 = dev.stream_clock(s1);
     const double busy2 = dev.stream_clock(s2);
@@ -385,8 +385,8 @@ TEST(HostParallelism, FullPipelineMatchesSequential) {
     Device par(arch_v100(), {.host_workers = 4});
     gpusel::core::SampleSelectConfig cfg;
     cfg.atomic_space = AtomicSpace::global;  // exercises cross-block atomics
-    const auto rs = gpusel::core::sample_select<float>(seq, data, n / 3, cfg);
-    const auto rp = gpusel::core::sample_select<float>(par, data, n / 3, cfg);
+    const auto rs = gpusel::core::try_sample_select<float>(seq, data, n / 3, cfg).value();
+    const auto rp = gpusel::core::try_sample_select<float>(par, data, n / 3, cfg).value();
     EXPECT_EQ(rs.value, rp.value);
     EXPECT_EQ(rs.sim_ns, rp.sim_ns);
     EXPECT_EQ(seq.counter_totals(), par.counter_totals());

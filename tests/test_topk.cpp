@@ -16,7 +16,7 @@ using namespace gpusel;
 template <typename T>
 void expect_topk(const std::vector<T>& data, std::size_t k, const core::SampleSelectConfig& cfg) {
     simt::Device dev(simt::arch_v100());
-    const auto res = core::topk_largest<T>(dev, data, k, cfg);
+    const auto res = core::try_topk_largest<T>(dev, data, k, cfg).value();
     ASSERT_EQ(res.elements.size(), k);
 
     std::vector<T> expect(data);
@@ -32,7 +32,7 @@ void expect_topk(const std::vector<T>& data, std::size_t k, const core::SampleSe
 TEST(TopK, SmallHandComputed) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{5, 1, 9, 3, 7, 2, 8};
-    const auto res = core::topk_largest<float>(dev, data, 3, {});
+    const auto res = core::try_topk_largest<float>(dev, data, 3, {}).value();
     std::vector<float> got = res.elements;
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, (std::vector<float>{7, 8, 9}));
@@ -64,7 +64,7 @@ TEST(TopK, WorksWithDuplicates) {
 TEST(TopK, AllEqualInput) {
     simt::Device dev(simt::arch_v100());
     const std::vector<double> data(1 << 13, 2.5);
-    const auto res = core::topk_largest<double>(dev, data, 100, {});
+    const auto res = core::try_topk_largest<double>(dev, data, 100, {}).value();
     ASSERT_EQ(res.elements.size(), 100u);
     for (double x : res.elements) EXPECT_EQ(x, 2.5);
     EXPECT_EQ(res.threshold, 2.5);
@@ -92,7 +92,7 @@ TEST(TopKSmallest, MatchesSortedReference) {
         {.n = n, .dist = data::Distribution::normal, .seed = 41});
     simt::Device dev(simt::arch_v100());
     const std::size_t k = 50;
-    const auto res = core::topk_smallest<float>(dev, data, k, {});
+    const auto res = core::try_topk_smallest<float>(dev, data, k, {}).value();
     std::vector<float> expect(data);
     std::sort(expect.begin(), expect.end());
     expect.resize(k);
@@ -106,7 +106,7 @@ TEST(TopKSmallest, WithDuplicatesAndNegatives) {
     simt::Device dev(simt::arch_v100());
     std::vector<double> data;
     for (int i = 0; i < 5000; ++i) data.push_back(static_cast<double>(i % 7) - 3.0);
-    const auto res = core::topk_smallest<double>(dev, data, 100, {});
+    const auto res = core::try_topk_smallest<double>(dev, data, 100, {}).value();
     for (double x : res.elements) EXPECT_EQ(x, -3.0);
     EXPECT_EQ(res.threshold, -3.0);
 }
@@ -114,14 +114,17 @@ TEST(TopKSmallest, WithDuplicatesAndNegatives) {
 TEST(TopKSmallest, InvalidKThrows) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
-    EXPECT_THROW((void)core::topk_smallest<float>(dev, data, 0, {}), std::out_of_range);
+    EXPECT_EQ(core::try_topk_smallest<float>(dev, data, 0, {}).error(),
+              core::SelectError::rank_out_of_range);
 }
 
 TEST(TopK, InvalidKThrows) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
-    EXPECT_THROW((void)core::topk_largest<float>(dev, data, 0, {}), std::out_of_range);
-    EXPECT_THROW((void)core::topk_largest<float>(dev, data, 4, {}), std::out_of_range);
+    EXPECT_EQ(core::try_topk_largest<float>(dev, data, 0, {}).error(),
+              core::SelectError::rank_out_of_range);
+    EXPECT_EQ(core::try_topk_largest<float>(dev, data, 4, {}).error(),
+              core::SelectError::rank_out_of_range);
 }
 
 TEST(TopKIndices, ValuesMatchInputAtIndices) {
@@ -130,7 +133,7 @@ TEST(TopKIndices, ValuesMatchInputAtIndices) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 51});
     simt::Device dev(simt::arch_v100());
     const std::size_t k = 200;
-    const auto res = core::topk_largest_with_indices<float>(dev, data, k, {});
+    const auto res = core::try_topk_largest_with_indices<float>(dev, data, k, {}).value();
     ASSERT_EQ(res.values.size(), k);
     ASSERT_EQ(res.indices.size(), k);
     std::set<std::size_t> seen;
@@ -156,7 +159,7 @@ TEST(TopKIndices, TieHandlingAtThreshold) {
     std::vector<float> data(10000, 1.0f);
     for (std::size_t i = 0; i < 50; ++i) data[i * 37] = 2.0f;  // 50 clear winners
     const std::size_t k = 500;  // 50 winners + 450 of the ties
-    const auto res = core::topk_largest_with_indices<float>(dev, data, k, {});
+    const auto res = core::try_topk_largest_with_indices<float>(dev, data, k, {}).value();
     ASSERT_EQ(res.values.size(), k);
     std::size_t twos = 0;
     for (std::size_t i = 0; i < k; ++i) {
@@ -171,7 +174,7 @@ TEST(TopKIndices, KEqualsOne) {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<double>(
         {.n = 1 << 13, .dist = data::Distribution::normal, .seed = 53});
-    const auto res = core::topk_largest_with_indices<double>(dev, data, 1, {});
+    const auto res = core::try_topk_largest_with_indices<double>(dev, data, 1, {}).value();
     const auto max_it = std::max_element(data.begin(), data.end());
     EXPECT_EQ(res.values[0], *max_it);
     EXPECT_EQ(res.threshold, *max_it);
@@ -184,7 +187,7 @@ TEST(TopK, FusedFilterAvoidsExtraPasses) {
     const std::size_t n = 1 << 17;
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 37});
-    const auto res = core::topk_largest<float>(dev, data, n / 100, {});
+    const auto res = core::try_topk_largest<float>(dev, data, n / 100, {}).value();
     EXPECT_LE(res.levels, 3u);
 }
 

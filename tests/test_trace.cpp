@@ -18,7 +18,7 @@ std::vector<simt::KernelProfile> sample_profiles() {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 1 << 14, .dist = data::Distribution::uniform_real, .seed = 3});
-    (void)core::sample_select<float>(dev, data, 1 << 13, {});
+    (void)core::try_sample_select<float>(dev, data, 1 << 13, {}).value();
     return dev.profiles();
 }
 

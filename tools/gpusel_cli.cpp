@@ -10,11 +10,13 @@
 //
 // Run with --help for the full option list.
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/bucketselect.hpp"
@@ -129,6 +131,17 @@ data::Distribution parse_dist(const std::string& name) {
     usage(2);
 }
 
+/// The value of a selection result; a typed error (e.g. a bad --buckets)
+/// ends the run with the Status message instead of aborting.
+template <typename T>
+T checked(core::Result<T> r) {
+    if (!r.ok()) {
+        std::cerr << "error: " << r.status().to_message() << "\n";
+        std::exit(1);
+    }
+    return std::move(r).value();
+}
+
 int run(const Options& o) {
     const auto dist = parse_dist(o.dist);
     const auto data = data::generate<float>(
@@ -155,14 +168,14 @@ int run(const Options& o) {
     float value = 0;
     double sim_ns = 0;
     if (o.algo == "sample") {
-        const auto r = core::sample_select<float>(dev, data, rank, cfg);
+        const auto r = checked(core::try_sample_select<float>(dev, data, rank, cfg));
         value = r.value;
         sim_ns = r.sim_ns;
         std::cout << "sample_select rank " << rank << " -> " << value << "  (levels "
                   << r.levels << (r.equality_exit ? ", equality exit" : "") << ", launches "
                   << r.launches << ", aux " << r.aux_bytes << " B)\n";
     } else if (o.algo == "approx") {
-        const auto r = core::approx_select<float>(dev, data, rank, cfg);
+        const auto r = checked(core::try_approx_select<float>(dev, data, rank, cfg));
         value = r.value;
         sim_ns = r.sim_ns;
         std::cout << "approx_select rank " << rank << " -> " << value << "  (exact rank "
@@ -203,13 +216,13 @@ int run(const Options& o) {
         std::cout << "radix_select rank " << rank << " -> " << value << "  (levels " << r.levels
                   << ")\n";
     } else if (o.algo == "topk") {
-        const auto r = core::topk_largest<float>(dev, data, o.k, cfg);
+        const auto r = checked(core::try_topk_largest<float>(dev, data, o.k, cfg));
         value = r.threshold;
         sim_ns = r.sim_ns;
         std::cout << "topk_largest k=" << o.k << " -> threshold " << value << "  ("
                   << r.elements.size() << " elements, levels " << r.levels << ")\n";
     } else if (o.algo == "sort") {
-        const auto r = core::sample_sort<float>(dev, data, cfg);
+        const auto r = checked(core::try_sample_sort<float>(dev, data, cfg));
         value = r.sorted.empty() ? 0.0f : r.sorted[rank];
         sim_ns = r.sim_ns;
         std::cout << "sample_sort -> " << r.sorted.size() << " elements sorted (depth "
