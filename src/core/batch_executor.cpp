@@ -169,8 +169,6 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
     }
 
     const std::size_t m = problems.size();
-    const std::size_t threshold =
-        opts_.coalesce_threshold > 0 ? opts_.coalesce_threshold : bitonic::kMaxSortSize;
     Result<int> fan_width = try_resolve_stream_count(m, opts_.streams);
     if (!fan_width.ok()) return fan_width.status();
     StreamFan fan(dev, fan_width.value(), cfg.stream);
@@ -228,7 +226,7 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
     for (std::size_t i = 0; i < m; ++i) {
         if (problems[i].rank >= len_num[i]) {
             res.items[i].value = quiet_nan<T>();
-        } else if (allow_fused && len_num[i] <= threshold) {
+        } else if (allow_fused && len_num[i] <= bitonic::kMaxSortSize) {
             fused[static_cast<std::size_t>(fan.lane_of(i))].push_back(i);
         } else {
             recursive.push_back(i);

@@ -44,10 +44,6 @@ struct BatchOptions {
     /// Lanes to fan over; <= 0 resolves via GPUSEL_STREAMS, then
     /// min(batch, 8).  Always clamped to the batch size.
     int streams = 0;
-    /// Problems whose numeric prefix is at most this long share one fused
-    /// single-launch bitonic kernel per lane; 0 means the single-block
-    /// sorting capacity (bitonic::kMaxSortSize).
-    std::size_t coalesce_threshold = 0;
 };
 
 /// Widest fan any configuration may request; GPUSEL_STREAMS beyond this is

@@ -25,9 +25,10 @@ struct Target {
 /// (released back to the pool when its subtree is done) instead of the
 /// two-buffer ping-pong.
 ///
-/// `stalls` counts consecutive no-progress levels on this path; past
-/// cfg.max_stalled_levels the node runs the deterministic tripartition
-/// level instead of sampling (guaranteed progress, docs/robustness.md).
+/// `path` is the guaranteed-progress state of this node's path
+/// (try_level_step); every child inherits the state the node's level left,
+/// so the full-size child of a stalled level re-samples with its
+/// depth-based salt, or runs the fallback level once past the budget.
 ///
 /// `fan` (may be null) is the stream fan for the first level that splits
 /// the targets into more than one bucket: each bucket subtree then runs on
@@ -37,11 +38,12 @@ struct Target {
 /// down unused, so the fan applies to the first *partitioning* level.
 template <typename T>
 Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> targets,
-             std::size_t depth, std::size_t stalls, MultiSelectResult<T>& res, StreamFan* fan) {
+             DescentPath path, MultiSelectResult<T>& res, ProgressTally& tally, StreamFan* fan) {
     const SampleSelectConfig& cfg = ctx.cfg();
     const std::size_t n = buf.size();
+    const std::size_t depth = path.levels;
     res.max_depth = std::max(res.max_depth, depth);
-    const auto origin = depth == 0 ? simt::LaunchOrigin::host : simt::LaunchOrigin::device;
+    const auto origin = level_origin(depth);
 
     if (n <= cfg.base_case_size) {
         Status s = with_fault_retry(ctx, [&] { sort_base_case<T>(ctx, buf.span(), origin); });
@@ -49,23 +51,11 @@ Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> 
         for (const Target& t : targets) res.values[t.out_slot] = buf.span()[t.rank];
         return Status::success();
     }
-    if (depth >= static_cast<std::size_t>(cfg.max_levels)) {
-        return Status::failure(SelectError::depth_exceeded,
-                               "multi_select: max_levels recursion depth exceeded");
-    }
 
-    const bool use_fallback =
-        cfg.force_fallback || stalls > static_cast<std::size_t>(cfg.max_stalled_levels);
-    auto lvres =
-        use_fallback
-            ? try_run_pivot_level<T>(ctx, buf.span(), targets.front().rank, origin)
-            : try_run_bucket_level<T>(ctx, buf.span(), targets.front().rank, origin, depth * 977);
+    auto lvres = try_level_step<T>(ctx, buf.span(), targets.front().rank, origin, depth * 977,
+                                   path, tally);
     if (!lvres.ok()) return lvres.status();
     const LevelOutcome<T> lv = lvres.take();
-    if (use_fallback) {
-        ++res.fallback_levels;
-        ++ctx.dev().robustness().fallback_levels;
-    }
 
     const auto b = static_cast<std::size_t>(lv.tree.num_buckets);
     const auto prefix = lv.prefix_span();
@@ -100,25 +90,6 @@ Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> 
             continue;
         }
         const auto bucket_size = static_cast<std::size_t>(totals[ub]);
-        std::size_t child_stalls = 0;
-        if (bucket_size == n) {
-            // Stalled level (pathological sample; all targets fell into one
-            // full-size bucket).  Recursing re-samples with a depth-based
-            // salt; past the budget the child switches to the fallback.
-            if (use_fallback) {
-                // The tripartition tree's equality bucket is non-empty by
-                // construction, so this means broken invariants.
-                return Status::failure(
-                    SelectError::no_progress,
-                    "multi_select: deterministic fallback level failed to shrink the bucket");
-            }
-            ++res.resamples;
-            ++ctx.dev().robustness().resamples;
-            child_stalls = stalls + 1;
-            if (child_stalls == static_cast<std::size_t>(cfg.max_stalled_levels) + 1) {
-                ++ctx.dev().robustness().fallbacks;
-            }
-        }
         const PipelineContext child_ctx =
             fanning ? PipelineContext(ctx.dev(), cfg,
                                       fan->stream(fan->lane_of(lane_idx++)))
@@ -129,7 +100,7 @@ Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> 
             filter_bucket<T>(child_ctx, buf.span(), lv, bucket, child.span(), origin);
         });
         if (!s.ok()) return s;
-        s = solve(child_ctx, std::move(child), std::move(sub), depth + 1, child_stalls, res,
+        s = solve(child_ctx, std::move(child), std::move(sub), path, res, tally,
                   fanning ? nullptr : fan);
         if (!s.ok()) return s;
     }
@@ -205,9 +176,12 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
         if (!fan_width.ok()) return fan_width.status();
         StreamFan fan(dev, fan_width.value(), ctx.stream());
         res.streams_used = fan.count();
-        s = solve(ctx, std::move(buf), std::move(targets), 0, 0, res,
+        ProgressTally tally;
+        s = solve(ctx, std::move(buf), std::move(targets), DescentPath{}, res, tally,
                   fan.count() > 1 ? &fan : nullptr);
         if (!s.ok()) return s;
+        res.resamples = tally.resamples;
+        res.fallback_levels = tally.fallback_levels;
     }
     res.sim_ns = dev.elapsed_ns() - t0;
     res.launches = dev.launch_count() - l0;

@@ -124,54 +124,22 @@ T deterministic_pivot(simt::Device& dev, std::span<const T> data, const SampleSe
     return pivot;
 }
 
-}  // namespace
-
+/// The deterministic guaranteed-progress level, under with_fault_retry:
+/// pivot = median of 9 deterministically strided elements, splitters
+/// {p, p, p} -> 4 buckets: {< p} split in two, the equality bucket {== p}
+/// (non-empty: the pivot came from the data), and {> p}, so the
+/// non-equality buckets always shrink.  No randomness, so it cannot stall
+/// twice the same way and a retry reruns it verbatim.
 template <typename T>
-LevelOutcome<T> run_bucket_level(const PipelineContext& ctx, std::span<const T> data,
-                                 std::size_t rank, simt::LaunchOrigin origin, std::uint64_t salt,
-                                 const LevelOptions& opt) {
-    auto tree = sample_splitters<T>(ctx.dev(), data, ctx.cfg(), origin, salt, ctx.stream());
-    return finish_level<T>(ctx, data, rank, origin, std::move(tree), opt);
-}
-
-template <typename T>
-LevelOutcome<T> run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
-                                std::size_t rank, simt::LaunchOrigin origin,
-                                const LevelOptions& opt) {
-    const T p = deterministic_pivot<T>(ctx.dev(), data, ctx.cfg(), origin, ctx.stream());
-    // Three equal splitters -> 4 buckets: {< p} split in two, the equality
-    // bucket {== p} (non-empty: the pivot came from the data), and {> p}.
-    auto tree = SearchTree<T>::build({p, p, p});
-    return finish_level<T>(ctx, data, rank, origin, std::move(tree), opt);
-}
-
-namespace {
-
-/// Shared retry loop of the try_ level executors.  `attempt_salt(a)` gives
-/// the sample salt for attempt `a` (0-based); attempt 0 must be the
-/// caller's salt so fault-free runs are byte-identical.
-template <typename T, typename RunFn>
-Result<LevelOutcome<T>> retry_level(const PipelineContext& ctx, RunFn&& run) {
-    for (int attempt = 0;; ++attempt) {
-        try {
-            return run(attempt);
-        } catch (const simt::SanError& e) {
-            // SimTSan violations are kernel bugs: a rerun would trip the
-            // same contract again, so surface the typed error immediately.
-            return Status::failure(SelectError::sanitizer_violation, e.what());
-        } catch (const simt::AllocFault& e) {
-            if (attempt + 1 >= kFaultRetryAttempts) {
-                return Status::failure(SelectError::allocation_failed, e.what());
-            }
-            ctx.dev().pool().trim();
-            ++ctx.dev().robustness().alloc_retries;
-        } catch (const simt::LaunchFault& e) {
-            if (attempt + 1 >= kFaultRetryAttempts) {
-                return Status::failure(SelectError::launch_failed, e.what());
-            }
-            ++ctx.dev().robustness().launch_retries;
-        }
-    }
+Result<LevelOutcome<T>> try_run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
+                                            std::size_t rank, simt::LaunchOrigin origin) {
+    LevelOutcome<T> lv;
+    Status s = with_fault_retry(ctx, [&] {
+        const T p = deterministic_pivot<T>(ctx.dev(), data, ctx.cfg(), origin, ctx.stream());
+        lv = finish_level<T>(ctx, data, rank, origin, SearchTree<T>::build({p, p, p}));
+    });
+    if (!s.ok()) return s;
+    return lv;
 }
 
 }  // namespace
@@ -180,21 +148,69 @@ template <typename T>
 Result<LevelOutcome<T>> try_run_bucket_level(const PipelineContext& ctx, std::span<const T> data,
                                              std::size_t rank, simt::LaunchOrigin origin,
                                              std::uint64_t salt, const LevelOptions& opt) {
-    return retry_level<T>(ctx, [&](int attempt) {
+    LevelOutcome<T> lv;
+    std::uint64_t attempt = 0;
+    Status s = with_fault_retry(ctx, [&] {
         // Retries re-sample with a fresh salt: if the fault hit mid-level
         // the partial work is discarded and the level reruns end to end.
-        const std::uint64_t attempt_salt =
-            salt + static_cast<std::uint64_t>(attempt) * std::uint64_t{0x9e3779b9};
-        return run_bucket_level<T>(ctx, data, rank, origin, attempt_salt, opt);
+        const std::uint64_t attempt_salt = salt + attempt++ * std::uint64_t{0x9e3779b9};
+        auto tree =
+            sample_splitters<T>(ctx.dev(), data, ctx.cfg(), origin, attempt_salt, ctx.stream());
+        lv = finish_level<T>(ctx, data, rank, origin, std::move(tree), opt);
     });
+    if (!s.ok()) return s;
+    return lv;
 }
 
 template <typename T>
-Result<LevelOutcome<T>> try_run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
-                                            std::size_t rank, simt::LaunchOrigin origin,
-                                            const LevelOptions& opt) {
-    return retry_level<T>(
-        ctx, [&](int) { return run_pivot_level<T>(ctx, data, rank, origin, opt); });
+Result<LevelOutcome<T>> try_level_step(const PipelineContext& ctx, std::span<const T> data,
+                                       std::size_t rank, simt::LaunchOrigin origin,
+                                       std::uint64_t salt, DescentPath& path,
+                                       ProgressTally& tally) {
+    const SampleSelectConfig& cfg = ctx.cfg();
+    // Hard depth cap: with strict shrink guaranteed below, genuine inputs
+    // terminate in O(log n) levels; the cap makes that provable even under
+    // invariant-breaking bugs.
+    if (path.levels >= static_cast<std::size_t>(cfg.max_levels)) {
+        return Status::failure(SelectError::depth_exceeded,
+                               "sample descent: max_levels bucketing levels exceeded");
+    }
+    ++path.levels;
+
+    // Stalls are resampled with the caller's fresh salt max_stalled_levels
+    // times; past that budget the path runs the deterministic fallback.
+    const bool fallback =
+        cfg.force_fallback || path.stalls > static_cast<std::size_t>(cfg.max_stalled_levels);
+    Result<LevelOutcome<T>> lv = fallback ? try_run_pivot_level<T>(ctx, data, rank, origin)
+                                          : try_run_bucket_level<T>(ctx, data, rank, origin, salt);
+    if (!lv.ok()) return lv.status();
+    if (fallback) {
+        ++tally.fallback_levels;
+        ++ctx.dev().robustness().fallback_levels;
+    }
+
+    if (lv.value().equality || lv.value().bucket_size < data.size()) {
+        // Progress (an equality bucket ends the search for its ranks).
+        // The stall was a property of the old buffer: sampled levels resume
+        // below, their splits are much better than the tripartition's.
+        path.stalls = 0;
+        return lv;
+    }
+    // Stalled level: a pathological sample left the located bucket at full
+    // size.  The tripartition tree's equality bucket is non-empty by
+    // construction, so a stalled fallback level means broken invariants,
+    // not bad luck.
+    if (fallback) {
+        return Status::failure(
+            SelectError::no_progress,
+            "sample descent: deterministic fallback level failed to shrink the bucket");
+    }
+    ++tally.resamples;
+    ++ctx.dev().robustness().resamples;
+    if (++path.stalls == static_cast<std::size_t>(cfg.max_stalled_levels) + 1) {
+        ++ctx.dev().robustness().fallbacks;
+    }
+    return lv;
 }
 
 template <typename T>
@@ -257,20 +273,19 @@ template LevelOutcome<float> finish_level<float>(const PipelineContext&, std::sp
 template LevelOutcome<double> finish_level<double>(const PipelineContext&, std::span<const double>,
                                                    std::size_t, simt::LaunchOrigin,
                                                    SearchTree<double>, const LevelOptions&);
-template LevelOutcome<float> run_bucket_level<float>(const PipelineContext&,
-                                                     std::span<const float>, std::size_t,
-                                                     simt::LaunchOrigin, std::uint64_t,
-                                                     const LevelOptions&);
-template LevelOutcome<double> run_bucket_level<double>(const PipelineContext&,
-                                                       std::span<const double>, std::size_t,
-                                                       simt::LaunchOrigin, std::uint64_t,
-                                                       const LevelOptions&);
-template LevelOutcome<float> run_pivot_level<float>(const PipelineContext&,
-                                                    std::span<const float>, std::size_t,
-                                                    simt::LaunchOrigin, const LevelOptions&);
-template LevelOutcome<double> run_pivot_level<double>(const PipelineContext&,
-                                                      std::span<const double>, std::size_t,
-                                                      simt::LaunchOrigin, const LevelOptions&);
+template Result<LevelOutcome<float>> try_level_step<float>(const PipelineContext&,
+                                                           std::span<const float>, std::size_t,
+                                                           simt::LaunchOrigin, std::uint64_t,
+                                                           DescentPath&, ProgressTally&);
+template Result<LevelOutcome<double>> try_level_step<double>(const PipelineContext&,
+                                                             std::span<const double>, std::size_t,
+                                                             simt::LaunchOrigin, std::uint64_t,
+                                                             DescentPath&, ProgressTally&);
+template Result<LevelOutcome<ArgPair>> try_level_step<ArgPair>(const PipelineContext&,
+                                                               std::span<const ArgPair>,
+                                                               std::size_t, simt::LaunchOrigin,
+                                                               std::uint64_t, DescentPath&,
+                                                               ProgressTally&);
 template Result<LevelOutcome<float>> try_run_bucket_level<float>(const PipelineContext&,
                                                                  std::span<const float>,
                                                                  std::size_t, simt::LaunchOrigin,
@@ -281,14 +296,6 @@ template Result<LevelOutcome<double>> try_run_bucket_level<double>(const Pipelin
                                                                    std::size_t, simt::LaunchOrigin,
                                                                    std::uint64_t,
                                                                    const LevelOptions&);
-template Result<LevelOutcome<float>> try_run_pivot_level<float>(const PipelineContext&,
-                                                                std::span<const float>,
-                                                                std::size_t, simt::LaunchOrigin,
-                                                                const LevelOptions&);
-template Result<LevelOutcome<double>> try_run_pivot_level<double>(const PipelineContext&,
-                                                                  std::span<const double>,
-                                                                  std::size_t, simt::LaunchOrigin,
-                                                                  const LevelOptions&);
 template void filter_bucket<float>(const PipelineContext&, std::span<const float>,
                                    const LevelOutcome<float>&, std::int32_t, std::span<float>,
                                    simt::LaunchOrigin);
@@ -315,24 +322,12 @@ template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
                                                      std::span<const ArgPair>, std::size_t,
                                                      simt::LaunchOrigin, SearchTree<ArgPair>,
                                                      const LevelOptions&);
-template LevelOutcome<ArgPair> run_bucket_level<ArgPair>(const PipelineContext&,
-                                                         std::span<const ArgPair>, std::size_t,
-                                                         simt::LaunchOrigin, std::uint64_t,
-                                                         const LevelOptions&);
-template LevelOutcome<ArgPair> run_pivot_level<ArgPair>(const PipelineContext&,
-                                                        std::span<const ArgPair>, std::size_t,
-                                                        simt::LaunchOrigin, const LevelOptions&);
 template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(const PipelineContext&,
                                                                      std::span<const ArgPair>,
                                                                      std::size_t,
                                                                      simt::LaunchOrigin,
                                                                      std::uint64_t,
                                                                      const LevelOptions&);
-template Result<LevelOutcome<ArgPair>> try_run_pivot_level<ArgPair>(const PipelineContext&,
-                                                                    std::span<const ArgPair>,
-                                                                    std::size_t,
-                                                                    simt::LaunchOrigin,
-                                                                    const LevelOptions&);
 template void filter_bucket<ArgPair>(const PipelineContext&, std::span<const ArgPair>,
                                      const LevelOutcome<ArgPair>&, std::int32_t,
                                      std::span<ArgPair>, simt::LaunchOrigin);

@@ -8,8 +8,9 @@
 // Fig. 3) -- and differ only in how they descend through buckets: exact
 // selection follows one bucket, multiselect a whole tree of them, top-k
 // keeps the upper buckets, approximate selection and histograms stop after
-// the count.  This header factors the level into one executor so front-ends
-// express only their descent policy:
+// the count.  This header factors the level into one executor and the
+// recursion policy (Sec. IV-E) into one step, so front-ends express only
+// what a located bucket means to them:
 //
 //   * PipelinePlan      -- static shape of one level (grid size, buffer
 //                          lengths) for an input size and config.
@@ -18,19 +19,29 @@
 //                          simt/pool.hpp).  Zero-on-acquire goes through
 //                          zeroed_i32(), which still launches the simulated
 //                          memset so event counts are unchanged.
-//   * run_bucket_level  -- the level executor; returns a LevelOutcome
+//   * try_run_bucket_level -- the level executor; returns a LevelOutcome
 //                          owning the level's pooled buffers.
 //   * finish_level      -- its count -> (reduce) -> select-bucket tail over
 //                          a caller-supplied tree (the sharded front-ends
 //                          count against a merged splitter tree).
+//   * try_level_step    -- the guaranteed-progress step every sampled
+//                          descent runs per level: depth cap, sampled or
+//                          deterministic fallback level, stall detection
+//                          and tallies.
 //   * filter_bucket / filter_topk -- bucket extraction on top of an
 //                          outcome.
 //   * DataHolder/PingPong -- the two data buffers ping-ponged across
 //                          recursion levels instead of a fresh `out`
 //                          allocation per level (Sec. IV-A: auxiliary
 //                          storage stays <= n/4 bytes for float).
-//   * SelectionPipeline -- the linear-descent driver (one bucket per
-//                          level) used by try_sample_select and top-k.
+//   * SelectionPipeline -- the linear descent loop (one bucket per level)
+//                          behind exact selection and top-k; the tree
+//                          descents (multiselect, sample sort) recurse
+//                          through try_level_step themselves.
+//
+// Device-side recursion (CUDA Dynamic Parallelism, Sec. IV-E) is modeled by
+// launch latency alone: every level below the first launches with
+// LaunchOrigin::device (see level_origin) while the host drives the loop.
 //
 // Event-count contract: for a given front-end and config the kernel launch
 // sequence (names, grids, origins, counters) is byte-identical to the
@@ -183,30 +194,11 @@ template <typename T>
                                            std::size_t rank, simt::LaunchOrigin origin,
                                            SearchTree<T> tree, const LevelOptions& opt = {});
 
-/// Runs one bucketing level over `data`: sample splitters -> count ->
-/// (reduce in shared mode) -> select-bucket (when opt.locate).
-template <typename T>
-[[nodiscard]] LevelOutcome<T> run_bucket_level(const PipelineContext& ctx,
-                                               std::span<const T> data, std::size_t rank,
-                                               simt::LaunchOrigin origin, std::uint64_t salt = 0,
-                                               const LevelOptions& opt = {});
-
-/// Deterministic guaranteed-progress level: pivot = median of 9
-/// deterministically strided elements, splitters {p, p, p} -> a 4-bucket
-/// tripartition tree whose equality bucket (all elements == p, at least
-/// the sampled occurrences) guarantees the non-equality buckets shrink.
-/// Used after the resampling budget is exhausted; no randomness involved,
-/// so it cannot stall twice the same way.
-template <typename T>
-[[nodiscard]] LevelOutcome<T> run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
-                                              std::size_t rank, simt::LaunchOrigin origin,
-                                              const LevelOptions& opt = {});
-
-/// Fault-hardened run_bucket_level: retries the whole level (with a fresh
-/// sample salt) on injected launch faults and after a pool trim on
-/// injected allocation faults, at most kFaultRetryAttempts times; the
-/// first attempt uses `salt` verbatim, so fault-free event streams are
-/// unchanged.  Exhaustion returns launch_failed / allocation_failed.
+/// Runs one sampled bucketing level over `data`: sample splitters -> count
+/// -> (reduce in shared mode) -> select-bucket (when opt.locate), under
+/// with_fault_retry.  A retry reruns the whole level with a fresh sample
+/// salt; the first attempt uses `salt` verbatim, so fault-free event
+/// streams are unchanged.
 template <typename T>
 [[nodiscard]] Result<LevelOutcome<T>> try_run_bucket_level(const PipelineContext& ctx,
                                                            std::span<const T> data,
@@ -215,14 +207,50 @@ template <typename T>
                                                            std::uint64_t salt = 0,
                                                            const LevelOptions& opt = {});
 
-/// Fault-hardened run_pivot_level (the pivot is deterministic, so retries
-/// rerun it verbatim).
+/// Launch origin of a descent's level `level`: the host launches the first
+/// level, deeper levels are device-side launches (Sec. IV-E).
+[[nodiscard]] constexpr simt::LaunchOrigin level_origin(std::size_t level) noexcept {
+    return level == 0 ? simt::LaunchOrigin::host : simt::LaunchOrigin::device;
+}
+
+/// Guaranteed-progress state of one descent path (docs/robustness.md).  A
+/// linear descent keeps one; a tree descent hands a copy to each child.
+struct DescentPath {
+    /// Levels run on this path, stalled and fallback levels included;
+    /// bounded by cfg.max_levels.
+    std::size_t levels = 0;
+    /// Consecutive stalled levels up to the last one (0 after progress).
+    std::size_t stalls = 0;
+
+    /// The last level stalled: its located bucket still held every element.
+    [[nodiscard]] bool stalled() const noexcept { return stalls > 0; }
+};
+
+/// A descent's guaranteed-progress tallies, reported in its result.
+struct ProgressTally {
+    /// Stalled levels retried with a fresh splitter sample.
+    std::size_t resamples = 0;
+    /// Deterministic tripartition levels run.
+    std::size_t fallback_levels = 0;
+};
+
+/// The guaranteed-progress level step that every sampled descent runs per
+/// level.  It fails with depth_exceeded once `path` ran cfg.max_levels
+/// levels.  Otherwise it runs a sampled level with the caller's `salt`, or
+/// the deterministic fallback level once the path stalled past its
+/// resampling budget (every level under cfg.force_fallback): a median-of-9
+/// pivot p and splitters {p, p, p}, whose equality bucket makes every other
+/// bucket shrink.  A level stalls when its located bucket is no equality
+/// bucket and still holds all of `data`: the step counts a resample,
+/// switches the path to the fallback past the budget, and returns
+/// no_progress for a stall inside the fallback.  On a stall the
+/// caller reruns the step on the same data (linear) or on the full-size
+/// child (tree).  Updates `path`, `tally` and Device::robustness().
 template <typename T>
-[[nodiscard]] Result<LevelOutcome<T>> try_run_pivot_level(const PipelineContext& ctx,
-                                                          std::span<const T> data,
-                                                          std::size_t rank,
-                                                          simt::LaunchOrigin origin,
-                                                          const LevelOptions& opt = {});
+[[nodiscard]] Result<LevelOutcome<T>> try_level_step(const PipelineContext& ctx,
+                                                     std::span<const T> data, std::size_t rank,
+                                                     simt::LaunchOrigin origin, std::uint64_t salt,
+                                                     DescentPath& path, ProgressTally& tally);
 
 /// Runs `step` under the bounded-retry fault policy: injected allocation
 /// faults trigger a pool trim + retry, injected launch faults a plain
@@ -388,11 +416,20 @@ private:
     int active_ = 0;
 };
 
-/// Linear-descent driver: one located bucket per level, ping-pong data
-/// buffers.  sample_select and top-k are thin policies over this; variants
-/// with other descent shapes (multiselect's bucket tree, approximate
-/// selection's count-only level) use run_bucket_level/filter_bucket
-/// directly with their own buffer management.
+/// How a linear descent ended (SelectionPipeline::descend).
+struct LinearDescent {
+    /// Levels that located a bucket; stalled levels are not counted.
+    std::size_t levels = 0;
+    /// True when the buffer reached the base case and is sorted in place;
+    /// false when the bucket policy stopped at a located bucket.
+    bool base_case = false;
+    ProgressTally tally;
+};
+
+/// The linear descent: one located bucket per level over two ping-pong
+/// data buffers.  Exact selection and top-k are bucket policies over its
+/// descend() loop; the tree descents (multiselect, sample sort) branch and
+/// recurse through try_level_step with their own buffers.
 template <typename T>
 class SelectionPipeline {
 public:
@@ -406,34 +443,58 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
     [[nodiscard]] T value_at(std::size_t i) const noexcept { return data_.data()[i]; }
 
-    /// Runs one bucketing level over the current data buffer.
-    [[nodiscard]] LevelOutcome<T> run_level(std::size_t rank, simt::LaunchOrigin origin,
-                                            std::uint64_t salt, const LevelOptions& opt = {}) {
-        return run_bucket_level<T>(ctx_, data_.data(), rank, origin, salt, opt);
+    /// The linear descent loop (Sec. IV-E).  Runs level steps over the
+    /// current buffer until it fits the base case, which is bitonic-sorted
+    /// in place (Sec. IV-D), or until `on_bucket` stops.  The loop owns the
+    /// deadline check between levels, the base case and the rank rebase:
+    /// `rank` is the tracked rank, rebased into the current buffer as the
+    /// descent goes.  `on_bucket(lv, origin) -> Result<bool>` owns what a
+    /// located bucket means: true after it descended into lv.bucket
+    /// (try_descend / try_descend_topk), false to stop.
+    template <typename OnBucket>
+    [[nodiscard]] Result<LinearDescent> descend(std::size_t& rank, OnBucket&& on_bucket) {
+        const SampleSelectConfig& cfg = ctx_.cfg();
+        LinearDescent d;
+        DescentPath path;
+        for (;;) {
+            const simt::LaunchOrigin origin = level_origin(d.levels);
+            // Deadline budget (docs/service.md): checked between levels,
+            // never mid-kernel, so aborted descents leave no partial writes
+            // in flight.  Level 0 always runs -- admission control owns
+            // up-front rejection.
+            if (cfg.deadline_ns > 0.0 && path.levels > 0 &&
+                ctx_.dev().stream_clock(ctx_.stream()) > cfg.deadline_ns) {
+                return Status::failure(SelectError::deadline_exceeded,
+                                       "sample descent: deadline exceeded between levels");
+            }
+            if (size() <= cfg.base_case_size) {
+                // The sort launch faults before touching the data, so a
+                // retry sees the unsorted input.
+                Status s = with_fault_retry(
+                    ctx_, [&] { sort_base_case<T>(ctx_, data_.data(), origin); });
+                if (!s.ok()) return s;
+                d.base_case = true;
+                return d;
+            }
+            Result<LevelOutcome<T>> step =
+                try_level_step<T>(ctx_, data_.data(), rank, origin,
+                                  d.levels * 977 + path.stalls * 7919, path, d.tally);
+            if (!step.ok()) return step.status();
+            if (path.stalled()) continue;  // rerun the level on the same buffer
+            const LevelOutcome<T> lv = step.take();
+            ++d.levels;
+            Result<bool> descended = on_bucket(lv, origin);
+            if (!descended.ok()) return descended.status();
+            if (!descended.value()) return d;
+            rank -= lv.rank_offset;
+        }
     }
-    /// Fault-hardened run_level (see try_run_bucket_level).
-    [[nodiscard]] Result<LevelOutcome<T>> try_run_level(std::size_t rank,
-                                                        simt::LaunchOrigin origin,
-                                                        std::uint64_t salt,
-                                                        const LevelOptions& opt = {}) {
-        return try_run_bucket_level<T>(ctx_, data_.data(), rank, origin, salt, opt);
-    }
-    /// Deterministic guaranteed-progress level over the current buffer.
-    [[nodiscard]] Result<LevelOutcome<T>> try_run_fallback_level(std::size_t rank,
-                                                                 simt::LaunchOrigin origin,
-                                                                 const LevelOptions& opt = {}) {
-        return try_run_pivot_level<T>(ctx_, data_.data(), rank, origin, opt);
-    }
-    /// Filters the located bucket into the back buffer and descends.
-    void descend(const LevelOutcome<T>& lv, simt::LaunchOrigin origin) {
-        auto out = data_.back(ctx_, lv.bucket_size);
-        filter_bucket<T>(ctx_, data_.data(), lv, lv.bucket, out, origin);
-        data_.flip(lv.bucket_size);
-    }
-    /// Fault-hardened descend: the back-buffer acquisition and filter
-    /// launch retry under the bounded policy; the flip happens only after
-    /// the filter succeeded, so a failed descent leaves the pipeline on
-    /// its current (intact) buffer.
+
+    /// Filters the located bucket into the back buffer and makes it the
+    /// current buffer.  The back-buffer acquisition and the filter launch
+    /// retry under the bounded policy; the flip happens only after the
+    /// filter succeeded, so a failed descent leaves the pipeline on its
+    /// current (intact) buffer.
     [[nodiscard]] Status try_descend(const LevelOutcome<T>& lv, simt::LaunchOrigin origin) {
         Status s = with_fault_retry(ctx_, [&] {
             auto out = data_.back(ctx_, lv.bucket_size);
@@ -442,16 +503,10 @@ public:
         if (s.ok()) data_.flip(lv.bucket_size);
         return s;
     }
-    /// Top-k descent: fused filter into the back buffer + accumulator.
-    void descend_topk(const LevelOutcome<T>& lv, std::span<T> acc, std::int32_t acc_fill,
-                      simt::LaunchOrigin origin) {
-        auto out = data_.back(ctx_, lv.bucket_size);
-        filter_topk<T>(ctx_, data_.data(), lv, out, acc, acc_fill, origin);
-        data_.flip(lv.bucket_size);
-    }
-    /// Fault-hardened descend_topk.  Safe to retry: the fused filter
-    /// rewrites out and the accumulator range above acc_fill from scratch
-    /// on every run (fresh cursors per attempt).
+    /// Top-k descent: fused filter of the located bucket into the back
+    /// buffer and of every higher bucket into `acc` from slot `acc_fill`.
+    /// Safe to retry: the fused filter rewrites both from scratch on every
+    /// run (fresh cursors per attempt).
     [[nodiscard]] Status try_descend_topk(const LevelOutcome<T>& lv, std::span<T> acc,
                                           std::int32_t acc_fill, simt::LaunchOrigin origin) {
         Status s = with_fault_retry(ctx_, [&] {
@@ -460,16 +515,6 @@ public:
         });
         if (s.ok()) data_.flip(lv.bucket_size);
         return s;
-    }
-    /// Bitonic-sorts the current buffer in place (the recursion base case).
-    void sort_base_case(simt::LaunchOrigin origin) {
-        core::sort_base_case<T>(ctx_, data_.data(), origin);
-    }
-    /// Fault-hardened base case (the sort launch faults before touching
-    /// the data, so retries see the unsorted input).
-    [[nodiscard]] Status try_sort_base_case(simt::LaunchOrigin origin) {
-        return with_fault_retry(ctx_,
-                                [&] { core::sort_base_case<T>(ctx_, data_.data(), origin); });
     }
 
 private:
@@ -487,38 +532,21 @@ extern template LevelOutcome<double> finish_level<double>(const PipelineContext&
                                                           std::span<const double>, std::size_t,
                                                           simt::LaunchOrigin, SearchTree<double>,
                                                           const LevelOptions&);
-extern template LevelOutcome<float> run_bucket_level<float>(const PipelineContext&,
-                                                            std::span<const float>, std::size_t,
-                                                            simt::LaunchOrigin, std::uint64_t,
-                                                            const LevelOptions&);
-extern template LevelOutcome<double> run_bucket_level<double>(const PipelineContext&,
-                                                              std::span<const double>,
-                                                              std::size_t, simt::LaunchOrigin,
-                                                              std::uint64_t, const LevelOptions&);
-extern template LevelOutcome<float> run_pivot_level<float>(const PipelineContext&,
-                                                           std::span<const float>, std::size_t,
-                                                           simt::LaunchOrigin,
-                                                           const LevelOptions&);
-extern template LevelOutcome<double> run_pivot_level<double>(const PipelineContext&,
-                                                             std::span<const double>, std::size_t,
-                                                             simt::LaunchOrigin,
-                                                             const LevelOptions&);
+extern template Result<LevelOutcome<float>> try_level_step<float>(
+    const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin,
+    std::uint64_t, DescentPath&, ProgressTally&);
+extern template Result<LevelOutcome<double>> try_level_step<double>(
+    const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin,
+    std::uint64_t, DescentPath&, ProgressTally&);
+extern template Result<LevelOutcome<ArgPair>> try_level_step<ArgPair>(
+    const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
+    std::uint64_t, DescentPath&, ProgressTally&);
 extern template Result<LevelOutcome<float>> try_run_bucket_level<float>(
     const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin,
     std::uint64_t, const LevelOptions&);
 extern template Result<LevelOutcome<double>> try_run_bucket_level<double>(
     const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin,
     std::uint64_t, const LevelOptions&);
-extern template Result<LevelOutcome<float>> try_run_pivot_level<float>(const PipelineContext&,
-                                                                       std::span<const float>,
-                                                                       std::size_t,
-                                                                       simt::LaunchOrigin,
-                                                                       const LevelOptions&);
-extern template Result<LevelOutcome<double>> try_run_pivot_level<double>(const PipelineContext&,
-                                                                         std::span<const double>,
-                                                                         std::size_t,
-                                                                         simt::LaunchOrigin,
-                                                                         const LevelOptions&);
 extern template void filter_bucket<float>(const PipelineContext&, std::span<const float>,
                                           const LevelOutcome<float>&, std::int32_t,
                                           std::span<float>, simt::LaunchOrigin);
@@ -546,21 +574,9 @@ extern template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContex
                                                             std::span<const ArgPair>, std::size_t,
                                                             simt::LaunchOrigin, SearchTree<ArgPair>,
                                                             const LevelOptions&);
-extern template LevelOutcome<ArgPair> run_bucket_level<ArgPair>(const PipelineContext&,
-                                                                std::span<const ArgPair>,
-                                                                std::size_t, simt::LaunchOrigin,
-                                                                std::uint64_t,
-                                                                const LevelOptions&);
-extern template LevelOutcome<ArgPair> run_pivot_level<ArgPair>(const PipelineContext&,
-                                                               std::span<const ArgPair>,
-                                                               std::size_t, simt::LaunchOrigin,
-                                                               const LevelOptions&);
 extern template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(
     const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
     std::uint64_t, const LevelOptions&);
-extern template Result<LevelOutcome<ArgPair>> try_run_pivot_level<ArgPair>(
-    const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
-    const LevelOptions&);
 extern template void filter_bucket<ArgPair>(const PipelineContext&, std::span<const ArgPair>,
                                             const LevelOutcome<ArgPair>&, std::int32_t,
                                             std::span<ArgPair>, simt::LaunchOrigin);

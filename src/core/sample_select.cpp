@@ -1,6 +1,5 @@
 #include "core/sample_select.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "core/backend.hpp"
@@ -10,156 +9,33 @@
 
 namespace gpusel::core {
 
-namespace {
-
-template <typename T>
-struct SelectState {
-    SampleSelectConfig cfg;   // the pipeline keeps a pointer; pin the copy first
-    SelectionPipeline<T> pipe;
-    std::size_t rank = 0;
-    /// Productive level index: feeds the sample salt and result.levels,
-    /// exactly as before hardening (stalled levels do not advance it).
-    std::size_t level = 0;
-    /// Consecutive stalls at the current level (resets on any descent).
-    std::size_t resample_tries = 0;
-    /// Every bucketing level executed, including stalls and fallback
-    /// levels; bounded by cfg.max_levels.
-    std::size_t levels_run = 0;
-    /// True while descending through deterministic tripartition levels.
-    bool fallback = false;
-    SelectResult<T> result;
-    Status status = Status::success();
-    bool done = false;
-
-    SelectState(simt::Device& dev, const SampleSelectConfig& c, int stream)
-        : cfg(c), pipe(dev, cfg, stream) {}
-};
-
-/// Executes one recursion level; returns true while more levels remain.
-/// Failures (exhausted fault retries, progress policy, depth cap) land in
-/// st.status and stop the recursion instead of escaping as exceptions.
-template <typename T>
-bool run_level(SelectState<T>& st) {
-    simt::Device& dev = st.pipe.context().dev();
-    const std::size_t n = st.pipe.size();
-    const auto origin =
-        st.level == 0 ? simt::LaunchOrigin::host : simt::LaunchOrigin::device;
-
-    // Deadline budget (docs/service.md): checked between levels, never
-    // mid-kernel, so aborted descents leave no partial writes in flight.
-    // Level 0 always runs -- admission control owns up-front rejection.
-    if (st.cfg.deadline_ns > 0.0 && st.levels_run > 0 &&
-        dev.stream_clock(st.pipe.context().stream()) > st.cfg.deadline_ns) {
-        st.status = Status::failure(SelectError::deadline_exceeded,
-                                    "sample_select: deadline exceeded between levels");
-        return false;
-    }
-
-    if (n <= st.cfg.base_case_size) {
-        // Base case (Sec. IV-D): bitonic sort in shared memory, pick rank.
-        st.status = st.pipe.try_sort_base_case(origin);
-        if (!st.status.ok()) return false;
-        st.result.value = st.pipe.value_at(st.rank);
-        st.done = true;
-        return false;
-    }
-
-    // Hard depth cap: with strict shrink guaranteed below, genuine inputs
-    // terminate in O(log n) levels; the cap makes that provable even under
-    // invariant-breaking bugs.
-    if (st.levels_run >= static_cast<std::size_t>(st.cfg.max_levels)) {
-        st.status = Status::failure(SelectError::depth_exceeded,
-                                    "sample_select: max_levels bucketing levels exceeded");
-        return false;
-    }
-    ++st.levels_run;
-
-    const bool use_fallback = st.fallback || st.cfg.force_fallback;
-    Result<LevelOutcome<T>> lvres =
-        use_fallback
-            ? st.pipe.try_run_fallback_level(st.rank, origin)
-            : st.pipe.try_run_level(st.rank, origin,
-                                    st.level * 977 + st.resample_tries * 7919);
-    if (!lvres.ok()) {
-        st.status = lvres.status();
-        return false;
-    }
-    const LevelOutcome<T> lv = lvres.take();
-    if (use_fallback) {
-        ++st.result.fallback_levels;
-        ++dev.robustness().fallback_levels;
-    }
-
-    if (lv.equality) {
-        // Equality bucket: every element equals the splitter -- done.
-        st.result.value = lv.equality_value(lv.bucket);
-        st.result.equality_exit = true;
-        ++st.result.levels;
-        st.done = true;
-        return false;
-    }
-
-    if (lv.bucket_size == n) {
-        // Stalled level (pathological sample: the rank bucket did not
-        // shrink).  Resample with a fresh salt up to max_stalled_levels
-        // times, then switch to the deterministic fallback.
-        if (use_fallback) {
-            // The tripartition tree's equality bucket is non-empty by
-            // construction, so a stalled fallback level means broken
-            // invariants, not bad luck.
-            st.status = Status::failure(
-                SelectError::no_progress,
-                "sample_select: deterministic fallback level failed to shrink the bucket");
-            return false;
-        }
-        ++st.result.resamples;
-        ++dev.robustness().resamples;
-        if (++st.resample_tries > static_cast<std::size_t>(st.cfg.max_stalled_levels)) {
-            st.fallback = true;
-            ++dev.robustness().fallbacks;
-        }
-        return true;
-    }
-
-    st.status = st.pipe.try_descend(lv, origin);
-    if (!st.status.ok()) return false;
-    st.rank -= lv.rank_offset;
-    ++st.level;
-    ++st.result.levels;
-    st.resample_tries = 0;
-    // The stall was a property of the old buffer; once the fallback level
-    // shrank it, sampled levels resume (their splits are much better).
-    if (!st.cfg.force_fallback) st.fallback = false;
-    return true;
-}
-
-template <typename T>
-void enqueue_level(simt::Device& dev, std::shared_ptr<SelectState<T>> st) {
-    dev.device_enqueue([st](simt::Device& d) {
-        if (run_level(*st)) enqueue_level(d, st);
-    });
-}
-
-}  // namespace
-
 namespace detail {
 
 template <typename T>
 Result<SelectResult<T>> sample_select_descend(simt::Device& dev, DataHolder<T> data,
                                               std::size_t rank, const SampleSelectConfig& cfg,
                                               int stream) {
-    auto st = std::make_shared<SelectState<T>>(dev, cfg, stream);
-    st->pipe.reset(std::move(data));
-    st->rank = rank;
-
-    enqueue_level(dev, st);
-    dev.drain();
-    if (!st->status.ok()) return st->status;
-    if (!st->done) {
-        return Status::failure(SelectError::internal,
-                               "sample_select: recursion did not terminate");
-    }
-    return std::move(st->result);
+    SelectionPipeline<T> pipe(dev, cfg, stream);
+    pipe.reset(std::move(data));
+    SelectResult<T> res;
+    // Exact selection follows the rank's bucket down, and stops early in an
+    // equality bucket: every element there equals the splitter (Sec. IV-C).
+    auto d = pipe.descend(rank, [&](const LevelOutcome<T>& lv,
+                                    simt::LaunchOrigin origin) -> Result<bool> {
+        if (lv.equality) {
+            res.value = lv.equality_value(lv.bucket);
+            res.equality_exit = true;
+            return false;
+        }
+        if (Status s = pipe.try_descend(lv, origin); !s.ok()) return s;
+        return true;
+    });
+    if (!d.ok()) return d.status();
+    if (d.value().base_case) res.value = pipe.value_at(rank);
+    res.levels = d.value().levels;
+    res.resamples = d.value().tally.resamples;
+    res.fallback_levels = d.value().tally.fallback_levels;
+    return res;
 }
 
 template Result<SelectResult<float>> sample_select_descend<float>(

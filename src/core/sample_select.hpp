@@ -1,10 +1,11 @@
 #pragma once
 // Exact SampleSelect (Sec. IV-B/IV-E): the recursive driver tying together
-// the sample, count, reduce and filter kernels.  Recursion control stays on
-// the device through the simulator's dynamic-parallelism queue, mirroring
-// the paper's CUDA Dynamic Parallelism tail recursion: each level's
-// controller inspects the bucket counts, optionally terminates early in an
-// equality bucket, and launches the next level with device-launch latency.
+// the sample, count, reduce and filter kernels.  Each level inspects the
+// bucket counts, terminates early in an equality bucket or descends into the
+// rank's bucket (SelectionPipeline::descend, core/pipeline.hpp).  The
+// paper's CUDA Dynamic Parallelism tail recursion is modeled by launch
+// latency alone: every level below the first launches with
+// LaunchOrigin::device; there is no host-side control queue.
 
 #include <cstdint>
 #include <span>

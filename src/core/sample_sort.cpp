@@ -1,6 +1,5 @@
 #include "core/sample_sort.hpp"
 
-
 #include "bitonic/bitonic.hpp"
 #include "core/float_order.hpp"
 #include "core/pipeline.hpp"
@@ -60,39 +59,29 @@ void scatter_all_kernel(simt::Device& dev, std::span<const T> data,
 }
 
 /// Sorts `data` ascending in place, using `scratch` (same size) as the
-/// scatter target of each level.  `stalls` counts consecutive no-progress
-/// levels on this path; past cfg.max_stalled_levels the segment switches to
-/// the deterministic tripartition level (docs/robustness.md).
+/// scatter target of each level.  `path` is the guaranteed-progress state
+/// of this segment's path (try_level_step): a stalled level re-sorts the
+/// whole scattered copy one level deeper, where it re-samples with the
+/// depth salt or, past the budget, runs the fallback level.
 template <typename T>
 Status sort_segment(const PipelineContext& ctx, std::span<T> data, std::span<T> scratch,
-                    std::size_t depth, std::size_t stalls, SortResult<T>& res) {
+                    DescentPath path, SortResult<T>& res, ProgressTally& tally) {
     simt::Device& dev = ctx.dev();
     const SampleSelectConfig& cfg = ctx.cfg();
     const std::size_t n = data.size();
+    const std::size_t depth = path.levels;
     res.max_depth = std::max(res.max_depth, depth);
-    if (depth >= static_cast<std::size_t>(cfg.max_levels)) {
-        return Status::failure(SelectError::depth_exceeded,
-                               "sample_sort: max_levels recursion depth exceeded");
-    }
-    const auto origin = depth == 0 ? simt::LaunchOrigin::host : simt::LaunchOrigin::device;
+    const auto origin = level_origin(depth);
 
     if (n <= cfg.base_case_size) {
         return with_fault_retry(ctx, [&] { sort_base_case<T>(ctx, data, origin); });
     }
 
     // Every-bucket level: rank 0 is located only for its prefix table.
-    const bool use_fallback =
-        cfg.force_fallback || stalls > static_cast<std::size_t>(cfg.max_stalled_levels);
-    auto lvres = use_fallback
-                     ? try_run_pivot_level<T>(ctx, std::span<const T>(data), /*rank=*/0, origin)
-                     : try_run_bucket_level<T>(ctx, std::span<const T>(data), /*rank=*/0, origin,
-                                               depth * 977);
+    auto lvres = try_level_step<T>(ctx, std::span<const T>(data), /*rank=*/0, origin,
+                                   depth * 977, path, tally);
     if (!lvres.ok()) return lvres.status();
     const LevelOutcome<T> lv = lvres.take();
-    if (use_fallback) {
-        ++res.fallback_levels;
-        ++ctx.dev().robustness().fallback_levels;
-    }
     const auto b = static_cast<std::size_t>(lv.tree.num_buckets);
     const auto prefix = lv.prefix_span();
 
@@ -102,6 +91,20 @@ Status sort_segment(const PipelineContext& ctx, std::span<T> data, std::span<T> 
                               lv.grid);
     });
     if (!s.ok()) return s;
+    auto copy_back = [&] {
+        return with_fault_retry(ctx, [&] {
+            launch_copy<T>(dev, std::span<const T>(scratch), 0, data, 0, n, origin,
+                           cfg.block_dim, cfg.stream);
+        });
+    };
+
+    if (path.stalled()) {
+        // Degenerate sample: the scatter moved every element into one
+        // bucket, so sort the whole scattered copy one level deeper.
+        s = sort_segment(ctx, scratch, data, path, res, tally);
+        if (!s.ok()) return s;
+        return copy_back();
+    }
 
     // Small child buckets are sorted by ONE batched bitonic launch (one
     // block per bucket); only oversized buckets recurse.
@@ -112,35 +115,11 @@ Status sort_segment(const PipelineContext& ctx, std::span<T> data, std::span<T> 
         const auto hi = static_cast<std::size_t>(prefix[i + 1]);
         const std::size_t len = hi - lo;
         if (len <= 1 || lv.tree.equality[i]) continue;  // equality buckets are sorted
-        if (len == n) {
-            if (use_fallback) {
-                // The tripartition tree's equality bucket is non-empty by
-                // construction, so this means broken invariants.
-                return Status::failure(
-                    SelectError::no_progress,
-                    "sample_sort: deterministic fallback level failed to shrink the bucket");
-            }
-            // Degenerate sample: retry the whole segment with a new salt
-            // (the depth term); past the stall budget the child level runs
-            // the deterministic fallback.
-            ++res.resamples;
-            ++ctx.dev().robustness().resamples;
-            const std::size_t child_stalls = stalls + 1;
-            if (child_stalls == static_cast<std::size_t>(cfg.max_stalled_levels) + 1) {
-                ++ctx.dev().robustness().fallbacks;
-            }
-            s = sort_segment(ctx, scratch, data, depth + 1, child_stalls, res);
-            if (!s.ok()) return s;
-            return with_fault_retry(ctx, [&] {
-                launch_copy<T>(dev, std::span<const T>(scratch), 0, data, 0, n, origin,
-                               cfg.block_dim, cfg.stream);
-            });
-        }
         if (len <= bitonic::kMaxSortSize) {
             small.push_back({lo, len});
         } else {
-            s = sort_segment(ctx, scratch.subspan(lo, len), data.subspan(lo, len), depth + 1,
-                             /*stalls=*/0, res);
+            s = sort_segment(ctx, scratch.subspan(lo, len), data.subspan(lo, len), path, res,
+                             tally);
             if (!s.ok()) return s;
         }
     }
@@ -152,10 +131,7 @@ Status sort_segment(const PipelineContext& ctx, std::span<T> data, std::span<T> 
         });
         if (!s.ok()) return s;
     }
-    return with_fault_retry(ctx, [&] {
-        launch_copy<T>(dev, std::span<const T>(scratch), 0, data, 0, n, origin, cfg.block_dim,
-                       cfg.stream);
-    });
+    return copy_back();
 }
 
 }  // namespace
@@ -193,9 +169,12 @@ Result<SortResult<T>> try_sample_sort(simt::Device& dev, std::span<const T> inpu
     const double t0 = dev.elapsed_ns();
     const std::uint64_t l0 = dev.launch_count();
     if (n_num > 0) {
+        ProgressTally tally;
         s = sort_segment<T>(ctx, buf.span().subspan(0, n_num), scratch.span().subspan(0, n_num),
-                            0, 0, res);
+                            DescentPath{}, res, tally);
         if (!s.ok()) return s;
+        res.resamples = tally.resamples;
+        res.fallback_levels = tally.fallback_levels;
     }
     res.sim_ns = dev.elapsed_ns() - t0;
     res.launches = dev.launch_count() - l0;

@@ -705,7 +705,7 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
 
     // Broadcast the threshold and build per-device tripartition trees
     // {t, t, t}: buckets 0-1 hold < t, bucket 2 is the equality bucket
-    // == t, bucket 3 holds > t (exactly run_pivot_level's layout).
+    // == t, bucket 3 holds > t (exactly the fallback level's layout).
     std::vector<SearchTree<T>> tri(static_cast<std::size_t>(env.devices_used));
     tri[0] = SearchTree<T>::build({t, t, t});
     simt::Device& rdev = env.group.device(0);

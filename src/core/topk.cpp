@@ -27,98 +27,53 @@ Result<TopKResult<T>> sample_topk_descend(simt::Device& dev, DataHolder<T> data,
     Status s = with_fault_retry(ctx, [&] { acc = ctx.template scratch<T>(k); });
     if (!s.ok()) return s;
 
-    std::size_t remaining = k;  // top elements still to secure from the buffer
-    std::size_t fill = 0;       // next free slot in acc
-    std::size_t level = 0;      // productive levels (feeds the sample salt)
-    std::size_t resample_tries = 0;
-    std::size_t levels_run = 0;
-    bool fallback = false;
+    std::size_t fill = 0;  // next free slot in acc
+    // Appends `count` elements of the current buffer, from `from` on, to acc.
+    auto take = [&](std::size_t from, std::size_t count, simt::LaunchOrigin origin) {
+        Status st = with_fault_retry(ctx, [&] {
+            launch_copy<T>(dev, pipe.data(), from, acc.span(), fill, count, origin, cfg.block_dim,
+                           ctx.stream());
+        });
+        if (st.ok()) fill += count;
+        return st;
+    };
 
-    while (remaining > 0) {
-        const auto origin = level == 0 ? simt::LaunchOrigin::host : simt::LaunchOrigin::device;
-        const std::size_t n = pipe.size();
-        const std::size_t threshold_rank = n - remaining;
-
-        if (n <= cfg.base_case_size) {
-            s = pipe.try_sort_base_case(origin);
-            if (!s.ok()) return s;
-            s = with_fault_retry(ctx, [&] {
-                launch_copy<T>(dev, pipe.data(), threshold_rank, acc.span(), fill, remaining,
-                               origin, cfg.block_dim, ctx.stream());
-            });
-            if (!s.ok()) return s;
-            res.threshold = pipe.value_at(threshold_rank);
-            fill += remaining;
-            break;
-        }
-
-        if (levels_run >= static_cast<std::size_t>(cfg.max_levels)) {
-            return Status::failure(SelectError::depth_exceeded,
-                                   "topk_largest: max_levels bucketing levels exceeded");
-        }
-        ++levels_run;
-
-        const bool use_fallback = fallback || cfg.force_fallback;
-        auto lvres = use_fallback
-                         ? pipe.try_run_fallback_level(threshold_rank, origin)
-                         : pipe.try_run_level(threshold_rank, origin,
-                                              level * 977 + resample_tries * 7919);
-        if (!lvres.ok()) return lvres.status();
-        const LevelOutcome<T> lv = lvres.take();
-        if (use_fallback) {
-            ++res.fallback_levels;
-            ++dev.robustness().fallback_levels;
-        }
-
-        if (lv.bucket_size == n && !lv.equality) {
-            // Stalled level: nothing was secured yet (no filtering has
-            // run), so retry with a fresh sample before any copy.
-            if (use_fallback) {
-                return Status::failure(
-                    SelectError::no_progress,
-                    "topk_largest: deterministic fallback level failed to shrink the bucket");
-            }
-            ++res.resamples;
-            ++dev.robustness().resamples;
-            if (++resample_tries > static_cast<std::size_t>(cfg.max_stalled_levels)) {
-                fallback = true;
-                ++dev.robustness().fallbacks;
-            }
-            continue;
-        }
-
-        ++res.levels;
-        const std::size_t cnt_upper = lv.rank_above;
-        const std::size_t needed_from_bucket = remaining - cnt_upper;
-
+    // The descent tracks the threshold: the element of ascending rank n - k.
+    std::size_t rank = pipe.size() - k;
+    auto d = pipe.descend(rank, [&](const LevelOutcome<T>& lv,
+                                    simt::LaunchOrigin origin) -> Result<bool> {
+        // Top elements still to secure from the located bucket once every
+        // element of the higher buckets is in.
+        const std::size_t needed = pipe.size() - rank - lv.rank_above;
         // Fused filter (Sec. IV-I): target bucket to the back buffer, all
         // higher buckets straight into the accumulator.
-        s = pipe.try_descend_topk(lv, acc.span(), static_cast<std::int32_t>(fill), origin);
+        Status st = pipe.try_descend_topk(lv, acc.span(), static_cast<std::int32_t>(fill), origin);
+        if (!st.ok()) return st;
+        fill += lv.rank_above;
+        if (!lv.equality) return true;
+        // Every bucket element equals the splitter: take as many as still
+        // needed and finish.
+        res.threshold = lv.equality_value(lv.bucket);
+        st = take(0, needed, origin);
+        if (!st.ok()) return st;
+        return false;
+    });
+    if (!d.ok()) return d.status();
+    if (d.value().base_case) {
+        // The sorted base case holds the threshold at `rank` and the rest of
+        // the top-k set above it.
+        s = take(rank, pipe.size() - rank, level_origin(d.value().levels));
         if (!s.ok()) return s;
-        fill += cnt_upper;
-
-        if (lv.equality) {
-            // Every bucket element equals the splitter: take as many as
-            // still needed and finish.
-            res.threshold = lv.equality_value(lv.bucket);
-            s = with_fault_retry(ctx, [&] {
-                launch_copy<T>(dev, pipe.data(), 0, acc.span(), fill, needed_from_bucket, origin,
-                               cfg.block_dim, ctx.stream());
-            });
-            if (!s.ok()) return s;
-            fill += needed_from_bucket;
-            break;
-        }
-        remaining = needed_from_bucket;
-        ++level;
-        resample_tries = 0;
-        if (!cfg.force_fallback) fallback = false;
+        res.threshold = pipe.value_at(rank);
     }
 
     if (fill != k) {
         return Status::failure(SelectError::internal, "topk_largest: accumulator fill mismatch");
     }
     res.elements.assign(acc.data(), acc.data() + k);
+    res.levels = d.value().levels;
+    res.resamples = d.value().tally.resamples;
+    res.fallback_levels = d.value().tally.fallback_levels;
     return res;
 }
 

@@ -163,29 +163,6 @@ void Device::synchronize() {
     for (auto& c : stream_clock_) c = clock_ns_;
 }
 
-void Device::device_enqueue(ControlThunk thunk) { queue_.push_back(std::move(thunk)); }
-
-void Device::drain() {
-    if (draining_) return;  // re-entrant drain is a no-op; the outer loop continues
-    // Exception-safe: if a thunk throws (e.g. an unhandled injected
-    // fault), the queue is abandoned and the flag reset, so the device
-    // stays usable for the next cascade instead of silently refusing to
-    // drain forever.
-    struct DrainGuard {
-        Device* dev;
-        ~DrainGuard() {
-            dev->queue_.clear();
-            dev->draining_ = false;
-        }
-    } guard{this};
-    draining_ = true;
-    while (!queue_.empty()) {
-        ControlThunk t = std::move(queue_.front());
-        queue_.pop_front();
-        t(*this);
-    }
-}
-
 KernelCounters Device::counter_totals() const { return totals_; }
 
 }  // namespace gpusel::simt

@@ -1,18 +1,17 @@
 #pragma once
 // The simulated GPU device: kernel launches, the simulated clock, memory
-// allocation, profiles, and the dynamic-parallelism launch queue.
+// allocation and profiles.
 //
 // A Device executes kernels (callables over BlockCtx) block-by-block,
 // merges the per-block event counters into a KernelProfile, asks the timing
-// model for a simulated duration, and advances the simulated clock.  The
-// device-side launch queue models CUDA Dynamic Parallelism (Sec. IV-E of
-// the paper): control thunks enqueued from "device code" run strictly in
-// order after the current kernel finished, exactly like tail-recursive
-// child launches on one CUDA stream, and their kernels are charged the
-// (cheaper) device-launch latency instead of a host round trip.
+// model for a simulated duration, and advances the simulated clock.  CUDA
+// Dynamic Parallelism (Sec. IV-E of the paper) is modeled by launch latency
+// alone: a launch with LaunchOrigin::device is charged the (cheaper)
+// device-launch latency instead of a host round trip, while the host code
+// that issues it plays the device-side recursion controller.  There is no
+// separate control queue.
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -64,7 +63,6 @@ struct DeviceOptions {
 class Device {
 public:
     using KernelFn = std::function<void(BlockCtx&)>;
-    using ControlThunk = std::function<void(Device&)>;
 
     explicit Device(ArchSpec spec, DeviceOptions opts = {});
     // The memory pool's clock hook captures `this`; the device is pinned.
@@ -98,15 +96,6 @@ public:
     /// Returns the launch's profile (a stable copy kept by the device when
     /// profile recording is on).
     KernelProfile launch(std::string name, const LaunchConfig& cfg, const KernelFn& fn);
-
-    /// Enqueues a device-side control thunk (dynamic parallelism).  Thunks
-    /// run in FIFO order from drain(); kernels they launch should use
-    /// LaunchOrigin::device.
-    void device_enqueue(ControlThunk thunk);
-    /// Runs queued control thunks (which may enqueue more) until the queue
-    /// is empty.  This is the simulator's equivalent of cudaDeviceSynchronize
-    /// after a dynamic-parallelism cascade.
-    void drain();
 
     // ---- streams & events --------------------------------------------------
     // The simulated clock is per stream: a launch on stream s starts when
@@ -287,8 +276,6 @@ private:
     AllocationTracker tracker_;
     MemoryPool mem_pool_{tracker_};
     ThreadPool pool_;
-    std::deque<ControlThunk> queue_;
-    bool draining_ = false;
     std::vector<KernelProfile> profiles_;
     KernelCounters totals_;
     double clock_ns_ = 0.0;                      ///< max completion over all streams

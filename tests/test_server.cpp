@@ -216,7 +216,8 @@ TEST(Server, OversizedRequestsRouteToShardGroup) {
     EXPECT_EQ(srv.metrics().sharded, 3u);
 
     Request sm;  // under the threshold: single-device batch path
-    sm.data = dataset(1024, 22);
+    const auto small = dataset(1024, 22);
+    sm.data = small;
     sm.rank = 77;
     fut = srv.submit(sm);
     ASSERT_TRUE(srv.pump());

@@ -1,6 +1,6 @@
 // Unit tests for the SIMT execution engine: block/warp contexts, shared
 // memory, atomics with collision accounting, warp aggregation, the device
-// launch machinery, the dynamic-parallelism queue and allocation tracking.
+// launch machinery (host and device launch origins) and allocation tracking.
 
 #include <gtest/gtest.h>
 
@@ -257,18 +257,6 @@ TEST(Device, DeviceOriginCheaperThanHost) {
         dev.launch("d", {.grid_dim = 1, .block_dim = 32, .origin = LaunchOrigin::device},
                    [](BlockCtx&) {});
     EXPECT_GT(host.sim_ns, devl.sim_ns);
-}
-
-TEST(Device, QueueRunsInFifoOrderAndSupportsChaining) {
-    Device dev = make_device();
-    std::vector<int> order;
-    dev.device_enqueue([&](Device& d) {
-        order.push_back(1);
-        d.device_enqueue([&](Device&) { order.push_back(3); });
-    });
-    dev.device_enqueue([&](Device&) { order.push_back(2); });
-    dev.drain();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Device, GlobalAtomicsSafeUnderHostParallelism) {

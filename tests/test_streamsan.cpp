@@ -446,6 +446,25 @@ TEST(StreamSanStatus, StrictHazardMapsToSanitizerViolation) {
     EXPECT_NE(result.message.find("write_write_race"), std::string::npos);
 }
 
+TEST(StreamSanStatus, StrictHazardInsideLevelMapsToSanitizerViolation) {
+    // The level executors retry through the same wrapper, so a hazard raised
+    // by a level's own launch comes back typed instead of escaping as
+    // StreamSanError: here the level's sampler reads on stream 1 a buffer
+    // stream 0 wrote, with no event edge between them.
+    auto dev = make_dev();
+    dev.set_stream_sanitizer(StreamSanMode::strict);
+    const int s1 = dev.create_stream();
+    auto buf = dev.alloc<float>(4096);
+    launch_write(dev, buf.span(), 0);
+    core::SampleSelectConfig cfg;
+    core::PipelineContext ctx(dev, cfg, s1);
+    auto level = core::try_run_bucket_level<float>(ctx, std::span<const float>(buf.span()), 0,
+                                                   simt::LaunchOrigin::host);
+    ASSERT_FALSE(level.ok());
+    EXPECT_EQ(level.error(), core::SelectError::sanitizer_violation);
+    EXPECT_NE(level.status().message.find("read_write_race"), std::string::npos);
+}
+
 // ---- determinism ------------------------------------------------------------
 
 TEST(StreamSanGolden, EventStreamIdenticalWithAnalyzerOn) {

@@ -191,4 +191,18 @@ TEST(TopK, FusedFilterAvoidsExtraPasses) {
     EXPECT_LE(res.levels, 3u);
 }
 
+TEST(TopK, SampleBackendHonoursDeadline) {
+    // k = 100 of 2^18 distinct floats plans the sample backend, whose
+    // descent checks the deadline between levels like exact selection: a
+    // 1 ns budget is overrun by the first level.
+    simt::Device dev(simt::arch_v100());
+    const auto data = data::generate<float>(
+        {.n = 1 << 18, .dist = data::Distribution::uniform_distinct, .seed = 43});
+    core::SampleSelectConfig cfg;
+    cfg.deadline_ns = 1.0;
+    EXPECT_EQ(core::try_topk_largest<float>(dev, data, 100, cfg).error(),
+              core::SelectError::deadline_exceeded);
+    EXPECT_EQ(dev.robustness().backend_sample, 1u);
+}
+
 }  // namespace
