@@ -6,7 +6,7 @@
 #
 # Defaults: build-dir = ./build, out-json = results/BENCH_simulator.json.
 # Environment knobs understood by the binaries themselves:
-#   GPUSEL_SIMD=off|sse2|avx2    cap the lane-vector tier (default: fastest)
+#   GPUSEL_SIMD=off|avx2         cap the lane-vector tier (default: fastest)
 #   GPUSEL_WORKERS=N             host worker threads (default: cores - 1)
 #
 # The committed results/BENCH_simulator_seed.json holds the pre-SIMD seed

@@ -90,15 +90,6 @@ int BlockCtx::distinct(const std::int32_t* idx, int n, std::size_t universe) {
     return d;
 }
 
-std::uint32_t WarpCtx::ballot(const bool* pred) const {
-    ++blk_->counters_.warp_ballots;
-    std::uint32_t mask = 0;
-    for (int l = 0; l < lanes_; ++l) {
-        if (pred[l]) mask |= (1u << l);
-    }
-    return mask;
-}
-
 void WarpCtx::touch_shared(std::uint64_t bytes) const {
     blk_->counters_.shared_bytes_accessed += bytes;
 }

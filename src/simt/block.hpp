@@ -68,19 +68,11 @@ public:
     /// Scattered gather: regs[l] = src[idx[l]].
     template <typename T>
     void gather(std::span<const T> src, const std::size_t* idx, T* regs) const;
-    /// Scattered scatter: dst[idx[l]] = regs[l].
-    template <typename T>
-    void scatter(std::span<T> dst, const std::size_t* idx, const T* regs) const;
-    /// Compacted store: lanes with pred[l] write regs[l] to consecutive
-    /// slots dst[pos], dst[pos+1], ... in lane order starting at `pos`.
-    /// Counts as coalesced traffic (consecutive addresses within the warp).
-    template <typename T>
-    void store_compacted(std::span<T> dst, std::size_t pos, const bool* pred, const T* regs) const;
-    /// Mask form of store_compacted on the SIMD compress-store engine:
-    /// lanes whose mask bit is set write regs[l] to dst[pos], dst[pos+1],
-    /// ... in lane order (one vcompressps-style tile op instead of a
-    /// per-lane loop).  Charges and shadow-checks identically to
-    /// store_compacted; returns the count written.
+    /// Compacted store on the SIMD compress-store engine: lanes whose mask
+    /// bit is set write regs[l] to dst[pos], dst[pos+1], ... in lane order
+    /// (one vcompressps-style tile op instead of a per-lane loop).  Counts
+    /// as coalesced traffic (consecutive addresses within the warp);
+    /// returns the count written.
     template <typename T>
     int compress_store(std::span<T> dst, std::size_t pos, std::uint32_t mask, const T* regs) const;
     /// Reversed variant for the right side of a bipartition: selected
@@ -95,20 +87,6 @@ public:
     template <typename T>
     int compress_gather_store(std::span<T> dst, std::size_t pos, std::span<const T> src,
                               std::size_t src_base, std::uint32_t mask) const;
-
-    // ---- warp votes / shuffles -------------------------------------------
-    /// __ballot_sync equivalent over the active lanes.
-    [[nodiscard]] std::uint32_t ballot(const bool* pred) const;
-    /// Broadcast of one lane's value to the whole warp (__shfl_sync).
-    template <typename T>
-    [[nodiscard]] T shfl(const T* regs, int src_lane) const;
-    /// Warp-wide sum via the shfl_down butterfly: log2(warp) shuffle
-    /// rounds, result returned to the caller (lane 0's value on hardware).
-    template <typename T>
-    [[nodiscard]] T reduce_add(const T* regs) const;
-    /// In-place inclusive prefix sum across the lanes (shfl_up ladder).
-    template <typename T>
-    void inclusive_scan_add(T* regs) const;
 
     // ---- histogram atomics (count kernel, Fig. 4 / Fig. 6) ----------------
     /// Per-lane atomicAdd(counters[bucket[l]], val): one atomic per active
@@ -286,9 +264,6 @@ public:
         }
         sh[i] = v;
     }
-
-    /// The device's sanitizer, or nullptr (for test/bench harness checks).
-    [[nodiscard]] Sanitizer* sanitizer() const noexcept { return san_; }
 
     /// Counts distinct values among idx[0..n); used for collision
     /// accounting.  Values must be < universe registered via
@@ -587,61 +562,6 @@ void WarpCtx::gather(std::span<const T> src, const std::size_t* idx, T* regs) co
 }
 
 template <typename T>
-void WarpCtx::scatter(std::span<T> dst, const std::size_t* idx, const T* regs) const {
-    if (Sanitizer* san = blk_->san_; san != nullptr) {
-        for (int l = 0; l < lanes_; ++l) {
-            if (idx[l] >= dst.size()) {
-                san->oob(ViolationKind::global_oob, "scatter", idx[l], dst.size(),
-                         blk_->block_idx_);
-            }
-            san->global_write(dst.data() + idx[l], sizeof(T), blk_->block_idx_, "scatter");
-        }
-    }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr && lanes_ > 0) {
-        const auto [lo, hi] = std::minmax_element(idx, idx + lanes_);
-        if (*hi < dst.size()) {
-            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + *lo,
-                                 (*hi - *lo + 1) * sizeof(T), /*write=*/true);
-        }
-    }
-    for (int l = 0; l < lanes_; ++l) dst[idx[l]] = regs[l];
-    blk_->counters_.scattered_bytes_written += static_cast<std::uint64_t>(lanes_) * sizeof(T);
-}
-
-template <typename T>
-void WarpCtx::store_compacted(std::span<T> dst, std::size_t pos, const bool* pred,
-                              const T* regs) const {
-    if (Sanitizer* san = blk_->san_; san != nullptr) {
-        std::size_t count = 0;
-        for (int l = 0; l < lanes_; ++l) count += pred[l] ? 1 : 0;
-        if (count > 0) {
-            if (pos + count > dst.size()) {
-                san->oob(ViolationKind::global_oob, "store_compacted", pos + count - 1,
-                         dst.size(), blk_->block_idx_);
-            }
-            san->global_write(dst.data() + pos, count * sizeof(T), blk_->block_idx_,
-                              "store_compacted");
-        }
-    }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr) {
-        std::size_t count = 0;
-        for (int l = 0; l < lanes_; ++l) count += pred[l] ? 1 : 0;
-        if (count > 0 && pos + count <= dst.size()) {
-            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + pos,
-                                 count * sizeof(T), /*write=*/true);
-        }
-    }
-    std::uint64_t written = 0;
-    for (int l = 0; l < lanes_; ++l) {
-        if (pred[l]) {
-            dst[pos + written] = regs[l];
-            ++written;
-        }
-    }
-    blk_->counters_.global_bytes_written += written * sizeof(T);
-}
-
-template <typename T>
 int WarpCtx::compress_store(std::span<T> dst, std::size_t pos, std::uint32_t mask,
                             const T* regs) const {
     if (lanes_ < 32) mask &= (1u << lanes_) - 1u;
@@ -726,34 +646,6 @@ int WarpCtx::compress_gather_store(std::span<T> dst, std::size_t pos, std::span<
     blk_->counters_.scattered_bytes_read += static_cast<std::uint64_t>(n) * sizeof(T);
     blk_->counters_.global_bytes_written += static_cast<std::uint64_t>(n) * sizeof(T);
     return n;
-}
-
-template <typename T>
-T WarpCtx::shfl(const T* regs, int src_lane) const {
-    ++blk_->counters_.warp_shuffles;
-    return regs[src_lane];
-}
-
-template <typename T>
-T WarpCtx::reduce_add(const T* regs) const {
-    // 5 shfl_down rounds on hardware, independent of the value count.
-    blk_->counters_.warp_shuffles += 5;
-    blk_->counters_.instructions += 5;
-    T sum{};
-    for (int l = 0; l < lanes_; ++l) sum += regs[l];
-    return sum;
-}
-
-template <typename T>
-void WarpCtx::inclusive_scan_add(T* regs) const {
-    // Kogge-Stone shfl_up ladder: 5 rounds.
-    blk_->counters_.warp_shuffles += 5;
-    blk_->counters_.instructions += 5;
-    T running{};
-    for (int l = 0; l < lanes_; ++l) {
-        running += regs[l];
-        regs[l] = running;
-    }
 }
 
 }  // namespace gpusel::simt

@@ -48,7 +48,8 @@ struct KernelCounters {
     // -- warp / block level ops ------------------------------------------
     /// Warp vote operations (__ballot_sync equivalents).
     std::uint64_t warp_ballots = 0;
-    /// Warp shuffle/broadcast operations.
+    /// Warp shuffle/broadcast operations (priced by the timing model; no
+    /// current kernel issues one).
     std::uint64_t warp_shuffles = 0;
     /// Block-wide barriers (__syncthreads equivalents).
     std::uint64_t block_barriers = 0;

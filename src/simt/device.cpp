@@ -1,8 +1,10 @@
 #include "simt/device.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -10,8 +12,12 @@ namespace gpusel::simt {
 
 unsigned default_host_workers() noexcept {
     if (const char* env = std::getenv("GPUSEL_WORKERS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 0 && v <= 1024) return static_cast<unsigned>(v);
+        // The whole value must parse: "", "abc" and "3x" fall back to the
+        // hardware default like out-of-range values, not to 0 or a prefix.
+        const std::string_view v{env};
+        unsigned n = 0;
+        const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+        if (ec == std::errc{} && end == v.data() + v.size() && n <= 1024) return n;
     }
     const unsigned hc = std::thread::hardware_concurrency();
     return hc > 1 ? hc - 1 : 0;

@@ -55,9 +55,10 @@ struct DeviceOptions {
 
 /// Worker count throughput-oriented callers (benches, sweeps) should pass
 /// as DeviceOptions::host_workers: the GPUSEL_WORKERS environment variable
-/// if set, otherwise hardware_concurrency() - 1 (the caller participates
-/// in parallel_for, so this saturates the machine; 0 on single-core
-/// hosts).  Tests keep the deterministic default of 0.
+/// if it is a whole decimal integer in [0, 1024], otherwise
+/// hardware_concurrency() - 1 (the caller participates in parallel_for, so
+/// this saturates the machine; 0 on single-core hosts).  Tests keep the
+/// deterministic default of 0.
 [[nodiscard]] unsigned default_host_workers() noexcept;
 
 class Device {

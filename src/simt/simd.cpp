@@ -18,9 +18,6 @@ Level cpu_level() noexcept {
 #if defined(GPUSEL_SIMD_AVX2)
     if (__builtin_cpu_supports("avx2")) return Level::avx2;
 #endif
-#if defined(GPUSEL_SIMD_SSE2)
-    if (__builtin_cpu_supports("sse2")) return Level::sse2;
-#endif
     return Level::scalar;
 #else
     return compiled_level();
@@ -32,13 +29,15 @@ Level min_level(Level a, Level b) noexcept {
 }
 
 /// GPUSEL_SIMD parse: "off"/"0"/"scalar" disable, or a tier name caps the
-/// dispatch; unset/unknown leaves the fastest supported tier active.
+/// dispatch; unset/unknown leaves the fastest supported tier active.  The
+/// retired "sse2" keeps its cap meaning: the highest tier at or below it.
 Level env_cap() noexcept {
     const char* env = std::getenv("GPUSEL_SIMD");
     if (env == nullptr) return Level::avx512;
     const std::string_view v{env};
-    if (v == "off" || v == "0" || v == "scalar" || v == "none") return Level::scalar;
-    if (v == "sse2") return Level::sse2;
+    if (v == "off" || v == "0" || v == "scalar" || v == "none" || v == "sse2") {
+        return Level::scalar;
+    }
     if (v == "avx2") return Level::avx2;
     return Level::avx512;
 }
@@ -66,7 +65,6 @@ void set_enabled(bool on) noexcept { set_level(on ? Level::avx512 : Level::scala
 const char* level_name(Level l) noexcept {
     switch (l) {
         case Level::scalar: return "scalar";
-        case Level::sse2: return "sse2";
         case Level::avx2: return "avx2";
         case Level::avx512: return "avx512";
     }

@@ -2,11 +2,10 @@
 // Portable lane-vector layer for the SIMT simulator's warp hot loops.
 //
 // The simulator models a 32-lane warp; on the host that tile maps exactly
-// onto x86 vector registers (2 x 16-lane AVX-512, 4 x 8-lane AVX2, 8 x
-// 4-lane SSE2 for floats).  This header provides the small set of
-// *semantics-exact* tile primitives the three hot loops need -- masked
-// compares, blends, gathers from (simulated) shared memory, search-tree
-// traversal, bitonic compare-exchange and a horizontal
+// onto x86 vector registers (2 x 16-lane AVX-512 or 4 x 8-lane AVX2 for
+// floats).  This header provides the small set of *semantics-exact* tile
+// primitives the hot loops need -- masked compares, search-tree
+// traversal, compress-store, bitonic compare-exchange and a horizontal
 // histogram-accumulate -- each with a scalar fallback that is the original
 // per-lane loop.
 //
@@ -21,9 +20,9 @@
 //   * compile time: the best tier the build enables (CMake probes AVX2 and
 //     AVX-512 with check_cxx_source_runs; see the top-level CMakeLists).
 //   * run time: capped by the GPUSEL_SIMD environment variable
-//     ("off"/"0"/"scalar", "sse2", "avx2", "avx512"; unset = fastest) and a
-//     defensive __builtin_cpu_supports check.  Tests flip tiers in-process
-//     via set_level()/set_enabled().
+//     ("off"/"0"/"scalar", "avx2", "avx512"; unset = fastest; the retired
+//     "sse2" caps at scalar) and a defensive __builtin_cpu_supports check.
+//     Tests flip tiers in-process via set_level()/set_enabled().
 
 #include <bit>
 #include <cstddef>
@@ -38,12 +37,9 @@
 #if defined(__AVX2__)
 #define GPUSEL_SIMD_AVX2 1
 #endif
-#if defined(__SSE2__) || defined(_M_X64) || (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define GPUSEL_SIMD_SSE2 1
-#endif
 #endif
 
-#if defined(GPUSEL_SIMD_AVX512) || defined(GPUSEL_SIMD_AVX2) || defined(GPUSEL_SIMD_SSE2)
+#if defined(GPUSEL_SIMD_AVX512) || defined(GPUSEL_SIMD_AVX2)
 #include <immintrin.h>
 #endif
 
@@ -53,11 +49,13 @@ namespace gpusel::simt::simd {
 /// this many lanes (the fast paths require exactly kTileLanes).
 inline constexpr int kTileLanes = 32;
 
-/// Largest counter array histogram_accumulate()/distinct_count() accept;
-/// larger universes must use the caller's own scratch (BlockCtx::distinct).
+/// Largest counter array histogram_accumulate() accepts; larger universes
+/// must use the caller's own scratch (BlockCtx::distinct).
 inline constexpr std::size_t kMaxHistogramBins = 4096;
 
-enum class Level : int { scalar = 0, sse2 = 1, avx2 = 2, avx512 = 3 };
+/// Value 1 was the retired SSE2 tier; the others keep their numbers because
+/// BM_FilterCompressStore names its bench rows by them.
+enum class Level : int { scalar = 0, avx2 = 2, avx512 = 3 };
 
 /// Best tier compiled into this binary.
 [[nodiscard]] constexpr Level compiled_level() noexcept {
@@ -65,8 +63,6 @@ enum class Level : int { scalar = 0, sse2 = 1, avx2 = 2, avx512 = 3 };
     return Level::avx512;
 #elif defined(GPUSEL_SIMD_AVX2)
     return Level::avx2;
-#elif defined(GPUSEL_SIMD_SSE2)
-    return Level::sse2;
 #else
     return Level::scalar;
 #endif
@@ -79,7 +75,6 @@ enum class Level : int { scalar = 0, sse2 = 1, avx2 = 2, avx512 = 3 };
 void set_level(Level cap) noexcept;
 /// set_enabled(false) == set_level(scalar); set_enabled(true) removes the cap.
 void set_enabled(bool on) noexcept;
-[[nodiscard]] inline bool enabled() noexcept { return active_level() != Level::scalar; }
 [[nodiscard]] const char* level_name(Level l) noexcept;
 
 // ===========================================================================
@@ -128,15 +123,6 @@ inline std::uint32_t cmp_lt_mask(const T* elems, T pivot, int lanes) {
 }
 
 template <typename T>
-inline std::uint32_t cmp_eq_mask(const T* elems, T pivot, int lanes) {
-    std::uint32_t m = 0;
-    for (int l = 0; l < lanes; ++l) {
-        if (elems[l] == pivot) m |= (1u << l);
-    }
-    return m;
-}
-
-template <typename T>
 inline std::uint32_t cmp_gt_mask(const T* elems, T pivot, int lanes) {
     std::uint32_t m = 0;
     for (int l = 0; l < lanes; ++l) {
@@ -173,16 +159,6 @@ inline int compress_store(const T* src, std::uint32_t mask, int lanes, T* dst) {
     return n;
 }
 
-template <typename T>
-inline void blend(const T* a, const T* b, std::uint32_t take_b, int lanes, T* out) {
-    for (int l = 0; l < lanes; ++l) out[l] = (take_b >> l) & 1u ? b[l] : a[l];
-}
-
-template <typename T>
-inline void gather(const T* table, const std::int32_t* idx, int lanes, T* out) {
-    for (int l = 0; l < lanes; ++l) out[l] = table[idx[l]];
-}
-
 inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) {
     for (int l = 0; l < lanes; ++l) out[l] = static_cast<std::uint8_t>(v[l]);
 }
@@ -212,22 +188,6 @@ inline void bitonic_step(T* a, std::size_t m, std::size_t j, std::size_t k) {
 // beats the epoch-array used previously by keeping state in registers).
 // ===========================================================================
 
-/// Number of distinct values among bucket[0..lanes) (all < num_bins).
-/// Requires num_bins <= kMaxHistogramBins.
-inline int distinct_count(const std::int32_t* bucket, int lanes, std::size_t num_bins) {
-    std::uint64_t words[kMaxHistogramBins / 64];
-    const std::size_t nw = (num_bins + 63) / 64;
-    std::memset(words, 0, nw * sizeof(std::uint64_t));
-    int d = 0;
-    for (int l = 0; l < lanes; ++l) {
-        const auto b = static_cast<std::uint32_t>(bucket[l]);
-        const std::uint64_t bit = std::uint64_t{1} << (b & 63u);
-        d += (words[b >> 6] & bit) == 0 ? 1 : 0;
-        words[b >> 6] |= bit;
-    }
-    return d;
-}
-
 /// counters[bucket[l]] += val for every lane (plain adds: the shared-memory
 /// atomic flavour, where one block owns the counters); returns the distinct
 /// count for collision accounting.  Requires num_bins <= kMaxHistogramBins.
@@ -246,216 +206,6 @@ inline int histogram_accumulate(std::int32_t* counters, std::size_t num_bins,
     }
     return d;
 }
-
-// ===========================================================================
-// SSE2 tier (x86-64 baseline): 4-lane compares/blends.  Tree traversal has
-// no gather pre-AVX2, so it stays scalar at this tier.
-// ===========================================================================
-
-#if defined(GPUSEL_SIMD_SSE2)
-namespace sse2 {
-
-inline __m128 blend_ps(__m128 a, __m128 b, __m128 mask) {
-    return _mm_or_ps(_mm_and_ps(mask, b), _mm_andnot_ps(mask, a));
-}
-inline __m128d blend_pd(__m128d a, __m128d b, __m128d mask) {
-    return _mm_or_pd(_mm_and_pd(mask, b), _mm_andnot_pd(mask, a));
-}
-
-inline void tripartition_sides(const float* elems, float pivot, int lanes, std::int32_t* side) {
-    const __m128 p = _mm_set1_ps(pivot);
-    const __m128i two = _mm_set1_epi32(2);
-    int l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-        const __m128 e = _mm_loadu_ps(elems + l);
-        const __m128i lt = _mm_castps_si128(_mm_cmplt_ps(e, p));
-        const __m128i eq = _mm_castps_si128(_mm_cmpeq_ps(e, p));
-        // lt: 2+(-1-1)=0, eq: 2+(-1)=1, else 2 (masks are 0 / -1).
-        const __m128i s = _mm_add_epi32(two, _mm_add_epi32(_mm_add_epi32(lt, lt), eq));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(side + l), s);
-    }
-    if (l < lanes) scalar::tripartition_sides(elems + l, pivot, lanes - l, side + l);
-}
-
-inline void tripartition_sides(const double* elems, double pivot, int lanes,
-                               std::int32_t* side) {
-    const __m128d p = _mm_set1_pd(pivot);
-    int l = 0;
-    for (; l + 2 <= lanes; l += 2) {
-        const __m128d e = _mm_loadu_pd(elems + l);
-        const __m128i lt = _mm_castpd_si128(_mm_cmplt_pd(e, p));
-        const __m128i eq = _mm_castpd_si128(_mm_cmpeq_pd(e, p));
-        // Per 64-bit lane: 2 + 2*lt + eq, then keep the low 32 bits.
-        const __m128i s =
-            _mm_add_epi64(_mm_set1_epi64x(2), _mm_add_epi64(_mm_add_epi64(lt, lt), eq));
-        side[l] = static_cast<std::int32_t>(_mm_cvtsi128_si32(s));
-        side[l + 1] = static_cast<std::int32_t>(_mm_cvtsi128_si32(_mm_srli_si128(s, 8)));
-    }
-    if (l < lanes) scalar::tripartition_sides(elems + l, pivot, lanes - l, side + l);
-}
-
-inline std::uint32_t cmp_lt_mask(const float* elems, float pivot, int lanes) {
-    const __m128 p = _mm_set1_ps(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-        const auto bits =
-            static_cast<std::uint32_t>(_mm_movemask_ps(_mm_cmplt_ps(_mm_loadu_ps(elems + l), p)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_lt_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t cmp_lt_mask(const double* elems, double pivot, int lanes) {
-    const __m128d p = _mm_set1_pd(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 2 <= lanes; l += 2) {
-        const auto bits = static_cast<std::uint32_t>(
-            _mm_movemask_pd(_mm_cmplt_pd(_mm_loadu_pd(elems + l), p)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_lt_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t cmp_eq_mask(const float* elems, float pivot, int lanes) {
-    const __m128 p = _mm_set1_ps(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-        const auto bits =
-            static_cast<std::uint32_t>(_mm_movemask_ps(_mm_cmpeq_ps(_mm_loadu_ps(elems + l), p)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_eq_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t cmp_eq_mask(const double* elems, double pivot, int lanes) {
-    const __m128d p = _mm_set1_pd(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 2 <= lanes; l += 2) {
-        const auto bits = static_cast<std::uint32_t>(
-            _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(elems + l), p)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_eq_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t cmp_gt_mask(const float* elems, float pivot, int lanes) {
-    const __m128 p = _mm_set1_ps(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-        const auto bits =
-            static_cast<std::uint32_t>(_mm_movemask_ps(_mm_cmpgt_ps(_mm_loadu_ps(elems + l), p)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_gt_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t cmp_gt_mask(const double* elems, double pivot, int lanes) {
-    const __m128d p = _mm_set1_pd(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 2 <= lanes; l += 2) {
-        const auto bits = static_cast<std::uint32_t>(
-            _mm_movemask_pd(_mm_cmpgt_pd(_mm_loadu_pd(elems + l), p)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_gt_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t byte_eq_mask(const std::uint8_t* v, std::uint8_t x, int lanes) {
-    const __m128i bx = _mm_set1_epi8(static_cast<char>(x));
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 16 <= lanes; l += 16) {
-        const __m128i e = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + l));
-        m |= static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(e, bx))) << l;
-    }
-    if (l < lanes) m |= scalar::byte_eq_mask(v + l, x, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t byte_gt_mask(const std::uint8_t* v, std::uint8_t x, int lanes) {
-    // Unsigned v > x via max_epu8: max(x, v) == x holds iff v <= x.
-    const __m128i bx = _mm_set1_epi8(static_cast<char>(x));
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 16 <= lanes; l += 16) {
-        const __m128i e = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + l));
-        const __m128i le = _mm_cmpeq_epi8(_mm_max_epu8(bx, e), bx);
-        const auto bits = ~static_cast<std::uint32_t>(_mm_movemask_epi8(le)) & 0xffffu;
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::byte_gt_mask(v + l, x, lanes - l) << l;
-    return m;
-}
-
-inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) {
-    int l = 0;
-    for (; l + 16 <= lanes; l += 16) {
-        const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + l));
-        const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + l + 4));
-        const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + l + 8));
-        const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + l + 12));
-        const __m128i lo = _mm_packs_epi32(a, b);
-        const __m128i hi = _mm_packs_epi32(c, d);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + l), _mm_packus_epi16(lo, hi));
-    }
-    if (l < lanes) scalar::pack_low_bytes(v + l, lanes - l, out + l);
-}
-
-/// Vector half of one bitonic (k, j) step for strides j >= vector width;
-/// smaller strides take the scalar loop.  Swap condition is the exact
-/// scalar predicate ((a > b) == ascending), so results (incl. -0.0 / NaN
-/// placement) match the scalar network bit for bit.
-inline void bitonic_step(float* a, std::size_t m, std::size_t j, std::size_t k) {
-    if (j < 4) {
-        scalar::bitonic_step(a, m, j, k);
-        return;
-    }
-    for (std::size_t base = 0; base < m; base += 2 * j) {
-        const bool ascending = (base & k) == 0;
-        for (std::size_t off = base; off < base + j; off += 4) {
-            const __m128 lo = _mm_loadu_ps(a + off);
-            const __m128 hi = _mm_loadu_ps(a + off + j);
-            const __m128 gt = _mm_cmpgt_ps(lo, hi);
-            // swap iff (lo > hi) == ascending
-            const __m128 swp = ascending ? gt : _mm_cmpngt_ps(lo, hi);
-            _mm_storeu_ps(a + off, blend_ps(lo, hi, swp));
-            _mm_storeu_ps(a + off + j, blend_ps(hi, lo, swp));
-        }
-    }
-}
-
-inline void bitonic_step(double* a, std::size_t m, std::size_t j, std::size_t k) {
-    if (j < 2) {
-        scalar::bitonic_step(a, m, j, k);
-        return;
-    }
-    for (std::size_t base = 0; base < m; base += 2 * j) {
-        const bool ascending = (base & k) == 0;
-        for (std::size_t off = base; off < base + j; off += 2) {
-            const __m128d lo = _mm_loadu_pd(a + off);
-            const __m128d hi = _mm_loadu_pd(a + off + j);
-            const __m128d gt = _mm_cmpgt_pd(lo, hi);
-            const __m128d swp = ascending ? gt : _mm_cmpngt_pd(lo, hi);
-            _mm_storeu_pd(a + off, blend_pd(lo, hi, swp));
-            _mm_storeu_pd(a + off + j, blend_pd(hi, lo, swp));
-        }
-    }
-}
-
-}  // namespace sse2
-#endif  // GPUSEL_SIMD_SSE2
 
 // ===========================================================================
 // AVX2 tier: 8-lane float tiles with in-register table permutes for the
@@ -657,32 +407,6 @@ inline std::uint32_t cmp_lt_mask(const double* elems, double pivot, int lanes) {
     return m;
 }
 
-inline std::uint32_t cmp_eq_mask(const float* elems, float pivot, int lanes) {
-    const __m256 p = _mm256_set1_ps(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 8 <= lanes; l += 8) {
-        const auto bits = static_cast<std::uint32_t>(
-            _mm256_movemask_ps(_mm256_cmp_ps(_mm256_loadu_ps(elems + l), p, _CMP_EQ_OQ)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_eq_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
-inline std::uint32_t cmp_eq_mask(const double* elems, double pivot, int lanes) {
-    const __m256d p = _mm256_set1_pd(pivot);
-    std::uint32_t m = 0;
-    int l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-        const auto bits = static_cast<std::uint32_t>(
-            _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(elems + l), p, _CMP_EQ_OQ)));
-        m |= bits << l;
-    }
-    if (l < lanes) m |= scalar::cmp_eq_mask(elems + l, pivot, lanes - l) << l;
-    return m;
-}
-
 inline std::uint32_t cmp_gt_mask(const float* elems, float pivot, int lanes) {
     const __m256 p = _mm256_set1_ps(pivot);
     std::uint32_t m = 0;
@@ -862,13 +586,50 @@ inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) 
     scalar::pack_low_bytes(v, lanes, out);
 }
 
+/// Bitonic (k, j) step on 128-bit vectors for the strides below one
+/// 256-bit vector (j == 4 float / j == 2 double); smaller strides take the
+/// scalar loop.  Swap condition is the exact scalar predicate
+/// ((a > b) == ascending), so results (incl. -0.0 / NaN placement) match
+/// the scalar network bit for bit.
+inline void bitonic_step_128(float* a, std::size_t m, std::size_t j, std::size_t k) {
+    if (j < 4) {
+        scalar::bitonic_step(a, m, j, k);
+        return;
+    }
+    for (std::size_t base = 0; base < m; base += 2 * j) {
+        const bool ascending = (base & k) == 0;
+        for (std::size_t off = base; off < base + j; off += 4) {
+            const __m128 lo = _mm_loadu_ps(a + off);
+            const __m128 hi = _mm_loadu_ps(a + off + j);
+            const __m128 swp = ascending ? _mm_cmp_ps(lo, hi, _CMP_GT_OQ)
+                                         : _mm_cmp_ps(lo, hi, _CMP_NGT_UQ);
+            _mm_storeu_ps(a + off, _mm_blendv_ps(lo, hi, swp));
+            _mm_storeu_ps(a + off + j, _mm_blendv_ps(hi, lo, swp));
+        }
+    }
+}
+
+inline void bitonic_step_128(double* a, std::size_t m, std::size_t j, std::size_t k) {
+    if (j < 2) {
+        scalar::bitonic_step(a, m, j, k);
+        return;
+    }
+    for (std::size_t base = 0; base < m; base += 2 * j) {
+        const bool ascending = (base & k) == 0;
+        for (std::size_t off = base; off < base + j; off += 2) {
+            const __m128d lo = _mm_loadu_pd(a + off);
+            const __m128d hi = _mm_loadu_pd(a + off + j);
+            const __m128d swp = ascending ? _mm_cmp_pd(lo, hi, _CMP_GT_OQ)
+                                          : _mm_cmp_pd(lo, hi, _CMP_NGT_UQ);
+            _mm_storeu_pd(a + off, _mm_blendv_pd(lo, hi, swp));
+            _mm_storeu_pd(a + off + j, _mm_blendv_pd(hi, lo, swp));
+        }
+    }
+}
+
 inline void bitonic_step(float* a, std::size_t m, std::size_t j, std::size_t k) {
     if (j < 8) {
-#if defined(GPUSEL_SIMD_SSE2)
-        sse2::bitonic_step(a, m, j, k);
-#else
-        scalar::bitonic_step(a, m, j, k);
-#endif
+        bitonic_step_128(a, m, j, k);
         return;
     }
     for (std::size_t base = 0; base < m; base += 2 * j) {
@@ -886,11 +647,7 @@ inline void bitonic_step(float* a, std::size_t m, std::size_t j, std::size_t k) 
 
 inline void bitonic_step(double* a, std::size_t m, std::size_t j, std::size_t k) {
     if (j < 4) {
-#if defined(GPUSEL_SIMD_SSE2)
-        sse2::bitonic_step(a, m, j, k);
-#else
-        scalar::bitonic_step(a, m, j, k);
-#endif
+        bitonic_step_128(a, m, j, k);
         return;
     }
     for (std::size_t base = 0; base < m; base += 2 * j) {
@@ -904,24 +661,6 @@ inline void bitonic_step(double* a, std::size_t m, std::size_t j, std::size_t k)
             _mm256_storeu_pd(a + off + j, _mm256_blendv_pd(hi, lo, swp));
         }
     }
-}
-
-inline void gather(const float* table, const std::int32_t* idx, int lanes, float* out) {
-    int l = 0;
-    for (; l + 8 <= lanes; l += 8) {
-        const __m256i j = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + l));
-        _mm256_storeu_ps(out + l, _mm256_i32gather_ps(table, j, 4));
-    }
-    if (l < lanes) scalar::gather(table + 0, idx + l, lanes - l, out + l);
-}
-
-inline void gather(const double* table, const std::int32_t* idx, int lanes, double* out) {
-    int l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-        const __m128i j = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + l));
-        _mm256_storeu_pd(out + l, _mm256_i32gather_pd(table, j, 8));
-    }
-    if (l < lanes) scalar::gather(table + 0, idx + l, lanes - l, out + l);
 }
 
 }  // namespace avx2
@@ -1162,20 +901,12 @@ inline void bipartition_sides(const T* elems, T pivot, int lanes, std::int32_t* 
 template <typename T>
 inline void tripartition_sides(const T* elems, T pivot, int lanes, std::int32_t* side) {
     if constexpr (kVectorizable<T>) {
-        const Level lvl = active_level();
 #if defined(GPUSEL_SIMD_AVX2)
-        if (lvl >= Level::avx2) {
+        if (active_level() >= Level::avx2) {
             avx2::tripartition_sides(elems, pivot, lanes, side);
             return;
         }
 #endif
-#if defined(GPUSEL_SIMD_SSE2)
-        if (lvl >= Level::sse2) {
-            sse2::tripartition_sides(elems, pivot, lanes, side);
-            return;
-        }
-#endif
-        (void)lvl;
     }
     scalar::tripartition_sides(elems, pivot, lanes, side);
 }
@@ -1184,73 +915,37 @@ inline void tripartition_sides(const T* elems, T pivot, int lanes, std::int32_t*
 template <typename T>
 inline std::uint32_t cmp_lt_mask(const T* elems, T pivot, int lanes) {
     if constexpr (kVectorizable<T>) {
-        const Level lvl = active_level();
 #if defined(GPUSEL_SIMD_AVX2)
-        if (lvl >= Level::avx2) return avx2::cmp_lt_mask(elems, pivot, lanes);
+        if (active_level() >= Level::avx2) return avx2::cmp_lt_mask(elems, pivot, lanes);
 #endif
-#if defined(GPUSEL_SIMD_SSE2)
-        if (lvl >= Level::sse2) return sse2::cmp_lt_mask(elems, pivot, lanes);
-#endif
-        (void)lvl;
     }
     return scalar::cmp_lt_mask(elems, pivot, lanes);
-}
-
-/// Lane mask of elems[l] == pivot.
-template <typename T>
-inline std::uint32_t cmp_eq_mask(const T* elems, T pivot, int lanes) {
-    if constexpr (kVectorizable<T>) {
-        const Level lvl = active_level();
-#if defined(GPUSEL_SIMD_AVX2)
-        if (lvl >= Level::avx2) return avx2::cmp_eq_mask(elems, pivot, lanes);
-#endif
-#if defined(GPUSEL_SIMD_SSE2)
-        if (lvl >= Level::sse2) return sse2::cmp_eq_mask(elems, pivot, lanes);
-#endif
-        (void)lvl;
-    }
-    return scalar::cmp_eq_mask(elems, pivot, lanes);
 }
 
 /// Lane mask of pivot < elems[l] (NaN lanes compare false, bit clear).
 template <typename T>
 inline std::uint32_t cmp_gt_mask(const T* elems, T pivot, int lanes) {
     if constexpr (kVectorizable<T>) {
-        const Level lvl = active_level();
 #if defined(GPUSEL_SIMD_AVX2)
-        if (lvl >= Level::avx2) return avx2::cmp_gt_mask(elems, pivot, lanes);
+        if (active_level() >= Level::avx2) return avx2::cmp_gt_mask(elems, pivot, lanes);
 #endif
-#if defined(GPUSEL_SIMD_SSE2)
-        if (lvl >= Level::sse2) return sse2::cmp_gt_mask(elems, pivot, lanes);
-#endif
-        (void)lvl;
     }
     return scalar::cmp_gt_mask(elems, pivot, lanes);
 }
 
 /// Lane mask of v[l] == x over a byte array (bucket-oracle compare).
 inline std::uint32_t byte_eq_mask(const std::uint8_t* v, std::uint8_t x, int lanes) {
-    const Level lvl = active_level();
 #if defined(GPUSEL_SIMD_AVX2)
-    if (lvl >= Level::avx2) return avx2::byte_eq_mask(v, x, lanes);
+    if (active_level() >= Level::avx2) return avx2::byte_eq_mask(v, x, lanes);
 #endif
-#if defined(GPUSEL_SIMD_SSE2)
-    if (lvl >= Level::sse2) return sse2::byte_eq_mask(v, x, lanes);
-#endif
-    (void)lvl;
     return scalar::byte_eq_mask(v, x, lanes);
 }
 
 /// Lane mask of v[l] > x (unsigned byte compare).
 inline std::uint32_t byte_gt_mask(const std::uint8_t* v, std::uint8_t x, int lanes) {
-    const Level lvl = active_level();
 #if defined(GPUSEL_SIMD_AVX2)
-    if (lvl >= Level::avx2) return avx2::byte_gt_mask(v, x, lanes);
+    if (active_level() >= Level::avx2) return avx2::byte_gt_mask(v, x, lanes);
 #endif
-#if defined(GPUSEL_SIMD_SSE2)
-    if (lvl >= Level::sse2) return sse2::byte_gt_mask(v, x, lanes);
-#endif
-    (void)lvl;
     return scalar::byte_gt_mask(v, x, lanes);
 }
 
@@ -1270,8 +965,7 @@ inline constexpr bool kCompressible =
 /// into a contiguous run at `dst`, preserving lane order; returns the
 /// count written.  Mask bits at positions >= lanes are ignored.  AVX-512
 /// uses the native vcompress path; AVX2 emulates it with a lookup-table
-/// permute (the x86-simd-sort partition trick); SSE2 has no usable
-/// shuffle-by-variable, so it falls through to the scalar loop.
+/// permute (the x86-simd-sort partition trick).
 template <typename T>
 inline int compress_store(const T* src, std::uint32_t mask, int lanes, T* dst) {
     if constexpr (kCompressible<T>) {
@@ -1304,40 +998,6 @@ inline int compress_store_reverse(const T* src, std::uint32_t mask, int lanes, T
     return n;
 }
 
-/// out[l] = take_b bit l ? b[l] : a[l].
-template <typename T>
-inline void blend(const T* a, const T* b, std::uint32_t take_b, int lanes, T* out) {
-    scalar::blend(a, b, take_b, lanes, out);
-}
-
-/// out[l] = table[idx[l]] (gather from a staged shared-memory array).
-template <typename T>
-inline void gather(const T* table, const std::int32_t* idx, int lanes, T* out) {
-    if constexpr (kVectorizable<T>) {
-#if defined(GPUSEL_SIMD_AVX2)
-        if (active_level() >= Level::avx2) {
-            avx2::gather(table, idx, lanes, out);
-            return;
-        }
-#endif
-    }
-    scalar::gather(table, idx, lanes, out);
-}
-
-/// pred[l] = elems[l] < pivot, expanded to a bool array.
-template <typename T>
-inline void pred_lt(const T* elems, T pivot, int lanes, bool* pred) {
-    const std::uint32_t m = cmp_lt_mask(elems, pivot, lanes);
-    for (int l = 0; l < lanes; ++l) pred[l] = ((m >> l) & 1u) != 0;
-}
-
-/// pred[l] = pivot < elems[l].
-template <typename T>
-inline void pred_gt(const T* elems, T pivot, int lanes, bool* pred) {
-    // pivot < e has the same NaN behaviour evaluated lane-wise either way.
-    for (int l = 0; l < lanes; ++l) pred[l] = pivot < elems[l];
-}
-
 /// out[l] = uint8(v[l]) -- oracle-byte narrowing; values must be in [0, 255].
 inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) {
     const Level lvl = active_level();
@@ -1353,19 +1013,14 @@ inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) 
         return;
     }
 #endif
-#if defined(GPUSEL_SIMD_SSE2)
-    if (lvl >= Level::sse2) {
-        sse2::pack_low_bytes(v, lanes, out);
-        return;
-    }
-#endif
     (void)lvl;
     scalar::pack_low_bytes(v, lanes, out);
 }
 
 /// One (k, j) compare-exchange step of the bitonic network on m (pow2)
-/// elements.  Strides >= the vector width run vectorized; the last
-/// log2(width) strides take the scalar pair loop.
+/// elements.  Strides of at least one 128-bit vector (4 floats / 2
+/// doubles) run vectorized, the widest vector that fits first; smaller
+/// strides take the scalar pair loop.
 template <typename T>
 inline void bitonic_step(T* a, std::size_t m, std::size_t j, std::size_t k) {
     if constexpr (kVectorizable<T>) {
@@ -1379,12 +1034,6 @@ inline void bitonic_step(T* a, std::size_t m, std::size_t j, std::size_t k) {
 #if defined(GPUSEL_SIMD_AVX2)
         if (lvl >= Level::avx2) {
             avx2::bitonic_step(a, m, j, k);
-            return;
-        }
-#endif
-#if defined(GPUSEL_SIMD_SSE2)
-        if (lvl >= Level::sse2) {
-            sse2::bitonic_step(a, m, j, k);
             return;
         }
 #endif

@@ -186,8 +186,7 @@ TEST_P(CompressLevels, CmpGtMaskMatchesScalarWithSpecials) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, CompressLevels,
-                         ::testing::Values(Level::scalar, Level::sse2, Level::avx2,
-                                           Level::avx512),
+                         ::testing::Values(Level::scalar, Level::avx2, Level::avx512),
                          [](const ::testing::TestParamInfo<Level>& pi) {
                              return simt::simd::level_name(pi.param);
                          });

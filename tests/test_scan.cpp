@@ -1,5 +1,4 @@
-// Tests for the device scan substrate (simt/scan.hpp) and the warp-level
-// reduction/scan primitives.
+// Tests for the device scan substrate (simt/scan.hpp).
 
 #include "simt/scan.hpp"
 
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "data/rng.hpp"
-#include "simt/block.hpp"
 
 namespace {
 
@@ -89,37 +87,6 @@ TEST(Scan, ThreeLaunchesAndLinearTraffic) {
     // read in twice (phase 1 + phase 3 reads of out), write out twice
     EXPECT_GE(c.total_global_bytes(), 4 * n * sizeof(std::int32_t));
     EXPECT_LE(c.total_global_bytes(), 5 * n * sizeof(std::int32_t));
-}
-
-// ---- warp reduction primitives ---------------------------------------------
-
-TEST(WarpReduce, SumAcrossLanes) {
-    const auto arch = arch_v100();
-    BlockCtx blk(arch, 0, 1, 32, 1024);
-    WarpCtx w(blk, 32);
-    std::int64_t regs[kWarpSize];
-    for (int l = 0; l < 32; ++l) regs[l] = l;
-    EXPECT_EQ(w.reduce_add(regs), 31 * 32 / 2);
-    EXPECT_EQ(blk.counters().warp_shuffles, 5u);
-}
-
-TEST(WarpReduce, PartialWarp) {
-    const auto arch = arch_v100();
-    BlockCtx blk(arch, 0, 1, 32, 1024);
-    WarpCtx w(blk, 3);
-    double regs[kWarpSize] = {1.5, 2.5, 4.0};
-    EXPECT_DOUBLE_EQ(w.reduce_add(regs), 8.0);
-}
-
-TEST(WarpScan, InclusivePrefix) {
-    const auto arch = arch_v100();
-    BlockCtx blk(arch, 0, 1, 32, 1024);
-    WarpCtx w(blk, 32);
-    std::int32_t regs[kWarpSize];
-    for (int l = 0; l < 32; ++l) regs[l] = 1;
-    w.inclusive_scan_add(regs);
-    for (int l = 0; l < 32; ++l) EXPECT_EQ(regs[l], l + 1);
-    EXPECT_EQ(blk.counters().warp_shuffles, 5u);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "core/count_kernel.hpp"
@@ -108,31 +110,21 @@ void check_partitions(Level lvl) {
         for (const T pivot : pivots) {
             const auto elems = random_values<T>(32, rng());
             std::int32_t tri_got[32], tri_want[32], bi_got[32], bi_want[32];
-            std::uint32_t lt_got, lt_want, eq_got, eq_want;
-            bool plt_got[32], plt_want[32], pgt_got[32], pgt_want[32];
+            std::uint32_t lt_got, lt_want;
             at_level(lvl, [&] {
                 simt::simd::tripartition_sides(elems.data(), pivot, lanes, tri_got);
                 simt::simd::bipartition_sides(elems.data(), pivot, lanes, bi_got);
                 lt_got = simt::simd::cmp_lt_mask(elems.data(), pivot, lanes);
-                eq_got = simt::simd::cmp_eq_mask(elems.data(), pivot, lanes);
-                simt::simd::pred_lt(elems.data(), pivot, lanes, plt_got);
-                simt::simd::pred_gt(elems.data(), pivot, lanes, pgt_got);
             });
             at_level(Level::scalar, [&] {
                 simt::simd::tripartition_sides(elems.data(), pivot, lanes, tri_want);
                 simt::simd::bipartition_sides(elems.data(), pivot, lanes, bi_want);
                 lt_want = simt::simd::cmp_lt_mask(elems.data(), pivot, lanes);
-                eq_want = simt::simd::cmp_eq_mask(elems.data(), pivot, lanes);
-                simt::simd::pred_lt(elems.data(), pivot, lanes, plt_want);
-                simt::simd::pred_gt(elems.data(), pivot, lanes, pgt_want);
             });
             EXPECT_EQ(lt_got, lt_want) << "pivot=" << pivot << " lanes=" << lanes;
-            EXPECT_EQ(eq_got, eq_want) << "pivot=" << pivot << " lanes=" << lanes;
             for (int l = 0; l < lanes; ++l) {
                 ASSERT_EQ(tri_got[l], tri_want[l]) << "lane " << l << " pivot " << pivot;
                 ASSERT_EQ(bi_got[l], bi_want[l]) << "lane " << l << " pivot " << pivot;
-                ASSERT_EQ(plt_got[l], plt_want[l]) << "lane " << l << " pivot " << pivot;
-                ASSERT_EQ(pgt_got[l], pgt_want[l]) << "lane " << l << " pivot " << pivot;
             }
         }
     }
@@ -141,31 +133,14 @@ void check_partitions(Level lvl) {
 TEST_P(SimdEquivalence, PartitionsAndMasksFloat) { check_partitions<float>(GetParam()); }
 TEST_P(SimdEquivalence, PartitionsAndMasksDouble) { check_partitions<double>(GetParam()); }
 
-TEST_P(SimdEquivalence, GatherBlendPack) {
+TEST_P(SimdEquivalence, PackLowBytes) {
     std::mt19937 rng(13);
-    const auto table = random_values<float>(64, rng());
-    const auto a = random_values<float>(32, rng());
-    const auto b = random_values<float>(32, rng());
-    std::vector<std::int32_t> idx(32);
-    for (auto& i : idx) i = static_cast<std::int32_t>(rng() % 64);
     std::vector<std::int32_t> bytes(32);
     for (auto& v : bytes) v = static_cast<std::int32_t>(rng() % 256);
     for (const int lanes : {1, 9, 24, 32}) {
-        const auto take_b = static_cast<std::uint32_t>(rng());
-        float g_got[32], g_want[32], bl_got[32], bl_want[32];
         std::uint8_t p_got[32], p_want[32];
-        at_level(GetParam(), [&] {
-            simt::simd::gather(table.data(), idx.data(), lanes, g_got);
-            simt::simd::blend(a.data(), b.data(), take_b, lanes, bl_got);
-            simt::simd::pack_low_bytes(bytes.data(), lanes, p_got);
-        });
-        at_level(Level::scalar, [&] {
-            simt::simd::gather(table.data(), idx.data(), lanes, g_want);
-            simt::simd::blend(a.data(), b.data(), take_b, lanes, bl_want);
-            simt::simd::pack_low_bytes(bytes.data(), lanes, p_want);
-        });
-        EXPECT_EQ(std::memcmp(g_got, g_want, sizeof(float) * static_cast<std::size_t>(lanes)), 0);
-        EXPECT_EQ(std::memcmp(bl_got, bl_want, sizeof(float) * static_cast<std::size_t>(lanes)), 0);
+        at_level(GetParam(), [&] { simt::simd::pack_low_bytes(bytes.data(), lanes, p_got); });
+        at_level(Level::scalar, [&] { simt::simd::pack_low_bytes(bytes.data(), lanes, p_want); });
         EXPECT_EQ(std::memcmp(p_got, p_want, static_cast<std::size_t>(lanes)), 0);
     }
 }
@@ -264,11 +239,22 @@ TEST_P(SimdEquivalence, CountKernelPipeline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, SimdEquivalence,
-                         ::testing::Values(Level::scalar, Level::sse2, Level::avx2,
-                                           Level::avx512),
+                         ::testing::Values(Level::scalar, Level::avx2, Level::avx512),
                          [](const ::testing::TestParamInfo<Level>& pinfo) {
                              return simt::simd::level_name(pinfo.param);
                          });
+
+/// GPUSEL_SIMD=sse2 names the retired SSE2 tier and still caps the
+/// dispatch at or below it, which leaves only the scalar reference.  The
+/// cap is read once per process, so ctest runs this under the variable
+/// (tests/CMakeLists.txt); elsewhere it skips.
+TEST(SimdEnvCap, Sse2CapsAtScalar) {
+    const char* env = std::getenv("GPUSEL_SIMD");
+    if (env == nullptr || std::string_view{env} != "sse2") {
+        GTEST_SKIP() << "needs GPUSEL_SIMD=sse2";
+    }
+    EXPECT_EQ(simt::simd::active_level(), Level::scalar);
+}
 
 /// The parallel block scheduler must not change any observable event
 /// count: per-block counters are merged in block order regardless of which

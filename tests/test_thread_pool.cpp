@@ -1,16 +1,21 @@
 // Tests for the chunked work-stealing ThreadPool: exactly-once index
 // coverage under stealing, inline execution with zero workers, exception
-// propagation, and reuse across many tasks.
+// propagation, and reuse across many tasks; plus the GPUSEL_WORKERS parse
+// behind default_host_workers().
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "simt/device.hpp"
 #include "simt/function_ref.hpp"
 #include "simt/thread_pool.hpp"
 
@@ -106,6 +111,41 @@ TEST(ThreadPool, LargeCountNearChunkBoundaries) {
     for (const std::size_t count : {std::size_t{2}, std::size_t{3}, std::size_t{4},
                                     std::size_t{3 * 1024 - 1}, std::size_t{3 * 1024 + 1}}) {
         expect_exactly_once(pool, count);
+    }
+}
+
+/// Env-var guard: restores GPUSEL_WORKERS (or its absence) on scope exit.
+class WorkersEnv {
+public:
+    WorkersEnv() {
+        if (const char* old = std::getenv("GPUSEL_WORKERS")) saved_ = old;
+    }
+    ~WorkersEnv() {
+        if (saved_) {
+            ::setenv("GPUSEL_WORKERS", saved_->c_str(), 1);
+        } else {
+            ::unsetenv("GPUSEL_WORKERS");
+        }
+    }
+    void set(const char* value) { ::setenv("GPUSEL_WORKERS", value, 1); }
+
+private:
+    std::optional<std::string> saved_;
+};
+
+TEST(HostWorkers, MalformedValueUsesHardwareDefault) {
+    const unsigned hc = std::thread::hardware_concurrency();
+    if (hc <= 1) GTEST_SKIP() << "the hardware default is 0 here, like a misparse";
+    const unsigned hw_default = hc - 1;
+    WorkersEnv env;
+    for (const char* bad : {"", "abc", "0x", "3x", "-1", "2000"}) {
+        env.set(bad);
+        EXPECT_EQ(gpusel::simt::default_host_workers(), hw_default)
+            << "GPUSEL_WORKERS=\"" << bad << "\"";
+    }
+    for (const unsigned good : {0u, 2u, 1024u}) {
+        env.set(std::to_string(good).c_str());
+        EXPECT_EQ(gpusel::simt::default_host_workers(), good) << "GPUSEL_WORKERS=" << good;
     }
 }
 
