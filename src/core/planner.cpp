@@ -179,16 +179,11 @@ PlanDecision plan_selection(simt::Device& dev, std::span<const T> data, PlanQuer
 }
 
 ShardPlan plan_shard_count(std::size_t n, std::size_t elem_size,
-                           std::size_t device_capacity_bytes, int num_devices,
-                           std::size_t max_shard_elems) {
+                           std::size_t device_capacity_bytes, int num_devices) {
     ShardPlan p;
-    std::size_t budget = max_shard_elems;
-    if (budget == 0) {
-        const auto staging_bytes =
-            static_cast<std::size_t>(static_cast<double>(device_capacity_bytes) *
-                                     kShardStagingFraction);
-        budget = elem_size > 0 ? staging_bytes / elem_size : staging_bytes;
-    }
+    const auto staging_bytes = static_cast<std::size_t>(
+        static_cast<double>(device_capacity_bytes) * kShardStagingFraction);
+    std::size_t budget = elem_size > 0 ? staging_bytes / elem_size : staging_bytes;
     if (budget == 0) budget = 1;
     p.shard_elems = budget;
     if (n <= budget) {

@@ -117,12 +117,10 @@ struct ShardPlan {
 };
 
 /// Pure decision function: chunks n elements of elem_size bytes against a
-/// device's modeled capacity.  `max_shard_elems` overrides the derived
-/// per-shard budget when nonzero (tests use tiny overrides); num_devices
-/// only rounds small multi-shard counts up so every device gets work.
+/// device's modeled capacity; num_devices only rounds small multi-shard
+/// counts up so every device gets work.
 [[nodiscard]] ShardPlan plan_shard_count(std::size_t n, std::size_t elem_size,
-                                         std::size_t device_capacity_bytes, int num_devices,
-                                         std::size_t max_shard_elems = 0);
+                                         std::size_t device_capacity_bytes, int num_devices);
 
 extern template DistributionHints probe_distribution<float>(std::span<const float>);
 extern template DistributionHints probe_distribution<double>(std::span<const double>);

@@ -43,27 +43,17 @@ namespace gpusel::core {
 /// Tuning of the sharded layer.  `select` configures the per-shard and
 /// root-side pipelines (its `stream` field is ignored -- the shard layer
 /// leases one compute stream per device); the shard-specific knobs control
-/// the deterministic splitter merge.
+/// the deterministic splitter merge.  The shard count follows from the
+/// group's modeled per-device capacity (plan_shard_count), and every shard
+/// contributes 4 * splitter_buckets exact order statistics to the merge.
 struct ShardSelectConfig {
     SampleSelectConfig select;
-    /// Per-shard staged-element cap; 0 derives it from the group's modeled
-    /// per-device capacity (planner hook plan_shard_count, which reserves
-    /// headroom for oracles and scratch).  Tests use tiny overrides.
-    std::size_t max_shard_elems = 0;
     /// Global splitter-bucket count b (power of two, 2..256; one-byte
     /// oracles bound it like the exact pipeline's bucket count).
     int splitter_buckets = 32;
-    /// Exact order statistics each shard contributes to the merge; 0 picks
-    /// 4 * splitter_buckets.  Larger s tightens the skew bound
-    /// (stride shrinks) at the cost of deeper per-shard multi-selects.
-    int splitters_per_shard = 0;
     /// Fan-in of the hierarchical candidate gather (members per leader and
     /// leaders per root round); >= 2.
     int merge_fanin = 4;
-
-    [[nodiscard]] int effective_splitters_per_shard() const noexcept {
-        return splitters_per_shard > 0 ? splitters_per_shard : 4 * splitter_buckets;
-    }
 };
 
 /// Accounting shared by every sharded front-end: how the input was cut,
@@ -114,7 +104,8 @@ struct ShardedTopKResult {
 
 template <typename T>
 struct ShardedApproxSelectResult {
-    /// A splitter-edge value near the requested rank.
+    /// The lower splitter of the global bucket the rank fell into (the
+    /// first splitter for bucket 0).
     T value{};
     /// Exact bound on |true_rank(value) - rank|, composed from the exact
     /// global bucket counts (per-shard counts are exact, so the only error
@@ -144,9 +135,9 @@ template <typename T>
                                                             const ShardSelectConfig& cfg);
 
 /// Approximate sharded selection: stops after the global count pass and
-/// returns the splitter edge nearest the rank, with the exact residual
-/// rank error.  One full data pass less than the exact path and no merge
-/// filter traffic.
+/// returns the lower splitter of the global bucket the rank fell into (the
+/// first splitter for bucket 0), with the exact residual rank error.  One
+/// full data pass less than the exact path and no merge filter traffic.
 template <typename T>
 [[nodiscard]] Result<ShardedApproxSelectResult<T>> try_sharded_approx_select(
     simt::DeviceGroup& group, std::span<const T> input, std::size_t rank,

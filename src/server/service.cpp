@@ -450,13 +450,22 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
     double shard_ns = 0.0;
     for (const std::size_t i : shard_idx) {
         InFlight& f = fl[i];
-        executed_elems += f.p.req.data.size();
         simt::DeviceGroup& g = *cfg_.shard_group;
         core::ShardSelectConfig scfg;
         scfg.select = cfg_.select;
         scfg.select.stream = 0;  // the shard layer leases its own streams
-        if (f.p.deadline_abs_ns > 0.0) scfg.select.deadline_ns = f.p.deadline_abs_ns;
-        if (f.p.req.kind == RequestKind::topk) {
+        // The deadline is on this device's clock, which the group's devices
+        // do not share: the group gets the budget left when this call
+        // starts (after the round's single-device and earlier sharded
+        // work), counted from the group's own clock.
+        const double budget_left = f.p.deadline_abs_ns - (dev_.stream_clock(base) + shard_ns);
+        if (f.p.deadline_abs_ns > 0.0) scfg.select.deadline_ns = g.elapsed_ns() + budget_left;
+        const bool spent = f.p.deadline_abs_ns > 0.0 && budget_left <= 0.0;
+        if (!spent) executed_elems += f.p.req.data.size();
+        if (spent) {
+            f.resp.status = Status::failure(SelectError::deadline_exceeded,
+                                            "deadline spent before the sharded call");
+        } else if (f.p.req.kind == RequestKind::topk) {
             auto res = core::try_sharded_topk<float>(g, f.p.req.data, f.p.req.k, scfg);
             if (res.ok()) {
                 f.resp.value = res.value().threshold;

@@ -161,6 +161,9 @@ void Device::advance_stream(int stream, double ns) {
     const auto s = static_cast<std::size_t>(stream);
     if (s >= stream_clock_.size()) throw std::invalid_argument("unknown stream");
     stream_clock_[s] = std::max(stream_clock_[s], ns);
+    // The device completes no earlier than its latest stream: a later join
+    // must not move this stream back, nor a new stream start before it.
+    clock_ns_ = std::max(clock_ns_, stream_clock_[s]);
 }
 
 void Device::synchronize() {

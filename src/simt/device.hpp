@@ -142,7 +142,8 @@ public:
     /// Fast-forwards an idle stream's clock to `ns` without modelling a
     /// cross-stream event edge (a host-driven scheduling decision, e.g. the
     /// server aligning a dispatch round to its deadline).  Unlike
-    /// wait_event this is NOT an ordering edge: StreamSan ignores it.
+    /// wait_event this is NOT an ordering edge: StreamSan ignores it.  The
+    /// device's completion time (elapsed_ns) moves along with the stream.
     void advance_stream(int stream, double ns);
     /// Host-side synchronization with every stream: advances all stream
     /// clocks to the global completion time.

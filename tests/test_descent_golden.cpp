@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -20,56 +19,23 @@
 #include "core/sample_sort.hpp"
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
+#include "golden_hash.hpp"
 #include "simt/device.hpp"
 
 namespace {
 
 using namespace gpusel;
 
-class Fnv1a {
-public:
-    void add(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-    void add(const std::string& s) {
-        for (const char c : s) byte(static_cast<unsigned char>(c));
-        add(static_cast<std::uint64_t>(s.size()));
-    }
-    [[nodiscard]] std::uint64_t value() const { return h_; }
-
-private:
-    void byte(unsigned char b) {
-        h_ ^= b;
-        h_ *= 0x100000001b3ULL;
-    }
-    std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 std::uint64_t launch_sequence_hash(const simt::Device& dev) {
-    Fnv1a h;
-    for (const simt::KernelProfile& p : dev.profiles()) {
-        h.add(p.name);
-        h.add(static_cast<std::uint64_t>(p.grid_dim));
-        h.add(static_cast<std::uint64_t>(p.block_dim));
-        h.add(static_cast<std::uint64_t>(p.origin));
-        h.add(static_cast<std::uint64_t>(p.stream));
-        const simt::KernelCounters& c = p.counters;
-        for (const std::uint64_t v :
-             {c.global_bytes_read, c.global_bytes_written, c.scattered_bytes_read,
-              c.scattered_bytes_written, c.shared_bytes_accessed, c.shared_atomic_ops,
-              c.shared_atomic_collisions, c.global_atomic_ops, c.global_atomic_collisions,
-              c.warp_ballots, c.warp_shuffles, c.block_barriers, c.instructions}) {
-            h.add(v);
-        }
-        h.add(std::bit_cast<std::uint64_t>(p.sim_ns));
-    }
+    golden::Fnv1a h;
+    for (const simt::KernelProfile& p : dev.profiles()) golden::add_profile(h, p);
     h.add(static_cast<std::uint64_t>(dev.profiles().size()));
     return h.value();
 }
 
 /// Runs one front-end call on a fresh device and hashes its launches.
 std::uint64_t golden(const std::function<bool(simt::Device&)>& call) {
-    simt::Device dev(simt::arch_v100());
+    simt::Device dev(simt::arch_v100(), golden::device_options());
     EXPECT_TRUE(call(dev));
     return launch_sequence_hash(dev);
 }

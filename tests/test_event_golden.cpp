@@ -11,6 +11,7 @@
 #include "core/filter_kernel.hpp"
 #include "core/reduce_kernel.hpp"
 #include "core/searchtree.hpp"
+#include "golden_hash.hpp"
 #include "simt/device.hpp"
 
 namespace {
@@ -21,7 +22,7 @@ using namespace gpusel;
 // {256, 512, 768}, block_dim = 256.  grid = ceil(1024/256) = 4 blocks,
 // 8 warps per block, 32 warp tiles total.
 struct Golden {
-    simt::Device dev{simt::arch_v100()};
+    simt::Device dev{simt::arch_v100(), golden::device_options()};
     static constexpr std::size_t kN = 1024;
     static constexpr std::size_t kB = 4;
     std::vector<float> data;

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/shard_select.hpp"
 #include "data/distributions.hpp"
 #include "server/loadgen.hpp"
 #include "server/service.hpp"
@@ -225,6 +226,70 @@ TEST(Server, OversizedRequestsRouteToShardGroup) {
     ASSERT_TRUE(r.status.ok()) << r.status.message;
     EXPECT_EQ(stats::rank_error<float>(sm.data, r.value, 77), 0u);
     EXPECT_EQ(srv.metrics().sharded, 3u);
+}
+
+// A request's deadline is on the server device's clock; the shard group's
+// devices run on their own, unrelated clocks.  A routed request must get
+// the budget it has left, not the server's absolute deadline.
+TEST(Server, ShardedDeadlineFollowsGroupClock) {
+    simt::TopologySpec spec;
+    spec.num_devices = 2;
+    spec.arch = simt::arch_v100();
+    spec.mem_capacity_bytes = 64 * 1024;
+    const auto big = dataset(40000, 23);
+    auto request = [&](double arrival_ns, double deadline_ns) {
+        Request req;
+        req.data = big;
+        req.rank = 20000;
+        req.arrival_ns = arrival_ns;
+        req.deadline_ns = deadline_ns;
+        return req;
+    };
+    // Pumps the requests through one round on a fresh server device.
+    auto serve = [&](simt::DeviceGroup* group, const std::vector<Request>& reqs) {
+        simt::Device dev(simt::arch_v100());
+        ServerConfig cfg;
+        cfg.admit_deadline_check = false;
+        cfg.select.base_case_size = 64;
+        cfg.shard_group = group;
+        cfg.shard_threshold_elems = 8192;
+        SelectServer srv(dev, cfg);
+        std::vector<std::future<Response>> futs;
+        for (const Request& r : reqs) futs.push_back(srv.submit(r));
+        EXPECT_TRUE(srv.pump());
+        std::vector<Response> out;
+        for (auto& f : futs) out.push_back(f.get());
+        return out;
+    };
+
+    // (a) At server time 1 s, a 1 us budget cannot fit a multi-level
+    // descent, routed or not.
+    simt::DeviceGroup fresh(spec);
+    EXPECT_EQ(serve(&fresh, {request(1e9, 1e3)})[0].status.code,
+              core::SelectError::deadline_exceeded);
+    EXPECT_EQ(serve(nullptr, {request(1e9, 1e3)})[0].status.code,
+              core::SelectError::deadline_exceeded);
+
+    // (b) A group whose clock ran far ahead of a fresh server still gives
+    // a 20 ms budget the ~1.3 ms one sharded select needs.
+    simt::DeviceGroup busy(spec);
+    while (busy.elapsed_ns() < 40e6) {
+        ASSERT_TRUE(core::try_sharded_select<float>(busy, big, 100, {}).ok());
+    }
+    const Response ok = serve(&busy, {request(0.0, 20e6)})[0];
+    ASSERT_TRUE(ok.status.ok()) << ok.status.message;
+    EXPECT_EQ(stats::rank_error<float>(big, ok.value, 20000), 0u);
+
+    // A request whose budget the round's earlier sharded work used up
+    // resolves without running on the group.
+    simt::DeviceGroup one(spec);
+    ASSERT_TRUE(serve(&one, {request(0.0, 0.0)})[0].status.ok());
+    simt::DeviceGroup two(spec);
+    const auto both = serve(&two, {request(0.0, 0.0), request(0.0, 100.0)});
+    EXPECT_TRUE(both[0].status.ok());
+    EXPECT_EQ(both[1].status.code, core::SelectError::deadline_exceeded);
+    EXPECT_EQ(two.device(0).launch_count(), one.device(0).launch_count());
+    EXPECT_EQ(two.total_link_bytes(), one.total_link_bytes());
 }
 
 // ---- typed rejections --------------------------------------------------------

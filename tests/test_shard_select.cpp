@@ -4,7 +4,8 @@
 // deterministic splitter skew bound (measured max bucket <= guarantee),
 // the per-shard auxiliary-memory invariant, approximate selection's exact
 // rank-error bound, sharded top-k, the streaming quantile sketch, NaN
-// policies, determinism, and the cross-device StreamSan broken scenarios:
+// policies, determinism, golden hashes of each front-end's launches, link
+// traffic and accounting, and the cross-device StreamSan broken scenarios:
 // consuming a transfer's landing buffer without its ready edge and
 // overwriting the staging buffer mid-send are each a reportable hazard of
 // the exact expected kind, and the edge-correct pattern reports nothing.
@@ -15,8 +16,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "core/float_order.hpp"
 #include "core/planner.hpp"
 #include "data/rng.hpp"
+#include "golden_hash.hpp"
 #include "simt/arch.hpp"
 #include "simt/streamsan.hpp"
 #include "simt/topology.hpp"
@@ -100,15 +103,10 @@ TEST(ShardPlanTest, SmallOversubscriptionSpreadsOverAllDevices) {
 }
 
 TEST(ShardPlanTest, NeverCutsBelowOneElementPerShard) {
-    const auto p = core::plan_shard_count(3, 4, kTinyCapacity, 8, /*max_shard_elems=*/1);
+    // 16 B capacity -> 4 B staging -> a budget of one float per shard.
+    const auto p = core::plan_shard_count(3, 4, 16, 8);
     EXPECT_EQ(p.shards, 3u);
     EXPECT_EQ(p.shard_elems, 1u);
-}
-
-TEST(ShardPlanTest, ExplicitOverrideWins) {
-    const auto p = core::plan_shard_count(10000, 4, 1ull << 40, 2, /*max_shard_elems=*/1000);
-    EXPECT_EQ(p.shards, 10u);
-    EXPECT_EQ(p.shard_elems, 1000u);
 }
 
 // ---- exact sharded selection ------------------------------------------------
@@ -388,6 +386,139 @@ TEST(StreamingQuantileTest, NanSkippingAndErrors) {
     auto est = sketch.quantile(0.5);
     ASSERT_TRUE(est.ok());
     EXPECT_EQ(est.value().n, 3u);
+}
+
+// ---- golden launch sequences ------------------------------------------------
+//
+// For fixed inputs, every launch on every device of a fresh group -- name,
+// grid, block, origin, stream, counters, simulated duration and start --
+// plus the per-link bytes, the transfer count, the answer and every
+// ShardAccounting field fold into one FNV-1a hash per call (the style of
+// test_descent_golden.cpp).  A rewrite of the sharded layer that changes
+// what the group executes, moves over its links or checks out of its pools
+// fails here first.
+
+/// Random floats whose first quarter sits below every other element: a low
+/// rank's bucket lives only in the first shards, and no top-k winner does.
+std::vector<float> low_quarter_floats(std::size_t n, std::uint64_t seed) {
+    auto v = random_floats(n, seed);
+    for (std::size_t i = 0; i < n / 4; ++i) v[i] -= 5000.0f;
+    return v;
+}
+
+void add_accounting(golden::Fnv1a& h, const core::ShardAccounting& a) {
+    for (const std::size_t v : {a.shards, static_cast<std::size_t>(a.devices_used),
+                                a.max_shard_elems, a.max_shard_aux_bytes, a.merge_candidates,
+                                a.skew_bound, a.max_bucket, a.nan_count}) {
+        h.add(static_cast<std::uint64_t>(v));
+    }
+    h.add(a.link_bytes);
+    h.add(a.sim_ns);
+    h.add(a.launches);
+}
+
+/// Runs `call` on a fresh group of `devices`, then folds what the group
+/// executed and moved into the hash `call` folded its answer into.
+std::uint64_t shard_golden(int devices,
+                           const std::function<void(simt::DeviceGroup&, golden::Fnv1a&)>& call) {
+    simt::TopologySpec spec = tiny_spec(devices);
+    spec.device_opts = golden::device_options();
+    simt::DeviceGroup group(spec);
+    golden::Fnv1a h;
+    call(group, h);
+    for (int d = 0; d < group.size(); ++d) {
+        const simt::Device& dev = group.device(d);
+        for (const simt::KernelProfile& p : dev.profiles()) {
+            golden::add_profile(h, p);
+            h.add(p.start_ns);
+        }
+        h.add(static_cast<std::uint64_t>(dev.profiles().size()));
+        for (int to = 0; to < group.size(); ++to) h.add(group.link_bytes(d, to));
+    }
+    h.add(group.transfer_count());
+    return h.value();
+}
+
+TEST(ShardGolden, ExactSelectTwoDevices) {
+    // n / 8 falls in the low quarter: shards without the bucket are skipped.
+    const std::size_t n = 40000;
+    const auto input = low_quarter_floats(n, 120);
+    const std::uint64_t hash = shard_golden(2, [&](simt::DeviceGroup& g, golden::Fnv1a& h) {
+        auto res = core::try_sharded_select<float>(g, input, n / 8, {});
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        EXPECT_EQ(res.value().value, reference_select(input, n / 8));
+        h.add(res.value().value);
+        h.add(static_cast<std::uint64_t>(res.value().equality_exit));
+        add_accounting(h, res.value().acct);
+    });
+    EXPECT_EQ(hash, 0x8086045c3d1f40a0ULL);
+}
+
+TEST(ShardGolden, ExactSelectFourDevicesMultiRoundGather) {
+    const std::size_t n = 60000;
+    data::Xoshiro256 rng(121);
+    std::vector<double> input(n);
+    // Exact arithmetic, so no build's floating-point contraction can
+    // change the input (53-bit integers scaled by a power of two).
+    for (auto& x : input) x = static_cast<double>(rng() >> 11) * 0x1p-33 - 0x1p19;
+    ShardSelectConfig cfg;
+    cfg.merge_fanin = 2;
+    const std::uint64_t hash = shard_golden(4, [&](simt::DeviceGroup& g, golden::Fnv1a& h) {
+        auto res = core::try_sharded_select<double>(g, input, n / 3, cfg);
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        h.add(res.value().value);
+        h.add(static_cast<std::uint64_t>(res.value().equality_exit));
+        add_accounting(h, res.value().acct);
+    });
+    EXPECT_EQ(hash, 0x0549b4e9999167a3ULL);
+}
+
+TEST(ShardGolden, ApproxSelect) {
+    const std::size_t n = 40000;
+    const auto input = random_floats(n, 122);
+    const std::uint64_t hash = shard_golden(2, [&](simt::DeviceGroup& g, golden::Fnv1a& h) {
+        auto res = core::try_sharded_approx_select<float>(g, input, n / 2, {});
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        h.add(res.value().value);
+        h.add(static_cast<std::uint64_t>(res.value().rank_error_bound));
+        add_accounting(h, res.value().acct);
+    });
+    EXPECT_EQ(hash, 0x5b90ee8e5ea7d059ULL);
+}
+
+TEST(ShardGolden, TopK) {
+    // The low-quarter shards hold no winner, so their slices are empty.
+    const std::size_t n = 40000;
+    const auto input = low_quarter_floats(n, 123);
+    const std::uint64_t hash = shard_golden(2, [&](simt::DeviceGroup& g, golden::Fnv1a& h) {
+        auto res = core::try_sharded_topk<float>(g, input, 257, {});
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        for (const float x : res.value().elements) h.add(x);
+        h.add(res.value().threshold);
+        add_accounting(h, res.value().acct);
+    });
+    EXPECT_EQ(hash, 0x9fa31c6c3d69b43aULL);
+}
+
+TEST(ShardGolden, StreamingQuantileThreeChunks) {
+    const auto input = random_floats(23000, 124);
+    const std::uint64_t hash = shard_golden(1, [&](simt::DeviceGroup& g, golden::Fnv1a& h) {
+        core::StreamingQuantile<float> sketch(g.device(0));
+        const std::span<const float> all(input);
+        for (const auto chunk : {all.first(9000), all.subspan(9000, 9000), all.subspan(18000)}) {
+            ASSERT_TRUE(sketch.observe(chunk).ok());
+        }
+        for (const double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+            auto est = sketch.quantile(q);
+            ASSERT_TRUE(est.ok()) << est.status().message;
+            h.add(est.value().value);
+            h.add(static_cast<std::uint64_t>(est.value().rank));
+            h.add(static_cast<std::uint64_t>(est.value().rank_error_bound));
+            h.add(static_cast<std::uint64_t>(est.value().n));
+        }
+        h.add(sketch.launches());
+    });
+    EXPECT_EQ(hash, 0xf71eb8c52216b597ULL);
 }
 
 // ---- cross-device StreamSan ordering ----------------------------------------

@@ -308,6 +308,19 @@ TEST(Streams, SynchronizeAlignsAllStreams) {
     EXPECT_DOUBLE_EQ(dev.stream_clock(s1), dev.elapsed_ns());
 }
 
+TEST(Streams, AdvanceStreamMovesCompletion) {
+    // An advanced stream holds work until its new clock, so the device
+    // completes no earlier: a later join must not move the stream back,
+    // and a new stream must not start before it.
+    Device dev = make_device();
+    dev.advance_stream(0, 1000.0);
+    EXPECT_DOUBLE_EQ(dev.elapsed_ns(), 1000.0);
+    dev.synchronize();
+    EXPECT_DOUBLE_EQ(dev.stream_clock(0), 1000.0);
+    const int s = dev.lease_stream();
+    EXPECT_DOUBLE_EQ(dev.stream_clock(s), 1000.0);
+}
+
 TEST(Streams, UnknownStreamRejected) {
     Device dev = make_device();
     EXPECT_THROW(
