@@ -116,6 +116,80 @@ void filter_kernel(simt::Device& dev, std::span<const T> data,
 }
 
 template <typename T>
+void filter_buckets_kernel(simt::Device& dev, std::span<const T> data,
+                           std::span<const std::uint8_t> oracles,
+                           std::span<const std::int32_t> seg_start, std::span<T> out,
+                           std::span<const std::int32_t> block_offsets,
+                           std::span<std::int32_t> global_cursors, const SampleSelectConfig& cfg,
+                           simt::LaunchOrigin origin, int grid_dim, int stream, const char* name) {
+    const std::size_t n = data.size();
+    const std::size_t b = seg_start.size();
+    if (oracles.size() != n) throw std::invalid_argument("oracle buffer size mismatch");
+    if (b == 0 || b > static_cast<std::size_t>(kMaxExactBuckets) || !std::has_single_bit(b)) {
+        throw std::invalid_argument("segment table needs a power-of-two bucket count <= 256");
+    }
+    const bool shared_mode = cfg.atomic_space == simt::AtomicSpace::shared;
+    if (shared_mode && block_offsets.size() < static_cast<std::size_t>(grid_dim) * b) {
+        throw std::invalid_argument("block_offsets too small");
+    }
+    if (!shared_mode && global_cursors.size() < b) {
+        throw std::invalid_argument("global mode needs one cursor per bucket");
+    }
+    const int index_bits = std::countr_zero(b);
+
+    dev.launch(
+        name,
+        {.grid_dim = grid_dim, .block_dim = cfg.block_dim, .origin = origin,
+         .unroll = cfg.unroll, .stream = stream},
+        [&, n, b, shared_mode, index_bits](simt::BlockCtx& blk) {
+            // Keep flags from the segment table.  Shared mode seeds a cursor
+            // per kept bucket with its segment start plus the block's base
+            // offset (merged hierarchy step 3); global mode uses the
+            // caller-seeded cursors.
+            bool keep[kMaxExactBuckets] = {};
+            std::size_t kept_buckets = 0;
+            const std::span<std::int32_t> cursors =
+                shared_mode ? blk.shared_array<std::int32_t>(b) : global_cursors;
+            const auto base_row = static_cast<std::size_t>(blk.block_idx()) * b;
+            for (std::size_t i = 0; i < b; ++i) {
+                const std::int32_t start = blk.ld(seg_start, i);
+                keep[i] = start >= 0;
+                if (!keep[i]) continue;
+                ++kept_buckets;
+                if (shared_mode) {
+                    blk.shared_st(cursors, i, start + blk.ld(block_offsets, base_row + i));
+                }
+            }
+            blk.charge_global_read((b + (shared_mode ? kept_buckets : 0)) * sizeof(std::int32_t));
+            if (shared_mode) {
+                blk.charge_shared(kept_buckets * sizeof(std::int32_t));
+                blk.sync();
+            }
+            const simt::AtomicSpace space =
+                shared_mode ? simt::AtomicSpace::shared : simt::AtomicSpace::global;
+
+            blk.warp_tiles(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
+                std::uint8_t orc[simt::kWarpSize];
+                std::int32_t which[simt::kWarpSize];
+                bool active[simt::kWarpSize];
+                w.load(oracles, base, orc);
+                int kept = 0;
+                for (int l = 0; l < w.lanes(); ++l) {
+                    which[l] = orc[l];
+                    active[l] = keep[orc[l]];
+                    kept += active[l] ? 1 : 0;
+                }
+                if (kept == 0) return;
+                T elems[simt::kWarpSize];
+                std::int32_t off[simt::kWarpSize];
+                w.load(data, base, elems);
+                w.fetch_add(space, cursors, which, off, cfg.warp_aggregation, index_bits, active);
+                w.scatter(out, off, elems, active);  // bucket-scattered writes
+            });
+        });
+}
+
+template <typename T>
 void filter_fused_topk_kernel(simt::Device& dev, std::span<const T> data,
                               std::span<const std::uint8_t> oracles, std::int32_t bucket,
                               std::span<T> out, std::span<T> upper,
@@ -135,6 +209,18 @@ template void filter_kernel<double>(simt::Device&, std::span<const double>,
                                     std::span<const std::uint8_t>, std::int32_t, std::span<double>,
                                     std::span<const std::int32_t>, int, std::span<std::int32_t>,
                                     const SampleSelectConfig&, simt::LaunchOrigin, int, int);
+template void filter_buckets_kernel<float>(simt::Device&, std::span<const float>,
+                                           std::span<const std::uint8_t>,
+                                           std::span<const std::int32_t>, std::span<float>,
+                                           std::span<const std::int32_t>, std::span<std::int32_t>,
+                                           const SampleSelectConfig&, simt::LaunchOrigin, int, int,
+                                           const char*);
+template void filter_buckets_kernel<double>(simt::Device&, std::span<const double>,
+                                            std::span<const std::uint8_t>,
+                                            std::span<const std::int32_t>, std::span<double>,
+                                            std::span<const std::int32_t>, std::span<std::int32_t>,
+                                            const SampleSelectConfig&, simt::LaunchOrigin, int,
+                                            int, const char*);
 template void filter_fused_topk_kernel<float>(simt::Device&, std::span<const float>,
                                               std::span<const std::uint8_t>, std::int32_t,
                                               std::span<float>, std::span<float>,

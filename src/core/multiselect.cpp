@@ -4,7 +4,9 @@
 #include <map>
 #include <utility>
 
+#include "bitonic/bitonic.hpp"
 #include "core/batch_executor.hpp"
+#include "core/filter_kernel.hpp"
 #include "core/float_order.hpp"
 #include "core/pipeline.hpp"
 #include "core/planner.hpp"
@@ -19,41 +21,63 @@ struct Target {
     std::size_t out_slot;
 };
 
-/// Tree descent: one bucketing level shared by all targets in `buf`, then
-/// recursion per populated bucket.  Unlike the linear sample_select
-/// descent, children branch, so each child gets its own pooled holder
-/// (released back to the pool when its subtree is done) instead of the
-/// two-buffer ping-pong.
+/// One filter launch for every kept bucket of a level: bucket b lands in
+/// out[seg_start[b], ...), -1 drops it.  The table and, in global mode, the
+/// per-bucket cursors are seeded by the controller step (uncharged host
+/// writes, as filter_topk seeds its cursors), so a retry reseeds them.
+template <typename T>
+void filter_segments(const PipelineContext& ctx, std::span<const T> data,
+                     const LevelOutcome<T>& lv, const std::vector<std::int32_t>& seg_start,
+                     std::span<T> out, simt::LaunchOrigin origin) {
+    auto table = ctx.scratch<std::int32_t>(seg_start.size());
+    std::copy(seg_start.begin(), seg_start.end(), table.span().begin());
+    simt::PooledBuffer<std::int32_t> cursors;
+    if (!ctx.shared_mode()) {
+        cursors = ctx.scratch<std::int32_t>(seg_start.size());
+        std::copy(seg_start.begin(), seg_start.end(), cursors.span().begin());
+    }
+    filter_buckets_kernel<T>(ctx.dev(), data, lv.oracles.span(), table.span(), out,
+                             lv.block_counts.span(), cursors.span(), ctx.cfg(), origin, lv.grid,
+                             ctx.stream(), "filter");
+}
+
+/// Tree descent: one bucketing level shared by all targets in `data`, then
+/// three steps.  ONE multi-bucket filter launch writes every non-equality
+/// bucket holding a target into its own segment of one pooled buffer; ONE
+/// batched bitonic launch sorts every segment of at most
+/// cfg.base_case_size elements, whose targets are answered from it; only
+/// the larger segments recurse, in place on their segment.  The pooled
+/// buffer lives until the node's subtrees are done.
 ///
 /// `path` is the guaranteed-progress state of this node's path
 /// (try_level_step); every child inherits the state the node's level left,
 /// so the full-size child of a stalled level re-samples with its
 /// depth-based salt, or runs the fallback level once past the budget.
 ///
-/// `fan` (may be null) is the stream fan for the first level that splits
-/// the targets into more than one bucket: each bucket subtree then runs on
-/// its own lane (children wait on the level's event, the base stream joins
-/// them at the end) and deeper recursions stay on their lane's stream.
-/// Levels that do not split (stalls, single-bucket descents) pass the fan
-/// down unused, so the fan applies to the first *partitioning* level.
+/// `fan` (may be null) is the stream fan for the first level with more
+/// than one oversized child: each such subtree then runs on its own lane
+/// (the lanes wait on the level's filter and base case, the base stream
+/// joins them at the end) and deeper recursions stay on their lane's
+/// stream.  Levels with at most one oversized child pass the fan down
+/// unused.
 template <typename T>
-Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> targets,
+Status solve(const PipelineContext& ctx, std::span<T> data, std::vector<Target> targets,
              DescentPath path, MultiSelectResult<T>& res, ProgressTally& tally, StreamFan* fan) {
     const SampleSelectConfig& cfg = ctx.cfg();
-    const std::size_t n = buf.size();
     const std::size_t depth = path.levels;
     res.max_depth = std::max(res.max_depth, depth);
     const auto origin = level_origin(depth);
+    if (Status s = check_deadline(ctx, path, "multi_select"); !s.ok()) return s;
 
-    if (n <= cfg.base_case_size) {
-        Status s = with_fault_retry(ctx, [&] { sort_base_case<T>(ctx, buf.span(), origin); });
+    if (data.size() <= cfg.base_case_size) {
+        Status s = with_fault_retry(ctx, [&] { sort_base_case<T>(ctx, data, origin); });
         if (!s.ok()) return s;
-        for (const Target& t : targets) res.values[t.out_slot] = buf.span()[t.rank];
+        for (const Target& t : targets) res.values[t.out_slot] = data[t.rank];
         return Status::success();
     }
 
-    auto lvres = try_level_step<T>(ctx, buf.span(), targets.front().rank, origin, depth * 977,
-                                   path, tally);
+    auto lvres = try_level_step<T>(ctx, std::span<const T>(data), targets.front().rank, origin,
+                                   depth * 977, path, tally);
     if (!lvres.ok()) return lvres.status();
     const LevelOutcome<T> lv = lvres.take();
 
@@ -75,33 +99,70 @@ Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> 
              t.out_slot});
     }
 
-    // Fan the bucket subtrees over the stream lanes once the level really
-    // split the targets; the host still descends depth-first, so the
-    // launch order is unchanged -- only the stream tags differ.
-    const bool fanning = fan != nullptr && fan->count() > 1 && by_bucket.size() > 1;
-    if (fanning) (void)fan->fork();
-    std::size_t lane_idx = 0;
-
-    for (auto& [bucket, sub] : by_bucket) {
+    // Equality buckets answer at once; every other bucket holding a target
+    // gets its own segment.  Small segments are sorted by ONE batched
+    // bitonic launch (one block per segment), launched as part of the
+    // children's level; only oversized segments recurse.
+    std::vector<std::int32_t> seg_start(b, -1);
+    std::vector<bitonic::Segment> small;
+    std::vector<std::int32_t> oversized;
+    std::size_t kept = 0;
+    for (const auto& [bucket, sub] : by_bucket) {
         const auto ub = static_cast<std::size_t>(bucket);
         if (lv.tree.equality[ub]) {
             const T v = lv.equality_value(bucket);
             for (const Target& t : sub) res.values[t.out_slot] = v;
             continue;
         }
-        const auto bucket_size = static_cast<std::size_t>(totals[ub]);
-        const PipelineContext child_ctx =
-            fanning ? PipelineContext(ctx.dev(), cfg,
-                                      fan->stream(fan->lane_of(lane_idx++)))
-                    : ctx;
-        DataHolder<T> child;
-        Status s = with_fault_retry(child_ctx, [&] {
-            child = DataHolder<T>::acquire(child_ctx, bucket_size);
-            filter_bucket<T>(child_ctx, buf.span(), lv, bucket, child.span(), origin);
+        const bitonic::Segment seg{kept, static_cast<std::size_t>(totals[ub])};
+        seg_start[ub] = static_cast<std::int32_t>(kept);
+        kept += seg.length;
+        if (seg.length > cfg.base_case_size) {
+            oversized.push_back(bucket);
+        } else if (seg.length > 1) {
+            small.push_back(seg);
+        }
+    }
+    if (kept == 0) return Status::success();
+
+    simt::PooledBuffer<T> segs;
+    Status s = with_fault_retry(ctx, [&] {
+        segs = ctx.scratch<T>(kept);
+        filter_segments<T>(ctx, std::span<const T>(data), lv, seg_start, segs.span(), origin);
+    });
+    if (!s.ok()) return s;
+    if (!small.empty()) {
+        s = with_fault_retry(ctx, [&] {
+            bitonic::batched_sort_on_device<T>(ctx.dev(), segs.span(), small,
+                                               level_origin(path.levels), cfg.block_dim,
+                                               ctx.stream());
         });
         if (!s.ok()) return s;
-        s = solve(child_ctx, std::move(child), std::move(sub), path, res, tally,
-                  fanning ? nullptr : fan);
+    }
+    for (const auto& [bucket, sub] : by_bucket) {
+        const auto ub = static_cast<std::size_t>(bucket);
+        if (seg_start[ub] < 0 || static_cast<std::size_t>(totals[ub]) > cfg.base_case_size) {
+            continue;
+        }
+        res.max_depth = std::max(res.max_depth, path.levels);
+        for (const Target& t : sub) {
+            res.values[t.out_slot] = segs[static_cast<std::size_t>(seg_start[ub]) + t.rank];
+        }
+    }
+
+    // Fan the oversized subtrees over the stream lanes once the level has
+    // more than one; the host still descends depth-first, so the launch
+    // order is unchanged -- only the stream tags differ.
+    const bool fanning = fan != nullptr && fan->count() > 1 && oversized.size() > 1;
+    if (fanning) (void)fan->fork();
+    for (std::size_t i = 0; i < oversized.size(); ++i) {
+        const auto ub = static_cast<std::size_t>(oversized[i]);
+        const PipelineContext child_ctx =
+            fanning ? PipelineContext(ctx.dev(), cfg, fan->stream(fan->lane_of(i))) : ctx;
+        s = solve(child_ctx,
+                  segs.span().subspan(static_cast<std::size_t>(seg_start[ub]),
+                                      static_cast<std::size_t>(totals[ub])),
+                  std::move(by_bucket[oversized[i]]), path, res, tally, fanning ? nullptr : fan);
         if (!s.ok()) return s;
     }
     if (fanning) fan->join();
@@ -177,7 +238,7 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
         StreamFan fan(dev, fan_width.value(), ctx.stream());
         res.streams_used = fan.count();
         ProgressTally tally;
-        s = solve(ctx, std::move(buf), std::move(targets), DescentPath{}, res, tally,
+        s = solve(ctx, buf.span(), std::move(targets), DescentPath{}, res, tally,
                   fan.count() > 1 ? &fan : nullptr);
         if (!s.ok()) return s;
         res.resamples = tally.resamples;

@@ -2,16 +2,18 @@
 // Multi-rank selection (the "multiple sequence selection" extension the
 // paper names as future work in Sec. VI): select several order statistics
 // k_1 < ... < k_m in one recursion tree.  One bucketing level serves all
-// target ranks; the recursion then descends into *every* bucket containing
-// at least one target, so the count/filter work over the full input is
-// shared between all ranks instead of repeated m times.
+// target ranks, and ONE multi-bucket filter launch extracts *every* bucket
+// containing at least one target into its own segment (Sec. IV-I's fused
+// extraction, the sample-sort scatter).  ONE batched bitonic launch then
+// sorts every small segment (Sec. IV-D), so a level costs the same
+// launches for one rank or hundreds; only oversized segments recurse.
 //
-// After the first partition level the per-bucket subtrees are independent
-// sub-problems: they are fanned over a StreamFan of leased streams
-// (core/batch_executor.hpp), so their kernel timelines overlap in
-// simulated time.  The host still recurses depth-first, so the launch
-// sequence (names, grids, origins, counters) is byte-identical to the
-// serial path; only the stream tags -- and the overlap -- differ.
+// The oversized subtrees are independent sub-problems: they are fanned
+// over a StreamFan of leased streams (core/batch_executor.hpp), so their
+// kernel timelines overlap in simulated time.  The host still recurses
+// depth-first, so the launch sequence (names, grids, origins, counters) is
+// byte-identical to the serial path; only the stream tags -- and the
+// overlap -- differ.
 
 #include <cstdint>
 #include <span>

@@ -226,6 +226,21 @@ struct DescentPath {
     [[nodiscard]] bool stalled() const noexcept { return stalls > 0; }
 };
 
+/// Deadline budget (docs/service.md): deadline_exceeded once cfg.deadline_ns
+/// is set, `path` ran a level and the selection's stream clock passed the
+/// deadline.  Every descent checks it before each level, never mid-kernel,
+/// so an aborted descent leaves no partial writes in flight.  Level 0
+/// always runs -- admission control owns up-front rejection.
+[[nodiscard]] inline Status check_deadline(const PipelineContext& ctx, const DescentPath& path,
+                                           const char* descent) {
+    const double deadline = ctx.cfg().deadline_ns;
+    if (deadline > 0.0 && path.levels > 0 && ctx.dev().stream_clock(ctx.stream()) > deadline) {
+        return Status::failure(SelectError::deadline_exceeded,
+                               std::string(descent) + ": deadline exceeded between levels");
+    }
+    return Status::success();
+}
+
 /// A descent's guaranteed-progress tallies, reported in its result.
 struct ProgressTally {
     /// Stalled levels retried with a fresh splitter sample.
@@ -458,15 +473,7 @@ public:
         DescentPath path;
         for (;;) {
             const simt::LaunchOrigin origin = level_origin(d.levels);
-            // Deadline budget (docs/service.md): checked between levels,
-            // never mid-kernel, so aborted descents leave no partial writes
-            // in flight.  Level 0 always runs -- admission control owns
-            // up-front rejection.
-            if (cfg.deadline_ns > 0.0 && path.levels > 0 &&
-                ctx_.dev().stream_clock(ctx_.stream()) > cfg.deadline_ns) {
-                return Status::failure(SelectError::deadline_exceeded,
-                                       "sample descent: deadline exceeded between levels");
-            }
+            if (Status s = check_deadline(ctx_, path, "sample descent"); !s.ok()) return s;
             if (size() <= cfg.base_case_size) {
                 // The sort launch faults before touching the data, so a
                 // retry sees the unsorted input.

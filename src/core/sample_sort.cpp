@@ -1,6 +1,7 @@
 #include "core/sample_sort.hpp"
 
 #include "bitonic/bitonic.hpp"
+#include "core/filter_kernel.hpp"
 #include "core/float_order.hpp"
 #include "core/pipeline.hpp"
 #include "simt/timing.hpp"
@@ -8,55 +9,6 @@
 namespace gpusel::core {
 
 namespace {
-
-/// Scatters every element into its bucket's contiguous output range:
-/// out[prefix[bucket] + block_base + local] = element.  Per-block shared
-/// cursors are seeded from the reduce_offsets result; this is the filter
-/// kernel generalized to all buckets at once (classic sample-sort scatter).
-template <typename T>
-void scatter_all_kernel(simt::Device& dev, std::span<const T> data,
-                        std::span<const std::uint8_t> oracles,
-                        std::span<const std::int32_t> block_offsets,
-                        std::span<const std::int32_t> prefix, std::span<T> out,
-                        const SearchTree<T>& tree, const SampleSelectConfig& cfg,
-                        simt::LaunchOrigin origin, int grid_dim) {
-    const std::size_t n = data.size();
-    const auto b = static_cast<std::size_t>(tree.num_buckets);
-    dev.launch(
-        "scatter_all",
-        {.grid_dim = grid_dim, .block_dim = cfg.block_dim, .origin = origin,
-         .unroll = cfg.unroll, .stream = cfg.stream},
-        [&, n, b](simt::BlockCtx& blk) {
-            auto cursors = blk.shared_array<std::int32_t>(b);
-            const auto base_row =
-                static_cast<std::size_t>(blk.block_idx()) * b;
-            for (std::size_t i = 0; i < b; ++i) {
-                blk.shared_st(cursors, i,
-                              blk.ld(prefix, i) + blk.ld(block_offsets, base_row + i));
-            }
-            blk.charge_global_read(2 * b * sizeof(std::int32_t));
-            blk.charge_shared(b * sizeof(std::int32_t));
-            blk.sync();
-
-            blk.warp_tiles(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
-                std::uint8_t orc[simt::kWarpSize];
-                T elems[simt::kWarpSize];
-                std::int32_t which[simt::kWarpSize];
-                std::int32_t off[simt::kWarpSize];
-                w.load(oracles, base, orc);
-                w.load(data, base, elems);
-                for (int l = 0; l < w.lanes(); ++l) which[l] = orc[l];
-                w.fetch_add(simt::AtomicSpace::shared, cursors, which, off,
-                            cfg.warp_aggregation, tree.height);
-                for (int l = 0; l < w.lanes(); ++l) {
-                    blk.st(out, static_cast<std::size_t>(off[l]), elems[l]);
-                }
-                // bucket-scattered writes
-                w.block().counters().scattered_bytes_written +=
-                    static_cast<std::uint64_t>(w.lanes()) * sizeof(T);
-            });
-        });
-}
 
 /// Sorts `data` ascending in place, using `scratch` (same size) as the
 /// scatter target of each level.  `path` is the guaranteed-progress state
@@ -72,6 +24,7 @@ Status sort_segment(const PipelineContext& ctx, std::span<T> data, std::span<T> 
     const std::size_t depth = path.levels;
     res.max_depth = std::max(res.max_depth, depth);
     const auto origin = level_origin(depth);
+    if (Status s = check_deadline(ctx, path, "sample_sort"); !s.ok()) return s;
 
     if (n <= cfg.base_case_size) {
         return with_fault_retry(ctx, [&] { sort_base_case<T>(ctx, data, origin); });
@@ -85,10 +38,12 @@ Status sort_segment(const PipelineContext& ctx, std::span<T> data, std::span<T> 
     const auto b = static_cast<std::size_t>(lv.tree.num_buckets);
     const auto prefix = lv.prefix_span();
 
+    // Every bucket is kept: the prefix table is the segment-start table of
+    // the multi-bucket filter (the classic sample-sort scatter).
     Status s = with_fault_retry(ctx, [&] {
-        scatter_all_kernel<T>(dev, std::span<const T>(data), lv.oracles.span(),
-                              lv.block_counts.span(), prefix, scratch, lv.tree, cfg, origin,
-                              lv.grid);
+        filter_buckets_kernel<T>(dev, std::span<const T>(data), lv.oracles.span(),
+                                 prefix.first(b), scratch, lv.block_counts.span(), {}, cfg,
+                                 origin, lv.grid, cfg.stream, "scatter_all");
     });
     if (!s.ok()) return s;
     auto copy_back = [&] {
@@ -139,8 +94,9 @@ Status sort_segment(const PipelineContext& ctx, std::span<T> data, std::span<T> 
 template <typename T>
 Result<SortResult<T>> try_sample_sort(simt::Device& dev, std::span<const T> input,
                                       const SampleSelectConfig& cfg) {
-    // The scatter needs per-block offsets, so sorting uses the
-    // shared-atomic hierarchy regardless of cfg.atomic_space.
+    // Sorting uses the shared-atomic hierarchy regardless of
+    // cfg.atomic_space: its per-block offsets make the scatter's placement,
+    // and so every deeper level's sample, deterministic.
     SampleSelectConfig sort_cfg = cfg;
     sort_cfg.atomic_space = simt::AtomicSpace::shared;
     if (Status vs = sort_cfg.validate(/*exact=*/true); !vs.ok()) return vs;

@@ -295,7 +295,6 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
     // recorded event, so it must not look like an ordering edge (StreamSan
     // would rightly flag a wait on a timestamp nothing recorded).
     dev_.advance_stream(base, round_start);
-    const std::size_t log0 = dev_.planner_log().size();
     const simt::RobustnessCounters rc0 = dev_.robustness();
     const std::uint32_t mask0 = breakers_.sync(dev_, round_start);
 
@@ -524,22 +523,18 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
 
     const double finish = dev_.stream_clock(base);
 
-    // Feed the breakers: backends planned during this round succeed or
-    // fail together with the round.  Terminal fault codes and heavy
-    // fault-retry pressure (retries that succeeded, but only just) both
-    // count as failure evidence.
-    const auto& log = dev_.planner_log();
-    bool saw[3] = {false, false, false};
-    for (std::size_t i = log0; i < log.size(); ++i) {
-        if (auto k = core::parse_backend(log[i].backend)) {
-            saw[static_cast<std::size_t>(*k)] = true;
-        }
-    }
+    // Feed the breakers: backends planned during this round (the
+    // per-backend decision tallies moved) succeed or fail together with the
+    // round.  Terminal fault codes and heavy fault-retry pressure (retries
+    // that succeeded, but only just) both count as failure evidence.
+    const simt::RobustnessCounters& rc1 = dev_.robustness();
+    const bool saw[3] = {rc1.backend_sample != rc0.backend_sample,
+                         rc1.backend_radix != rc0.backend_radix,
+                         rc1.backend_bitonic != rc0.backend_bitonic};
     bool any_fault = false;
     for (const InFlight& f : fl) {
         if (!f.resp.status.ok() && is_fault_code(f.resp.status.code)) any_fault = true;
     }
-    const simt::RobustnessCounters& rc1 = dev_.robustness();
     const std::uint64_t retry_delta = (rc1.alloc_retries + rc1.launch_retries) -
                                       (rc0.alloc_retries + rc0.launch_retries);
     const bool round_failed = any_fault || retry_delta >= cfg_.breaker.retry_pressure_threshold;

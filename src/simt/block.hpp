@@ -68,6 +68,13 @@ public:
     /// Scattered gather: regs[l] = src[idx[l]].
     template <typename T>
     void gather(std::span<const T> src, const std::size_t* idx, T* regs) const;
+    /// Scattered store: dst[idx[l]] = regs[l] for the lanes whose active[l]
+    /// is set.  Counts as scattered write traffic; for offsets that
+    /// genuinely interleave (several buckets' cursors in one warp), where no
+    /// compress-store tile applies.  Returns the count written.
+    template <typename T>
+    int scatter(std::span<T> dst, const std::int32_t* idx, const T* regs,
+                const bool* active) const;
     /// Compacted store on the SIMD compress-store engine: lanes whose mask
     /// bit is set write regs[l] to dst[pos], dst[pos+1], ... in lane order
     /// (one vcompressps-style tile op instead of a per-lane loop).  Counts
@@ -559,6 +566,30 @@ void WarpCtx::gather(std::span<const T> src, const std::size_t* idx, T* regs) co
     }
     for (int l = 0; l < lanes_; ++l) regs[l] = src[idx[l]];
     blk_->counters_.scattered_bytes_read += static_cast<std::uint64_t>(lanes_) * sizeof(T);
+}
+
+template <typename T>
+int WarpCtx::scatter(std::span<T> dst, const std::int32_t* idx, const T* regs,
+                     const bool* active) const {
+    int n = 0;
+    for (int l = 0; l < lanes_; ++l) {
+        if (!active[l]) continue;
+        const auto i = static_cast<std::size_t>(idx[l]);
+        if (Sanitizer* san = blk_->san_; san != nullptr) {
+            if (i >= dst.size()) {
+                san->oob(ViolationKind::global_oob, "scatter", i, dst.size(), blk_->block_idx_);
+            }
+            san->global_write(dst.data() + i, sizeof(T), blk_->block_idx_, "scatter");
+        }
+        if (StreamSan* ssan = blk_->ssan_; ssan != nullptr && i < dst.size()) {
+            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + i, sizeof(T),
+                                 /*write=*/true);
+        }
+        dst[i] = regs[l];
+        ++n;
+    }
+    blk_->counters_.scattered_bytes_written += static_cast<std::uint64_t>(n) * sizeof(T);
+    return n;
 }
 
 template <typename T>

@@ -48,8 +48,12 @@ struct DeviceOptions {
     /// Host worker threads used to execute blocks in parallel; 0 = inline
     /// (deterministic, the default for tests and single-core hosts).
     unsigned host_workers = 0;
-    /// Keep a full KernelProfile per launch (needed for breakdown figures);
-    /// disable for very long parameter sweeps to save host memory.
+    /// Keep the per-operation trace logs: a full KernelProfile per launch
+    /// (needed for breakdown figures), the planner log and, in a
+    /// DeviceGroup, the per-link trace samples.  They grow with every
+    /// operation, so disable this for long sweeps and benchmark loops;
+    /// counters, clocks, robustness tallies and link byte totals are kept
+    /// either way.
     bool record_profiles = true;
 };
 
@@ -194,9 +198,11 @@ public:
     // events on the stream they applied to.  Host-side bookkeeping only:
     // no launch, no clock advance, no counter merge.
 
-    /// Appends a planner decision to the log, stamping the current stream
-    /// clock so the trace event lands where the selection starts.
+    /// Appends a planner decision to the log (only with
+    /// DeviceOptions::record_profiles), stamping the current stream clock so
+    /// the trace event lands where the selection starts.
     void note_planner_event(PlannerEvent ev) {
+        if (!opts_.record_profiles) return;
         ev.sim_ns = ev.stream >= 0 && ev.stream < stream_count() ? stream_clock(ev.stream) : 0.0;
         planner_log_.push_back(std::move(ev));
     }

@@ -79,7 +79,10 @@ PoolBlock* MemoryPool::acquire(std::size_t bytes, int stream, bool zeroed) {
     if (blk == nullptr) {
         const std::size_t capacity = std::size_t{1} << cls;
         auto owned = std::make_unique<PoolBlock>();
-        owned->storage = std::make_unique<std::byte[]>(capacity);
+        std::size_t space = capacity + kBlockAlign - 1;
+        owned->storage = std::make_unique<std::byte[]>(space);
+        void* start = owned->storage.get();
+        owned->data = static_cast<std::byte*>(std::align(kBlockAlign, capacity, start, space));
         owned->capacity = capacity;
         owned->size_class = cls;
         blk = owned.get();
@@ -102,13 +105,13 @@ PoolBlock* MemoryPool::acquire(std::size_t bytes, int stream, bool zeroed) {
     blk->charged = bytes;
     const bool san_on = san_ != nullptr && san_->enabled();
     if (zeroed) {
-        if (!blk->zeroed) std::memset(blk->storage.get(), 0, blk->capacity);
+        if (!blk->zeroed) std::memset(blk->data, 0, blk->capacity);
         blk->zeroed = true;
     } else {
         // SimTSan forces the poison fill: uninit-read detection needs every
         // non-zeroed checkout to start with a recognizable pattern.
         if (poison_enabled() || san_on) {
-            std::memset(blk->storage.get(), static_cast<int>(kPoisonByte), blk->capacity);
+            std::memset(blk->data, static_cast<int>(kPoisonByte), blk->capacity);
         }
         blk->zeroed = false;
     }
@@ -117,15 +120,15 @@ PoolBlock* MemoryPool::acquire(std::size_t bytes, int stream, bool zeroed) {
         // checkouts are fully initialized by construction; poisoned ones
         // arm the uninit-read shadow.
         if (blk->capacity > bytes) {
-            std::memset(blk->storage.get() + bytes, static_cast<int>(kCanaryByte),
+            std::memset(blk->data + bytes, static_cast<int>(kCanaryByte),
                         blk->capacity - bytes);
         }
-        san_->register_region(blk->storage.get(), bytes, /*mark_uninit=*/!zeroed, nullptr, 0,
-                              blk->storage.get() + bytes, blk->capacity - bytes);
+        san_->register_region(blk->data, bytes, /*mark_uninit=*/!zeroed, nullptr, 0,
+                              blk->data + bytes, blk->capacity - bytes);
     }
     if (ssan_ != nullptr && ssan_->enabled()) {
-        if (reused) ssan_->on_pool_reuse(blk->storage.get(), stream, prev_stream, gated);
-        ssan_->register_region(blk->storage.get(), bytes);
+        if (reused) ssan_->on_pool_reuse(blk->data, stream, prev_stream, gated);
+        ssan_->register_region(blk->data, bytes);
     }
     return blk;
 }
@@ -133,11 +136,11 @@ PoolBlock* MemoryPool::acquire(std::size_t bytes, int stream, bool zeroed) {
 void MemoryPool::release(PoolBlock* block, int stream) {
     if (block == nullptr) return;
     // Record-only final canary sweep; release happens in destructors.
-    if (san_ != nullptr) san_->unregister_region(block->storage.get());
+    if (san_ != nullptr) san_->unregister_region(block->data);
     // Record-only too: snapshots the releasing stream's clock as the
     // block's tombstone and flags accesses not ordered before the release.
     if (ssan_ != nullptr && ssan_->enabled()) {
-        ssan_->on_pool_release(block->storage.get(), stream);
+        ssan_->on_pool_release(block->data, stream);
     }
     tracker_->on_recycle(block->charged);
     block->charged = 0;
@@ -152,7 +155,7 @@ std::size_t MemoryPool::trim() {
     for (auto& list : free_) {
         for (PoolBlock* blk : list) {
             dropped += blk->capacity;
-            if (ssan_ != nullptr) ssan_->forget(blk->storage.get());
+            if (ssan_ != nullptr) ssan_->forget(blk->data);
             auto it = std::find_if(blocks_.begin(), blocks_.end(),
                                    [blk](const auto& owned) { return owned.get() == blk; });
             assert(it != blocks_.end());

@@ -46,7 +46,12 @@ namespace gpusel::simt {
 /// One backing allocation managed by the pool.  Blocks live for the pool's
 /// lifetime (until trim()) and cycle between "checked out" and a free list.
 struct PoolBlock {
+    /// Owns capacity + MemoryPool::kBlockAlign - 1 bytes.
     std::unique_ptr<std::byte[]> storage;
+    /// Start of the block inside `storage`, on a kBlockAlign boundary: the
+    /// host simulator's tile loops then see the same cache-line layout
+    /// whatever the heap handed out.
+    std::byte* data = nullptr;
     std::size_t capacity = 0;    ///< pow2 bytes actually backing the block
     int size_class = 0;          ///< log2(capacity)
     int last_stream = 0;         ///< stream of the most recent checkout
@@ -59,6 +64,8 @@ class MemoryPool {
 public:
     /// Smallest block handed out; sub-64-byte requests round up to this.
     static constexpr std::size_t kMinBlockBytes = 64;
+    /// Alignment of every block's data pointer (one cache line).
+    static constexpr std::size_t kBlockAlign = 64;
     /// How many size classes above the exact fit a small request may search.
     static constexpr int kSmallFitSpan = 2;
     /// Requests at least this large may reuse any larger free block (a
@@ -199,7 +206,7 @@ public:
 
 private:
     [[nodiscard]] std::byte* raw() const noexcept {
-        return block_ ? block_->storage.get() : nullptr;
+        return block_ ? block_->data : nullptr;
     }
     void release() noexcept {
         if (pool_ && block_) pool_->release(block_, stream_);

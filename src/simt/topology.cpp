@@ -120,23 +120,26 @@ TransferRecord DeviceGroup::transfer(int from, std::span<const T> src, std::size
     const double src_done = sdev.record_event(out);
     const double ready = ddev.record_event(in);
 
-    // Bookkeeping for the trace's per-link tracks.
+    // Bookkeeping: byte totals always, the trace's per-link tracks only
+    // when the group records profiles.
     const std::size_t pair = pair_index(from, to);
     link_bytes_[pair] += bytes;
     ++transfer_count_;
-    const int track = kLinkTrackBase + static_cast<int>(pair);
-    const std::string link_name =
-        "link" + std::to_string(from) + "->" + std::to_string(to) + "_bytes";
-    link_counters_.push_back({.sim_ns = wire_end,
-                              .track = track,
-                              .name = link_name,
-                              .value = static_cast<double>(link_bytes_[pair])});
-    link_instants_.push_back({.sim_ns = wire_start,
-                              .track = track,
-                              .name = "transfer",
-                              .detail = "bytes=" + std::to_string(bytes) +
-                                        " from=" + std::to_string(from) +
-                                        " to=" + std::to_string(to)});
+    if (spec_.device_opts.record_profiles) {
+        const int track = kLinkTrackBase + static_cast<int>(pair);
+        const std::string link_name =
+            "link" + std::to_string(from) + "->" + std::to_string(to) + "_bytes";
+        link_counters_.push_back({.sim_ns = wire_end,
+                                  .track = track,
+                                  .name = link_name,
+                                  .value = static_cast<double>(link_bytes_[pair])});
+        link_instants_.push_back({.sim_ns = wire_start,
+                                  .track = track,
+                                  .name = "transfer",
+                                  .detail = "bytes=" + std::to_string(bytes) +
+                                            " from=" + std::to_string(from) +
+                                            " to=" + std::to_string(to)});
+    }
 
     return {.bytes = bytes, .link_start_ns = wire_start, .link_end_ns = wire_end,
             .src_done_ns = src_done, .ready_ns = ready};

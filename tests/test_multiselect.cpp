@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
+#include "baselines/cpu_reference.hpp"
 #include "data/distributions.hpp"
 #include "stats/order_stats.hpp"
 
@@ -94,6 +97,77 @@ TEST(MultiSelect, SharedWorkCheaperThanRepeatedSelect) {
         single_total += core::try_multi_select<float>(single_dev, data, one, {}).value().sim_ns;
     }
     EXPECT_LT(multi.sim_ns, single_total * 0.5);
+}
+
+TEST(MultiSelect, LaunchesIndependentOfRankCount) {
+    // One level serves every rank: one multi-bucket filter launch and one
+    // batched base case, however many buckets hold a rank.
+    const std::size_t n = 1 << 16;
+    const auto data = data::generate<float>(
+        {.n = n, .dist = data::Distribution::uniform_real, .seed = 13});
+    std::vector<std::uint64_t> launches;
+    for (const std::size_t m : {1, 16, 128}) {
+        std::vector<std::size_t> ranks;
+        for (std::size_t i = 0; i < m; ++i) ranks.push_back((2 * i + 1) * n / (2 * m));
+        simt::Device dev(simt::arch_v100());
+        const auto res = core::try_multi_select<float>(dev, data, ranks, {}).value();
+        for (std::size_t i = 0; i < m; ++i) {
+            EXPECT_EQ(res.values[i], baselines::cpu_nth_element<float>(data, ranks[i]).value)
+                << m << " ranks, rank " << ranks[i];
+        }
+        launches.push_back(res.launches);
+    }
+    EXPECT_EQ(launches[1], launches[0]);
+    EXPECT_EQ(launches[2], launches[0]);
+}
+
+TEST(MultiSelect, OversizedChildrenRecurseInPlace) {
+    // base_case_size 64 leaves every first-level child oversized, so each
+    // recurses on its own segment of the level's buffer; on uniform and
+    // duplicate-heavy keys, in both atomic modes.
+    const std::size_t n = 1 << 16;
+    const auto uniform = data::generate<float>(
+        {.n = n, .dist = data::Distribution::uniform_real, .seed = 17});
+    const auto dups = data::generate<float>({.n = n,
+                                             .dist = data::Distribution::uniform_distinct,
+                                             .distinct_values = 20000,
+                                             .seed = 19});
+    std::vector<std::size_t> ranks{0, 1, n / 7, n / 2, n / 2 + 1, n - 2, n - 1};
+    for (std::size_t i = 0; i < 24; ++i) ranks.push_back((i * 2731 + 5) % n);
+    for (const auto space : {simt::AtomicSpace::shared, simt::AtomicSpace::global}) {
+        core::SampleSelectConfig cfg;
+        cfg.base_case_size = 64;
+        cfg.atomic_space = space;
+        for (const auto* keys : {&uniform, &dups}) {
+            simt::Device dev(simt::arch_v100());
+            const auto res = core::try_multi_select<float>(dev, *keys, ranks, cfg).value();
+            EXPECT_GE(res.max_depth, 2u);
+            for (std::size_t i = 0; i < ranks.size(); ++i) {
+                EXPECT_EQ(res.values[i], baselines::cpu_nth_element<float>(*keys, ranks[i]).value)
+                    << "rank " << ranks[i];
+            }
+        }
+    }
+}
+
+TEST(MultiSelect, DeadlineChecksEveryLevelBelowTheFirst) {
+    // Oversized children need a second level; a deadline already past when
+    // it starts aborts the descent there (level 0 always runs).
+    const std::size_t n = 1 << 16;
+    const auto data = data::generate<float>(
+        {.n = n, .dist = data::Distribution::uniform_real, .seed = 23});
+    const std::vector<std::size_t> ranks{n / 4, n / 2, 3 * n / 4};
+    core::SampleSelectConfig cfg;
+    cfg.base_case_size = 64;
+    simt::Device dev(simt::arch_v100());
+    const auto ok = core::try_multi_select<float>(dev, data, ranks, cfg);
+    ASSERT_TRUE(ok.ok()) << ok.status().message;
+    EXPECT_GE(ok.value().max_depth, 2u);
+
+    cfg.deadline_ns = 1.0;
+    simt::Device late(simt::arch_v100());
+    EXPECT_EQ(core::try_multi_select<float>(late, data, ranks, cfg).error(),
+              core::SelectError::deadline_exceeded);
 }
 
 TEST(MultiSelect, OutOfRangeRankThrows) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/sample_select.hpp"
 #include "data/distributions.hpp"
 #include "simt/device.hpp"
@@ -134,6 +136,24 @@ TEST(PooledBuffer, MirrorsDeviceBufferSurface) {
     EXPECT_EQ(moved.size(), 10u);
     EXPECT_FLOAT_EQ(moved[3], 7.5f);
     EXPECT_EQ(buf.size(), 0u);  // NOLINT(bugprone-use-after-move): moved-from is empty
+}
+
+TEST(PooledBuffer, EveryCheckoutStartsOnACacheLine) {
+    // Every size class from 1 B to 16 MiB, ragged sizes below 1 MiB, and a
+    // recycled block.
+    simt::Device dev(simt::arch_v100());
+    auto aligned = [](const void* p) {
+        return reinterpret_cast<std::uintptr_t>(p) % simt::MemoryPool::kBlockAlign == 0;
+    };
+    for (std::size_t bytes = 1; bytes <= (std::size_t{16} << 20); bytes *= 2) {
+        EXPECT_TRUE(aligned(dev.pooled<std::uint8_t>(bytes).data())) << bytes << " B";
+        if (bytes < (std::size_t{1} << 20)) {
+            EXPECT_TRUE(aligned(dev.pooled<std::uint8_t>(bytes + 3).data())) << bytes + 3 << " B";
+        }
+    }
+    const auto hits = dev.pool().stats().hits;
+    EXPECT_TRUE(aligned(dev.pooled<double>(1000).data()));
+    EXPECT_GT(dev.pool().stats().hits, hits);
 }
 
 TEST(PooledBuffer, ZeroOnAcquireZeroesRecycledBlock) {

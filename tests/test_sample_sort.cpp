@@ -65,6 +65,26 @@ TEST(SampleSort, LargerMultiLevel) {
     EXPECT_GE(res.max_depth, 1u);
 }
 
+TEST(SampleSort, DeadlineChecksEveryLevelBelowTheFirst) {
+    // 16 buckets over 2^17 keys leave every child above the bitonic
+    // capacity, so each needs a second level; a deadline already past when
+    // it starts aborts the sort there (level 0 always runs).
+    core::SampleSelectConfig cfg;
+    cfg.num_buckets = 16;
+    const auto data = data::generate<float>(
+        {.n = 1 << 17, .dist = data::Distribution::uniform_real, .seed = 11});
+    simt::Device dev(simt::arch_v100());
+    const auto ok = core::try_sample_sort<float>(dev, data, cfg);
+    ASSERT_TRUE(ok.ok()) << ok.status().message;
+    EXPECT_TRUE(std::is_sorted(ok.value().sorted.begin(), ok.value().sorted.end()));
+    EXPECT_GE(ok.value().max_depth, 2u);
+
+    cfg.deadline_ns = 1.0;
+    simt::Device late(simt::arch_v100());
+    EXPECT_EQ(core::try_sample_sort<float>(late, data, cfg).error(),
+              core::SelectError::deadline_exceeded);
+}
+
 TEST(SampleSort, DoublePrecision) {
     const auto data = data::generate<double>(
         {.n = 1 << 13, .dist = data::Distribution::exponential, .seed = 9});

@@ -254,7 +254,7 @@ TEST(StreamSanHazards, ReleaseInFlightWrite) {
     dev.set_stream_sanitizer(StreamSanMode::strict);
     const int s1 = dev.create_stream();
     simt::PoolBlock* blk = dev.pool().acquire(64 * sizeof(float), s1);
-    std::span<float> user(reinterpret_cast<float*>(blk->storage.get()), 64);
+    std::span<float> user(reinterpret_cast<float*>(blk->data), 64);
     launch_write(dev, user, s1, "lane_write");
     dev.pool().release(blk, 0);
     auto scratch = dev.alloc<float>(32);
@@ -267,7 +267,7 @@ TEST(StreamSanHazards, ReleaseInFlightRead) {
     dev.set_stream_sanitizer(StreamSanMode::strict);
     const int s1 = dev.create_stream();
     simt::PoolBlock* blk = dev.pool().acquire(64 * sizeof(float), s1);
-    std::span<const float> user(reinterpret_cast<const float*>(blk->storage.get()), 64);
+    std::span<const float> user(reinterpret_cast<const float*>(blk->data), 64);
     launch_read(dev, user, s1, "lane_read");
     dev.pool().release(blk, 0);
     auto scratch = dev.alloc<float>(32);
@@ -375,7 +375,7 @@ TEST(StreamSanClean, GatedPoolReuseJoinsTimelines) {
     auto dev = make_dev();
     dev.set_stream_sanitizer(StreamSanMode::strict);
     simt::PoolBlock* blk = dev.pool().acquire(64 * sizeof(float), 0);
-    std::span<float> user(reinterpret_cast<float*>(blk->storage.get()), 64);
+    std::span<float> user(reinterpret_cast<float*>(blk->data), 64);
     launch_write(dev, user, 0);
     dev.pool().release(blk, 0);
     dev.synchronize();
