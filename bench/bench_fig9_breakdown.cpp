@@ -39,7 +39,7 @@ std::map<std::string, double> kernel_times(bool write_oracles, std::size_t n, st
     core::count_kernel<float>(dev, data, tree, oracles.span(), totals.span(), block_counts.span(),
                               cfg, simt::LaunchOrigin::host);
     core::reduce_kernel(dev, block_counts.span(), grid, 256, totals.span(), write_oracles,
-                        simt::LaunchOrigin::host, cfg.block_dim);
+                        simt::LaunchOrigin::host);
     if (write_oracles) {
         auto prefix = dev.alloc<std::int32_t>(257);
         const auto bucket = core::select_bucket_kernel(dev, totals.span(), prefix.span(), n / 2,

@@ -241,7 +241,7 @@ BucketSelectResult<T> bucket_select(simt::Device& dev, std::span<const T> input,
                        origin);
         if (shared_mode) {
             core::reduce_kernel(dev, block_counts.span(), grid, cfg.num_buckets, totals.span(),
-                                /*keep_block_offsets=*/true, origin, cfg.block_dim);
+                                /*keep_block_offsets=*/true, origin);
         }
         auto prefix = dev.alloc<std::int32_t>(b + 1);
         const std::int32_t bucket =

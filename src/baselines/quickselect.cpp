@@ -266,7 +266,7 @@ QuickSelectResult<T> quick_select(simt::Device& dev, std::span<const T> input, s
                               origin);
         if (shared_mode) {
             core::reduce_kernel(dev, block_counts.span(), grid, static_cast<int>(kSides),
-                                totals.span(), /*keep_block_offsets=*/true, origin, cfg.block_dim);
+                                totals.span(), /*keep_block_offsets=*/true, origin);
         }
         const auto smaller = static_cast<std::size_t>(totals[kSmaller]);
         const auto equal = static_cast<std::size_t>(totals[kEqual]);

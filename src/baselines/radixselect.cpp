@@ -114,7 +114,7 @@ RadixSelectResult<T> radix_select(simt::Device& dev, std::span<const T> input, s
         digit_count<T>(dev, buf.span(), shift, totals.span(), block_counts.span(), cfg, origin);
         if (shared_mode) {
             core::reduce_kernel(dev, block_counts.span(), grid, static_cast<int>(kBins),
-                                totals.span(), /*keep_block_offsets=*/true, origin, cfg.block_dim);
+                                totals.span(), /*keep_block_offsets=*/true, origin);
         }
         auto prefix = dev.alloc<std::int32_t>(kBins + 1);
         const std::int32_t digit =

@@ -71,8 +71,7 @@ LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data
 
     if (shared_mode) {
         reduce_kernel(dev, lv.block_counts.span(), grid, static_cast<int>(num_buckets),
-                      lv.totals.span(), opt.keep_block_offsets, origin, cfg.block_dim,
-                      ctx.stream());
+                      lv.totals.span(), opt.keep_block_offsets, origin, ctx.stream());
     }
 
     if (opt.locate) {

@@ -22,10 +22,8 @@ RadixLaunchParams radix_params(const PipelineContext& ctx) {
     //  * the planner routes duplicate-heavy inputs here, where aggregation
     //    collapses each warp's histogram update to about one atomic per
     //    fused level (plain same-bin atomics would serialize warp-wide);
-    //  * shared mode would pay one reduce launch per fused level over the
-    //    [block][bin] partials -- a memory-bound pass with one thread per
-    //    bin column, far below the utilization knee -- and that reduce
-    //    tower dominates the whole descent.
+    //  * shared mode would add one reduce launch per fused level (up to
+    //    four per pass) to fold the [block][bin] partials.
     // Global mode needs neither partials nor reduces: the count pass
     // produces device-wide totals directly and radix_walk consumes them.
     return {.block_dim = ctx.cfg().block_dim,

@@ -1,48 +1,94 @@
 #include "core/reduce_kernel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "simt/timing.hpp"
+#include <vector>
 
 namespace gpusel::core {
 
 void reduce_kernel(simt::Device& dev, std::span<std::int32_t> block_counts, int grid_dim,
                    int num_buckets, std::span<std::int32_t> totals, bool keep_block_offsets,
-                   simt::LaunchOrigin origin, int block_dim, int stream) {
+                   simt::LaunchOrigin origin, int stream) {
     const auto g = static_cast<std::size_t>(grid_dim);
     const auto b = static_cast<std::size_t>(num_buckets);
     if (block_counts.size() < g * b) throw std::invalid_argument("block_counts too small");
     if (totals.size() != b) throw std::invalid_argument("totals size mismatch");
 
-    // One thread per bucket column; each scans its column over all blocks.
-    const int grid = simt::suggest_grid(dev.arch(), b, block_dim);
+    // One block per strip of kStrip adjacent buckets, one bucket per lane;
+    // warp w of a block owns the block rows [first_row(w), first_row(w + 1)).
+    constexpr auto kStrip = static_cast<std::size_t>(simt::kWarpSize);
+    const std::size_t warps = std::min(g, kStrip);
+    const auto first_row = [g, warps](std::size_t w) { return w * g / warps; };
+    const std::span<const std::int32_t> counts = block_counts;
     dev.launch(keep_block_offsets ? "reduce_offsets" : "reduce",
-               {.grid_dim = grid, .block_dim = block_dim, .origin = origin, .stream = stream},
-               [&, g, b, keep_block_offsets](simt::BlockCtx& blk) {
-                   blk.warp_tiles(b, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
-                       for (int l = 0; l < w.lanes(); ++l) {
-                           const std::size_t i = base + static_cast<std::size_t>(l);
-                           std::int32_t running = 0;
-                           for (std::size_t row = 0; row < g; ++row) {
-                               const std::int32_t c = blk.ld(block_counts, row * b + i);
-                               if (keep_block_offsets) blk.st(block_counts, row * b + i, running);
-                               running += c;
+               {.grid_dim = static_cast<int>((b + kStrip - 1) / kStrip),
+                .block_dim = static_cast<int>(warps * kStrip),
+                .origin = origin,
+                .stream = stream},
+               [&, g, b, warps, keep_block_offsets](simt::BlockCtx& blk) {
+                   const std::size_t first = static_cast<std::size_t>(blk.block_idx()) * kStrip;
+                   const std::size_t width = std::min(kStrip, b - first);
+                   const auto lanes = static_cast<int>(width);
+                   // The lane registers: row r's strip segment at r * width.
+                   std::vector<std::int32_t> regs(g * width);
+                   // Per-run column sums, [run][lane]; the scan turns them
+                   // into run bases in place.
+                   auto runs = blk.shared_array<std::int32_t>(warps * width);
+
+                   blk.each_warp(lanes, [&](simt::WarpCtx& w, int wi) {
+                       const auto run = static_cast<std::size_t>(wi);
+                       const std::size_t lo = first_row(run);
+                       const std::size_t hi = first_row(run + 1);
+                       std::int32_t sum[simt::kWarpSize] = {};
+                       for (std::size_t r = lo; r < hi; ++r) {
+                           std::int32_t* seg = regs.data() + r * width;
+                           w.load(counts, r * b + first, seg);
+                           for (std::size_t l = 0; l < width; ++l) sum[l] += seg[l];
+                       }
+                       for (std::size_t l = 0; l < width; ++l) {
+                           blk.shared_st(runs, run * width + l, sum[l]);
+                       }
+                       w.add_instr((hi - lo) * width);
+                       w.touch_shared(width * sizeof(std::int32_t));
+                   });
+                   blk.sync();
+
+                   // Column scan over the run sums: run bases in place, and
+                   // the strip's totals in one coalesced store.
+                   for (std::size_t l = 0; l < width; ++l) {
+                       std::int32_t running = 0;
+                       for (std::size_t run = 0; run < warps; ++run) {
+                           const std::int32_t s = blk.shared_ld(runs, run * width + l);
+                           blk.shared_st(runs, run * width + l, running);
+                           running += s;
+                       }
+                       blk.st(totals, first + l, running);
+                   }
+                   blk.charge_shared(2 * warps * width * sizeof(std::int32_t));
+                   blk.charge_instr(warps * width);
+                   blk.charge_global_write(width * sizeof(std::int32_t));
+                   if (!keep_block_offsets) return;
+                   blk.sync();
+
+                   blk.each_warp(lanes, [&](simt::WarpCtx& w, int wi) {
+                       const auto run = static_cast<std::size_t>(wi);
+                       const std::size_t lo = first_row(run);
+                       const std::size_t hi = first_row(run + 1);
+                       std::int32_t running[simt::kWarpSize];
+                       for (std::size_t l = 0; l < width; ++l) {
+                           running[l] = blk.shared_ld(runs, run * width + l);
+                       }
+                       w.touch_shared(width * sizeof(std::int32_t));
+                       for (std::size_t r = lo; r < hi; ++r) {
+                           const std::int32_t* seg = regs.data() + r * width;
+                           std::int32_t offsets[simt::kWarpSize];
+                           for (std::size_t l = 0; l < width; ++l) {
+                               offsets[l] = running[l];
+                               running[l] += seg[l];
                            }
-                           blk.st(totals, i, running);
+                           w.store(block_counts, r * b + first, offsets);
                        }
-                       const auto lanes = static_cast<std::uint64_t>(w.lanes());
-                       // adjacent lanes read adjacent buckets of the same
-                       // block row: coalesced row-major traversal
-                       w.block().counters().global_bytes_read +=
-                           lanes * g * sizeof(std::int32_t);
-                       if (keep_block_offsets) {
-                           w.block().counters().global_bytes_written +=
-                               lanes * g * sizeof(std::int32_t);
-                       }
-                       w.add_instr(lanes * g);
-                       // coalesced totals write
-                       w.block().counters().global_bytes_written +=
-                           lanes * sizeof(std::int32_t);
+                       w.add_instr((hi - lo) * width);
                    });
                });
 }

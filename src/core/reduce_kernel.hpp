@@ -12,14 +12,21 @@
 
 namespace gpusel::core {
 
-/// Reduces block_counts (grid_dim x num_buckets, bucket-major within each
-/// block row) into per-bucket totals.  When `keep_block_offsets` is set,
+/// Reduces block_counts (grid_dim x num_buckets, laid out [block][bucket]
+/// row-major) into per-bucket totals.  When `keep_block_offsets` is set,
 /// block_counts[g * b + i] is replaced in-place by the exclusive prefix sum
 /// over blocks 0..g-1 of bucket i -- the base write offset of block g
 /// within bucket i's contiguous output range.
+///
+/// The launch runs one block per strip of 32 adjacent buckets (one per
+/// lane) with min(grid_dim, 32) warps, each owning a contiguous run of
+/// block rows: a warp loads its rows as coalesced strip segments and sums
+/// them, one barrier later a column scan over the run sums yields every
+/// run's base and the strip's totals, and with offsets kept a second
+/// barrier later each warp rewrites its rows as exclusive offsets.
 void reduce_kernel(simt::Device& dev, std::span<std::int32_t> block_counts, int grid_dim,
                    int num_buckets, std::span<std::int32_t> totals, bool keep_block_offsets,
-                   simt::LaunchOrigin origin, int block_dim = 256, int stream = 0);
+                   simt::LaunchOrigin origin, int stream = 0);
 
 /// The tiny bucket-selection kernel (Sec. IV-E: kernels that "select the
 /// bucket containing the kth-smallest element and compute the launch

@@ -186,6 +186,12 @@ public:
     template <typename F>
     void warp_tiles_local(std::size_t n, F&& fn);
 
+    /// Invokes fn(WarpCtx&, w) once for every warp w of the block, each
+    /// with `lanes` active lanes (for kernels whose warps own a fixed share
+    /// of the block's work, e.g. a run of rows, rather than index tiles).
+    template <typename F>
+    void each_warp(int lanes, F&& fn);
+
     // ---- direct charge helpers (for block-sequential phases such as
     //      prefix sums over shared arrays) ---------------------------------
     void charge_shared(std::uint64_t bytes) noexcept { counters_.shared_bytes_accessed += bytes; }
@@ -498,6 +504,16 @@ void BlockCtx::warp_tiles_local(std::size_t n, F&& fn) {
             WarpCtx warp(*this, static_cast<int>(count));
             fn(warp, base, count);
         }
+    }
+    current_warp_ = -1;
+}
+
+template <typename F>
+void BlockCtx::each_warp(int lanes, F&& fn) {
+    for (int w = 0; w < warps_per_block(); ++w) {
+        current_warp_ = w;
+        WarpCtx warp(*this, lanes);
+        fn(warp, w);
     }
     current_warp_ = -1;
 }

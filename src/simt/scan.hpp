@@ -3,9 +3,9 @@
 // the general-purpose building block behind the Sec. IV-G reduction step
 // ("computing a prefix sum, also sometimes referred to as exclusive scan,
 // over all block-local partial sums").  The specialized reduce_kernel in
-// core/ handles the bucket-major layout; this substrate provides the plain
-// 1-D scan for other consumers (histogram APIs, top-k bookkeeping, user
-// code).
+// core/ handles the [block][bucket] row-major layout of the per-block
+// partial counts; this substrate provides the plain 1-D scan for other
+// consumers (histogram APIs, top-k bookkeeping, user code).
 //
 // Three-phase multi-block algorithm: per-block chunk scans producing block
 // sums, a scan of the block sums, and an offset-add pass -- each phase a

@@ -50,7 +50,7 @@ struct CountSetup {
                                   block_counts.span(), cfg, simt::LaunchOrigin::host);
         if (cfg.atomic_space == simt::AtomicSpace::shared) {
             core::reduce_kernel(dev, block_counts.span(), grid, cfg.num_buckets, totals.span(),
-                                false, simt::LaunchOrigin::host, cfg.block_dim);
+                                false, simt::LaunchOrigin::host);
         }
         return {std::vector<std::int32_t>(totals.data(), totals.data() + b),
                 std::vector<std::uint8_t>(oracles.data(), oracles.data() + oracles.size())};

@@ -99,22 +99,22 @@ std::vector<double> all_equal_doubles() { return std::vector<double>(8192, 2.5);
 
 TEST(DescentGolden, UniformFloats) {
     const Hashes h = run_all(uniform_floats(), {});
-    EXPECT_EQ(h.select, 0x2832e8f01c819bf5ULL);
-    EXPECT_EQ(h.topk_largest, 0x30ffc9830613cec1ULL);
-    EXPECT_EQ(h.topk_smallest, 0x24acb0833ab8dc85ULL);
-    EXPECT_EQ(h.multi_select, 0x428c65942ef36eddULL);
-    EXPECT_EQ(h.sample_sort, 0xa10cc123aa782e00ULL);
+    EXPECT_EQ(h.select, 0x71afdf77e1f2e046ULL);
+    EXPECT_EQ(h.topk_largest, 0x7fd4bff5da6100a0ULL);
+    EXPECT_EQ(h.topk_smallest, 0xcb3edb2a67c7f4a0ULL);
+    EXPECT_EQ(h.multi_select, 0x2d378a28ce69fafaULL);
+    EXPECT_EQ(h.sample_sort, 0x60976aa892405ed1ULL);
 }
 
 TEST(DescentGolden, UniformFloatsForcedFallback) {
     core::SampleSelectConfig cfg;
     cfg.force_fallback = true;
     const Hashes h = run_all(uniform_floats(), cfg);
-    EXPECT_EQ(h.select, 0x2eef9ce950b0a468ULL);
-    EXPECT_EQ(h.topk_largest, 0x9cb04e20826d785fULL);
-    EXPECT_EQ(h.topk_smallest, 0x2416af7ef44f4240ULL);
-    EXPECT_EQ(h.multi_select, 0x889d7f9aabdf9f2dULL);
-    EXPECT_EQ(h.sample_sort, 0x9690ed571d838b8eULL);
+    EXPECT_EQ(h.select, 0x32b5e67773cd2f14ULL);
+    EXPECT_EQ(h.topk_largest, 0x6c5bd932f72c7c16ULL);
+    EXPECT_EQ(h.topk_smallest, 0x82ae9945f17cd94bULL);
+    EXPECT_EQ(h.multi_select, 0xdbb4a86802a67970ULL);
+    EXPECT_EQ(h.sample_sort, 0xe323f8793d590d2eULL);
 }
 
 TEST(DescentGolden, AllEqualDoubles) {
@@ -122,8 +122,8 @@ TEST(DescentGolden, AllEqualDoubles) {
     EXPECT_EQ(h.select, 0xcf435b488a02b637ULL);
     EXPECT_EQ(h.topk_largest, 0x7c53106582f72e35ULL);
     EXPECT_EQ(h.topk_smallest, 0xbe1a6db274235e00ULL);
-    EXPECT_EQ(h.multi_select, 0x8382c6cfb72ad4cbULL);
-    EXPECT_EQ(h.sample_sort, 0x544ac5f54028b2b7ULL);
+    EXPECT_EQ(h.multi_select, 0xc9cb1b0d273ce342ULL);
+    EXPECT_EQ(h.sample_sort, 0x0eb0c5b207cc659cULL);
 }
 
 TEST(DescentGolden, AllEqualDoublesSampleBackend) {
@@ -131,9 +131,9 @@ TEST(DescentGolden, AllEqualDoublesSampleBackend) {
     // sampled descent pins its equality-bucket exit as well.
     const ForceBackend sample("sample");
     const Hashes h = run_all(all_equal_doubles(), {});
-    EXPECT_EQ(h.select, 0x8382c6cfb72ad4cbULL);
-    EXPECT_EQ(h.topk_largest, 0xe7398f9f136e975fULL);
-    EXPECT_EQ(h.topk_smallest, 0xce64f0879ec9d5e4ULL);
+    EXPECT_EQ(h.select, 0xc9cb1b0d273ce342ULL);
+    EXPECT_EQ(h.topk_largest, 0x4de59ab8f79c0c90ULL);
+    EXPECT_EQ(h.topk_smallest, 0xfc47faf410b715efULL);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "core/count_kernel.hpp"
 #include "core/filter_kernel.hpp"
@@ -89,19 +90,62 @@ TEST(EventGolden, CountKernelGlobalAggregated) {
 }
 
 TEST(EventGolden, ReduceKernelTraffic) {
-    Golden g;
-    const int grid = 4;
-    auto bc = g.dev.alloc<std::int32_t>(static_cast<std::size_t>(grid) * Golden::kB);
-    for (std::size_t i = 0; i < bc.size(); ++i) bc[i] = 1;
-    auto totals = g.dev.alloc<std::int32_t>(Golden::kB);
-    g.dev.clear_profiles();
-    core::reduce_kernel(g.dev, bc.span(), grid, Golden::kB, totals.span(), true,
-                        simt::LaunchOrigin::host);
-    const auto& c = g.dev.profiles().back().counters;
-    // 4 columns x 4 rows read and rewritten + 4 totals written
-    EXPECT_EQ(c.global_bytes_read, 4u * 4 * 4);
-    EXPECT_EQ(c.global_bytes_written, 4u * 4 * 4 + 4 * 4);
-    EXPECT_EQ(c.instructions, 16u);
+    // One block per strip of 32 adjacent buckets, min(g, 32) warps each
+    // owning a contiguous run of count-block rows.  Every global byte moves
+    // once: the g x b counts read as coalesced strip segments, the b totals
+    // written, and with offsets the g x b counts rewritten in place.  Shared
+    // traffic: each warp's run sums written, scanned in place (read + write)
+    // and, with offsets, read back as run bases.  Instructions: one per
+    // count summed, per run sum scanned and, with offsets, per offset
+    // formed.  One barrier before the column scan and, with offsets, a
+    // second one before the rewrite.
+    struct Shape {
+        int g;
+        std::size_t b;
+        bool offsets;
+        int grid;
+        int block;
+        std::uint64_t read, written, shared, barriers, instr;
+    };
+    const Shape shapes[] = {
+        // g = b = 4: grid ceil(4/32) = 1, block 32 * 4 = 128, one row per
+        // warp.  Reads 4*4*4 = 64 B; writes 4*4 = 16 B of totals (+ 64 B of
+        // offsets); shared 4*4*4 = 64 B of run sums + 128 B of scan (+ 64 B
+        // of bases); instructions 16 + 16 (+ 16).
+        {4, 4, false, 1, 128, 64, 16, 192, 1, 32},
+        {4, 4, true, 1, 128, 64, 80, 256, 2, 48},
+        // g = b = 40: grid ceil(40/32) = 2 (strips of 32 and 8 buckets),
+        // block 32 * min(40, 32) = 1024, warps owning 1 or 2 rows.  Reads
+        // 40*40*4 = 6400 B; writes 40*4 = 160 B (+ 6400 B); shared
+        // 32*40*4 = 5120 B of run sums + 10240 B of scan (+ 5120 B);
+        // instructions 40*40 + 32*40 = 2880 (+ 1600); 1 (2) barriers in
+        // each of the 2 blocks.
+        {40, 40, false, 2, 1024, 6400, 160, 15360, 2, 2880},
+        {40, 40, true, 2, 1024, 6400, 6560, 20480, 4, 4480},
+    };
+    for (const Shape& s : shapes) {
+        SCOPED_TRACE("g=" + std::to_string(s.g) + " b=" + std::to_string(s.b) +
+                     (s.offsets ? " offsets" : " totals"));
+        Golden g;
+        auto bc = g.dev.alloc<std::int32_t>(static_cast<std::size_t>(s.g) * s.b);
+        for (std::size_t i = 0; i < bc.size(); ++i) bc[i] = 1;
+        auto totals = g.dev.alloc<std::int32_t>(s.b);
+        g.dev.clear_profiles();
+        core::reduce_kernel(g.dev, bc.span(), s.g, static_cast<int>(s.b), totals.span(),
+                            s.offsets, simt::LaunchOrigin::host);
+        const auto& p = g.dev.profiles().back();
+        EXPECT_EQ(p.name, s.offsets ? "reduce_offsets" : "reduce");
+        EXPECT_EQ(p.grid_dim, s.grid);
+        EXPECT_EQ(p.block_dim, s.block);
+        const auto& c = p.counters;
+        EXPECT_EQ(c.global_bytes_read, s.read);
+        EXPECT_EQ(c.global_bytes_written, s.written);
+        EXPECT_EQ(c.scattered_bytes_read + c.scattered_bytes_written, 0u);
+        EXPECT_EQ(c.shared_bytes_accessed, s.shared);
+        EXPECT_EQ(c.block_barriers, s.barriers);
+        EXPECT_EQ(c.instructions, s.instr);
+        for (std::size_t i = 0; i < s.b; ++i) EXPECT_EQ(totals[i], s.g);
+    }
 }
 
 TEST(EventGolden, FilterKernelTraffic) {

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/count_kernel.hpp"
 #include "core/filter_kernel.hpp"
 #include "core/reduce_kernel.hpp"
 #include "core/sample_kernel.hpp"
 #include "data/distributions.hpp"
+#include "golden_hash.hpp"
 
 namespace {
 
@@ -51,6 +54,46 @@ TEST(ReduceKernel, BlockOffsetsAreExclusivePrefix) {
     for (int g = 0; g < grid; ++g) {
         EXPECT_EQ(bc[static_cast<std::size_t>(g * b)], expect0[g]);
         EXPECT_EQ(bc[static_cast<std::size_t>(g * b + 1)], expect1[g]);
+    }
+}
+
+TEST(ReduceKernel, MatchesHostColumnScanAcrossShapes) {
+    // b < 32 gives a single strip narrower than a warp; g < 32 leaves one
+    // row per warp, g = 33 gives one warp a second row and g = 1500 more
+    // than 32 rows per warp.  Under GPUSEL_WORKERS the strips of a launch
+    // run concurrently on host workers.
+    for (const simt::ArchSpec& arch : {simt::arch_v100(), simt::arch_k20xm()}) {
+        simt::Device dev(arch, golden::device_options());
+        for (const int grid : {1, 5, 31, 33, 160, 1500}) {
+            for (const int b : {2, 3, 4, 16, 32, 256, 1024}) {
+                const auto g = static_cast<std::size_t>(grid);
+                const auto ub = static_cast<std::size_t>(b);
+                std::vector<std::int32_t> counts(g * ub);
+                for (std::size_t i = 0; i < counts.size(); ++i) {
+                    counts[i] = static_cast<std::int32_t>((i * 2654435761u) % 97);
+                }
+                std::vector<std::int32_t> offsets(g * ub);
+                std::vector<std::int32_t> sums(ub, 0);
+                for (std::size_t row = 0; row < g; ++row) {
+                    for (std::size_t i = 0; i < ub; ++i) {
+                        offsets[row * ub + i] = sums[i];
+                        sums[i] += counts[row * ub + i];
+                    }
+                }
+                for (const bool keep : {false, true}) {
+                    SCOPED_TRACE(arch.name + " g=" + std::to_string(grid) +
+                                 " b=" + std::to_string(b) + (keep ? " offsets" : " totals"));
+                    auto bc = dev.alloc<std::int32_t>(g * ub);
+                    std::copy(counts.begin(), counts.end(), bc.data());
+                    auto totals = dev.alloc<std::int32_t>(ub);
+                    core::reduce_kernel(dev, bc.span(), grid, b, totals.span(), keep,
+                                        simt::LaunchOrigin::host);
+                    EXPECT_EQ(std::vector<std::int32_t>(totals.data(), totals.data() + ub), sums);
+                    EXPECT_EQ(std::vector<std::int32_t>(bc.data(), bc.data() + g * ub),
+                              keep ? offsets : counts);
+                }
+            }
+        }
     }
 }
 
@@ -114,7 +157,7 @@ TEST_P(FilterPipeline, ExtractsExactlyTheBucketElements) {
                               cfg, simt::LaunchOrigin::host);
     if (shared) {
         core::reduce_kernel(dev, block_counts.span(), grid, cfg.num_buckets, totals.span(), true,
-                            simt::LaunchOrigin::host, cfg.block_dim);
+                            simt::LaunchOrigin::host);
     }
 
     // Extract every bucket and verify it is a permutation of the reference.
