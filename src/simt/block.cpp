@@ -25,7 +25,8 @@ BlockCtx::BlockCtx(const ArchSpec& arch, int block_idx, int grid_dim, int block_
       block_dim_(block_dim),
       shared_limit_(shared_limit),
       san_(san),
-      ssan_(ssan) {
+      ssan_(ssan),
+      armed_(san != nullptr || ssan != nullptr) {
     if (block_dim <= 0 || block_dim % kWarpSize != 0) {
         throw std::invalid_argument("block_dim must be a positive multiple of the warp size");
     }
@@ -99,32 +100,15 @@ void WarpCtx::add_instr(std::uint64_t n) const { blk_->counters_.instructions +=
 void WarpCtx::san_check_targets(AtomicSpace space, std::span<std::int32_t> counters,
                                 const std::int32_t* which, const bool* active,
                                 const char* primitive) const {
-    Sanitizer* san = blk_->san_;
-    StreamSan* ssan = blk_->ssan_;
-    if (san == nullptr && ssan == nullptr) return;
-    for (int l = 0; l < lanes_; ++l) {
-        if (active != nullptr && !active[l]) continue;
-        const auto b = static_cast<std::size_t>(which[l]);
-        if (which[l] < 0 || b >= counters.size()) {
-            if (san == nullptr) continue;  // OOB reporting is SimTSan's job
-            san->oob(space == AtomicSpace::shared ? ViolationKind::shared_oob
-                                                  : ViolationKind::global_oob,
-                     primitive, b, counters.size(), blk_->block_idx_);
-        }
-        if (space == AtomicSpace::global) {
-            if (san != nullptr) {
-                san->global_atomic(&counters[b], sizeof(std::int32_t), blk_->block_idx_,
-                                   primitive);
-            }
-            // Atomic RMW counts as a write for cross-stream ordering.
-            if (ssan != nullptr) ssan->note_write(&counters[b], sizeof(std::int32_t));
-        }
+    if (space == AtomicSpace::shared) {
+        blk_->check_shared_lanes(counters, which, active, lanes_, primitive);
+        return;
     }
-    // OOB always throws, so every which[l] is in range here; the shared
-    // shadow pass runs batched with the span setup hoisted out of the loop.
-    if (san != nullptr && space == AtomicSpace::shared) {
-        blk_->shared_access_lanes(counters, which, active, lanes_, primitive);
-    }
+    // A negative target wraps past the span end and fails the bounds check.
+    blk_->check_lanes(
+        counters, lanes_, [active](int l) { return active == nullptr || active[l]; },
+        [which](int l) { return static_cast<std::size_t>(which[l]); }, MemAccess::atomic,
+        primitive);
 }
 
 namespace {

@@ -23,10 +23,18 @@
 // and naked atomics inside kernel lambdas are build errors) and dynamically
 // by SimTSan (simt/sanitizer.hpp), which shadow-checks every primitive for
 // cross-block races, shared-memory epoch violations, OOB, uninitialized
-// reads and canary clobbers.  Per-element traffic that is charged in bulk
-// (block-sequential publish loops, staged shared data) goes through the
-// *uncharged* checked accessors ld/st/shared_ld/shared_st below, so event
-// counts stay byte-identical with the sanitizer on or off.
+// reads and canary clobbers, and by StreamSan (simt/streamsan.hpp), which
+// orders each launch's global traffic against other streams.  Per-element
+// traffic that is charged in bulk (block-sequential publish loops, staged
+// shared data) goes through the *uncharged* checked accessors
+// ld/st/shared_ld/shared_st below, so event counts stay byte-identical
+// with the analyzers on or off.
+//
+// Both analyzers share one hook: every global-memory primitive calls
+// BlockCtx::check (a contiguous span) or check_lanes (one element per
+// lane) once per span it touches.  The check bounds-checks once, records
+// SimTSan's shadow and hands StreamSan's coalescer one byte envelope;
+// with both analyzers off it is one branch on BlockCtx's armed flag.
 
 #include <algorithm>
 #include <atomic>
@@ -37,6 +45,7 @@
 #include <span>
 #include <vector>
 
+#include "simt/analyzer.hpp"
 #include "simt/arch.hpp"
 #include "simt/counters.hpp"
 #include "simt/sanitizer.hpp"
@@ -124,9 +133,8 @@ public:
     void add_instr(std::uint64_t n) const;
 
 private:
-    /// SimTSan prologue for the atomic primitives: bounds-checks every
-    /// active lane's target and records the atomic in the global or shared
-    /// shadow.  No-op without an active sanitizer.
+    /// Analyzer prologue for the atomic primitives: global targets go
+    /// through check_lanes, shared ones through the shared shadow.
     void san_check_targets(AtomicSpace space, std::span<std::int32_t> counters,
                            const std::int32_t* which, const bool* active,
                            const char* primitive) const;
@@ -201,28 +209,18 @@ public:
         counters_.global_bytes_written += bytes;
     }
 
-    // ---- checked element accessors (SimTSan) -------------------------------
+    // ---- checked element accessors -----------------------------------------
     // Uncharged single-element access for code whose traffic is charged in
-    // bulk (publish loops, staging copies, pivots).  With the sanitizer off
-    // these compile down to the plain subscript they replace; with it on
-    // they bounds-check the span and update the global or shared shadow.
-    // Counters are never touched, preserving event-count golden identity.
+    // bulk (publish loops, staging copies, pivots).  With the analyzers off
+    // these compile down to the plain subscript they replace plus one
+    // branch; with one on they bounds-check the span and update the global
+    // or shared shadow.  Counters are never touched, preserving event-count
+    // golden identity.
 
     /// Checked global-memory read: src[i].
     template <typename T>
     [[nodiscard]] T ld(std::span<const T> src, std::size_t i) {
-        if (san_ != nullptr) {
-            if (i >= src.size()) {
-                san_->oob(ViolationKind::global_oob, "ld", i, src.size(), block_idx_);
-            }
-            san_->global_read(src.data() + i, sizeof(T), block_idx_, "ld");
-        }
-        // Bounds-guarded: OOB reporting is SimTSan's job, StreamSan only
-        // folds in-bounds traffic into the launch read/write set.
-        if (ssan_ != nullptr && i < src.size()) {
-            ssan_note_elem(src.data(), src.size() * sizeof(T), src.data() + i, sizeof(T),
-                           /*write=*/false);
-        }
+        check(src, i, 1, MemAccess::read, "ld");
         return src[i];
     }
     template <typename T>
@@ -233,16 +231,7 @@ public:
     /// Checked global-memory write: dst[i] = v.
     template <typename T, typename U>
     void st(std::span<T> dst, std::size_t i, const U& v) {
-        if (san_ != nullptr) {
-            if (i >= dst.size()) {
-                san_->oob(ViolationKind::global_oob, "st", i, dst.size(), block_idx_);
-            }
-            san_->global_write(dst.data() + i, sizeof(T), block_idx_, "st");
-        }
-        if (ssan_ != nullptr && i < dst.size()) {
-            ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + i, sizeof(T),
-                           /*write=*/true);
-        }
+        check(dst, i, 1, MemAccess::write, "st");
         dst[i] = v;
     }
 
@@ -286,6 +275,62 @@ public:
 private:
     friend class WarpCtx;
 
+    /// The analyzer hook for elements [first, first + count) of `s`,
+    /// touched as `a` by `primitive`.  Bounds-checks once: an out-of-span
+    /// range is SimTSan's to report and always throws, naming the range's
+    /// last index (StreamSan only folds in-bounds traffic).  Then records
+    /// the access in SimTSan's shadow and hands StreamSan's coalescer its
+    /// byte envelope.  One branch when both analyzers are off.
+    template <typename T>
+    void check(std::span<T> s, std::size_t first, std::size_t count, MemAccess a,
+               const char* primitive) {
+        if (!armed_ || count == 0) return;
+        // Unsigned-safe form of first + count > size: a reversed store's
+        // first index may have wrapped below zero.
+        if (count > s.size() || first > s.size() - count) [[unlikely]] {
+            if (san_ != nullptr) {
+                san_->oob(ViolationKind::global_oob, primitive, first + count - 1, s.size(),
+                          block_idx_);
+            }
+            return;
+        }
+        const T* p = s.data() + first;
+        if (san_ != nullptr) san_->access(p, count * sizeof(T), block_idx_, primitive, a);
+        if (ssan_ != nullptr) {
+            ssan_note(s.data(), s.size_bytes(), p, count * sizeof(T), a != MemAccess::read);
+        }
+    }
+
+    /// Per-lane form for scattered primitives: lane l (0 <= l < lanes) with
+    /// active(l) touches element index(l) of `s`.  Bounds-checks and records
+    /// SimTSan's shadow lane by lane, in lane order, so a report names the
+    /// first offending lane's index; StreamSan gets one envelope over the
+    /// in-bounds lanes.
+    template <typename T, typename Active, typename Index>
+    void check_lanes(std::span<T> s, int lanes, Active&& active, Index&& index, MemAccess a,
+                     const char* primitive) {
+        if (!armed_) return;
+        std::size_t lo = ~std::size_t{0};
+        std::size_t hi = 0;
+        for (int l = 0; l < lanes; ++l) {
+            if (!active(l)) continue;
+            const std::size_t i = index(l);
+            if (i >= s.size()) [[unlikely]] {
+                if (san_ != nullptr) {
+                    san_->oob(ViolationKind::global_oob, primitive, i, s.size(), block_idx_);
+                }
+                continue;
+            }
+            if (san_ != nullptr) san_->access(s.data() + i, sizeof(T), block_idx_, primitive, a);
+            lo = std::min(lo, i);
+            hi = std::max(hi, i);
+        }
+        if (ssan_ != nullptr && lo <= hi) {
+            ssan_note(s.data(), s.size_bytes(), s.data() + lo, (hi - lo + 1) * sizeof(T),
+                      a != MemAccess::read);
+        }
+    }
+
     /// SimTSan shared-memory shadow update.  Pointers outside the block's
     /// shared arena (stack-local cursors used with AtomicSpace::shared) are
     /// skipped.  Only call with san_ != nullptr.  Inline: this runs on
@@ -324,15 +369,23 @@ private:
         }
     }
 
-    /// Batched shared_access for a warp's per-lane atomic targets inside
-    /// one counter span: the arena-bounds test, the shadow sizing and the
-    /// cell tag are hoisted out of the per-lane loop, which then touches
-    /// exactly one 4-byte-element cell per active lane.  Callers must have
-    /// range-checked `which` already (san_check_targets reports OOB, which
-    /// always throws, before calling this).
-    void shared_access_lanes(std::span<std::int32_t> counters, const std::int32_t* which,
-                             const bool* active, int lanes, const char* primitive) {
+    /// The shared-space counterpart of check_lanes for a warp's atomic
+    /// targets inside one counter span (SimTSan only).  Bounds-checks every
+    /// active lane first (shared_oob, always fatal); then the arena-bounds
+    /// test, the shadow sizing and the cell tag are hoisted out of the
+    /// per-lane loop, which touches exactly one 4-byte-element cell per
+    /// active lane.
+    void check_shared_lanes(std::span<std::int32_t> counters, const std::int32_t* which,
+                            const bool* active, int lanes, const char* primitive) {
         static_assert(sizeof(std::int32_t) == kSanGranule);
+        if (san_ == nullptr) return;
+        for (int l = 0; l < lanes; ++l) {
+            if (active != nullptr && !active[l]) continue;
+            const auto b = static_cast<std::size_t>(which[l]);
+            if (b >= counters.size()) {
+                san_->oob(ViolationKind::shared_oob, primitive, b, counters.size(), block_idx_);
+            }
+        }
         const auto* bp = reinterpret_cast<const std::byte*>(counters.data());
         if (shared_mem_ == nullptr || bp < shared_mem_ ||
             bp + counters.size_bytes() > shared_mem_ + shared_used_) {
@@ -387,18 +440,23 @@ private:
     std::vector<std::uint32_t> mark_;
     std::vector<std::int32_t> slot_;
     std::uint32_t epoch_ = 0;
-    // ---- SimTSan state ----------------------------------------------------
+    // ---- analyzer state ---------------------------------------------------
     Sanitizer* san_ = nullptr;
     /// StreamSan (simt/streamsan.hpp): per-launch read/write-set recording
     /// for cross-stream happens-before analysis; nullptr when off.
     StreamSan* ssan_ = nullptr;
-    // Access coalescer: element/tile notes against the same span in the
+    /// san_ != nullptr || ssan_ != nullptr: the one flag check() tests.
+    bool armed_ = false;
+    // Access coalescer: StreamSan envelopes against the same span in the
     // same direction fold into a pending byte envelope, flushed on span
     // replacement and when the block retires.  StreamSan folds per-region
     // envelopes within a launch anyway, so coalescing is semantics-
     // preserving -- it only batches the fold.  Two slots per direction
     // cover the common kernel shapes (load src / store dst per tile, plus
-    // one side table) without thrashing.
+    // one side table) without thrashing.  Only the per-access envelopes
+    // come through here: SimTSan needs each access's own granules (a
+    // gather's min..max envelope covers elements no lane touched, which
+    // would be cross-block races that never happened).
     struct SsanPend {
         std::uintptr_t span_lo = 0;  ///< span identity; 0 = empty slot
         std::uintptr_t span_hi = 0;
@@ -408,8 +466,8 @@ private:
     SsanPend ssan_pend_[2][2];  ///< [write][slot]
     unsigned ssan_victim_[2] = {0, 0};
 
-    void ssan_note_elem(const void* span_data, std::size_t span_bytes, const void* p,
-                        std::size_t bytes, bool write) {
+    void ssan_note(const void* span_data, std::size_t span_bytes, const void* p,
+                   std::size_t bytes, bool write) {
         const auto a = reinterpret_cast<std::uintptr_t>(p);
         const auto s = reinterpret_cast<std::uintptr_t>(span_data);
         SsanPend* row = ssan_pend_[write ? 1 : 0];
@@ -430,12 +488,7 @@ private:
     }
     void ssan_flush_one(SsanPend& e, bool write) {
         if (e.lo < e.hi && ssan_ != nullptr) {
-            const auto* p = reinterpret_cast<const void*>(e.lo);
-            if (write) {
-                ssan_->note_write(p, e.hi - e.lo);
-            } else {
-                ssan_->note_read(p, e.hi - e.lo);
-            }
+            ssan_->note(reinterpret_cast<const void*>(e.lo), e.hi - e.lo, write);
         }
         e = SsanPend{};
     }
@@ -520,66 +573,23 @@ void BlockCtx::each_warp(int lanes, F&& fn) {
 
 template <typename T>
 void WarpCtx::load(std::span<const T> src, std::size_t base, T* regs) const {
-    if (Sanitizer* san = blk_->san_; san != nullptr) {
-        const auto n = static_cast<std::size_t>(lanes_);
-        if (base + n > src.size()) {
-            san->oob(ViolationKind::global_oob, "load", base + n - 1, src.size(),
-                     blk_->block_idx_);
-        }
-        san->global_read(src.data() + base, n * sizeof(T), blk_->block_idx_, "load");
-    }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr) {
-        const auto n = static_cast<std::size_t>(lanes_);
-        if (base + n <= src.size()) {
-            blk_->ssan_note_elem(src.data(), src.size() * sizeof(T), src.data() + base,
-                                 n * sizeof(T), /*write=*/false);
-        }
-    }
+    blk_->check(src, base, static_cast<std::size_t>(lanes_), MemAccess::read, "load");
     for (int l = 0; l < lanes_; ++l) regs[l] = src[base + static_cast<std::size_t>(l)];
     blk_->counters_.global_bytes_read += static_cast<std::uint64_t>(lanes_) * sizeof(T);
 }
 
 template <typename T>
 void WarpCtx::store(std::span<T> dst, std::size_t base, const T* regs) const {
-    if (Sanitizer* san = blk_->san_; san != nullptr) {
-        const auto n = static_cast<std::size_t>(lanes_);
-        if (base + n > dst.size()) {
-            san->oob(ViolationKind::global_oob, "store", base + n - 1, dst.size(),
-                     blk_->block_idx_);
-        }
-        san->global_write(dst.data() + base, n * sizeof(T), blk_->block_idx_, "store");
-    }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr) {
-        const auto n = static_cast<std::size_t>(lanes_);
-        if (base + n <= dst.size()) {
-            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + base,
-                                 n * sizeof(T), /*write=*/true);
-        }
-    }
+    blk_->check(dst, base, static_cast<std::size_t>(lanes_), MemAccess::write, "store");
     for (int l = 0; l < lanes_; ++l) dst[base + static_cast<std::size_t>(l)] = regs[l];
     blk_->counters_.global_bytes_written += static_cast<std::uint64_t>(lanes_) * sizeof(T);
 }
 
 template <typename T>
 void WarpCtx::gather(std::span<const T> src, const std::size_t* idx, T* regs) const {
-    if (Sanitizer* san = blk_->san_; san != nullptr) {
-        for (int l = 0; l < lanes_; ++l) {
-            if (idx[l] >= src.size()) {
-                san->oob(ViolationKind::global_oob, "gather", idx[l], src.size(),
-                         blk_->block_idx_);
-            }
-            san->global_read(src.data() + idx[l], sizeof(T), blk_->block_idx_, "gather");
-        }
-    }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr && lanes_ > 0) {
-        // Envelope of the lane indices: StreamSan folds byte ranges per
-        // launch anyway, so one note covers the whole scattered tile.
-        const auto [lo, hi] = std::minmax_element(idx, idx + lanes_);
-        if (*hi < src.size()) {
-            blk_->ssan_note_elem(src.data(), src.size() * sizeof(T), src.data() + *lo,
-                                 (*hi - *lo + 1) * sizeof(T), /*write=*/false);
-        }
-    }
+    blk_->check_lanes(
+        src, lanes_, [](int) { return true; }, [idx](int l) { return idx[l]; },
+        MemAccess::read, "gather");
     for (int l = 0; l < lanes_; ++l) regs[l] = src[idx[l]];
     blk_->counters_.scattered_bytes_read += static_cast<std::uint64_t>(lanes_) * sizeof(T);
 }
@@ -587,21 +597,13 @@ void WarpCtx::gather(std::span<const T> src, const std::size_t* idx, T* regs) co
 template <typename T>
 int WarpCtx::scatter(std::span<T> dst, const std::int32_t* idx, const T* regs,
                      const bool* active) const {
+    blk_->check_lanes(
+        dst, lanes_, [active](int l) { return active[l]; },
+        [idx](int l) { return static_cast<std::size_t>(idx[l]); }, MemAccess::write, "scatter");
     int n = 0;
     for (int l = 0; l < lanes_; ++l) {
         if (!active[l]) continue;
-        const auto i = static_cast<std::size_t>(idx[l]);
-        if (Sanitizer* san = blk_->san_; san != nullptr) {
-            if (i >= dst.size()) {
-                san->oob(ViolationKind::global_oob, "scatter", i, dst.size(), blk_->block_idx_);
-            }
-            san->global_write(dst.data() + i, sizeof(T), blk_->block_idx_, "scatter");
-        }
-        if (StreamSan* ssan = blk_->ssan_; ssan != nullptr && i < dst.size()) {
-            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + i, sizeof(T),
-                                 /*write=*/true);
-        }
-        dst[i] = regs[l];
+        dst[static_cast<std::size_t>(idx[l])] = regs[l];
         ++n;
     }
     blk_->counters_.scattered_bytes_written += static_cast<std::uint64_t>(n) * sizeof(T);
@@ -613,18 +615,7 @@ int WarpCtx::compress_store(std::span<T> dst, std::size_t pos, std::uint32_t mas
                             const T* regs) const {
     if (lanes_ < 32) mask &= (1u << lanes_) - 1u;
     const auto count = static_cast<std::size_t>(std::popcount(mask));
-    if (Sanitizer* san = blk_->san_; san != nullptr && count > 0) {
-        if (pos + count > dst.size()) {
-            san->oob(ViolationKind::global_oob, "compress_store", pos + count - 1, dst.size(),
-                     blk_->block_idx_);
-        }
-        san->global_write(dst.data() + pos, count * sizeof(T), blk_->block_idx_,
-                          "compress_store");
-    }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr && count > 0 && pos + count <= dst.size()) {
-        blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + pos,
-                             count * sizeof(T), /*write=*/true);
-    }
+    blk_->check(dst, pos, count, MemAccess::write, "compress_store");
     const int n = simd::compress_store(regs, mask, lanes_, dst.data() + pos);
     blk_->counters_.global_bytes_written += static_cast<std::uint64_t>(n) * sizeof(T);
     return n;
@@ -635,20 +626,9 @@ int WarpCtx::compress_store_rev(std::span<T> dst, std::size_t pos_hi, std::uint3
                                 const T* regs) const {
     if (lanes_ < 32) mask &= (1u << lanes_) - 1u;
     const auto count = static_cast<std::size_t>(std::popcount(mask));
-    if (Sanitizer* san = blk_->san_; san != nullptr && count > 0) {
-        if (pos_hi >= dst.size() || pos_hi + 1 < count) {
-            san->oob(ViolationKind::global_oob, "compress_store_rev", pos_hi, dst.size(),
-                     blk_->block_idx_);
-        }
-        san->global_write(dst.data() + (pos_hi + 1 - count), count * sizeof(T),
-                          blk_->block_idx_, "compress_store_rev");
-    }
-    if (StreamSan* ssan = blk_->ssan_;
-        ssan != nullptr && count > 0 && pos_hi < dst.size() && pos_hi + 1 >= count) {
-        blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T),
-                             dst.data() + (pos_hi + 1 - count), count * sizeof(T),
-                             /*write=*/true);
-    }
+    // Selected lanes land on [pos_hi + 1 - count, pos_hi]; a range below
+    // index 0 wraps and fails the bounds check, which names pos_hi.
+    blk_->check(dst, pos_hi + 1 - count, count, MemAccess::write, "compress_store_rev");
     const int n = simd::compress_store_reverse(regs, mask, lanes_, dst.data() + pos_hi);
     blk_->counters_.global_bytes_written += static_cast<std::uint64_t>(n) * sizeof(T);
     return n;
@@ -659,36 +639,11 @@ int WarpCtx::compress_gather_store(std::span<T> dst, std::size_t pos, std::span<
                                    std::size_t src_base, std::uint32_t mask) const {
     if (lanes_ < 32) mask &= (1u << lanes_) - 1u;
     const auto count = static_cast<std::size_t>(std::popcount(mask));
-    if (Sanitizer* san = blk_->san_; san != nullptr && count > 0) {
-        for (int l = 0; l < lanes_; ++l) {
-            if (((mask >> l) & 1u) == 0) continue;
-            const std::size_t i = src_base + static_cast<std::size_t>(l);
-            if (i >= src.size()) {
-                san->oob(ViolationKind::global_oob, "compress_gather_store", i, src.size(),
-                         blk_->block_idx_);
-            }
-            san->global_read(src.data() + i, sizeof(T), blk_->block_idx_,
-                             "compress_gather_store");
-        }
-        if (pos + count > dst.size()) {
-            san->oob(ViolationKind::global_oob, "compress_gather_store", pos + count - 1,
-                     dst.size(), blk_->block_idx_);
-        }
-        san->global_write(dst.data() + pos, count * sizeof(T), blk_->block_idx_,
-                          "compress_gather_store");
-    }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr && count > 0) {
-        const std::size_t lo = src_base + static_cast<std::size_t>(std::countr_zero(mask));
-        const std::size_t hi = src_base + static_cast<std::size_t>(std::bit_width(mask)) - 1;
-        if (hi < src.size()) {
-            blk_->ssan_note_elem(src.data(), src.size() * sizeof(T), src.data() + lo,
-                                 (hi - lo + 1) * sizeof(T), /*write=*/false);
-        }
-        if (pos + count <= dst.size()) {
-            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + pos,
-                                 count * sizeof(T), /*write=*/true);
-        }
-    }
+    blk_->check_lanes(
+        src, lanes_, [mask](int l) { return ((mask >> l) & 1u) != 0; },
+        [src_base](int l) { return src_base + static_cast<std::size_t>(l); }, MemAccess::read,
+        "compress_gather_store");
+    blk_->check(dst, pos, count, MemAccess::write, "compress_gather_store");
     const int n = simd::compress_store(src.data() + src_base, mask, lanes_, dst.data() + pos);
     blk_->counters_.scattered_bytes_read += static_cast<std::uint64_t>(n) * sizeof(T);
     blk_->counters_.global_bytes_written += static_cast<std::uint64_t>(n) * sizeof(T);

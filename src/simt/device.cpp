@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -30,10 +31,37 @@ Device::Device(ArchSpec spec, DeviceOptions opts)
     // fresh allocations and launches.
     mem_pool_.set_fault_hook([this] { return injector_.should_fail_alloc(); });
     if (const auto env_spec = FaultSpec::from_env()) set_faults(*env_spec);
-    if (const SanMode m = Sanitizer::mode_from_env(); m != SanMode::off) set_sanitizer(m);
-    if (const StreamSanMode m = StreamSan::mode_from_env(); m != StreamSanMode::off) {
+    if (const SanMode m = mode_from_env("GPUSEL_SAN"); m != SanMode::off) set_sanitizer(m);
+    if (const SanMode m = mode_from_env("GPUSEL_STREAMSAN"); m != SanMode::off) {
         set_stream_sanitizer(m);
     }
+}
+
+namespace {
+/// Replaces the analyzer in `slot` (nullptr for off).  Buffers and pool
+/// checkouts keep the analyzer they registered with and unregister from
+/// it on release, so one that still tracks a region must outlive them:
+/// replacing it would leave them a dangling pointer.
+template <typename Analyzer>
+void install(std::unique_ptr<Analyzer>& slot, SanMode mode, bool concurrent,
+             const char* setter) {
+    if (slot != nullptr && slot->tracked_regions() != 0) {
+        throw std::logic_error(std::string(setter) + ": the current analyzer still tracks " +
+                               std::to_string(slot->tracked_regions()) +
+                               " live region(s); set it before allocating");
+    }
+    slot = mode == SanMode::off ? nullptr : std::make_unique<Analyzer>(mode, concurrent);
+}
+}  // namespace
+
+void Device::set_sanitizer(SanMode mode) {
+    install(san_, mode, /*concurrent=*/opts_.host_workers != 0, "set_sanitizer");
+    mem_pool_.set_sanitizer(san_.get());
+}
+
+void Device::set_stream_sanitizer(SanMode mode) {
+    install(ssan_, mode, /*concurrent=*/opts_.host_workers != 0, "set_stream_sanitizer");
+    mem_pool_.set_stream_sanitizer(ssan_.get());
 }
 
 void Device::maybe_fail_alloc(std::size_t bytes) {

@@ -238,19 +238,17 @@ public:
     // The Device owns the sanitizer (simt/sanitizer.hpp) so one shadow
     // registry covers every buffer, pool checkout and launch on this
     // device.  The constructor installs GPUSEL_SAN from the environment;
-    // set_sanitizer() enables it programmatically.  NOTE: buffers allocated
-    // before set_sanitizer() are not shadow-tracked (no canaries either) --
-    // enable the sanitizer before allocating, as the env path does.
+    // set_sanitizer() enables it programmatically.  Enable it before
+    // allocating, as the env path does: buffers allocated earlier are not
+    // shadow-tracked (no canaries either), and a sanitizer that still
+    // tracks live buffers cannot be replaced (they would unregister from a
+    // destroyed analyzer).
 
     /// Installs (or with SanMode::off removes) the sanitizer.  A device
     /// with host_workers == 0 runs every block inline, so its sanitizer
-    /// takes the faster single-threaded shadow path.
-    void set_sanitizer(SanMode mode) {
-        san_ = mode == SanMode::off
-                   ? nullptr
-                   : std::make_unique<Sanitizer>(mode, /*concurrent=*/opts_.host_workers != 0);
-        mem_pool_.set_sanitizer(san_.get());
-    }
+    /// takes the faster single-threaded shadow path.  Throws
+    /// std::logic_error while the current sanitizer tracks any region.
+    void set_sanitizer(SanMode mode);
     /// The active sanitizer, or nullptr when off.
     [[nodiscard]] Sanitizer* sanitizer() noexcept { return san_.get(); }
     [[nodiscard]] const Sanitizer* sanitizer() const noexcept { return san_.get(); }
@@ -259,18 +257,14 @@ public:
     // Happens-before hazard analysis over the stream/event/pool graph
     // (simt/streamsan.hpp).  The constructor installs GPUSEL_STREAMSAN from
     // the environment; set_stream_sanitizer() enables it programmatically.
-    // Same caveat as SimTSan: buffers allocated before enabling are not
-    // tracked -- enable before allocating, as the env path does.
+    // Same rules as SimTSan: enable before allocating, and an analyzer that
+    // still tracks live buffers cannot be replaced.
 
-    /// Installs (or with StreamSanMode::off removes) the stream sanitizer.
+    /// Installs (or with SanMode::off removes) the stream sanitizer.
     /// Concurrent mode (host_workers != 0) makes the per-launch read/write
-    /// set folding safe against blocks running on worker threads.
-    void set_stream_sanitizer(StreamSanMode mode) {
-        ssan_ = mode == StreamSanMode::off
-                    ? nullptr
-                    : std::make_unique<StreamSan>(mode, /*concurrent=*/opts_.host_workers != 0);
-        mem_pool_.set_stream_sanitizer(ssan_.get());
-    }
+    /// set folding safe against blocks running on worker threads.  Throws
+    /// std::logic_error while the current one tracks any region.
+    void set_stream_sanitizer(SanMode mode);
     /// The active stream sanitizer, or nullptr when off.
     [[nodiscard]] StreamSan* stream_sanitizer() noexcept { return ssan_.get(); }
     [[nodiscard]] const StreamSan* stream_sanitizer() const noexcept { return ssan_.get(); }

@@ -1,9 +1,8 @@
 #include "simt/sanitizer.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <bit>
 #include <cstring>
-#include <limits>
 
 namespace gpusel::simt {
 
@@ -70,24 +69,12 @@ std::string SanViolation::message() const {
     return m;
 }
 
-SanMode Sanitizer::mode_from_env() {
-    const char* env = std::getenv("GPUSEL_SAN");
-    if (env == nullptr) return SanMode::off;
-    const std::string_view v(env);
-    if (v.empty() || v == "0" || v == "off") return SanMode::off;
-    if (v == "1" || v == "strict" || v == "on") return SanMode::strict;
-    if (v == "2" || v == "collect") return SanMode::collect;
-    throw std::invalid_argument("GPUSEL_SAN must be one of 0/off, 1/strict/on, 2/collect");
-}
-
 void Sanitizer::register_region(const void* base, std::size_t bytes, bool mark_uninit,
                                 const void* canary_lo, std::size_t canary_lo_bytes,
                                 const void* canary_hi, std::size_t canary_hi_bytes) {
     if (base == nullptr || bytes == 0) return;
     const std::size_t granules = (bytes + kSanGranule - 1) / kSanGranule;
     Region r;
-    r.base = reinterpret_cast<std::uintptr_t>(base);
-    r.bytes = bytes;
     r.writers.assign(granules, 0);
     r.readers.assign(granules, 0);
     r.track_uninit = mark_uninit;
@@ -96,21 +83,18 @@ void Sanitizer::register_region(const void* base, std::size_t bytes, bool mark_u
     r.canary_lo_bytes = canary_lo_bytes;
     r.canary_hi = reinterpret_cast<std::uintptr_t>(canary_hi);
     r.canary_hi_bytes = canary_hi_bytes;
-    regions_[r.base] = std::move(r);
-    reg_gen_ = next_gen();  // invalidate every thread's cached region lookup
+    regions_.insert(base, bytes, std::move(r));
 }
 
 void Sanitizer::unregister_region(const void* base) noexcept {
-    const auto key = reinterpret_cast<std::uintptr_t>(base);
-    auto it = regions_.find(key);
-    if (it == regions_.end()) return;
+    const Region* r = regions_.at(base);
+    if (r == nullptr) return;
     // Destructor context: canary findings are recorded, never thrown.
     try {
-        sweep_canaries(it->second, /*allow_throw=*/false);
-    } catch (...) {  // report() never throws when allow_throw is false
+        sweep_canaries(*r, /*allow_throw=*/false);
+    } catch (...) {  // only allocation can throw on the record-only path
     }
-    regions_.erase(it);
-    reg_gen_ = next_gen();  // invalidate every thread's cached region lookup
+    regions_.erase(base);
 }
 
 void Sanitizer::begin_launch(std::string_view kernel) {
@@ -139,41 +123,9 @@ void Sanitizer::end_launch() {
     kernel_.clear();
 }
 
-Sanitizer::Region* Sanitizer::find_slow(const void* p, std::size_t bytes) noexcept {
-    const auto addr = reinterpret_cast<std::uintptr_t>(p);
-    RegionCache& rc = tl_cache_;
-    if (rc.owner != this || rc.gen != reg_gen_) {
-        rc = {};  // stale entries from another sanitizer/generation: drop all
-        rc.owner = this;
-        rc.gen = reg_gen_;
-    }
-    // upper_bound: first region with base > addr; its predecessor is the
-    // only candidate container.  The two neighbors also bound the miss gap.
-    auto it = regions_.upper_bound(addr);
-    const std::uintptr_t gap_hi =
-        it == regions_.end() ? std::numeric_limits<std::uintptr_t>::max() : it->first;
-    std::uintptr_t gap_lo = 0;
-    if (it != regions_.begin()) {
-        --it;
-        Region& r = it->second;
-        if (addr >= r.base && addr + bytes <= r.base + r.bytes) {
-            cache_insert(r.base, r.base + r.bytes, &r);
-            return &r;
-        }
-        gap_lo = r.base + r.bytes;
-    }
-    // Cache the miss only when [addr, addr+bytes) sits cleanly in the gap
-    // between regions (a range straddling a region edge has no gap to
-    // name; that never happens for span-derived pointers anyway).
-    if (addr >= gap_lo && addr + bytes <= gap_hi) {
-        cache_insert(gap_lo, gap_hi, nullptr);
-    }
-    return nullptr;
-}
-
 void Sanitizer::access_atomic(Region& r, std::size_t g_first, std::size_t g_last, int block,
-                              const char* primitive, Access a, std::uint32_t self) {
-    const bool is_atomic = a == Access::atomic;
+                              const char* primitive, MemAccess a, std::uint32_t self) {
+    const bool is_atomic = a == MemAccess::atomic;
     for (std::size_t g = g_first; g <= g_last; ++g) {
         const std::uint32_t w = cell_load(r.writers[g]);
         // Same launch epoch AND different block; the atomic-vs-atomic
@@ -183,7 +135,7 @@ void Sanitizer::access_atomic(Region& r, std::size_t g_first, std::size_t g_last
                 report_conflict(g * kSanGranule, block, primitive, a, w, /*other_is_writer=*/true);
             }
         }
-        if (a == Access::read) {
+        if (a == MemAccess::read) {
             cell_store(r.readers[g], self);
             if (r.track_uninit) {
                 const std::uint64_t word = std::atomic_ref<std::uint64_t>(r.init_bits[g / 64])
@@ -216,15 +168,15 @@ void Sanitizer::access_atomic(Region& r, std::size_t g_first, std::size_t g_last
 }
 
 void Sanitizer::conflict_walk(Region& r, std::size_t g_first, std::size_t g_last, int block,
-                              const char* primitive, Access a, std::uint32_t self) {
-    const bool is_atomic = a == Access::atomic;
+                              const char* primitive, MemAccess a, std::uint32_t self) {
+    const bool is_atomic = a == MemAccess::atomic;
     for (std::size_t g = g_first; g <= g_last; ++g) {
         const std::uint32_t w = r.writers[g];
         if ((w >> 16) == (self >> 16) && ((w ^ self) & kCellBlockMask) != 0 &&
             !((w & 1u) != 0 && is_atomic)) {
             report_conflict(g * kSanGranule, block, primitive, a, w, /*other_is_writer=*/true);
         }
-        if (a != Access::read) {
+        if (a != MemAccess::read) {
             const std::uint32_t rd = r.readers[g];
             if ((rd >> 16) == (self >> 16) && ((rd ^ self) & kCellBlockMask) != 0) {
                 report_conflict(g * kSanGranule, block, primitive, a, rd,
@@ -234,11 +186,11 @@ void Sanitizer::conflict_walk(Region& r, std::size_t g_first, std::size_t g_last
     }
 }
 
-void Sanitizer::report_conflict(std::size_t offset, int block, const char* primitive, Access a,
-                                std::uint32_t other, bool other_is_writer) {
+void Sanitizer::report_conflict(std::size_t offset, int block, const char* primitive,
+                                MemAccess a, std::uint32_t other, bool other_is_writer) {
     const int o_block = static_cast<int>((other >> 1) & 0x7fffu) - 1;
     const bool o_atomic = (other & 1u) != 0;
-    const bool is_atomic = a == Access::atomic;
+    const bool is_atomic = a == MemAccess::atomic;
     SanViolation v;
     v.kind = ViolationKind::global_race;
     v.kernel = kernel_;
@@ -247,7 +199,7 @@ void Sanitizer::report_conflict(std::size_t offset, int block, const char* primi
     v.block = block;
     if (other_is_writer) {
         // Same launch, different block, and at least one side plain.
-        v.detail = std::string(a == Access::read ? "read" : is_atomic ? "atomic" : "write") +
+        v.detail = std::string(a == MemAccess::read ? "read" : is_atomic ? "atomic" : "write") +
                    " conflicts with " + (o_atomic ? "atomic" : "write") + " by block " +
                    std::to_string(o_block);
     } else {
@@ -320,21 +272,13 @@ void Sanitizer::oob(ViolationKind kind, const char* primitive, std::size_t index
     v.block = block;
     v.detail = "index " + std::to_string(index) + " out of bounds for size " +
                std::to_string(size);
-    total_.fetch_add(1, std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(sink_mu_);
-        if (violations_.size() < kMaxStored) violations_.push_back(v);
-    }
+    log_.record(v);
     // OOB is fatal in every mode: continuing would corrupt host memory.
     throw SanError(std::move(v));
 }
 
 void Sanitizer::report(SanViolation v) {
-    total_.fetch_add(1, std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(sink_mu_);
-        if (violations_.size() < kMaxStored) violations_.push_back(v);
-    }
+    log_.record(v);
     if (mode_ == SanMode::strict) throw SanError(std::move(v));
 }
 
@@ -354,25 +298,11 @@ void Sanitizer::sweep_canaries(const Region& r, bool allow_throw, bool quick) {
         if (allow_throw) {
             report(std::move(v));  // one report per band localizes the smash
         } else {
-            total_.fetch_add(1, std::memory_order_relaxed);
-            const std::lock_guard<std::mutex> lock(sink_mu_);
-            if (violations_.size() < kMaxStored) violations_.push_back(std::move(v));
+            log_.record(v);
         }
     };
     check(r.canary_lo, r.canary_lo_bytes, "leading");
     check(r.canary_hi, r.canary_hi_bytes, "trailing");
-}
-
-std::vector<SanViolation> Sanitizer::violations() const {
-    const std::lock_guard<std::mutex> lock(sink_mu_);
-    return violations_;
-}
-
-void Sanitizer::clear() {
-    const std::lock_guard<std::mutex> lock(sink_mu_);
-    violations_.clear();
-    total_.store(0, std::memory_order_relaxed);
-    checks_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace gpusel::simt

@@ -35,43 +35,48 @@
 //                      uncounted span accesses that run past the user
 //                      region trip the end-of-launch sweep.
 //
-// Modes (GPUSEL_SAN / Device::set_sanitizer):
+// Modes (GPUSEL_SAN / Device::set_sanitizer, grammar in simt/analyzer.hpp):
 //   strict  (GPUSEL_SAN=1)  -- throw SanError at the detection point; the
-//            exception surfaces through the PR 3 Status channel as
+//            exception surfaces through the Status channel as
 //            SelectError::sanitizer_violation.
 //   collect (GPUSEL_SAN=2)  -- record violations and keep running (soak
 //            mode); OOB still throws.
 //
+// Hook: the primitives do not call SimTSan directly.  Each one calls
+// BlockCtx::check / check_lanes (simt/block.hpp) once per span it touches;
+// that check bounds-checks (OOB is reported here, via oob()) and records
+// the access with access() -- per access for contiguous spans, per lane
+// for scattered ones -- before handing StreamSan its byte envelope.
+//
 // Concurrency: blocks of one launch run on the work-stealing thread pool,
-// so shadow cells are touched through relaxed std::atomic_ref.  The region
-// registry itself is only mutated on the host control thread between
-// launches (the same discipline the memory pool documents), so kernel-side
-// lookups need no lock.
+// so with host workers shadow cells are touched through relaxed
+// std::atomic_ref.  The region table (simt/analyzer.hpp) is only mutated
+// on the host control thread between launches (the same discipline the
+// memory pool documents), so kernel-side lookups need no lock.
 //
 // Determinism: SimTSan never touches KernelCounters -- event-count golden
 // tests stay byte-identical with the sanitizer on or off.
 //
 // Performance: the check runs on every instrumented access, so the hot
-// path is engineered for single-digit nanoseconds -- find()/access() are
+// path is engineered for single-digit nanoseconds -- access() is
 // header-inline with cold violation construction out-of-line, shadow
 // cells are 4 bytes (16-bit epoch, cleared on wrap), region lookup goes
-// through a thread-local four-entry cache that also caches misses, and the
-// hot path contains no LOCK-prefixed read-modify-writes.  The acceptance
-// bound (<= 3x wall clock on a full selection, bench_simulator_overhead's
-// san_slowdown_x counter) is what these choices buy.
+// through the region table's thread-local cache that also caches misses,
+// and the hot path contains no LOCK-prefixed read-modify-writes.  The
+// acceptance bound (<= 3x wall clock on a full selection,
+// bench_simulator_overhead's san_slowdown_x counter) is what these
+// choices buy.
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "simt/analyzer.hpp"
 
 namespace gpusel::simt {
 
@@ -85,8 +90,6 @@ inline constexpr std::byte kCanaryByte{0xC3};
 inline constexpr std::byte kPoisonByte{0xA5};
 /// Guard-band width (bytes) on each side of a DeviceBuffer's user data.
 inline constexpr std::size_t kCanaryBytes = 64;
-
-enum class SanMode { off, strict, collect };
 
 enum class ViolationKind {
     global_race,
@@ -125,9 +128,9 @@ private:
     SanViolation v_;
 };
 
-/// The sanitizer: region registry + per-region shadow + violation sink.
-/// Owned by the Device; a null pointer everywhere means "off" and costs
-/// one branch per primitive.
+/// The sanitizer: region table + per-region shadow + violation log.
+/// Owned by the Device; off means no Sanitizer at all, and the primitives
+/// then pay one branch on BlockCtx's armed flag.
 class Sanitizer {
 public:
     /// `concurrent` declares whether block workers may touch shadow cells
@@ -140,11 +143,6 @@ public:
         : mode_(mode), concurrent_(concurrent) {}
     Sanitizer(const Sanitizer&) = delete;
     Sanitizer& operator=(const Sanitizer&) = delete;
-
-    /// Parses GPUSEL_SAN: unset/""/"0"/"off" -> off; "1"/"strict"/"on" ->
-    /// strict; "2"/"collect" -> collect.  Anything else throws (fail
-    /// loudly, like GPUSEL_FAULTS).
-    [[nodiscard]] static SanMode mode_from_env();
 
     [[nodiscard]] SanMode mode() const noexcept { return mode_; }
     [[nodiscard]] bool enabled() const noexcept { return mode_ != SanMode::off; }
@@ -160,6 +158,9 @@ public:
     /// Final canary sweep (record-only: unregistration happens in
     /// destructors, which must not throw) and shadow teardown.
     void unregister_region(const void* base) noexcept;
+    /// Regions registered and not yet unregistered (live buffers and pool
+    /// checkouts that hold on to this sanitizer).
+    [[nodiscard]] std::size_t tracked_regions() const noexcept { return regions_.size(); }
 
     // ---- launch bracket (host control thread) ------------------------------
     /// Starts a new race-detection epoch; accesses from different blocks
@@ -169,11 +170,11 @@ public:
     void end_launch();
 
     // ---- kernel-side hooks (block worker threads) --------------------------
-    // Defined inline below the class: these run on every instrumented
-    // access and must inline into the BlockCtx/WarpCtx call sites.
-    void global_read(const void* p, std::size_t bytes, int block, const char* primitive);
-    void global_write(const void* p, std::size_t bytes, int block, const char* primitive);
-    void global_atomic(const void* p, std::size_t bytes, int block, const char* primitive);
+    /// Records one in-bounds global access of [p, p + bytes) by `block` in
+    /// the shadow; reports races and uninitialized reads.  Defined inline
+    /// below the class: it runs on every instrumented access and must
+    /// inline into BlockCtx::check.
+    void access(const void* p, std::size_t bytes, int block, const char* primitive, MemAccess a);
 
     /// Reports an out-of-span index on a primitive.  Always throws -- a
     /// clamped or skipped access would silently change kernel semantics.
@@ -185,12 +186,10 @@ public:
     void report(SanViolation v);
 
     // ---- results -----------------------------------------------------------
-    /// Stored violations (collect mode keeps at most kMaxStored; the total
-    /// count keeps counting).  Safe to read between launches.
-    [[nodiscard]] std::vector<SanViolation> violations() const;
-    [[nodiscard]] std::uint64_t total_violations() const noexcept {
-        return total_.load(std::memory_order_relaxed);
-    }
+    /// Stored violations (at most ReportLog::kMaxStored; the total keeps
+    /// counting).  Safe to read between launches.
+    [[nodiscard]] std::vector<SanViolation> violations() const { return log_.stored(); }
+    [[nodiscard]] std::uint64_t total_violations() const noexcept { return log_.total(); }
     /// Number of shadow checks performed (a liveness signal for tests).
     /// Deliberately approximate under concurrency: the hot path bumps it
     /// with a plain relaxed load+store rather than a LOCK-prefixed
@@ -198,9 +197,10 @@ public:
     [[nodiscard]] std::uint64_t checks() const noexcept {
         return checks_.load(std::memory_order_relaxed);
     }
-    void clear();
-
-    static constexpr std::size_t kMaxStored = 128;
+    void clear() {
+        log_.clear();
+        checks_.store(0, std::memory_order_relaxed);
+    }
 
 private:
     struct Region {
@@ -224,8 +224,6 @@ private:
         std::size_t canary_hi_bytes = 0;
     };
 
-    enum class Access { read, write, atomic };
-
     /// Relaxed load/store over shadow cells -- plain movs, no LOCK prefix.
     /// Two block threads may interleave on one cell; the worst case is a
     /// missed report of a race the schedule did not actually exhibit,
@@ -238,67 +236,16 @@ private:
         std::atomic_ref<std::uint32_t>(cell).store(v, std::memory_order_relaxed);
     }
 
-    /// Region-lookup cache: four entries, round-robin replacement.  Kernel
-    /// hot loops hammer a small working set of spans tile after tile --
-    /// typically the input data, an output buffer and an oracle/flag array
-    /// interleaved per iteration -- so a single entry thrashes on the
-    /// alternation while four hold the whole set.  An entry maps [lo, hi)
-    /// to its region, or to nullptr for a known gap between regions: the
-    /// most-accessed span of all, the staged input, is often a *host*
-    /// vector with no region, so misses are cached too.  thread_local
-    /// keeps the cache coherent across the block worker pool.
-    /// Entries are validated by (owner, gen).  Generations come from a
-    /// process-wide counter (next_gen), never a per-instance one: malloc
-    /// happily recycles a destroyed Sanitizer's address for the next one,
-    /// and a per-instance counter restarting at 1 would let a stale entry
-    /// spoof the (owner, gen) check and hand out a dangling Region*.
-    struct RegionCache {  // aggregate, zero-initialized at thread start
-        const void* owner;   ///< validates all four entries at once
-        std::uint64_t gen;
-        struct Entry {
-            std::uintptr_t lo;  ///< cached answer for addresses in [lo, hi):
-            std::uintptr_t hi;
-            void* region;       ///< the containing region, or nullptr for a gap
-        } e[4];
-        unsigned next;  ///< round-robin replacement cursor
-    };
-    static inline thread_local RegionCache tl_cache_{};
-
-    /// Only call with tl_cache_.owner/gen already normalized to this
-    /// sanitizer (find_slow does that before resolving).
-    void cache_insert(std::uintptr_t lo, std::uintptr_t hi, void* region) noexcept {
-        RegionCache& rc = tl_cache_;
-        rc.e[rc.next++ & 3u] = {lo, hi, region};
-    }
-
-    /// Region containing [p, p+bytes), or nullptr for unregistered memory
-    /// (host vectors, stack locals) -- those are skipped, not errors.
-    [[nodiscard]] Region* find(const void* p, std::size_t bytes) noexcept {
-        const auto addr = reinterpret_cast<std::uintptr_t>(p);
-        const RegionCache& rc = tl_cache_;
-        if (rc.owner == this && rc.gen == reg_gen_) [[likely]] {
-            // Zeroed entries are inert: lo == hi == 0 never contains a range.
-            for (const auto& c : rc.e) {
-                if (addr >= c.lo && addr + bytes <= c.hi) return static_cast<Region*>(c.region);
-            }
-        }
-        return find_slow(p, bytes);
-    }
-    [[nodiscard]] Region* find_slow(const void* p, std::size_t bytes) noexcept;
-
-    /// The per-access hot path; defined inline below the class.
-    void access(const void* p, std::size_t bytes, int block, const char* primitive, Access a);
-
     /// Cross-thread variant of the granule loop: per-cell relaxed
     /// atomic_ref traffic, reports inline.  Out-of-line -- the serial scan
     /// below is the path the acceptance benchmark runs.
     void access_atomic(Region& r, std::size_t g_first, std::size_t g_last, int block,
-                       const char* primitive, Access a, std::uint32_t self);
+                       const char* primitive, MemAccess a, std::uint32_t self);
     /// Cold re-walk after the serial scan flagged a possible conflict:
     /// checks each granule precisely (atomic-vs-atomic exemption) and
     /// reports.  Check-only; the caller fills the cells afterwards.
     void conflict_walk(Region& r, std::size_t g_first, std::size_t g_last, int block,
-                       const char* primitive, Access a, std::uint32_t self);
+                       const char* primitive, MemAccess a, std::uint32_t self);
     /// Serial read-side uninit sweep: word-wise over the init bitmap, so a
     /// fully-initialized tile costs one mask compare per 64 granules; a
     /// word with unset bits goes to the batched cold helper once, not to
@@ -327,7 +274,7 @@ private:
 
     /// Cold path: unpacks the conflicting cell and reports a global_race.
     /// `other_is_writer` selects the last-writer vs last-reader wording.
-    void report_conflict(std::size_t offset, int block, const char* primitive, Access a,
+    void report_conflict(std::size_t offset, int block, const char* primitive, MemAccess a,
                          std::uint32_t other, bool other_is_writer);
     /// Cold path for a read of a granule with no init bit set: confirms
     /// the pool poison is still there (reports) or latches the bit so
@@ -354,22 +301,13 @@ private:
                ((static_cast<std::uint32_t>(block + 1) & 0x7fffu) << 1) | (atomic ? 1u : 0u);
     }
 
-    /// Draws a fresh globally-unique registry generation.
-    [[nodiscard]] static std::uint64_t next_gen() noexcept {
-        static std::atomic<std::uint64_t> src{1};
-        return src.fetch_add(1, std::memory_order_relaxed);
-    }
-
     SanMode mode_;
-    bool concurrent_;                           ///< shadow may be touched cross-thread
-    std::map<std::uintptr_t, Region> regions_;  ///< keyed by base address
-    std::uint64_t reg_gen_ = next_gen();        ///< registry mutation stamp
-    std::uint32_t epoch_ = 0;                   ///< current launch ordinal
-    std::string kernel_;                        ///< current launch's kernel name
-    std::atomic<std::uint64_t> total_{0};
+    bool concurrent_;             ///< shadow may be touched cross-thread
+    RegionTable<Region> regions_;
+    std::uint32_t epoch_ = 0;     ///< current launch ordinal
+    std::string kernel_;          ///< current launch's kernel name
     std::atomic<std::uint64_t> checks_{0};
-    mutable std::mutex sink_mu_;                ///< guards violations_ only
-    std::vector<SanViolation> violations_;
+    ReportLog<SanViolation> log_;
 };
 
 // ===== inline hot path =====================================================
@@ -378,8 +316,8 @@ private:
 // inline into the BlockCtx/WarpCtx accessors.
 
 inline void Sanitizer::access(const void* p, std::size_t bytes, int block, const char* primitive,
-                              Access a) {
-    Region* r = find(p, bytes);
+                              MemAccess a) {
+    Region* r = regions_.find(p, bytes);
     if (r == nullptr) return;  // host vector or stack local: not tracked
     // Liveness counter, deliberately not a fetch_add: a LOCK-prefixed
     // increment per check would cost more than the shadow update itself.
@@ -387,7 +325,7 @@ inline void Sanitizer::access(const void* p, std::size_t bytes, int block, const
     const std::size_t off = reinterpret_cast<std::uintptr_t>(p) - r->base;
     const std::size_t g_first = off / kSanGranule;
     const std::size_t g_last = (off + bytes - 1) / kSanGranule;
-    const std::uint32_t self = pack(epoch_, block, a == Access::atomic);
+    const std::uint32_t self = pack(epoch_, block, a == MemAccess::atomic);
     if (concurrent_) {
         access_atomic(*r, g_first, g_last, block, primitive, a, self);
         return;
@@ -400,7 +338,7 @@ inline void Sanitizer::access(const void* p, std::size_t bytes, int block, const
         const std::uint32_t epoch_tag = self >> 16;
         const std::uint32_t w = r->writers[g_first];
         bool suspect = (w >> 16) == epoch_tag && ((w ^ self) & kCellBlockMask) != 0;
-        if (a == Access::read) {
+        if (a == MemAccess::read) {
             if (suspect) [[unlikely]] {
                 conflict_walk(*r, g_first, g_first, block, primitive, a, self);
             }
@@ -429,7 +367,7 @@ inline void Sanitizer::access(const void* p, std::size_t bytes, int block, const
     // line before anything is overwritten, so reports match access_atomic.
     const std::uint32_t epoch_tag = self >> 16;
     std::uint32_t suspect = 0;
-    if (a == Access::read) {
+    if (a == MemAccess::read) {
         for (std::size_t g = g_first; g <= g_last; ++g) {
             const std::uint32_t w = r->writers[g];
             suspect |= static_cast<std::uint32_t>((w >> 16) == epoch_tag) &
@@ -450,7 +388,7 @@ inline void Sanitizer::access(const void* p, std::size_t bytes, int block, const
     if (suspect != 0) [[unlikely]] {
         conflict_walk(*r, g_first, g_last, block, primitive, a, self);
     }
-    if (a == Access::read) {
+    if (a == MemAccess::read) {
         std::fill(r->readers.begin() + static_cast<std::ptrdiff_t>(g_first),
                   r->readers.begin() + static_cast<std::ptrdiff_t>(g_last) + 1, self);
         if (r->track_uninit) uninit_scan(*r, g_first, g_last, block, primitive);
@@ -459,21 +397,6 @@ inline void Sanitizer::access(const void* p, std::size_t bytes, int block, const
                   r->writers.begin() + static_cast<std::ptrdiff_t>(g_last) + 1, self);
         if (r->track_uninit) init_mark(*r, g_first, g_last);
     }
-}
-
-inline void Sanitizer::global_read(const void* p, std::size_t bytes, int block,
-                                   const char* primitive) {
-    access(p, bytes, block, primitive, Access::read);
-}
-
-inline void Sanitizer::global_write(const void* p, std::size_t bytes, int block,
-                                    const char* primitive) {
-    access(p, bytes, block, primitive, Access::write);
-}
-
-inline void Sanitizer::global_atomic(const void* p, std::size_t bytes, int block,
-                                     const char* primitive) {
-    access(p, bytes, block, primitive, Access::atomic);
 }
 
 }  // namespace gpusel::simt

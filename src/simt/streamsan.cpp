@@ -1,7 +1,6 @@
 #include "simt/streamsan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -44,7 +43,7 @@ std::string StreamHazard::message() const {
     return msg;
 }
 
-StreamSan::StreamSan(StreamSanMode mode, bool concurrent)
+StreamSan::StreamSan(SanMode mode, bool concurrent)
     : mode_(mode), concurrent_(concurrent) {
     // Timestamp 0.0 is the timeline origin: waiting on it (the default
     // event value of never-forked fans) is always satisfied and carries no
@@ -52,44 +51,24 @@ StreamSan::StreamSan(StreamSanMode mode, bool concurrent)
     events_.emplace(0.0, std::vector<std::uint64_t>{});
 }
 
-StreamSanMode StreamSan::mode_from_env() {
-    const char* env = std::getenv("GPUSEL_STREAMSAN");
-    if (env == nullptr) return StreamSanMode::off;
-    const std::string v(env);
-    if (v.empty() || v == "0" || v == "off") return StreamSanMode::off;
-    if (v == "1" || v == "strict" || v == "on") return StreamSanMode::strict;
-    if (v == "2" || v == "collect") return StreamSanMode::collect;
-    throw std::invalid_argument("GPUSEL_STREAMSAN must be one of 0/off, 1/strict/on, 2/collect: \"" +
-                                v + "\"");
-}
-
 void StreamSan::register_region(const void* base, std::size_t bytes) {
     if (base == nullptr || bytes == 0) return;
-    const auto addr = reinterpret_cast<std::uintptr_t>(base);
-    Region& r = regions_[addr];
-    r.base = addr;
-    r.bytes = bytes;
-    r.last_write = Epoch{};
-    r.reads.clear();
-    r.seq = 0;  // stale: the first touch of the next launch resets the fold
-    reg_gen_ = next_gen();
-    scache_clear();  // map insertion may rebalance: cached gaps are stale
+    // A fresh Region: empty history, and seq 0 is stale, so the first
+    // touch of the next launch resets the fold.
+    regions_.insert(base, bytes);
 }
 
 void StreamSan::unregister_region(const void* base) noexcept {
     if (base == nullptr) return;
-    const auto addr = reinterpret_cast<std::uintptr_t>(base);
-    const auto it = regions_.find(addr);
-    if (it == regions_.end()) return;
+    Region* r = regions_.at(base);
+    if (r == nullptr) return;
     // A region may disappear mid-launch only through a destructor on the
     // host thread; drop it from the pending fold list too.
     if (in_launch_) {
-        const auto pos = std::find(accessed_.begin(), accessed_.end(), &it->second);
+        const auto pos = std::find(accessed_.begin(), accessed_.end(), r);
         if (pos != accessed_.end()) accessed_.erase(pos);
     }
-    regions_.erase(it);
-    reg_gen_ = next_gen();
-    scache_clear();  // the erased node's cache entry would dangle
+    regions_.erase(base);
 }
 
 void StreamSan::ensure_stream(int stream) {
@@ -100,6 +79,11 @@ void StreamSan::ensure_stream(int stream) {
     }
 }
 
+void StreamSan::join(std::vector<std::uint64_t>& into, const std::vector<std::uint64_t>& from) {
+    if (into.size() < from.size()) into.resize(from.size(), 0);
+    for (std::size_t t = 0; t < from.size(); ++t) into[t] = std::max(into[t], from[t]);
+}
+
 void StreamSan::on_stream_acquired(int stream) {
     if (stream < 0) return;
     ensure_stream(stream);
@@ -107,11 +91,7 @@ void StreamSan::on_stream_acquired(int stream) {
     // work starts at the device completion time, after everything enqueued
     // so far -- join every clock into the new stream's.
     std::vector<std::uint64_t>& mine = vc_[static_cast<std::size_t>(stream)];
-    for (const std::vector<std::uint64_t>& other : vc_) {
-        for (std::size_t t = 0; t < other.size(); ++t) {
-            if (other[t] > mine[t]) mine[t] = other[t];
-        }
-    }
+    for (const std::vector<std::uint64_t>& other : vc_) join(mine, other);
 }
 
 void StreamSan::on_launch_begin(int stream, std::string_view kernel) {
@@ -152,7 +132,7 @@ void StreamSan::first_touch_slow(Region* r) {
     std::atomic_ref<std::uint64_t>(r->seq).store(launch_seq_, std::memory_order_release);
 }
 
-void StreamSan::note_access_concurrent(Region* r, std::size_t lo, std::size_t hi, bool write) {
+void StreamSan::note_concurrent(Region* r, std::size_t lo, std::size_t hi, bool write) {
     // Block workers on several threads fold into the same scratch: CAS
     // min/max with relaxed ordering (the launch-end analysis happens after
     // the scheduler's own join, which supplies the synchronization).
@@ -180,40 +160,6 @@ void StreamSan::note_access_concurrent(Region* r, std::size_t lo, std::size_t hi
     }
 }
 
-StreamSan::Region* StreamSan::find_slow(const void* p, std::size_t bytes) noexcept {
-    const auto addr = reinterpret_cast<std::uintptr_t>(p);
-    const auto insert = [this](std::uintptr_t lo, std::uintptr_t hi, Region* region) noexcept {
-        if (!concurrent_) {
-            scache_[scache_next_++ & 3u] = SerialEntry{lo, hi, region};
-            return;
-        }
-        RegionCache& rc = tl_cache_;
-        if (rc.owner != this || rc.gen != reg_gen_) {
-            rc = RegionCache{};
-            rc.owner = this;
-            rc.gen = reg_gen_;
-        }
-        cache_insert(lo, hi, region);
-    };
-    // First region with base > addr; the candidate is its predecessor.
-    auto it = regions_.upper_bound(addr);
-    std::uintptr_t gap_lo = 0;
-    if (it != regions_.begin()) {
-        auto prev = std::prev(it);
-        Region& r = prev->second;
-        if (addr >= r.base && addr + bytes <= r.base + r.bytes) {
-            insert(r.base, r.base + r.bytes, &r);
-            return &r;
-        }
-        gap_lo = r.base + r.bytes;
-    }
-    // Not inside any region: cache the gap so sibling accesses miss fast.
-    const std::uintptr_t gap_hi =
-        it != regions_.end() ? it->second.base : std::numeric_limits<std::uintptr_t>::max();
-    if (gap_lo <= addr && addr + bytes <= gap_hi) insert(gap_lo, gap_hi, nullptr);
-    return nullptr;
-}
-
 void StreamSan::on_launch_end(int stream, double end_ns) {
     if (!in_launch_) return;
     in_launch_ = false;
@@ -223,48 +169,35 @@ void StreamSan::on_launch_end(int stream, double end_ns) {
 
     StreamHazard first;
     bool have_first = false;
-    auto note_hazard = [&](StreamHazard h) {
+    // Reports earlier epoch `e` if it overlaps this launch's [lo, hi) and
+    // no edge orders it before the launch.
+    auto conflict = [&](const Epoch& e, std::size_t lo, std::size_t hi, HazardKind kind,
+                        const char* before, const char* after) {
+        if (!unordered(e, stream) || hi <= e.lo || e.hi <= lo) return;
+        StreamHazard h{kind, cur_kernel_, stream, e.stream, std::max(lo, e.lo),
+                       std::min(hi, e.hi), end_ns, before + e.kernel + after};
         if (!have_first) {
             first = h;
             have_first = true;
         }
         report(std::move(h), /*allow_throw=*/false);
     };
-    auto overlap = [](std::size_t alo, std::size_t ahi, std::size_t blo, std::size_t bhi) {
-        return alo < bhi && blo < ahi;
-    };
 
     for (Region* r : accessed_) {
         const bool wrote = r->w_lo < r->w_hi;
         const bool read = r->r_lo < r->r_hi;
         if (wrote) {
-            const Epoch& lw = r->last_write;
-            if (lw.stream >= 0 && lw.stream != stream && overlap(r->w_lo, r->w_hi, lw.lo, lw.hi) &&
-                !ordered_before(lw, stream)) {
-                note_hazard({HazardKind::write_write_race, cur_kernel_, stream, lw.stream,
-                             std::max(r->w_lo, lw.lo), std::min(r->w_hi, lw.hi), end_ns,
-                             "unordered cross-stream writes (earlier write by '" + lw.kernel +
-                                 "'); no event edge orders the two launches"});
-            }
+            conflict(r->last_write, r->w_lo, r->w_hi, HazardKind::write_write_race,
+                     "unordered cross-stream writes (earlier write by '",
+                     "'); no event edge orders the two launches");
             for (const Epoch& rd : r->reads) {
-                if (rd.stream >= 0 && rd.stream != stream &&
-                    overlap(r->w_lo, r->w_hi, rd.lo, rd.hi) && !ordered_before(rd, stream)) {
-                    note_hazard({HazardKind::read_write_race, cur_kernel_, stream, rd.stream,
-                                 std::max(r->w_lo, rd.lo), std::min(r->w_hi, rd.hi), end_ns,
-                                 "write overlaps an unordered earlier read by '" + rd.kernel +
-                                     "' on another stream"});
-                }
+                conflict(rd, r->w_lo, r->w_hi, HazardKind::read_write_race,
+                         "write overlaps an unordered earlier read by '", "' on another stream");
             }
         }
         if (read) {
-            const Epoch& lw = r->last_write;
-            if (lw.stream >= 0 && lw.stream != stream && overlap(r->r_lo, r->r_hi, lw.lo, lw.hi) &&
-                !ordered_before(lw, stream)) {
-                note_hazard({HazardKind::read_write_race, cur_kernel_, stream, lw.stream,
-                             std::max(r->r_lo, lw.lo), std::min(r->r_hi, lw.hi), end_ns,
-                             "read overlaps an unordered earlier write by '" + lw.kernel +
-                                 "' on another stream"});
-            }
+            conflict(r->last_write, r->r_lo, r->r_hi, HazardKind::read_write_race,
+                     "read overlaps an unordered earlier write by '", "' on another stream");
         }
         // Fold this launch into the history: replace, never union (a
         // union could pair a stale range with a newer clock and report an
@@ -284,18 +217,13 @@ void StreamSan::on_launch_end(int stream, double end_ns) {
         r->seq = 0;  // scratch is consumed
     }
     accessed_.clear();
-    if (have_first && mode_ == StreamSanMode::strict) throw_hazard(std::move(first));
+    if (have_first && mode_ == SanMode::strict) throw_hazard(std::move(first));
 }
 
 void StreamSan::on_event_record(int stream, double event_ns) {
     if (stream < 0) return;
     ensure_stream(stream);
-    std::vector<std::uint64_t>& snap = events_[event_ns];
-    const std::vector<std::uint64_t>& vc = vc_[static_cast<std::size_t>(stream)];
-    if (snap.size() < vc.size()) snap.resize(vc.size(), 0);
-    for (std::size_t t = 0; t < vc.size(); ++t) {
-        if (vc[t] > snap[t]) snap[t] = vc[t];
-    }
+    join(events_[event_ns], vc_[static_cast<std::size_t>(stream)]);
 }
 
 void StreamSan::on_event_wait(int stream, double event_ns, double completion_ns) {
@@ -315,21 +243,12 @@ void StreamSan::on_event_wait(int stream, double event_ns, double completion_ns)
                /*allow_throw=*/true);
         return;
     }
-    std::vector<std::uint64_t>& mine = vc_[static_cast<std::size_t>(stream)];
-    const std::vector<std::uint64_t>& snap = it->second;
-    if (mine.size() < snap.size()) mine.resize(snap.size(), 0);
-    for (std::size_t t = 0; t < snap.size(); ++t) {
-        if (snap[t] > mine[t]) mine[t] = snap[t];
-    }
+    join(vc_[static_cast<std::size_t>(stream)], it->second);
 }
 
 void StreamSan::on_synchronize() {
     std::vector<std::uint64_t> all(vc_.size(), 0);
-    for (const std::vector<std::uint64_t>& clock : vc_) {
-        for (std::size_t t = 0; t < clock.size(); ++t) {
-            if (clock[t] > all[t]) all[t] = clock[t];
-        }
-    }
+    for (const std::vector<std::uint64_t>& clock : vc_) join(all, clock);
     for (std::vector<std::uint64_t>& clock : vc_) clock = all;
 }
 
@@ -345,23 +264,19 @@ void StreamSan::reset_timeline() noexcept {
 
 void StreamSan::on_pool_release(const void* base, int stream) noexcept {
     if (base == nullptr) return;
-    const auto addr = reinterpret_cast<std::uintptr_t>(base);
-    const auto it = regions_.find(addr);
-    if (it == regions_.end()) return;
+    Region* released = regions_.at(base);
+    if (released == nullptr) return;
     try {
         if (stream >= 0) {
             ensure_stream(stream);
-            Region& r = it->second;
+            const Region& r = *released;
             // Every recorded access from another stream must already be
             // ordered before this release, or the block returns to the
             // free list while that stream may still be touching it.
-            auto unordered = [&](const Epoch& e) {
-                return e.stream >= 0 && e.stream != stream && !ordered_before(e, stream);
-            };
             const Epoch* culprit = nullptr;
-            if (unordered(r.last_write)) culprit = &r.last_write;
+            if (unordered(r.last_write, stream)) culprit = &r.last_write;
             for (const Epoch& rd : r.reads) {
-                if (culprit == nullptr && unordered(rd)) culprit = &rd;
+                if (culprit == nullptr && unordered(rd, stream)) culprit = &rd;
             }
             if (culprit != nullptr) {
                 report({HazardKind::release_in_flight, culprit->kernel, stream, culprit->stream,
@@ -371,7 +286,8 @@ void StreamSan::on_pool_release(const void* base, int stream) noexcept {
                             " is not ordered before the release"},
                        /*allow_throw=*/false);
             }
-            tombstones_[addr] = vc_[static_cast<std::size_t>(stream)];
+            tombstones_[reinterpret_cast<std::uintptr_t>(base)] =
+                vc_[static_cast<std::size_t>(stream)];
         }
     } catch (...) {
         // record-only path: allocation failure drops the tombstone, which
@@ -389,12 +305,7 @@ void StreamSan::on_pool_reuse(const void* base, int acq_stream, int prev_stream,
         // Stream order / the stream-ordered allocator's internal event:
         // the previous user's timeline joins into the acquiring stream.
         if (it != tombstones_.end()) {
-            std::vector<std::uint64_t>& mine = vc_[static_cast<std::size_t>(acq_stream)];
-            const std::vector<std::uint64_t>& snap = it->second;
-            if (mine.size() < snap.size()) mine.resize(snap.size(), 0);
-            for (std::size_t t = 0; t < snap.size(); ++t) {
-                if (snap[t] > mine[t]) mine[t] = snap[t];
-            }
+            join(vc_[static_cast<std::size_t>(acq_stream)], it->second);
             tombstones_.erase(it);
         }
         return;
@@ -413,16 +324,12 @@ void StreamSan::forget(const void* base) noexcept {
 }
 
 void StreamSan::report(StreamHazard h, bool allow_throw) {
-    total_.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(sink_mu_);
-        if (hazards_.size() < kMaxStored) hazards_.push_back(h);
-    }
-    if (mode_ == StreamSanMode::collect && trace_instants_.size() < 4096) {
+    log_.record(h);
+    if (mode_ == SanMode::collect && trace_instants_.size() < 4096) {
         trace_instants_.push_back(
             TraceInstant{h.sim_ns, kStreamSanTrack, std::string(to_string(h.kind)), h.message()});
     }
-    if (mode_ == StreamSanMode::strict) {
+    if (mode_ == SanMode::strict) {
         if (allow_throw) throw_hazard(std::move(h));
         if (!has_pending_) {
             pending_ = std::move(h);
@@ -439,18 +346,10 @@ void StreamSan::throw_pending() {
     throw_hazard(std::move(pending_));
 }
 
-std::vector<StreamHazard> StreamSan::hazards() const {
-    std::lock_guard<std::mutex> lock(sink_mu_);
-    return hazards_;
-}
-
 void StreamSan::clear() {
-    std::lock_guard<std::mutex> lock(sink_mu_);
-    hazards_.clear();
+    log_.clear();
     trace_instants_.clear();
-    total_.store(0, std::memory_order_relaxed);
     checks_.store(0, std::memory_order_relaxed);
-    checks_serial_ = 0;
     has_pending_ = false;
 }
 

@@ -13,11 +13,14 @@
 // The Device records an ordering log as it executes: launches tick a
 // per-stream vector clock, event records snapshot the recording stream's
 // clock, event waits join the snapshot into the waiting stream, host
-// synchronization joins everything.  Kernel-side instrumentation (the same
-// BlockCtx/WarpCtx primitives SimTSan hooks) folds each launch's global-
-// memory traffic into per-region byte ranges -- metadata only, no shadow
-// memory -- and the end-of-launch analysis compares those ranges against
-// each region's access history under the vector-clock partial order.
+// synchronization joins everything.  Kernel-side, the one check every
+// global-memory primitive calls (BlockCtx::check, simt/block.hpp, shared
+// with SimTSan) hands each access's byte envelope to the block's access
+// coalescer, which folds them per span and passes a handful of ranges per
+// block to note() -- metadata only, no shadow memory.  note() folds them
+// into per-region byte ranges, and the end-of-launch analysis compares
+// those ranges against each region's access history under the
+// vector-clock partial order.
 //
 // What it detects (HazardKind):
 //   * write_write_race / read_write_race -- two launches on different
@@ -39,7 +42,8 @@
 //     happened, i.e. a cyclic (deadlocking) fork/join structure on real
 //     hardware.
 //
-// Modes (GPUSEL_STREAMSAN / Device::set_stream_sanitizer):
+// Modes (GPUSEL_STREAMSAN / Device::set_stream_sanitizer, the grammar and
+// the SanMode values SimTSan uses, simt/analyzer.hpp):
 //   strict  (GPUSEL_STREAMSAN=1) -- throw StreamSanError at the first
 //           host-side opportunity; surfaces through the Status channel as
 //           SelectError::sanitizer_violation (never retried).  Hazards
@@ -70,11 +74,12 @@
 #include <string_view>
 #include <vector>
 
+#include "simt/analyzer.hpp"
 #include "simt/counters.hpp"
 
 namespace gpusel::simt {
 
-enum class StreamSanMode { off, strict, collect };
+using StreamSanMode = SanMode;
 
 enum class HazardKind {
     write_write_race,
@@ -120,24 +125,19 @@ private:
 };
 
 /// The analyzer: per-stream vector clocks + per-region access histories +
-/// the event table.  Owned by the Device; a null pointer everywhere means
-/// "off" and costs one branch per hook.
+/// the event table.  Owned by the Device; off means no StreamSan at all,
+/// and the primitives then pay one branch on BlockCtx's armed flag.
 class StreamSan {
 public:
     /// `concurrent` declares whether block workers may note accesses from
     /// more than one thread (Device passes host_workers != 0); the serial
     /// case takes plain loads/stores on the per-launch range scratch.
-    explicit StreamSan(StreamSanMode mode, bool concurrent = true);
+    explicit StreamSan(SanMode mode, bool concurrent = true);
     StreamSan(const StreamSan&) = delete;
     StreamSan& operator=(const StreamSan&) = delete;
 
-    /// Parses GPUSEL_STREAMSAN: unset/""/"0"/"off" -> off; "1"/"strict"/
-    /// "on" -> strict; "2"/"collect" -> collect.  Anything else throws
-    /// (fail loudly, like GPUSEL_SAN and GPUSEL_FAULTS).
-    [[nodiscard]] static StreamSanMode mode_from_env();
-
-    [[nodiscard]] StreamSanMode mode() const noexcept { return mode_; }
-    [[nodiscard]] bool enabled() const noexcept { return mode_ != StreamSanMode::off; }
+    [[nodiscard]] SanMode mode() const noexcept { return mode_; }
+    [[nodiscard]] bool enabled() const noexcept { return mode_ != SanMode::off; }
 
     // ---- region registry (host control thread, between launches) ----------
     /// Registers a global-memory region for access-history tracking
@@ -145,6 +145,9 @@ public:
     void register_region(const void* base, std::size_t bytes);
     /// Drops a region and its history (noexcept: called from destructors).
     void unregister_region(const void* base) noexcept;
+    /// Regions registered and not yet unregistered or released (live
+    /// buffers and pool checkouts that hold on to this analyzer).
+    [[nodiscard]] std::size_t tracked_regions() const noexcept { return regions_.size(); }
 
     // ---- ordering-log hooks (host control thread) --------------------------
     /// A stream slot was created or re-leased.  The simulator's causality
@@ -192,24 +195,22 @@ public:
     /// Drops a block's reuse tombstone (pool trim).
     void forget(const void* base) noexcept;
 
-    // ---- kernel-side hooks (block worker threads) --------------------------
-    // Defined inline below the class: these run on every instrumented
-    // access and must inline into the BlockCtx/WarpCtx call sites.  They
-    // only fold byte ranges into per-region per-launch scratch; all
-    // analysis happens at on_launch_end on the host thread.
-    void note_read(const void* p, std::size_t bytes);
-    void note_write(const void* p, std::size_t bytes);
+    // ---- kernel-side hook (block worker threads) ---------------------------
+    /// Folds the byte range [p, p + bytes), read or written by the current
+    /// launch, into its region's per-launch scratch; all analysis happens
+    /// at on_launch_end on the host thread.  Fed by BlockCtx's coalescer;
+    /// defined inline below the class.
+    void note(const void* p, std::size_t bytes, bool write);
 
     // ---- results -----------------------------------------------------------
-    /// Stored hazards (at most kMaxStored; the total keeps counting).
-    [[nodiscard]] std::vector<StreamHazard> hazards() const;
-    [[nodiscard]] std::uint64_t total_hazards() const noexcept {
-        return total_.load(std::memory_order_relaxed);
-    }
+    /// Stored hazards (at most ReportLog::kMaxStored; the total keeps
+    /// counting).
+    [[nodiscard]] std::vector<StreamHazard> hazards() const { return log_.stored(); }
+    [[nodiscard]] std::uint64_t total_hazards() const noexcept { return log_.total(); }
     /// Number of region range-fold checks performed (liveness signal).
     /// Approximate under concurrency, like Sanitizer::checks().
     [[nodiscard]] std::uint64_t checks() const noexcept {
-        return checks_.load(std::memory_order_relaxed) + checks_serial_;
+        return checks_.load(std::memory_order_relaxed);
     }
     /// Collect-mode hazard annotations for the chrome-trace export
     /// (rendered on kStreamSanTrack).  Host thread only.
@@ -217,8 +218,6 @@ public:
         return trace_instants_;
     }
     void clear();
-
-    static constexpr std::size_t kMaxStored = 128;
 
 private:
     /// One access epoch: stream `stream`'s clock component was `clk` when
@@ -246,87 +245,34 @@ private:
         std::size_t w_lo = 0, w_hi = 0;
     };
 
-    /// Region-lookup cache: four entries, round-robin replacement, misses
-    /// cached too -- the same design (and rationale) as Sanitizer's cache,
-    /// including process-wide generations so a recycled StreamSan address
-    /// cannot revalidate a stale entry.
-    struct RegionCache {  // aggregate, zero-initialized at thread start
-        const void* owner;
-        std::uint64_t gen;
-        struct Entry {
-            std::uintptr_t lo;
-            std::uintptr_t hi;
-            void* region;
-        } e[4];
-        unsigned next;
-    };
-    static inline thread_local RegionCache tl_cache_{};
-
-    void cache_insert(std::uintptr_t lo, std::uintptr_t hi, void* region) noexcept {
-        RegionCache& rc = tl_cache_;
-        rc.e[rc.next++ & 3u] = {lo, hi, region};
-    }
-
-    [[nodiscard]] Region* find(const void* p, std::size_t bytes) noexcept {
-        const auto addr = reinterpret_cast<std::uintptr_t>(p);
-        const RegionCache& rc = tl_cache_;
-        if (rc.owner == this && rc.gen == reg_gen_) [[likely]] {
-            for (const auto& c : rc.e) {
-                if (addr >= c.lo && addr + bytes <= c.hi) return static_cast<Region*>(c.region);
-            }
-        }
-        return find_slow(p, bytes);
-    }
-    [[nodiscard]] Region* find_slow(const void* p, std::size_t bytes) noexcept;
-
-    /// Serial-scheduler region cache: with host_workers == 0 every access
-    /// runs on the host thread, so the cache can live in the object -- no
-    /// TLS indirection and no generation compare on the hot path (registry
-    /// mutations clear it directly).  r == nullptr entries cache gaps.
-    struct SerialEntry {
-        std::uintptr_t lo = 0;
-        std::uintptr_t hi = 0;
-        Region* r = nullptr;
-    };
-    SerialEntry scache_[4]{};
-    unsigned scache_next_ = 0;
-    void scache_clear() noexcept {
-        for (SerialEntry& e : scache_) e = SerialEntry{};
-    }
-
     /// Grows every vector clock (and the clock list) to cover `stream`.
     void ensure_stream(int stream);
-    /// True when epoch (t, clk) is ordered before stream s's current
-    /// position: clk <= VC_s[t].
-    [[nodiscard]] bool ordered_before(const Epoch& e, int s) const noexcept {
+    /// Vector-clock join: into[t] = max(into[t], from[t]), growing `into`
+    /// to cover `from`.
+    static void join(std::vector<std::uint64_t>& into, const std::vector<std::uint64_t>& from);
+    /// True when `e` is an access from a stream other than s that is not
+    /// ordered before s's current position: e.clk > VC_s[e.stream].
+    [[nodiscard]] bool unordered(const Epoch& e, int s) const noexcept {
+        if (e.stream < 0 || e.stream == s) return false;
         const auto t = static_cast<std::size_t>(e.stream);
         const std::vector<std::uint64_t>& vc = vc_[static_cast<std::size_t>(s)];
-        return t < vc.size() && e.clk <= vc[t];
+        return t >= vc.size() || e.clk > vc[t];
     }
 
-    /// The per-access fold; cold first-touch and the concurrent
-    /// (atomic_ref) fold out of line.
-    void note_access(const void* p, std::size_t bytes, bool write);
-    void note_access_concurrent(Region* r, std::size_t lo, std::size_t hi, bool write);
+    /// Cold first-touch and the concurrent (atomic_ref) fold, out of line.
+    void note_concurrent(Region* r, std::size_t lo, std::size_t hi, bool write);
     void first_touch_slow(Region* r);
 
-    /// Records a hazard: counts it, stores up to kMaxStored, emits a
-    /// collect-mode trace instant.  `allow_throw` selects strict-mode
+    /// Records a hazard: logs it, emits a collect-mode trace instant.  `allow_throw` selects strict-mode
     /// behavior: throw here (host throwing context) vs defer to the next
     /// launch bracket (noexcept detection site).
     void report(StreamHazard h, bool allow_throw);
     [[noreturn]] void throw_hazard(StreamHazard h);
     void throw_pending();
 
-    [[nodiscard]] static std::uint64_t next_gen() noexcept {
-        static std::atomic<std::uint64_t> src{1};
-        return src.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    StreamSanMode mode_;
+    SanMode mode_;
     bool concurrent_;
-    std::map<std::uintptr_t, Region> regions_;  ///< keyed by base address
-    std::uint64_t reg_gen_ = next_gen();        ///< registry mutation stamp
+    RegionTable<Region> regions_;
     std::vector<std::vector<std::uint64_t>> vc_{{0}};  ///< per-stream vector clocks
     std::map<double, std::vector<std::uint64_t>> events_;  ///< recorded snapshots
     /// Reuse tombstones: releasing stream's clock for blocks currently on
@@ -338,64 +284,39 @@ private:
     std::string cur_kernel_;
     std::vector<Region*> accessed_;      ///< regions touched by the launch
     std::mutex touch_mu_;                ///< concurrent first-touch / accessed_
-    std::atomic<std::uint64_t> total_{0};
     std::atomic<std::uint64_t> checks_{0};
-    std::uint64_t checks_serial_ = 0;  ///< serial-path counter: plain inc, no RMW
-    mutable std::mutex sink_mu_;         ///< guards hazards_ only
-    std::vector<StreamHazard> hazards_;
+    ReportLog<StreamHazard> log_;
     std::vector<TraceInstant> trace_instants_;
     bool has_pending_ = false;           ///< deferred strict-mode hazard
     StreamHazard pending_;
 };
 
 // ===== inline hot path =====================================================
-// The fold is four compares and four stores per access in the clean case;
+// The fold is four compares and four stores per note in the clean case;
 // first-touch (once per region per launch) and everything that can report
 // live out of line in streamsan.cpp.
 
-inline void StreamSan::note_access(const void* p, std::size_t bytes, bool write) {
+inline void StreamSan::note(const void* p, std::size_t bytes, bool write) {
     if (!in_launch_ || bytes == 0) return;
-    const auto addr = reinterpret_cast<std::uintptr_t>(p);
-    if (!concurrent_) [[likely]] {
-        // Serial scheduler: member-resident cache, plain loads and stores.
-        Region* r = nullptr;
-        bool cached = false;
-        for (const SerialEntry& e : scache_) {
-            if (addr >= e.lo && addr + bytes <= e.hi) {
-                r = e.r;
-                cached = true;
-                break;
-            }
-        }
-        if (!cached) r = find_slow(p, bytes);
-        if (r == nullptr) return;  // host vector or stack local: not tracked
-        ++checks_serial_;
-        const std::size_t lo = addr - r->base;
-        const std::size_t hi = lo + bytes;
-        if (r->seq != launch_seq_) first_touch_slow(r);
-        if (write) {
-            if (lo < r->w_lo) r->w_lo = lo;
-            if (hi > r->w_hi) r->w_hi = hi;
-        } else {
-            if (lo < r->r_lo) r->r_lo = lo;
-            if (hi > r->r_hi) r->r_hi = hi;
-        }
-        return;
-    }
-    Region* r = find(p, bytes);
-    if (r == nullptr) return;
+    Region* r = regions_.find(p, bytes);
+    if (r == nullptr) return;  // host vector or stack local: not tracked
     // Liveness counter; relaxed load+store, not a LOCK-prefixed fetch_add.
     checks_.store(checks_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    const std::size_t lo = addr - r->base;
-    note_access_concurrent(r, lo, lo + bytes, write);
-}
-
-inline void StreamSan::note_read(const void* p, std::size_t bytes) {
-    note_access(p, bytes, /*write=*/false);
-}
-
-inline void StreamSan::note_write(const void* p, std::size_t bytes) {
-    note_access(p, bytes, /*write=*/true);
+    const std::size_t lo = reinterpret_cast<std::uintptr_t>(p) - r->base;
+    const std::size_t hi = lo + bytes;
+    if (concurrent_) {
+        note_concurrent(r, lo, hi, write);
+        return;
+    }
+    // Serial scheduler: plain loads and stores.
+    if (r->seq != launch_seq_) first_touch_slow(r);
+    if (write) {
+        if (lo < r->w_lo) r->w_lo = lo;
+        if (hi > r->w_hi) r->w_hi = hi;
+    } else {
+        if (lo < r->r_lo) r->r_lo = lo;
+        if (hi > r->r_hi) r->r_hi = hi;
+    }
 }
 
 }  // namespace gpusel::simt

@@ -3,19 +3,29 @@
 // the right ViolationKind, strict mode must throw at the detection point,
 // collect mode must record and keep running, and -- the determinism
 // contract -- enabling the sanitizer must leave kernel event counts
-// byte-identical (docs/static_analysis.md).
+// byte-identical (docs/static_analysis.md).  Also covers the checking layer
+// SimTSan shares with StreamSan (simt/analyzer.hpp): the mode grammar, the
+// region table, and the one check every global-memory primitive calls.
 
 #include "simt/sanitizer.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <barrier>
+#include <cstddef>
+#include <cstdint>
+#include <new>
+#include <ostream>
 #include <random>
+#include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/sample_select.hpp"
 #include "core/status.hpp"
+#include "mode_grammar.hpp"
 #include "simt/arch.hpp"
 #include "simt/device.hpp"
 
@@ -51,29 +61,113 @@ simt::ViolationKind expect_san_error(F&& f) {
 // ---- mode parsing ---------------------------------------------------------
 
 TEST(SanMode, ParsesEnvironmentGrammar) {
-    const char* saved = std::getenv("GPUSEL_SAN");
-    const std::string saved_copy = saved ? saved : "";
+    testenv::expect_mode_grammar("GPUSEL_SAN");
+}
 
-    ::unsetenv("GPUSEL_SAN");
-    EXPECT_EQ(simt::Sanitizer::mode_from_env(), simt::SanMode::off);
-    ::setenv("GPUSEL_SAN", "0", 1);
-    EXPECT_EQ(simt::Sanitizer::mode_from_env(), simt::SanMode::off);
-    ::setenv("GPUSEL_SAN", "1", 1);
-    EXPECT_EQ(simt::Sanitizer::mode_from_env(), simt::SanMode::strict);
-    ::setenv("GPUSEL_SAN", "strict", 1);
-    EXPECT_EQ(simt::Sanitizer::mode_from_env(), simt::SanMode::strict);
-    ::setenv("GPUSEL_SAN", "2", 1);
-    EXPECT_EQ(simt::Sanitizer::mode_from_env(), simt::SanMode::collect);
-    ::setenv("GPUSEL_SAN", "collect", 1);
-    EXPECT_EQ(simt::Sanitizer::mode_from_env(), simt::SanMode::collect);
-    ::setenv("GPUSEL_SAN", "bogus", 1);
-    EXPECT_THROW((void)simt::Sanitizer::mode_from_env(), std::invalid_argument);
+// ---- region table (simt/analyzer.hpp) ---------------------------------------
 
-    if (saved) {
-        ::setenv("GPUSEL_SAN", saved_copy.c_str(), 1);
-    } else {
-        ::unsetenv("GPUSEL_SAN");
+struct TestRegion {
+    std::uintptr_t base = 0;
+    std::size_t bytes = 0;
+    int tag = 0;
+};
+using TestTable = simt::RegionTable<TestRegion>;
+constexpr std::size_t kWord = sizeof(std::int32_t);
+
+TEST(RegionTable, FindsTheContainingRegion) {
+    std::vector<std::int32_t> mem(64);
+    TestTable t;
+    t.insert(mem.data(), 16 * kWord).tag = 7;
+    const TestRegion* r = t.find(mem.data() + 3, kWord);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->tag, 7);
+    EXPECT_EQ(t.find(mem.data() + 3, kWord), r);  // the cached answer
+    EXPECT_EQ(t.find(mem.data(), 16 * kWord), r);
+    EXPECT_EQ(t.find(mem.data() + 15, 2 * kWord), nullptr);  // straddles the end
+    EXPECT_EQ(t.find(mem.data() + 20, kWord), nullptr);      // in the gap after it
+    EXPECT_EQ(t.at(mem.data()), r);
+}
+
+TEST(RegionTable, CachedGapDoesNotHideALaterRegion) {
+    std::vector<std::int32_t> mem(64);
+    TestTable t;
+    EXPECT_EQ(t.find(mem.data() + 8, kWord), nullptr);  // caches the gap around it
+    t.insert(mem.data(), mem.size() * kWord).tag = 1;
+    const TestRegion* r = t.find(mem.data() + 8, kWord);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->tag, 1);
+}
+
+TEST(RegionTable, EraseLeavesNoDanglingEntry) {
+    std::vector<std::int32_t> mem(64);
+    TestTable t;
+    t.insert(mem.data(), mem.size() * kWord);
+    ASSERT_NE(t.find(mem.data(), kWord), nullptr);  // now cached on this thread
+    t.erase(mem.data());
+    EXPECT_EQ(t.find(mem.data(), kWord), nullptr);
+    EXPECT_EQ(t.at(mem.data()), nullptr);
+    EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(RegionTable, TableRebuiltAtARecycledAddressStartsCold) {
+    // The reason generations are drawn process-wide: a second table at the
+    // first one's address, after as many mutations, must not revalidate
+    // the first one's thread-local entries.
+    std::vector<std::int32_t> mem(64);
+    std::vector<std::int32_t> other(64);
+    alignas(TestTable) std::byte storage[sizeof(TestTable)];
+    auto* first = new (storage) TestTable;
+    first->insert(mem.data(), mem.size() * kWord).tag = 1;
+    ASSERT_NE(first->find(mem.data(), kWord), nullptr);
+    first->~TestTable();
+    auto* second = new (storage) TestTable;
+    second->insert(other.data(), other.size() * kWord).tag = 2;
+    EXPECT_EQ(second->find(mem.data(), kWord), nullptr);
+    second->~TestTable();
+}
+
+TEST(RegionTable, AnotherThreadSeesTheCurrentMap) {
+    std::vector<std::int32_t> mem(64);
+    TestTable t;
+    std::barrier<> step(2);
+    bool before = true;
+    bool during = false;
+    bool after = true;
+    std::thread worker([&] {
+        before = t.find(mem.data(), kWord) != nullptr;  // caches a gap on the worker
+        step.arrive_and_wait();
+        step.arrive_and_wait();  // the main thread inserted in between
+        during = t.find(mem.data(), kWord) != nullptr;
+        step.arrive_and_wait();
+        step.arrive_and_wait();  // the main thread erased in between
+        after = t.find(mem.data(), kWord) != nullptr;
+    });
+    step.arrive_and_wait();
+    t.insert(mem.data(), mem.size() * kWord);
+    step.arrive_and_wait();
+    step.arrive_and_wait();
+    t.erase(mem.data());
+    step.arrive_and_wait();
+    worker.join();
+    EXPECT_FALSE(before);
+    EXPECT_TRUE(during);
+    EXPECT_FALSE(after);
+}
+
+// ---- analyzer lifetime ------------------------------------------------------
+
+TEST(SimTSan, ReplacingWhileABufferIsLiveThrows) {
+    auto dev = make_strict();
+    dev.set_sanitizer(simt::SanMode::strict);
+    {
+        auto buf = dev.alloc<float>(64);
+        // The buffer unregisters from the sanitizer it registered with, so
+        // destroying that sanitizer now would leave it a dangling pointer.
+        EXPECT_THROW(dev.set_sanitizer(simt::SanMode::off), std::logic_error);
+        EXPECT_NE(dev.sanitizer(), nullptr);
     }
+    EXPECT_NO_THROW(dev.set_sanitizer(simt::SanMode::off));
+    EXPECT_EQ(dev.sanitizer(), nullptr);
 }
 
 // ---- cross-block global races (broken micro-kernels) ----------------------
@@ -370,6 +464,172 @@ TEST(SimTSan, BrokenKernelUnderPipelineReportsTypedStatus) {
     EXPECT_FALSE(s.ok());
     EXPECT_EQ(s.code, core::SelectError::sanitizer_violation);
 }
+
+// ---- every global-memory primitive reaches both analyzers -------------------
+
+/// One global-memory primitive, run by one block on element i of `buf`.
+struct PrimitiveCase {
+    const char* name;
+    void (*touch)(simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i);
+};
+
+void PrintTo(const PrimitiveCase& c, std::ostream* os) { *os << c.name; }
+
+/// Runs `f` on the block's one warp with a single active lane.
+template <typename F>
+void one_lane(simt::BlockCtx& blk, F&& f) {
+    blk.each_warp(1, [&](simt::WarpCtx& w, int) { f(w); });
+}
+
+const PrimitiveCase kPrimitives[] = {
+    {"ld", [](simt::BlockCtx& blk, std::span<std::int32_t> buf,
+              std::size_t i) { (void)blk.ld(buf, i); }},
+    {"st", [](simt::BlockCtx& blk, std::span<std::int32_t> buf,
+              std::size_t i) { blk.st(buf, i, 1); }},
+    {"load",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             std::int32_t regs[simt::kWarpSize];
+             w.load(std::span<const std::int32_t>(buf), i, regs);
+         });
+     }},
+    {"store",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             const std::int32_t regs[simt::kWarpSize] = {1};
+             w.store(buf, i, regs);
+         });
+     }},
+    {"gather",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             const std::size_t idx[simt::kWarpSize] = {i};
+             std::int32_t regs[simt::kWarpSize];
+             w.gather(std::span<const std::int32_t>(buf), idx, regs);
+         });
+     }},
+    {"scatter",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             const std::int32_t idx[simt::kWarpSize] = {static_cast<std::int32_t>(i)};
+             const std::int32_t regs[simt::kWarpSize] = {1};
+             const bool active[simt::kWarpSize] = {true};
+             (void)w.scatter(buf, idx, regs, active);
+         });
+     }},
+    {"compress_store",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             const std::int32_t regs[simt::kWarpSize] = {1};
+             (void)w.compress_store(buf, i, 1u, regs);
+         });
+     }},
+    {"compress_store_rev",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             const std::int32_t regs[simt::kWarpSize] = {1};
+             (void)w.compress_store_rev(buf, i, 1u, regs);
+         });
+     }},
+    {"compress_gather_store",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         // Reads buf[i]; the destination is an untracked local.
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             std::int32_t out[1];
+             (void)w.compress_gather_store(std::span<std::int32_t>(out), 0,
+                                           std::span<const std::int32_t>(buf), i, 1u);
+         });
+     }},
+    {"atomic_add",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             const std::int32_t which[simt::kWarpSize] = {static_cast<std::int32_t>(i)};
+             w.atomic_add(simt::AtomicSpace::global, buf, which);
+         });
+     }},
+    {"fetch_add",
+     [](simt::BlockCtx& blk, std::span<std::int32_t> buf, std::size_t i) {
+         one_lane(blk, [&](simt::WarpCtx& w) {
+             const std::int32_t which[simt::kWarpSize] = {static_cast<std::int32_t>(i)};
+             std::int32_t old[simt::kWarpSize];
+             w.fetch_add(simt::AtomicSpace::global, buf, which, old, /*aggregated=*/false,
+                         /*index_bits=*/0);
+         });
+     }},
+};
+
+/// A device with both analyzers in collect mode.
+class PrimitiveReachesBothAnalyzers : public ::testing::TestWithParam<PrimitiveCase> {
+protected:
+    PrimitiveReachesBothAnalyzers() {
+        dev.set_sanitizer(simt::SanMode::collect);
+        dev.set_stream_sanitizer(simt::SanMode::collect);
+    }
+    simt::Device dev{simt::arch_v100()};
+    static constexpr std::size_t kElem = 5;
+};
+
+TEST_P(PrimitiveReachesBothAnalyzers, CrossBlockPairIsASimTSanRace) {
+    auto buf = dev.alloc<std::int32_t>(16);
+    const PrimitiveCase& c = GetParam();
+    dev.launch("pair", {.grid_dim = 2, .block_dim = 32}, [&](simt::BlockCtx& blk) {
+        // BROKEN ON PURPOSE: block 0's plain store and block 1's primitive
+        // hit one element in one launch.
+        if (blk.block_idx() == 0) {
+            blk.st(buf.span(), kElem, 7);
+        } else {
+            c.touch(blk, buf.span(), kElem);
+        }
+    });
+    const auto vs = dev.sanitizer()->violations();
+    ASSERT_FALSE(vs.empty()) << c.name;
+    EXPECT_EQ(vs.front().kind, simt::ViolationKind::global_race);
+    EXPECT_EQ(vs.front().primitive, c.name);
+    EXPECT_EQ(vs.front().offset, kElem * sizeof(std::int32_t));
+    EXPECT_EQ(vs.front().block, 1);
+    EXPECT_EQ(dev.stream_sanitizer()->total_hazards(), 0u);
+}
+
+TEST_P(PrimitiveReachesBothAnalyzers, UnorderedStreamPairIsAStreamSanHazard) {
+    const int s1 = dev.create_stream();
+    auto buf = dev.alloc<std::int32_t>(16);
+    const PrimitiveCase& c = GetParam();
+    dev.launch("plain_st", {.grid_dim = 1, .block_dim = 32, .stream = 0},
+               [&](simt::BlockCtx& blk) { blk.st(buf.span(), kElem, 7); });
+    // BROKEN ON PURPOSE: no event edge orders the two launches.
+    dev.launch(c.name, {.grid_dim = 1, .block_dim = 32, .stream = s1},
+               [&](simt::BlockCtx& blk) { c.touch(blk, buf.span(), kElem); });
+    const auto hs = dev.stream_sanitizer()->hazards();
+    ASSERT_FALSE(hs.empty()) << c.name;
+    EXPECT_EQ(hs.front().kernel, c.name);
+    EXPECT_EQ(hs.front().stream, s1);
+    EXPECT_EQ(hs.front().other_stream, 0);
+    EXPECT_EQ(hs.front().lo, kElem * sizeof(std::int32_t));
+    EXPECT_EQ(hs.front().hi, (kElem + 1) * sizeof(std::int32_t));
+    EXPECT_EQ(dev.sanitizer()->total_violations(), 0u);
+}
+
+TEST_P(PrimitiveReachesBothAnalyzers, OnePastTheSpanIsFatalOob) {
+    auto buf = dev.alloc<std::int32_t>(16);
+    const PrimitiveCase& c = GetParam();
+    try {
+        dev.launch("oob", {.grid_dim = 1, .block_dim = 32}, [&](simt::BlockCtx& blk) {
+            c.touch(blk, buf.span(), buf.size());  // BROKEN ON PURPOSE
+        });
+        FAIL() << c.name << " did not throw";
+    } catch (const simt::SanError& e) {
+        EXPECT_EQ(e.violation().kind, simt::ViolationKind::global_oob);
+        EXPECT_EQ(e.violation().primitive, c.name);
+        EXPECT_EQ(e.violation().offset, buf.size());
+        EXPECT_EQ(e.violation().block, 0);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Primitives, PrimitiveReachesBothAnalyzers,
+                         ::testing::ValuesIn(kPrimitives),
+                         [](const ::testing::TestParamInfo<PrimitiveCase>& p) {
+                             return std::string(p.param.name);
+                         });
 
 // ---- tracker underflow (PR 3 satellite: typed report, no bare assert) -------
 

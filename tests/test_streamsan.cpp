@@ -1,7 +1,8 @@
 // StreamSan tests (simt/streamsan.hpp, docs/streamsan.md): the environment
-// grammar, a catalogue of deliberately-broken stream/event/pool micro-
-// scenarios each asserting the exact diagnostic kind, the clean patterns
-// that must NOT report (event edges, synchronize, stream-creation
+// grammar (SimTSan's parser, run over GPUSEL_STREAMSAN), a catalogue of
+// deliberately-broken stream/event/pool micro-scenarios each asserting the
+// exact diagnostic kind, the analyzer's lifetime on a Device, the clean
+// patterns that must NOT report (event edges, synchronize, stream-creation
 // causality, gated pool reuse, disjoint ranges), collect-mode accumulation
 // with the chrome-trace hazard track, determinism of the event-count
 // golden stream with the analyzer on, and golden zero-hazard passes over
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <future>
 #include <optional>
 #include <span>
@@ -25,6 +25,7 @@
 #include "core/pipeline.hpp"
 #include "core/sample_select.hpp"
 #include "data/distributions.hpp"
+#include "mode_grammar.hpp"
 #include "server/service.hpp"
 #include "simt/arch.hpp"
 #include "simt/device.hpp"
@@ -37,32 +38,6 @@ using namespace gpusel;
 using simt::HazardKind;
 using simt::StreamSanError;
 using simt::StreamSanMode;
-
-/// Env-var guard: sets GPUSEL_STREAMSAN for one scope, restores after.
-class StreamSanEnv {
-public:
-    explicit StreamSanEnv(const char* value) {
-        const char* old = std::getenv("GPUSEL_STREAMSAN");
-        had_ = old != nullptr;
-        if (had_) saved_ = old;
-        if (value != nullptr) {
-            ::setenv("GPUSEL_STREAMSAN", value, 1);
-        } else {
-            ::unsetenv("GPUSEL_STREAMSAN");
-        }
-    }
-    ~StreamSanEnv() {
-        if (had_) {
-            ::setenv("GPUSEL_STREAMSAN", saved_.c_str(), 1);
-        } else {
-            ::unsetenv("GPUSEL_STREAMSAN");
-        }
-    }
-
-private:
-    std::string saved_;
-    bool had_ = false;
-};
 
 // Device is pinned (no moves), so tests construct it locally and install
 // StreamSan right after -- before any allocation, the same order the
@@ -110,26 +85,23 @@ std::optional<HazardKind> hazard_kind_of(F&& f) {
 // ---- mode grammar -----------------------------------------------------------
 
 TEST(StreamSanModeTest, ParsesEnvironmentGrammar) {
+    testenv::expect_mode_grammar("GPUSEL_STREAMSAN");
+}
+
+// ---- lifetime ---------------------------------------------------------------
+
+TEST(StreamSanLifetime, ReplacingWhileABufferIsLiveThrows) {
+    auto dev = make_dev();
+    dev.set_stream_sanitizer(StreamSanMode::strict);
     {
-        StreamSanEnv env(nullptr);
-        EXPECT_EQ(simt::StreamSan::mode_from_env(), StreamSanMode::off);
+        auto buf = dev.alloc<float>(64);
+        // The buffer unregisters from the analyzer it registered with, so
+        // destroying that analyzer now would leave it a dangling pointer.
+        EXPECT_THROW(dev.set_stream_sanitizer(StreamSanMode::off), std::logic_error);
+        EXPECT_NE(dev.stream_sanitizer(), nullptr);
     }
-    for (const char* v : {"", "0", "off"}) {
-        StreamSanEnv env(v);
-        EXPECT_EQ(simt::StreamSan::mode_from_env(), StreamSanMode::off) << v;
-    }
-    for (const char* v : {"1", "strict", "on"}) {
-        StreamSanEnv env(v);
-        EXPECT_EQ(simt::StreamSan::mode_from_env(), StreamSanMode::strict) << v;
-    }
-    for (const char* v : {"2", "collect"}) {
-        StreamSanEnv env(v);
-        EXPECT_EQ(simt::StreamSan::mode_from_env(), StreamSanMode::collect) << v;
-    }
-    {
-        StreamSanEnv env("bogus");
-        EXPECT_THROW((void)simt::StreamSan::mode_from_env(), std::invalid_argument);
-    }
+    EXPECT_NO_THROW(dev.set_stream_sanitizer(StreamSanMode::off));
+    EXPECT_EQ(dev.stream_sanitizer(), nullptr);
 }
 
 // ---- deliberately-broken scenarios (strict mode, exact diagnostic kind) -----
