@@ -8,6 +8,7 @@
 
 #include "bench_util/runner.hpp"
 #include "bench_util/table.hpp"
+#include "core/argselect.hpp"
 #include "core/batched_select.hpp"
 #include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
@@ -109,7 +110,7 @@ void bench_topk(std::size_t n, const bench::Scale& scale) {
             simt::Device d1(simt::arch_v100(), {.record_profiles = false});
             plain.add(core::try_topk_largest<float>(d1, data, k, {}).value().sim_ns);
             simt::Device d2(simt::arch_v100(), {.record_profiles = false});
-            indexed.add(core::try_topk_largest_with_indices<float>(d2, data, k, {}).value().sim_ns);
+            indexed.add(core::try_topk_largest_indices(d2, data, k, {}).value().sim_ns);
         }
         t.add_row({std::to_string(k), bench::fmt_fixed(plain.mean() / 1e6, 3),
                    bench::fmt_fixed(indexed.mean() / 1e6, 3),

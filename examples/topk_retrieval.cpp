@@ -13,7 +13,7 @@
 #include <iostream>
 #include <vector>
 
-#include "core/topk.hpp"
+#include "core/argselect.hpp"
 #include "data/rng.hpp"
 
 namespace {
@@ -44,25 +44,20 @@ int main() {
 
     simt::Device dev(simt::arch_v100());
     core::SampleSelectConfig cfg;
-    // A ranker needs document ids, not just scores: the indexed variant
-    // returns the original positions of the k best scores.
-    const auto top = core::try_topk_largest_with_indices<float>(dev, scores, k, cfg).value();
-
-    // Rank the k survivors exactly (k is tiny, sorting is free).
-    std::vector<std::size_t> order(k);
-    for (std::size_t i = 0; i < k; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return top.values[a] > top.values[b]; });
+    // A ranker needs document ids, not just scores: the indexed top-k
+    // returns the original positions of the k best scores, already ranked
+    // (descending score, ties by ascending document id).
+    const auto top = core::try_topk_largest_indices(dev, scores, k, cfg).value();
 
     std::cout << "scored documents      : " << num_docs << "\n"
               << "retrieved             : " << k << "\n"
               << "score threshold       : " << top.threshold << "\n"
-              << "best document         : doc#" << top.indices[order[0]] << " (score "
-              << top.values[order[0]] << ")\n"
-              << "10th document         : doc#" << top.indices[order[9]] << " (score "
-              << top.values[order[9]] << ")\n"
-              << "worst retrieved       : doc#" << top.indices[order[k - 1]] << " (score "
-              << top.values[order[k - 1]] << ")\n"
+              << "best document         : doc#" << top.indices[0] << " (score "
+              << top.values[0] << ")\n"
+              << "10th document         : doc#" << top.indices[9] << " (score "
+              << top.values[9] << ")\n"
+              << "worst retrieved       : doc#" << top.indices[k - 1] << " (score "
+              << top.values[k - 1] << ")\n"
               << "simulated time        : " << top.sim_ns / 1e6 << " ms ("
               << static_cast<double>(num_docs) / top.sim_ns << "e9 docs/s)\n";
 

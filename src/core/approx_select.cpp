@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/float_order.hpp"
+#include "core/opening.hpp"
 #include "core/pipeline.hpp"
 
 namespace gpusel::core {
@@ -12,44 +13,21 @@ template <typename T>
 Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::span<const T> input,
                                                      std::span<const std::size_t> ranks,
                                                      const SampleSelectConfig& cfg) {
-    if (Status vs = cfg.validate(/*exact=*/false); !vs.ok()) return vs;
-    const std::size_t n = input.size();
-    if (ranks.empty()) return ApproxMultiResult<T>{};
-    for (const std::size_t r : ranks) {
-        if (n == 0 || r >= n) {
-            return Status::failure(SelectError::rank_out_of_range, "rank out of range");
-        }
-    }
+    const PipelineContext ctx(dev, cfg);
+    Result<Opened<T>> o =
+        try_open<T>(ctx, input, check_ranks(input.size(), ranks), /*exact=*/false);
+    if (!o.ok()) return o.status();
+    // Ranks inside the NaN tail answer quiet NaN with zero rank error.
+    const std::span<const T> level_data = o.value().data.span();
+    const std::size_t n_num = level_data.size();
     const auto origin = simt::LaunchOrigin::host;
-    PipelineContext ctx(dev, cfg);
-
-    // NaN staging pre-pass: the counting level must not see NaN keys, so
-    // when any exist the level runs over a compacted copy (staged only in
-    // that case -- clean inputs keep the zero-copy path).  Ranks inside
-    // the NaN tail answer quiet NaN with zero rank error.
-    const std::size_t nan_count = count_nan_keys(input);
-    DataHolder<T> compacted;
-    std::span<const T> level_data = input;
-    if (nan_count > 0) {
-        if (cfg.nan_policy == NanPolicy::reject) {
-            return Status::failure(SelectError::nan_keys_rejected,
-                                   "approx_select: input contains NaN keys");
-        }
-        Status staged =
-            with_fault_retry(ctx, [&] { compacted = DataHolder<T>::stage(ctx, input); });
-        if (!staged.ok()) return staged;
-        (void)partition_nans_to_back(compacted.span());
-        compacted.view(n - nan_count);
-        level_data = compacted.span();
-    }
-    const std::size_t n_num = n - nan_count;
 
     ApproxMultiResult<T> res;
     res.points.resize(ranks.size());
-    const double t0 = dev.elapsed_ns();
-    const std::uint64_t l0 = dev.launch_count();
+    const Stamp<ApproxMultiResult<T>> stamp(dev);
 
-    if (n_num > 0) {
+    // The level locates ranks.front(), so it runs only when a rank is asked.
+    if (n_num > 0 && !ranks.empty()) {
         const auto b = static_cast<std::size_t>(cfg.num_buckets);
         // The locate rank only picks lv.bucket (unused here); clamp it into
         // the numeric prefix so the select-bucket kernel stays in range.
@@ -106,8 +84,7 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
             p.rank_error = 0;
         }
     }
-    res.sim_ns = dev.elapsed_ns() - t0;
-    res.launches = dev.launch_count() - l0;
+    stamp.write(res);
     for (auto& p : res.points) {
         p.sim_ns = res.sim_ns;
         p.launches = res.launches;
@@ -118,12 +95,8 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
 template <typename T>
 Result<ApproxResult<T>> try_approx_select(simt::Device& dev, std::span<const T> input,
                                           std::size_t rank, const SampleSelectConfig& cfg) {
-    PipelineContext ctx(dev, cfg);
-    DataHolder<T> buf;
-    Status s = with_fault_retry(ctx, [&] { buf = DataHolder<T>::stage(ctx, input); });
-    if (!s.ok()) return s;
     const std::size_t ranks[] = {rank};
-    auto multi = try_approx_multi_select<T>(dev, std::span<const T>(buf.span()), ranks, cfg);
+    auto multi = try_approx_multi_select<T>(dev, input, ranks, cfg);
     if (!multi.ok()) return multi.status();
     return multi.value().points.front();
 }

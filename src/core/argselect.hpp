@@ -11,7 +11,8 @@
 //    stability policy.
 //  * try_topk_largest_indices(keys, k): the k largest keys with their original
 //    positions, sorted descending; equal keys by ascending index.  Runs on
-//    negated-key pairs so the tie-break still prefers smaller indices.
+//    negated-key pairs so the tie-break still prefers smaller indices.  The
+//    library's one index-returning top-k.
 //  * try_partial_sort_by_key(keys, payloads, k): the k smallest (key, payload)
 //    records in ascending key order -- select the k-th smallest pair as a
 //    threshold, extract exactly k pairs in one compress-store pass, sort
@@ -19,8 +20,10 @@
 //
 // NaN keys rank above +inf (NanPolicy::propagate_largest) and among
 // themselves by ascending index; NanPolicy::reject fails with
-// SelectError::nan_keys_rejected.  NaN-tail answers come straight from the
-// host-side staging pre-pass without touching the device.
+// SelectError::nan_keys_rejected.  Every key becomes a pair and the
+// single-device opening (core/opening.hpp) partitions the NaN pairs off;
+// NaN-tail answers come from the tail's indices, sorted on the host,
+// without touching the device.
 
 #include <cstdint>
 #include <span>

@@ -2,9 +2,10 @@
 // Pluggable selection backends (docs/planner.md): "which algorithm runs"
 // is a first-class decision rather than an accident of which front-end the
 // caller picked.  Every single-rank front-end (sample_select, topk,
-// argselect, quantile, the batch executor's recursive lanes) stages its
-// input, runs the NaN pre-pass, asks the planner (core/planner.hpp) for a
-// BackendKind, and dispatches through the SelectionBackend interface:
+// argselect, quantile, the batch executor's recursive lanes) opens its
+// input (core/opening.hpp: staging and the NaN pre-pass), asks the
+// planner (core/planner.hpp) for a BackendKind, and dispatches through
+// the SelectionBackend interface:
 //
 //   * sample  -- the paper's sampled bucket recursion (core/sample_select);
 //                distribution-adaptive, equality-bucket early exit.

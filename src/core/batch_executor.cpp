@@ -8,8 +8,8 @@
 
 #include "bitonic/bitonic.hpp"
 #include "core/float_order.hpp"
+#include "core/opening.hpp"
 #include "core/planner.hpp"
-#include "core/sample_select.hpp"
 
 namespace gpusel::core {
 
@@ -103,6 +103,18 @@ double StreamFan::fork() {
     return fork_ns_;
 }
 
+StreamFan::Overlap StreamFan::overlap() const {
+    Overlap o;
+    for (const int stream : streams_) {
+        const double busy = dev_->stream_clock(stream) - fork_ns_;
+        if (busy > 0.0) {
+            o.serial_ns += busy;
+            o.wall_ns = std::max(o.wall_ns, busy);
+        }
+    }
+    return o;
+}
+
 void StreamFan::join() {
     for (std::size_t i = 1; i < streams_.size(); ++i) {
         dev_->wait_event(streams_[0], dev_->record_event(streams_[i]));
@@ -154,10 +166,11 @@ template <typename T>
 Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>> problems) {
     simt::Device& dev = *dev_;
     const SampleSelectConfig& cfg = cfg_;
-    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
+    if (Status s = check_config(PipelineContext(dev, cfg)); !s.ok()) return s;
     if (problems.empty()) {
         return Status::failure(SelectError::invalid_argument, "batch_executor: empty batch");
     }
+    // Every range check runs before any problem is staged.
     for (const BatchProblem<T>& p : problems) {
         if (p.data.empty()) {
             return Status::failure(SelectError::empty_input, "batch_executor: empty problem");
@@ -186,30 +199,22 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
     res.items.resize(m);
     res.streams_used = fan.count();
 
-    // Stage every problem onto its lane (untimed host->device transfer, as
-    // everywhere in this simulator) and run the NaN staging pre-pass.
+    // Open every problem on its lane: staged onto the lane's stream, NaN
+    // tail partitioned off.
     std::vector<DataHolder<T>> staged(m);
-    std::vector<std::size_t> len_num(m);
     for (std::size_t i = 0; i < m; ++i) {
         const int lane = fan.lane_of(i);
         res.items[i].stream = fan.stream(lane);
-        Status s = with_fault_retry(lane_ctx[static_cast<std::size_t>(lane)], [&] {
-            staged[i] = DataHolder<T>::stage(lane_ctx[static_cast<std::size_t>(lane)],
-                                             problems[i].data);
-        });
-        if (!s.ok()) return s;
-        const std::size_t nan_c = partition_nans_to_back(staged[i].span());
-        res.items[i].nan_count = nan_c;
-        res.nan_count += nan_c;
-        len_num[i] = problems[i].data.size() - nan_c;
-    }
-    if (res.nan_count > 0 && cfg.nan_policy == NanPolicy::reject) {
-        return Status::failure(SelectError::nan_keys_rejected,
-                               "batch_executor: input contains NaN keys");
+        Result<Opened<T>> o = try_open<T>(lane_ctx[static_cast<std::size_t>(lane)],
+                                          problems[i].data, Status::success());
+        if (!o.ok()) return o.status();
+        staged[i] = std::move(o.value().data);
+        res.items[i].nan_count = o.value().nan_count;
+        res.nan_count += o.value().nan_count;
     }
 
     const std::uint64_t l0 = dev.launch_count();
-    const double fork_ns = fan.fork();
+    (void)fan.fork();
 
     // Classify: NaN-tail ranks answer at staging, short numeric prefixes
     // coalesce per lane, the rest run the full recursion on their lane.
@@ -224,9 +229,9 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
     std::vector<std::vector<std::size_t>> fused(lanes);
     std::vector<std::size_t> recursive;
     for (std::size_t i = 0; i < m; ++i) {
-        if (problems[i].rank >= len_num[i]) {
+        if (problems[i].rank >= staged[i].size()) {
             res.items[i].value = quiet_nan<T>();
-        } else if (allow_fused && len_num[i] <= bitonic::kMaxSortSize) {
+        } else if (allow_fused && staged[i].size() <= bitonic::kMaxSortSize) {
             fused[static_cast<std::size_t>(fan.lane_of(i))].push_back(i);
         } else {
             recursive.push_back(i);
@@ -244,7 +249,7 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
         seqs.reserve(group.size());
         seq_rank.reserve(group.size());
         for (const std::size_t i : group) {
-            seqs.push_back(staged[i].span().first(len_num[i]));
+            seqs.push_back(staged[i].span());
             seq_rank.push_back(problems[i].rank);
             // Structural decision: the fused lane launch is the bitonic
             // backend applied per block, recorded so backend tallies and
@@ -254,7 +259,7 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
                 PlanDecision{BackendKind::bitonic,
                              forced ? "GPUSEL_BACKEND override" : "batch-coalesced bitonic lane",
                              forced.has_value()},
-                len_num[i], problems[i].rank, fan.stream(static_cast<int>(l)));
+                staged[i].size(), problems[i].rank, fan.stream(static_cast<int>(l)));
         }
         simt::PooledBuffer<T> dout;
         const std::uint64_t before = dev.launch_count();
@@ -301,18 +306,10 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
 
     // Overlap accounting: lane busy time relative to the fork event; the
     // join makes the base stream (and elapsed_ns) reflect the wall time.
-    double wall = 0.0;
-    double serial = 0.0;
-    for (int l = 0; l < fan.count(); ++l) {
-        const double busy = dev.stream_clock(fan.stream(l)) - fork_ns;
-        if (busy > 0.0) {
-            serial += busy;
-            wall = std::max(wall, busy);
-        }
-    }
+    const StreamFan::Overlap busy = fan.overlap();
     fan.join();
-    res.wall_ns = wall;
-    res.serial_ns = serial;
+    res.wall_ns = busy.wall_ns;
+    res.serial_ns = busy.serial_ns;
     res.launches = dev.launch_count() - l0;
     return res;
 }

@@ -91,6 +91,17 @@ public:
     /// The timestamp fork() recorded (0 before the first fork).
     [[nodiscard]] double fork_ns() const noexcept { return fork_ns_; }
 
+    /// Lane busy time since the fork, read before join().
+    struct Overlap {
+        /// The latest lane completion: what a host observes after
+        /// synchronizing.
+        double wall_ns = 0.0;
+        /// The sum of lane busy times: what the same launches would cost
+        /// back to back on one stream.
+        double serial_ns = 0.0;
+    };
+    [[nodiscard]] Overlap overlap() const;
+
 private:
     simt::Device* dev_;
     std::vector<int> streams_;

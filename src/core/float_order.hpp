@@ -16,14 +16,15 @@
 // distinguishes them, and which representative a rank query returns is
 // unspecified, matching std::nth_element.
 //
-// Enforcement strategy: the device kernels never see a NaN.  Every
-// front-end runs a host-side staging pre-pass (partition_nans_to_back,
-// untimed like all staging copies in this simulator) that moves NaNs to
-// the tail; ranks inside the tail answer quiet NaN directly.  The
-// comparators here are for host-side reference code (CPU baselines,
-// SearchTree::find_bucket callers, tests) and for the few kernels that
-// compare against a caller-provided needle (rank_of, top-k gather), where
-// the needle may legitimately be NaN.  On NaN-free data total_less
+// Enforcement strategy: the device kernels never see a NaN.  The
+// single-device opening (core/opening.hpp) runs a host-side staging
+// pre-pass (partition_nans_to_back, untimed like all staging copies in
+// this simulator) that moves NaNs to the tail; ranks inside the tail
+// answer quiet NaN directly.  The comparators here are for host-side
+// reference code (CPU baselines, SearchTree::find_bucket callers, tests)
+// and for the few kernels that compare against a caller-provided needle
+// or threshold (rank_of, the ArgPair gather), where the needle may
+// legitimately be NaN.  On NaN-free data total_less
 // decides exactly like `<`, so fault-free event streams are unchanged.
 
 #include <cmath>
@@ -105,31 +106,6 @@ template <typename T>
     }
 }
 
-/// Staging pre-pass: moves every NaN key behind the non-NaN keys (order
-/// within each group is unspecified) and returns the NaN count.  Host-side
-/// and untimed, like the staging copies it piggybacks on.  No-op returning
-/// 0 for non-floating-point types and NaN-free data.
-template <typename T>
-std::size_t partition_nans_to_back(std::span<T> data) noexcept {
-    if constexpr (!std::is_floating_point_v<T> && !is_key_payload_v<T>) {
-        (void)data;
-        return 0;
-    } else {
-        // Two-pointer partition, branch-free on the common NaN-free path.
-        std::size_t lo = 0;
-        std::size_t hi = data.size();
-        while (lo < hi) {
-            if (!is_nan_key(data[lo])) {
-                ++lo;
-            } else {
-                --hi;
-                std::swap(data[lo], data[hi]);
-            }
-        }
-        return data.size() - lo;
-    }
-}
-
 /// Counts NaN keys without reordering (read-only inputs).
 template <typename T>
 [[nodiscard]] std::size_t count_nan_keys(std::span<const T> data) noexcept {
@@ -142,6 +118,33 @@ template <typename T>
             if (is_nan_key(x)) ++m;
         }
         return m;
+    }
+}
+
+/// Staging pre-pass: moves every NaN key behind the non-NaN keys (order
+/// within each group is unspecified) and returns the NaN count.  Host-side
+/// and untimed, like the staging copies it piggybacks on.  No-op returning
+/// 0 for non-floating-point types and NaN-free data.
+template <typename T>
+std::size_t partition_nans_to_back(std::span<T> data) noexcept {
+    if constexpr (!std::is_floating_point_v<T> && !is_key_payload_v<T>) {
+        (void)data;
+        return 0;
+    } else {
+        // NaN-free data, the common case, costs one read-only counting
+        // pass: the partition loop below runs at half its speed.
+        if (count_nan_keys(std::span<const T>(data)) == 0) return 0;
+        std::size_t lo = 0;
+        std::size_t hi = data.size();
+        while (lo < hi) {
+            if (!is_nan_key(data[lo])) {
+                ++lo;
+            } else {
+                --hi;
+                std::swap(data[lo], data[hi]);
+            }
+        }
+        return data.size() - lo;
     }
 }
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/float_order.hpp"
+#include "core/opening.hpp"
 #include "core/pipeline.hpp"
 #include "simt/scan.hpp"
 #include "simt/timing.hpp"
@@ -12,46 +13,30 @@ namespace gpusel::core {
 template <typename T>
 Result<EquiDepthHistogram<T>> try_equi_depth_histogram(simt::Device& dev, std::span<const T> data,
                                                        const SampleSelectConfig& cfg) {
-    if (Status vs = cfg.validate(/*exact=*/false); !vs.ok()) return vs;
     const std::size_t n = data.size();
-    if (n == 0) {
-        return Status::failure(SelectError::empty_input, "histogram of an empty dataset");
-    }
-    const auto b = static_cast<std::size_t>(cfg.num_buckets);
-    const auto origin = simt::LaunchOrigin::host;
-    PipelineContext ctx(dev, cfg);
-
+    const PipelineContext ctx(dev, cfg);
     // NaN keys cannot enter the count kernel (its tree traversal assumes
     // the total order).  They belong in the last bucket -- where
-    // find_bucket sends a NaN probe -- so the level runs over a compacted
-    // copy and the NaN count is added to that bucket afterwards.  The copy
-    // is staged only when NaNs exist, so clean inputs keep the zero-copy
-    // path and its event stream.
-    const std::size_t nan_count = count_nan_keys(data);
-    DataHolder<T> compacted;
-    if (nan_count > 0) {
-        if (cfg.nan_policy == NanPolicy::reject) {
-            return Status::failure(SelectError::nan_keys_rejected,
-                                   "equi_depth_histogram: input contains NaN keys");
-        }
-        Status staged = with_fault_retry(ctx, [&] {
-            compacted = DataHolder<T>::stage(ctx, data);
-        });
-        if (!staged.ok()) return staged;
-        (void)partition_nans_to_back(compacted.span());
-        compacted.view(n - nan_count);
-        data = compacted.span();
-    }
+    // find_bucket sends a NaN probe -- so the level runs over the NaN-free
+    // prefix and the NaN count is added to that bucket afterwards.
+    Result<Opened<T>> o = try_open<T>(
+        ctx, data,
+        n == 0 ? Status::failure(SelectError::empty_input, "histogram of an empty dataset")
+               : Status::success(),
+        /*exact=*/false);
+    if (!o.ok()) return o.status();
+    const std::size_t nan_count = o.value().nan_count;
+    const auto b = static_cast<std::size_t>(cfg.num_buckets);
+    const auto origin = simt::LaunchOrigin::host;
 
     EquiDepthHistogram<T> h;
     h.n = n;
-    const double t0 = dev.elapsed_ns();
-    const std::uint64_t l0 = dev.launch_count();
+    const Stamp<EquiDepthHistogram<T>> stamp(dev);
 
     // Count-only pipeline level: no oracles, no per-block offsets, and no
     // select-bucket (there is no rank to locate).
     auto lvres = try_run_bucket_level<T>(
-        ctx, data, /*rank=*/0, origin, /*salt=*/0,
+        ctx, std::span<const T>(o.value().data.span()), /*rank=*/0, origin, /*salt=*/0,
         {.write_oracles = false, .keep_block_offsets = false, .locate = false});
     if (!lvres.ok()) return lvres.status();
     const LevelOutcome<T> lv = lvres.take();
@@ -76,20 +61,20 @@ Result<EquiDepthHistogram<T>> try_equi_depth_histogram(simt::Device& dev, std::s
     h.counts[b - 1] += static_cast<std::int64_t>(nan_count);
     h.cumulative[b] = static_cast<std::int64_t>(n);
 
-    h.sim_ns = dev.elapsed_ns() - t0;
-    h.launches = dev.launch_count() - l0;
+    stamp.write(h);
     return h;
 }
 
 template <typename T>
 Result<RankQueryResult<T>> try_rank_of(simt::Device& dev, std::span<const T> data, T v,
                                        const SampleSelectConfig& cfg) {
+    const PipelineContext ctx(dev, cfg);
+    if (Status s = check_config(ctx, /*exact=*/false); !s.ok()) return s;
     const std::size_t n = data.size();
     RankQueryResult<T> res;
     const double t0 = dev.elapsed_ns();
     if (n == 0) return res;
 
-    PipelineContext ctx(dev, cfg);
     Status s = with_fault_retry(ctx, [&] {
         // Tripartition histogram {smaller, equal, larger(, pad)} under the
         // total order: NaN keys compare greater than any numeric v, and a

@@ -8,6 +8,7 @@
 #include "core/batch_executor.hpp"
 #include "core/filter_kernel.hpp"
 #include "core/float_order.hpp"
+#include "core/opening.hpp"
 #include "core/pipeline.hpp"
 #include "core/planner.hpp"
 
@@ -175,42 +176,25 @@ template <typename T>
 Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const T> input,
                                               std::span<const std::size_t> ranks,
                                               const SampleSelectConfig& cfg) {
-    if (Status vs = cfg.validate(/*exact=*/true); !vs.ok()) return vs;
-    const std::size_t n = input.size();
-    if (ranks.empty()) return MultiSelectResult<T>{};
-    for (std::size_t r : ranks) {
-        if (r >= n) {
-            return Status::failure(SelectError::rank_out_of_range, "rank out of range");
-        }
-    }
+    const PipelineContext ctx(dev, cfg);
+    Result<Opened<T>> o = try_open<T>(ctx, input, check_ranks(input.size(), ranks));
+    if (!o.ok()) return o.status();
+    DataHolder<T>& buf = o.value().data;
 
-    PipelineContext ctx(dev, cfg);
-    DataHolder<T> buf;
-    Status s = with_fault_retry(ctx, [&] { buf = DataHolder<T>::stage(ctx, input); });
-    if (!s.ok()) return s;
-
+    // Ranks inside the NaN tail of the total order answer quiet NaN; the
+    // rest descend over the non-NaN prefix.
     MultiSelectResult<T> res;
     res.values.resize(ranks.size());
-
-    // NaN staging pre-pass: ranks inside the NaN tail of the total order
-    // answer quiet NaN; the rest descend over the non-NaN prefix.
-    const std::size_t nan_count = partition_nans_to_back(buf.span());
-    if (nan_count > 0 && cfg.nan_policy == NanPolicy::reject) {
-        return Status::failure(SelectError::nan_keys_rejected,
-                               "multi_select: input contains NaN keys");
-    }
-    const std::size_t n_num = n - nan_count;
+    res.nan_count = o.value().nan_count;
     std::vector<Target> targets;
     targets.reserve(ranks.size());
     for (std::size_t i = 0; i < ranks.size(); ++i) {
-        if (ranks[i] >= n_num) {
+        if (ranks[i] >= buf.size()) {
             res.values[i] = quiet_nan<T>();
         } else {
             targets.push_back({ranks[i], i});
         }
     }
-    res.nan_count = nan_count;
-    buf.view(n_num);
 
     if (!targets.empty()) {
         // Multi-rank descent is planned structurally: the bucket tree is
@@ -228,8 +212,7 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
                                 q.n, q.k, ctx.stream());
     }
 
-    const double t0 = dev.elapsed_ns();
-    const std::uint64_t l0 = dev.launch_count();
+    const Stamp<MultiSelectResult<T>> stamp(dev);
     if (!targets.empty()) {
         // Independent ranks are independent sub-problems after the first
         // partition level: fan their bucket subtrees over leased streams.
@@ -238,14 +221,13 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
         StreamFan fan(dev, fan_width.value(), ctx.stream());
         res.streams_used = fan.count();
         ProgressTally tally;
-        s = solve(ctx, buf.span(), std::move(targets), DescentPath{}, res, tally,
-                  fan.count() > 1 ? &fan : nullptr);
+        Status s = solve(ctx, buf.span(), std::move(targets), DescentPath{}, res, tally,
+                         fan.count() > 1 ? &fan : nullptr);
         if (!s.ok()) return s;
         res.resamples = tally.resamples;
         res.fallback_levels = tally.fallback_levels;
     }
-    res.sim_ns = dev.elapsed_ns() - t0;
-    res.launches = dev.launch_count() - l0;
+    stamp.write(res);
     return res;
 }
 

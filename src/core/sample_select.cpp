@@ -4,6 +4,7 @@
 
 #include "core/backend.hpp"
 #include "core/float_order.hpp"
+#include "core/opening.hpp"
 #include "core/pipeline.hpp"
 #include "core/planner.hpp"
 
@@ -51,31 +52,6 @@ template <typename T>
 Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T> data,
                                                  std::size_t rank,
                                                  const SampleSelectConfig& cfg, int stream) {
-    if (Status s = cfg.validate(/*exact=*/true); !s.ok()) return s;
-    const std::size_t n = data.size();
-    if (n == 0 || rank >= n) {
-        return Status::failure(SelectError::rank_out_of_range, "rank out of range");
-    }
-
-    // NaN staging pre-pass (core/float_order.hpp): kernels never see NaN.
-    // A no-op (and no reorder) on NaN-free data, so event streams match.
-    const std::size_t nan_count = partition_nans_to_back(data.span());
-    if (nan_count > 0) {
-        if (cfg.nan_policy == NanPolicy::reject) {
-            return Status::failure(SelectError::nan_keys_rejected,
-                                   "sample_select: input contains NaN keys");
-        }
-        if (rank >= n - nan_count) {
-            // The rank falls inside the NaN tail of the total order;
-            // answered at staging without any device work.
-            SelectResult<T> r{};
-            r.value = quiet_nan<T>();
-            r.nan_count = nan_count;
-            return r;
-        }
-        data.view(n - nan_count);
-    }
-
     // Plan which backend runs the NaN-free problem (host-side only; no
     // launches, so the chosen backend's event stream starts at t0).
     PlanQuery q;
@@ -85,30 +61,35 @@ Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T
     const PlanDecision plan = plan_selection<T>(dev, std::span<const T>(data.span()), q,
                                                 stream < 0 ? cfg.stream : stream);
 
-    dev.tracker().set_baseline();
-    const double t0 = dev.elapsed_ns();
-    const std::uint64_t l0 = dev.launch_count();
-    Result<SelectResult<T>> bres =
+    const Stamp<SelectResult<T>> stamp(dev);
+    Result<SelectResult<T>> res =
         selection_backend<T>(plan.backend).select(dev, std::move(data), rank, cfg, stream);
-    if (!bres.ok()) return bres.status();
-    SelectResult<T> res = bres.take();
-    res.sim_ns = dev.elapsed_ns() - t0;
-    res.launches = dev.launch_count() - l0;
-    res.aux_bytes = dev.tracker().peak_above_baseline();
-    res.nan_count = nan_count;
+    if (res.ok()) stamp.write(res.value());
     return res;
 }
 
 template <typename T>
 Result<SelectResult<T>> try_sample_select(simt::Device& dev, std::span<const T> input,
                                           std::size_t rank, const SampleSelectConfig& cfg) {
-    PipelineContext ctx(dev, cfg);
-    DataHolder<T> staged;
-    // Staging acquires a pooled buffer, so it participates in the bounded
-    // alloc-retry policy like every other acquisition.
-    Status s = with_fault_retry(ctx, [&] { staged = DataHolder<T>::stage(ctx, input); });
-    if (!s.ok()) return s;
-    return try_sample_select_staged<T>(dev, std::move(staged), rank, cfg);
+    const std::size_t n = input.size();
+    Result<Opened<T>> o = try_open<T>(
+        PipelineContext(dev, cfg), input,
+        n == 0 || rank >= n
+            ? Status::failure(SelectError::rank_out_of_range, "rank out of range")
+            : Status::success());
+    if (!o.ok()) return o.status();
+    Opened<T>& op = o.value();
+    if (rank >= op.data.size()) {
+        // The rank falls inside the NaN tail of the total order; answered
+        // at staging without any device work.
+        SelectResult<T> r{};
+        r.value = quiet_nan<T>();
+        r.nan_count = op.nan_count;
+        return r;
+    }
+    Result<SelectResult<T>> res = try_sample_select_staged<T>(dev, std::move(op.data), rank, cfg);
+    if (res.ok()) res.value().nan_count = op.nan_count;
+    return res;
 }
 
 template Result<SelectResult<float>> try_sample_select<float>(

@@ -58,18 +58,6 @@ template <typename T>
                                                         std::span<const T> input, std::size_t rank,
                                                         const SampleSelectConfig& cfg);
 
-/// Lowest-level entry: selects from an already-staged pipeline data holder
-/// (adopted device buffer or pooled block), which is consumed.  Used by the
-/// batched and top-k front-ends to feed pooled buffers into the same
-/// descent.  `stream` overrides the selection's stream (every launch and
-/// pooled checkout); the default -1 keeps cfg.stream.
-template <typename T>
-[[nodiscard]] Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev,
-                                                               DataHolder<T> data,
-                                                               std::size_t rank,
-                                                               const SampleSelectConfig& cfg,
-                                                               int stream = -1);
-
 namespace detail {
 
 /// The sample backend's descent over staged NaN-free data: the recursive
@@ -97,11 +85,5 @@ extern template Result<SelectResult<double>> try_sample_select<double>(
     simt::Device&, std::span<const double>, std::size_t, const SampleSelectConfig&);
 extern template Result<SelectResult<ArgPair>> try_sample_select<ArgPair>(
     simt::Device&, std::span<const ArgPair>, std::size_t, const SampleSelectConfig&);
-extern template Result<SelectResult<float>> try_sample_select_staged<float>(
-    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
-extern template Result<SelectResult<double>> try_sample_select_staged<double>(
-    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
-extern template Result<SelectResult<ArgPair>> try_sample_select_staged<ArgPair>(
-    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
 
 }  // namespace gpusel::core

@@ -3,6 +3,7 @@
 #include "bitonic/bitonic.hpp"
 #include "core/filter_kernel.hpp"
 #include "core/float_order.hpp"
+#include "core/opening.hpp"
 #include "core/pipeline.hpp"
 #include "simt/timing.hpp"
 
@@ -99,43 +100,32 @@ Result<SortResult<T>> try_sample_sort(simt::Device& dev, std::span<const T> inpu
     // and so every deeper level's sample, deterministic.
     SampleSelectConfig sort_cfg = cfg;
     sort_cfg.atomic_space = simt::AtomicSpace::shared;
-    if (Status vs = sort_cfg.validate(/*exact=*/true); !vs.ok()) return vs;
-
-    const std::size_t n = input.size();
-    PipelineContext ctx(dev, sort_cfg);
-    DataHolder<T> buf;
+    const PipelineContext ctx(dev, sort_cfg);
+    Result<Opened<T>> o = try_open<T>(ctx, input, Status::success());
+    if (!o.ok()) return o.status();
+    // NaN keys are the largest in the total order, so the sorted output is
+    // the sorted numeric prefix followed by the NaN tail the opening
+    // already formed.
+    DataHolder<T>& buf = o.value().data;
+    const std::size_t n_num = buf.size();
     DataHolder<T> scratch;
-    Status s = with_fault_retry(ctx, [&] {
-        buf = DataHolder<T>::stage(ctx, input);
-        scratch = DataHolder<T>::acquire(ctx, n);
-    });
+    Status s = with_fault_retry(ctx, [&] { scratch = DataHolder<T>::acquire(ctx, n_num); });
     if (!s.ok()) return s;
 
     SortResult<T> res;
-    // NaN staging pre-pass: NaN keys are the largest in the total order, so
-    // the sorted output is the sorted numeric prefix followed by the NaN
-    // tail the partition already formed.
-    res.nan_count = partition_nans_to_back(buf.span());
-    if (res.nan_count > 0 && sort_cfg.nan_policy == NanPolicy::reject) {
-        return Status::failure(SelectError::nan_keys_rejected,
-                               "sample_sort: input contains NaN keys");
-    }
-    const std::size_t n_num = n - res.nan_count;
-
-    const double t0 = dev.elapsed_ns();
-    const std::uint64_t l0 = dev.launch_count();
+    res.nan_count = o.value().nan_count;
+    const Stamp<SortResult<T>> stamp(dev);
     if (n_num > 0) {
         ProgressTally tally;
-        s = sort_segment<T>(ctx, buf.span().subspan(0, n_num), scratch.span().subspan(0, n_num),
-                            DescentPath{}, res, tally);
+        s = sort_segment<T>(ctx, buf.span(), scratch.span(), DescentPath{}, res, tally);
         if (!s.ok()) return s;
         res.resamples = tally.resamples;
         res.fallback_levels = tally.fallback_levels;
     }
-    res.sim_ns = dev.elapsed_ns() - t0;
-    res.launches = dev.launch_count() - l0;
-    const auto sorted = buf.span();
-    res.sorted.assign(sorted.begin(), sorted.end());
+    stamp.write(res);
+    const auto nan_tail = o.value().nan_tail();
+    res.sorted.assign(buf.span().begin(), buf.span().end());
+    res.sorted.insert(res.sorted.end(), nan_tail.begin(), nan_tail.end());
     return res;
 }
 

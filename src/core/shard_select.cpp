@@ -8,6 +8,7 @@
 
 #include "core/float_order.hpp"
 #include "core/multiselect.hpp"
+#include "core/opening.hpp"
 #include "core/pipeline.hpp"
 #include "core/planner.hpp"
 #include "core/reduce_kernel.hpp"

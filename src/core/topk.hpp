@@ -85,30 +85,6 @@ template <typename T>
     simt::Device& dev, std::span<const TopKBatchProblem<T>> problems,
     const SampleSelectConfig& cfg, const BatchOptions& opts = {});
 
-template <typename T>
-struct TopKIndexResult {
-    /// The k largest values (unordered) ...
-    std::vector<T> values;
-    /// ... and the original position of each (values[i] == input[indices[i]]).
-    std::vector<std::size_t> indices;
-    /// The k-th largest value.
-    T threshold{};
-    double sim_ns = 0.0;
-    std::uint64_t launches = 0;
-    /// NaN keys in the input (they rank above +inf, so they are claimed
-    /// into the top-k set first; their original indices are reported).
-    std::size_t nan_count = 0;
-};
-
-/// Top-k with index payloads (what retrieval workloads need: document ids,
-/// not just scores).  Finds the threshold with exact SampleSelect, then one
-/// gather pass extracts (value, index) pairs: all elements above the
-/// threshold plus enough threshold-equal elements to reach exactly k (ties
-/// broken by position order of extraction).
-template <typename T>
-[[nodiscard]] Result<TopKIndexResult<T>> try_topk_largest_with_indices(
-    simt::Device& dev, std::span<const T> input, std::size_t k, const SampleSelectConfig& cfg);
-
 namespace detail {
 
 /// The sample backend's fused top-k descent over staged NaN-free data
@@ -146,10 +122,6 @@ extern template Result<TopKResult<double>> try_topk_smallest<double>(simt::Devic
                                                                      std::span<const double>,
                                                                      std::size_t,
                                                                      const SampleSelectConfig&);
-extern template Result<TopKIndexResult<float>> try_topk_largest_with_indices<float>(
-    simt::Device&, std::span<const float>, std::size_t, const SampleSelectConfig&);
-extern template Result<TopKIndexResult<double>> try_topk_largest_with_indices<double>(
-    simt::Device&, std::span<const double>, std::size_t, const SampleSelectConfig&);
 extern template Result<TopKBatchResult<float>> try_topk_largest_batch<float>(
     simt::Device&, std::span<const TopKBatchProblem<float>>, const SampleSelectConfig&,
     const BatchOptions&);

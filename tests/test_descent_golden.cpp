@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "core/argselect.hpp"
 #include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
 #include "core/sample_sort.hpp"
@@ -38,6 +40,18 @@ std::uint64_t golden(const std::function<bool(simt::Device&)>& call) {
     simt::Device dev(simt::arch_v100(), golden::device_options());
     EXPECT_TRUE(call(dev));
     return launch_sequence_hash(dev);
+}
+
+/// Like golden(), but `call` also folds the answer it got into the hash,
+/// so the index-returning front-ends pin their tie-break as well as their
+/// launches.
+std::uint64_t golden_answer(const std::function<bool(simt::Device&, golden::Fnv1a&)>& call) {
+    simt::Device dev(simt::arch_v100(), golden::device_options());
+    golden::Fnv1a h;
+    EXPECT_TRUE(call(dev, h));
+    for (const simt::KernelProfile& p : dev.profiles()) golden::add_profile(h, p);
+    h.add(static_cast<std::uint64_t>(dev.profiles().size()));
+    return h.value();
 }
 
 /// Pins GPUSEL_BACKEND for one scope so planner-routed front-ends take the
@@ -124,6 +138,59 @@ TEST(DescentGolden, AllEqualDoubles) {
     EXPECT_EQ(h.topk_smallest, 0xbe1a6db274235e00ULL);
     EXPECT_EQ(h.multi_select, 0xc9cb1b0d273ce342ULL);
     EXPECT_EQ(h.sample_sort, 0x0eb0c5b207cc659cULL);
+}
+
+struct ArgPairHashes {
+    std::uint64_t argselect = 0;
+    std::uint64_t topk_indices = 0;
+    std::uint64_t partial_sort = 0;
+};
+
+/// The three ArgPair front-ends over `keys`, each answer folded in.
+ArgPairHashes run_argpair(const std::vector<float>& keys) {
+    const std::size_t n = keys.size();
+    std::vector<std::uint32_t> payloads(n);
+    std::iota(payloads.begin(), payloads.end(), 7u);
+    ArgPairHashes h;
+    h.argselect = golden_answer([&](simt::Device& dev, golden::Fnv1a& f) {
+        auto r = core::try_argselect(dev, keys, n / 2, {});
+        if (!r.ok()) return false;
+        f.add(r.value().key);
+        f.add(static_cast<std::uint64_t>(r.value().index));
+        return true;
+    });
+    h.topk_indices = golden_answer([&](simt::Device& dev, golden::Fnv1a& f) {
+        auto r = core::try_topk_largest_indices(dev, keys, kTopK, {});
+        if (!r.ok()) return false;
+        for (std::size_t i = 0; i < r.value().values.size(); ++i) {
+            f.add(r.value().values[i]);
+            f.add(static_cast<std::uint64_t>(r.value().indices[i]));
+        }
+        return true;
+    });
+    h.partial_sort = golden_answer([&](simt::Device& dev, golden::Fnv1a& f) {
+        auto r = core::try_partial_sort_by_key(dev, keys, payloads, kTopK, {});
+        if (!r.ok()) return false;
+        for (std::size_t i = 0; i < r.value().keys.size(); ++i) {
+            f.add(r.value().keys[i]);
+            f.add(static_cast<std::uint64_t>(r.value().payloads[i]));
+        }
+        return true;
+    });
+    return h;
+}
+
+TEST(DescentGolden, ArgPairFrontEnds) {
+    // All-equal keys order by index alone: the tie-break decides every
+    // answer and every bucket.
+    const ArgPairHashes u = run_argpair(uniform_floats());
+    const ArgPairHashes eq = run_argpair(std::vector<float>(8192, 2.5f));
+    EXPECT_EQ(u.argselect, 0xb17428a9aeac2304ULL);
+    EXPECT_EQ(u.topk_indices, 0x6d2f20ac4708d199ULL);
+    EXPECT_EQ(u.partial_sort, 0x62f02208c7e8d96aULL);
+    EXPECT_EQ(eq.argselect, 0xf60a9950f94d12cbULL);
+    EXPECT_EQ(eq.topk_indices, 0x508dea2e5c70debfULL);
+    EXPECT_EQ(eq.partial_sort, 0xe929daf5edd984a1ULL);
 }
 
 TEST(DescentGolden, AllEqualDoublesSampleBackend) {

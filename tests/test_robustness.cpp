@@ -7,11 +7,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "baselines/cpu_reference.hpp"
 #include "core/approx_select.hpp"
+#include "core/argselect.hpp"
+#include "core/batch_executor.hpp"
 #include "core/batched_select.hpp"
 #include "core/float_order.hpp"
 #include "core/histogram.hpp"
@@ -51,6 +55,10 @@ std::vector<double> nan_laced(std::size_t n, std::size_t every, std::uint64_t se
     auto data = data::generate<double>({.n = n, .dist = data::Distribution::normal, .seed = seed});
     for (std::size_t i = 0; i < n; i += every) data[i] = kNan;
     return data;
+}
+
+std::vector<float> to_floats(const std::vector<double>& data) {
+    return {data.begin(), data.end()};
 }
 
 // ---- typed preconditions, one per front-end ---------------------------------
@@ -143,6 +151,53 @@ TEST(TypedErrors, QuantileRank) {
     EXPECT_EQ(ok.value(), 5u);
 }
 
+// A stream the device does not have, or a malformed config, is an argument
+// error of every single-device front-end: typed, never a throw or a
+// terminate from the simulator's stream table.
+TEST(TypedErrors, ConfigErrorsAreTyped) {
+    const std::vector<float> data =
+        data::generate<float>({.n = 4096, .dist = data::Distribution::normal, .seed = 7});
+    std::vector<std::uint32_t> payloads(data.size());
+    std::iota(payloads.begin(), payloads.end(), 0u);
+    const std::vector<std::size_t> ranks{1, 2};
+    const std::vector<std::size_t> offsets{0, data.size()};
+    const std::vector<std::size_t> one_rank{3};
+    const std::vector<core::BatchProblem<float>> problems{{data, 3}};
+    const std::vector<core::TopKBatchProblem<float>> topk_problems{{data, 3}};
+    const auto e = core::SelectError::invalid_argument;
+
+    for (const int stream : {7, -1}) {
+        SCOPED_TRACE(stream);
+        simt::Device dev(simt::arch_v100());
+        core::SampleSelectConfig cfg;
+        cfg.stream = stream;
+        EXPECT_EQ(core::try_sample_select<float>(dev, data, 10, cfg).error(), e);
+        EXPECT_EQ(core::try_quantile<float>(dev, data, 0.5, cfg).error(), e);
+        EXPECT_EQ(core::try_topk_largest<float>(dev, data, 5, cfg).error(), e);
+        EXPECT_EQ(core::try_topk_smallest<float>(dev, data, 5, cfg).error(), e);
+        EXPECT_EQ(core::try_topk_largest_batch<float>(dev, topk_problems, cfg).error(), e);
+        EXPECT_EQ(core::try_multi_select<float>(dev, data, ranks, cfg).error(), e);
+        EXPECT_EQ(core::try_approx_select<float>(dev, data, 10, cfg).error(), e);
+        EXPECT_EQ(core::try_approx_multi_select<float>(dev, data, ranks, cfg).error(), e);
+        EXPECT_EQ(core::try_equi_depth_histogram<float>(dev, data, cfg).error(), e);
+        EXPECT_EQ(core::try_rank_of<float>(dev, data, 0.0f, cfg).error(), e);
+        EXPECT_EQ(core::try_sample_sort<float>(dev, data, cfg).error(), e);
+        EXPECT_EQ(core::try_batched_select<float>(dev, data, offsets, one_rank, cfg).error(), e);
+        EXPECT_EQ(core::BatchExecutor<float>(dev, cfg).run(problems).error(), e);
+        EXPECT_EQ(core::try_argselect(dev, data, 10, cfg).error(), e);
+        EXPECT_EQ(core::try_topk_largest_indices(dev, data, 5, cfg).error(), e);
+        EXPECT_EQ(core::try_partial_sort_by_key(dev, data, payloads, 5, cfg).error(), e);
+        // Nothing was leased, launched or left pending.
+        EXPECT_EQ(dev.stream_count(), 1);
+        EXPECT_EQ(dev.launch_count(), 0u);
+    }
+
+    simt::Device dev(simt::arch_v100());
+    core::SampleSelectConfig bad;
+    bad.block_dim = 48;  // not a multiple of the warp size
+    EXPECT_EQ(core::try_rank_of<float>(dev, data, 0.0f, bad).error(), e);
+}
+
 // One precondition failure of each kind, each reported as its typed code.
 TEST(TypedErrors, LegacyWrappersKeepExceptionTypes) {
     simt::Device dev(simt::arch_v100());
@@ -228,6 +283,73 @@ TEST(NanKeys, RejectPolicyFailsEveryFrontEnd) {
                                                std::vector<std::size_t>{0}, cfg)
                   .error(),
               e);
+    const std::vector<core::BatchProblem<double>> problems{{data, 0}};
+    EXPECT_EQ(core::BatchExecutor<double>(dev, cfg).run(problems).error(), e);
+    const std::vector<core::TopKBatchProblem<double>> topk_problems{{data, 5}};
+    EXPECT_EQ(core::try_topk_largest_batch<double>(dev, topk_problems, cfg).error(), e);
+    EXPECT_EQ(core::try_approx_multi_select<double>(dev, data, std::vector<std::size_t>{1, 2},
+                                                    cfg)
+                  .error(),
+              e);
+
+    const std::vector<float> keys = to_floats(data);
+    std::vector<std::uint32_t> payloads(keys.size());
+    std::iota(payloads.begin(), payloads.end(), 0u);
+    EXPECT_EQ(core::try_argselect(dev, keys, 10, cfg).error(), e);
+    EXPECT_EQ(core::try_topk_largest_indices(dev, keys, 5, cfg).error(), e);
+    EXPECT_EQ(core::try_partial_sort_by_key(dev, keys, payloads, 5, cfg).error(), e);
+}
+
+TEST(NanKeys, ApproxSelectAnswersNanTailRanksExactly) {
+    simt::Device dev(simt::arch_v100());
+    const auto data = nan_laced(4096, 17, 29);
+    const std::size_t nans = core::count_nan_keys(std::span<const double>(data));
+    const std::size_t n_num = data.size() - nans;
+    ASSERT_GE(nans, 2u);
+
+    for (const std::size_t rank : {n_num, data.size() - 1}) {
+        auto one = core::try_approx_select<double>(dev, data, rank, small_cfg());
+        ASSERT_TRUE(one.ok()) << one.status().to_message();
+        EXPECT_TRUE(std::isnan(one.value().value)) << rank;
+        EXPECT_EQ(one.value().rank_error, 0u) << rank;
+        EXPECT_EQ(one.value().splitter_rank, rank);
+    }
+
+    const std::vector<std::size_t> ranks{n_num / 2, n_num, data.size() - 1};
+    auto multi = core::try_approx_multi_select<double>(dev, data, ranks, small_cfg());
+    ASSERT_TRUE(multi.ok()) << multi.status().to_message();
+    const auto& pts = multi.value().points;
+    ASSERT_EQ(pts.size(), ranks.size());
+    EXPECT_FALSE(std::isnan(pts[0].value));
+    for (std::size_t q = 1; q < ranks.size(); ++q) {
+        EXPECT_TRUE(std::isnan(pts[q].value)) << q;
+        EXPECT_EQ(pts[q].rank_error, 0u) << q;
+        EXPECT_EQ(pts[q].splitter_rank, ranks[q]) << q;
+    }
+}
+
+TEST(NanKeys, HistogramPutsEveryNanInTheLastBucket) {
+    simt::Device dev(simt::arch_v100());
+    const auto data = nan_laced(4096, 13, 31);
+    const std::size_t nans = core::count_nan_keys(std::span<const double>(data));
+    ASSERT_GE(nans, 2u);
+    auto res = core::try_equi_depth_histogram<double>(dev, data, small_cfg());
+    ASSERT_TRUE(res.ok()) << res.status().to_message();
+    const auto& h = res.value();
+    const auto b = static_cast<std::size_t>(h.tree.num_buckets);
+    ASSERT_EQ(h.counts.size(), b);
+
+    // Every bucket holds exactly the keys the host-side tree sends there,
+    // and find_bucket sends a NaN probe to the last bucket.
+    std::vector<std::int64_t> expect(b, 0);
+    for (const double x : data) ++expect[static_cast<std::size_t>(h.tree.find_bucket(x))];
+    EXPECT_EQ(h.counts, expect);
+    std::int64_t numeric_last = 0;
+    for (const double x : data) {
+        if (!std::isnan(x) && h.tree.find_bucket(x) == h.tree.num_buckets - 1) ++numeric_last;
+    }
+    EXPECT_EQ(h.counts[b - 1], numeric_last + static_cast<std::int64_t>(nans));
+    EXPECT_EQ(h.cumulative[b], static_cast<std::int64_t>(data.size()));
 }
 
 TEST(NanKeys, TopKLargestClaimsNansFirst) {

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <vector>
 
+#include "core/argselect.hpp"
 #include "data/distributions.hpp"
 
 namespace {
@@ -133,9 +137,10 @@ TEST(TopKIndices, ValuesMatchInputAtIndices) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 51});
     simt::Device dev(simt::arch_v100());
     const std::size_t k = 200;
-    const auto res = core::try_topk_largest_with_indices<float>(dev, data, k, {}).value();
+    const auto res = core::try_topk_largest_indices(dev, data, k, {}).value();
     ASSERT_EQ(res.values.size(), k);
     ASSERT_EQ(res.indices.size(), k);
+    EXPECT_TRUE(std::is_sorted(res.values.begin(), res.values.end(), std::greater<>()));
     std::set<std::size_t> seen;
     for (std::size_t i = 0; i < k; ++i) {
         ASSERT_LT(res.indices[i], n);
@@ -159,7 +164,7 @@ TEST(TopKIndices, TieHandlingAtThreshold) {
     std::vector<float> data(10000, 1.0f);
     for (std::size_t i = 0; i < 50; ++i) data[i * 37] = 2.0f;  // 50 clear winners
     const std::size_t k = 500;  // 50 winners + 450 of the ties
-    const auto res = core::try_topk_largest_with_indices<float>(dev, data, k, {}).value();
+    const auto res = core::try_topk_largest_indices(dev, data, k, {}).value();
     ASSERT_EQ(res.values.size(), k);
     std::size_t twos = 0;
     for (std::size_t i = 0; i < k; ++i) {
@@ -168,15 +173,23 @@ TEST(TopKIndices, TieHandlingAtThreshold) {
     }
     EXPECT_EQ(twos, 50u);
     EXPECT_EQ(res.threshold, 1.0f);
+    // Ties are index-stable: the taken 1.0s are the lowest-indexed ones, in
+    // ascending index order.
+    std::vector<std::uint32_t> ones;
+    for (std::size_t i = 0; i < data.size() && ones.size() < k - 50; ++i) {
+        if (data[i] == 1.0f) ones.push_back(static_cast<std::uint32_t>(i));
+    }
+    EXPECT_EQ(std::vector<std::uint32_t>(res.indices.begin() + 50, res.indices.end()), ones);
 }
 
 TEST(TopKIndices, KEqualsOne) {
     simt::Device dev(simt::arch_v100());
-    const auto data = data::generate<double>(
+    const auto data = data::generate<float>(
         {.n = 1 << 13, .dist = data::Distribution::normal, .seed = 53});
-    const auto res = core::try_topk_largest_with_indices<double>(dev, data, 1, {}).value();
+    const auto res = core::try_topk_largest_indices(dev, data, 1, {}).value();
     const auto max_it = std::max_element(data.begin(), data.end());
     EXPECT_EQ(res.values[0], *max_it);
+    EXPECT_EQ(res.indices[0], static_cast<std::uint32_t>(max_it - data.begin()));
     EXPECT_EQ(res.threshold, *max_it);
 }
 
