@@ -29,14 +29,14 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
     // The level locates ranks.front(), so it runs only when a rank is asked.
     if (n_num > 0 && !ranks.empty()) {
         const auto b = static_cast<std::size_t>(cfg.num_buckets);
-        // The locate rank only picks lv.bucket (unused here); clamp it into
-        // the numeric prefix so the select-bucket kernel stays in range.
-        const std::size_t locate_rank = ranks.front() < n_num ? ranks.front() : n_num - 1;
+        // The located rank only picks lv.bucket (unused here); clamp it into
+        // the numeric prefix so the reduce's locate stays in range.
+        const std::size_t located = ranks.front() < n_num ? ranks.front() : n_num - 1;
 
         // Single count-only level: no oracle write (this variant never
         // filters), no per-block offsets kept.
         auto lvres = try_run_bucket_level<T>(
-            ctx, level_data, locate_rank, origin, /*salt=*/0,
+            ctx, level_data, located, origin, /*salt=*/0,
             {.write_oracles = false, .keep_block_offsets = false, .locate = true});
         if (!lvres.ok()) return lvres.status();
         const LevelOutcome<T> lv = lvres.take();

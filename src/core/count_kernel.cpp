@@ -68,7 +68,7 @@ template <typename T>
 int count_kernel(simt::Device& dev, std::span<const T> data, const SearchTree<T>& tree,
                  std::span<std::uint8_t> oracles, std::span<std::int32_t> totals,
                  std::span<std::int32_t> block_counts, const SampleSelectConfig& cfg,
-                 simt::LaunchOrigin origin, int stream) {
+                 simt::LaunchOrigin origin, int stream, RankLocate* locate) {
     const std::size_t n = data.size();
     const auto b = static_cast<std::size_t>(tree.num_buckets);
     const bool shared_mode = cfg.atomic_space == simt::AtomicSpace::shared;
@@ -83,6 +83,9 @@ int count_kernel(simt::Device& dev, std::span<const T> data, const SearchTree<T>
     }
     if (!shared_mode && totals.size() != b) {
         throw std::invalid_argument("totals buffer size mismatch");
+    }
+    if (shared_mode && locate != nullptr) {
+        throw std::invalid_argument("count_kernel: shared-mode totals are located by the reduce");
     }
 
     dev.launch(
@@ -146,21 +149,24 @@ int count_kernel(simt::Device& dev, std::span<const T> data, const SearchTree<T>
                 blk.charge_shared(b * sizeof(std::int32_t));
                 blk.charge_global_write(b * sizeof(std::int32_t));
             }
-        });
+        },
+        locate_epilogue(totals, locate));
     return grid;
 }
 
 template int count_kernel<float>(simt::Device&, std::span<const float>, const SearchTree<float>&,
                                  std::span<std::uint8_t>, std::span<std::int32_t>,
                                  std::span<std::int32_t>, const SampleSelectConfig&,
-                                 simt::LaunchOrigin, int);
+                                 simt::LaunchOrigin, int, RankLocate*);
 template int count_kernel<double>(simt::Device&, std::span<const double>,
                                   const SearchTree<double>&, std::span<std::uint8_t>,
                                   std::span<std::int32_t>, std::span<std::int32_t>,
-                                  const SampleSelectConfig&, simt::LaunchOrigin, int);
+                                  const SampleSelectConfig&, simt::LaunchOrigin, int,
+                                  RankLocate*);
 template int count_kernel<ArgPair>(simt::Device&, std::span<const ArgPair>,
                                    const SearchTree<ArgPair>&, std::span<std::uint8_t>,
                                    std::span<std::int32_t>, std::span<std::int32_t>,
-                                   const SampleSelectConfig&, simt::LaunchOrigin, int);
+                                   const SampleSelectConfig&, simt::LaunchOrigin, int,
+                                   RankLocate*);
 
 }  // namespace gpusel::core

@@ -10,6 +10,7 @@
 #include <span>
 
 #include "core/config.hpp"
+#include "core/reduce_kernel.hpp"
 #include "core/searchtree.hpp"
 #include "simt/device.hpp"
 
@@ -40,23 +41,30 @@ inline void launch_memset32(simt::Device& dev, std::span<std::int32_t> buf,
 ///
 /// Returns the grid size used (needed by reduce/filter).  `stream`
 /// overrides the launch stream; the default -1 keeps cfg.stream.
+///
+/// With `locate` (global-atomic mode only: there the count is the level's
+/// last counting kernel), the launch's grid epilogue locates its rank over
+/// the finished totals (see RankLocate).
 template <typename T>
 int count_kernel(simt::Device& dev, std::span<const T> data, const SearchTree<T>& tree,
                  std::span<std::uint8_t> oracles, std::span<std::int32_t> totals,
                  std::span<std::int32_t> block_counts, const SampleSelectConfig& cfg,
-                 simt::LaunchOrigin origin, int stream = -1);
+                 simt::LaunchOrigin origin, int stream = -1, RankLocate* locate = nullptr);
 
 extern template int count_kernel<float>(simt::Device&, std::span<const float>,
                                         const SearchTree<float>&, std::span<std::uint8_t>,
                                         std::span<std::int32_t>, std::span<std::int32_t>,
-                                        const SampleSelectConfig&, simt::LaunchOrigin, int);
+                                        const SampleSelectConfig&, simt::LaunchOrigin, int,
+                                        RankLocate*);
 extern template int count_kernel<double>(simt::Device&, std::span<const double>,
                                          const SearchTree<double>&, std::span<std::uint8_t>,
                                          std::span<std::int32_t>, std::span<std::int32_t>,
-                                         const SampleSelectConfig&, simt::LaunchOrigin, int);
+                                         const SampleSelectConfig&, simt::LaunchOrigin, int,
+                                         RankLocate*);
 extern template int count_kernel<ArgPair>(simt::Device&, std::span<const ArgPair>,
                                           const SearchTree<ArgPair>&, std::span<std::uint8_t>,
                                           std::span<std::int32_t>, std::span<std::int32_t>,
-                                          const SampleSelectConfig&, simt::LaunchOrigin, int);
+                                          const SampleSelectConfig&, simt::LaunchOrigin, int,
+                                          RankLocate*);
 
 }  // namespace gpusel::core

@@ -34,7 +34,7 @@ Result<EquiDepthHistogram<T>> try_equi_depth_histogram(simt::Device& dev, std::s
     const Stamp<EquiDepthHistogram<T>> stamp(dev);
 
     // Count-only pipeline level: no oracles, no per-block offsets, and no
-    // select-bucket (there is no rank to locate).
+    // locate epilogue (there is no rank to locate).
     auto lvres = try_run_bucket_level<T>(
         ctx, std::span<const T>(o.value().data.span()), /*rank=*/0, origin, /*salt=*/0,
         {.write_oracles = false, .keep_block_offsets = false, .locate = false});

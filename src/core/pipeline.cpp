@@ -63,21 +63,27 @@ LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data
     } else {
         launch_memset32(dev, lv.totals.span(), origin, ctx.stream());
     }
+    // The level's last counting kernel (the reduce in shared mode, the
+    // count in global mode) locates the rank in its grid epilogue.
+    RankLocate loc;
+    if (opt.locate) {
+        lv.prefix = ctx.scratch<std::int32_t>(num_buckets + 1);
+        loc = {.prefix = lv.prefix.span(), .rank = rank};
+    }
+    RankLocate* const locate = opt.locate ? &loc : nullptr;
 
     const int used_grid = count_kernel<T>(dev, data, lv.tree, lv.oracles.span(),
                                           lv.totals.span(), lv.block_counts.span(), cfg, origin,
-                                          ctx.stream());
+                                          ctx.stream(), shared_mode ? nullptr : locate);
     if (used_grid != grid) throw std::logic_error("pipeline: grid sizing mismatch");
 
     if (shared_mode) {
         reduce_kernel(dev, lv.block_counts.span(), grid, static_cast<int>(num_buckets),
-                      lv.totals.span(), opt.keep_block_offsets, origin, ctx.stream());
+                      lv.totals.span(), opt.keep_block_offsets, origin, ctx.stream(), locate);
     }
 
     if (opt.locate) {
-        lv.prefix = ctx.scratch<std::int32_t>(num_buckets + 1);
-        lv.bucket = select_bucket_kernel(dev, lv.totals.span(), lv.prefix.span(), rank, origin,
-                                         ctx.stream());
+        lv.bucket = loc.bucket;
         const auto ub = static_cast<std::size_t>(lv.bucket);
         lv.equality = lv.tree.equality[ub] != 0;
         lv.bucket_size = static_cast<std::size_t>(lv.totals[ub]);

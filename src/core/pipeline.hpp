@@ -4,8 +4,9 @@
 // quantile dispatch and sample-sort).
 //
 // The paper's algorithms all run the same bucketing level -- sample
-// splitters -> count -> (reduce) -> select-bucket -> filter (Sec. IV-B,
-// Fig. 3) -- and differ only in how they descend through buckets: exact
+// splitters -> count -> (reduce) -> filter (Sec. IV-B, Fig. 3), the last
+// counting kernel locating the rank's bucket in its grid epilogue -- and
+// differ only in how they descend through buckets: exact
 // selection follows one bucket, multiselect a whole tree of them, top-k
 // keeps the upper buckets, approximate selection and histograms stop after
 // the count.  This header factors the level into one executor and the
@@ -21,9 +22,10 @@
 //                          memset so event counts are unchanged.
 //   * try_run_bucket_level -- the level executor; returns a LevelOutcome
 //                          owning the level's pooled buffers.
-//   * finish_level      -- its count -> (reduce) -> select-bucket tail over
-//                          a caller-supplied tree (the sharded front-ends
-//                          count against a merged splitter tree).
+//   * finish_level      -- its count -> (reduce) tail, which locates the
+//                          rank, over a caller-supplied tree (the sharded
+//                          front-ends count against a merged splitter
+//                          tree).
 //   * try_level_step    -- the guaranteed-progress step every sampled
 //                          descent runs per level: depth cap, sampled or
 //                          deterministic fallback level, stall detection
@@ -149,7 +151,9 @@ struct LevelOptions {
     /// Keep per-block exclusive prefix sums in block_counts (shared mode;
     /// needed by filter/scatter, skipped by count-only variants).
     bool keep_block_offsets = true;
-    /// Run select_bucket to locate `rank` and fill prefix/bucket metadata.
+    /// Locate `rank` and fill prefix/bucket metadata: the level's last
+    /// counting kernel (reduce in shared mode, count in global mode) runs
+    /// locate_epilogue after its grid.  Off, no epilogue runs.
     bool locate = true;
 };
 
@@ -182,7 +186,8 @@ struct LevelOutcome {
     [[nodiscard]] T equality_value(std::int32_t b) const;
 };
 
-/// The count -> (reduce) -> select-bucket tail of a level over `tree`,
+/// The count -> (reduce) tail of a level over `tree`, locating `rank` in
+/// the last counting kernel's grid epilogue when opt.locate is set;
 /// shared by the sampled level (b = cfg.num_buckets splitters), the
 /// deterministic fallback level (a 4-bucket tripartition tree) and the
 /// sharded passes over a merged splitter tree.  Buffer lengths follow the
@@ -195,7 +200,7 @@ template <typename T>
                                            SearchTree<T> tree, const LevelOptions& opt = {});
 
 /// Runs one sampled bucketing level over `data`: sample splitters -> count
-/// -> (reduce in shared mode) -> select-bucket (when opt.locate), under
+/// -> (reduce in shared mode), locating `rank` when opt.locate, under
 /// with_fault_retry.  A retry reruns the whole level with a fresh sample
 /// salt; the first attempt uses `salt` verbatim, so fault-free event
 /// streams are unchanged.

@@ -8,7 +8,7 @@ namespace gpusel::core {
 
 void reduce_kernel(simt::Device& dev, std::span<std::int32_t> block_counts, int grid_dim,
                    int num_buckets, std::span<std::int32_t> totals, bool keep_block_offsets,
-                   simt::LaunchOrigin origin, int stream) {
+                   simt::LaunchOrigin origin, int stream, RankLocate* locate) {
     const auto g = static_cast<std::size_t>(grid_dim);
     const auto b = static_cast<std::size_t>(num_buckets);
     if (block_counts.size() < g * b) throw std::invalid_argument("block_counts too small");
@@ -90,36 +90,57 @@ void reduce_kernel(simt::Device& dev, std::span<std::int32_t> block_counts, int 
                        }
                        w.add_instr((hi - lo) * width);
                    });
-               });
+               },
+               locate_epilogue(totals, locate));
+}
+
+namespace {
+
+/// The locate, run by one block: the exclusive prefix sum r_i over
+/// `totals` into `prefix` and the bucket containing `rank`, i.e. the
+/// largest i with prefix[i] <= rank.
+std::int32_t locate_rank(simt::BlockCtx& blk, std::span<const std::int32_t> totals,
+                         std::span<std::int32_t> prefix, std::size_t rank) {
+    const auto b = totals.size();
+    std::int32_t running = 0;
+    for (std::size_t i = 0; i < b; ++i) {
+        blk.st(prefix, i, running);
+        running += blk.ld(totals, i);
+    }
+    blk.st(prefix, b, running);
+    blk.charge_global_read(b * sizeof(std::int32_t));
+    blk.charge_global_write((b + 1) * sizeof(std::int32_t));
+    blk.charge_instr(b);
+    // lower_bound over the prefix sums
+    std::size_t lo = 0;
+    for (std::size_t i = 0; i < b; ++i) {
+        if (static_cast<std::size_t>(blk.ld(prefix, i)) <= rank) lo = i;
+    }
+    blk.charge_instr(b);
+    return static_cast<std::int32_t>(lo);
+}
+
+}  // namespace
+
+simt::Device::KernelFn locate_epilogue(std::span<const std::int32_t> totals, RankLocate* loc) {
+    if (loc == nullptr) return {};
+    if (loc->prefix.size() != totals.size() + 1) {
+        throw std::invalid_argument("prefix size mismatch");
+    }
+    return [totals, loc](simt::BlockCtx& blk) {
+        loc->bucket = locate_rank(blk, totals, loc->prefix, loc->rank);
+    };
 }
 
 std::int32_t select_bucket_kernel(simt::Device& dev, std::span<const std::int32_t> totals,
                                   std::span<std::int32_t> prefix, std::size_t rank,
                                   simt::LaunchOrigin origin, int stream) {
-    const auto b = totals.size();
-    if (prefix.size() != b + 1) throw std::invalid_argument("prefix size mismatch");
-    std::int32_t bucket = -1;
+    RankLocate loc{.prefix = prefix, .rank = rank};
+    // The epilogue's body as a one-block launch of its own.
     dev.launch("select_bucket",
                {.grid_dim = 1, .block_dim = 32, .origin = origin, .stream = stream},
-               [&, b, rank](simt::BlockCtx& blk) {
-                   std::int32_t running = 0;
-                   for (std::size_t i = 0; i < b; ++i) {
-                       blk.st(prefix, i, running);
-                       running += blk.ld(totals, i);
-                   }
-                   blk.st(prefix, b, running);
-                   blk.charge_global_read(b * sizeof(std::int32_t));
-                   blk.charge_global_write((b + 1) * sizeof(std::int32_t));
-                   blk.charge_instr(b);
-                   // lower_bound over the prefix sums
-                   std::size_t lo = 0;
-                   for (std::size_t i = 0; i < b; ++i) {
-                       if (static_cast<std::size_t>(blk.ld(prefix, i)) <= rank) lo = i;
-                   }
-                   blk.charge_instr(b);
-                   bucket = static_cast<std::int32_t>(lo);
-               });
-    return bucket;
+               locate_epilogue(totals, &loc));
+    return loc.bucket;
 }
 
 }  // namespace gpusel::core

@@ -24,7 +24,7 @@ namespace {
 constexpr std::uint64_t kShardSeedStep = 0x9e3779b97f4a7c15ull;
 
 /// Level-executor options over a merged (not sampled) tree: the caller
-/// already knows which bucket it wants, so no select_bucket runs.  Count-
+/// already knows which bucket it wants, so no locate epilogue runs.  Count-
 /// only passes skip the oracles and per-block offsets a filter needs.
 constexpr LevelOptions kCountOnly{
     .write_oracles = false, .keep_block_offsets = false, .locate = false};
@@ -481,8 +481,9 @@ Status count_shards(ShardEnv<T>& env, std::size_t rank, Located<T>& loc) {
         return Status::failure(SelectError::internal, "sharded count lost elements");
     }
     if (loc.prefix[b] <= std::numeric_limits<std::int32_t>::max()) {
-        // The tiny device kernel locates the bucket, as in the single-device
-        // pipeline (Sec. IV-E).
+        // The totals were summed on the host, so no device kernel counted
+        // them last: a one-block select_bucket launch runs the locate the
+        // single-device levels run in their reduce's epilogue (Sec. IV-E).
         auto dtot = rdev.pooled<std::int32_t>(b, rstream);
         for (std::size_t i = 0; i < b; ++i) dtot[i] = static_cast<std::int32_t>(totals[i]);
         auto dpre = rdev.pooled<std::int32_t>(b + 1, rstream);

@@ -45,6 +45,7 @@ std::ostream& operator<<(std::ostream& os, const KernelProfile& p) {
     os << p.name << " <<<" << p.grid_dim << ", " << p.block_dim << ", " << p.shared_bytes
        << ">>> (" << (p.origin == LaunchOrigin::host ? "host" : "device") << " launch) "
        << p.sim_ns << " ns " << p.counters;
+    if (p.epilogue != KernelCounters{}) os << " epilogue " << p.epilogue;
     return os;
 }
 

@@ -218,17 +218,19 @@ struct KernelProfile {
     int unroll = 1;
     /// Stream the launch was enqueued on (0 = default stream).
     int stream = 0;
+    /// The grid body's counters, one ticket atomic per block included when
+    /// the launch has an epilogue.
     KernelCounters counters;
+    /// The grid epilogue's counters (Device::launch): the one block that
+    /// takes the last ticket runs it after every block of the grid.  All
+    /// zero for a launch without one.
+    KernelCounters epilogue;
     /// Simulated execution time (set by the Device at launch retirement).
     double sim_ns = 0.0;
     /// Simulated start time: the launch's stream clock before this launch
     /// ran (set by the Device).  Launches on different streams may have
     /// overlapping [start_ns, start_ns + sim_ns) intervals.
     double start_ns = 0.0;
-
-    [[nodiscard]] std::uint64_t threads_launched() const noexcept {
-        return static_cast<std::uint64_t>(grid_dim) * static_cast<std::uint64_t>(block_dim);
-    }
 };
 
 std::ostream& operator<<(std::ostream& os, const KernelProfile& p);

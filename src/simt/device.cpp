@@ -68,7 +68,8 @@ void Device::maybe_fail_alloc(std::size_t bytes) {
     if (injector_.should_fail_alloc()) throw AllocFault(bytes);
 }
 
-KernelProfile Device::launch(std::string name, const LaunchConfig& cfg, const KernelFn& fn) {
+KernelProfile Device::launch(std::string name, const LaunchConfig& cfg, const KernelFn& fn,
+                             const KernelFn& epilogue) {
     if (cfg.grid_dim <= 0) throw std::invalid_argument("grid_dim must be positive");
     if (static_cast<std::size_t>(cfg.stream) >= stream_clock_.size()) {
         throw std::invalid_argument("unknown stream");
@@ -96,16 +97,33 @@ KernelProfile Device::launch(std::string name, const LaunchConfig& cfg, const Ke
     // runs; a strict-mode violation inside a block propagates out of
     // parallel_for as SanError, aborting the launch like a device trap.
     if (san_) san_->begin_launch(profile.name);
+    const bool has_epilogue = static_cast<bool>(epilogue);
     pool_.parallel_for(blocks, [&](std::size_t b) {
         BlockCtx blk(arch_, static_cast<int>(b), cfg.grid_dim, cfg.block_dim,
                      arch_.shared_mem_per_block, san_.get(), ssan_.get());
         fn(blk);
+        // The block's epilogue ticket: one global atomic on a counter the
+        // simulator owns (no device buffer, nothing for the analyzers).
+        if (has_epilogue) ++blk.counters().global_atomic_ops;
         per_block[b] = blk.counters();
         shared_used[b] = blk.shared_bytes_used();
     });
     for (std::size_t b = 0; b < blocks; ++b) {
         profile.counters += per_block[b];
         if (shared_used[b] > profile.shared_bytes) profile.shared_bytes = shared_used[b];
+    }
+    if (has_epilogue) {
+        // parallel_for has joined: every block has taken its ticket, so this
+        // is the last ticket's holder.  Run inline on the calling thread,
+        // which keeps it exactly once and deterministic for any worker
+        // count; inline execution retires blocks in order, so the last
+        // ticket goes to block grid_dim - 1.
+        if (san_) san_->begin_epilogue();
+        BlockCtx blk(arch_, cfg.grid_dim - 1, cfg.grid_dim, kWarpSize,
+                     arch_.shared_mem_per_block, san_.get(), ssan_.get());
+        epilogue(blk);
+        profile.epilogue = blk.counters();
+        profile.shared_bytes = std::max(profile.shared_bytes, blk.shared_bytes_used());
     }
 
     profile.sim_ns = simulate_time(arch_, profile).total_ns;
@@ -118,6 +136,7 @@ KernelProfile Device::launch(std::string name, const LaunchConfig& cfg, const Ke
     if (injector_.enabled()) stream_clock_[stream] += injector_.stall_penalty_ns();
     clock_ns_ = *std::max_element(stream_clock_.begin(), stream_clock_.end());
     totals_ += profile.counters;
+    totals_ += profile.epilogue;
     ++launch_count_;
     if (opts_.record_profiles) profiles_.push_back(profile);
     // Canary sweep after the launch's bookkeeping: the launch *did* run, so

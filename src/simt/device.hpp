@@ -100,7 +100,20 @@ public:
     /// applies the timing model and advances the simulated clock.
     /// Returns the launch's profile (a stable copy kept by the device when
     /// profile recording is on).
-    KernelProfile launch(std::string name, const LaunchConfig& cfg, const KernelFn& fn);
+    ///
+    /// A non-empty `epilogue` is the grid's last-block step (the CUDA
+    /// "threadfence reduction"): every block takes one ticket, charged as
+    /// one global atomic in the body's counters, and the block that takes
+    /// the last ticket runs `epilogue` once, after every block of the
+    /// grid, on one warp (a BlockCtx of kWarpSize threads reporting block
+    /// index grid_dim - 1).  It sees every write the grid made: SimTSan
+    /// runs it in an epoch of its own, and StreamSan folds its accesses
+    /// into the launch's.  Its counters land in KernelProfile::epilogue,
+    /// which simulate_time prices after the grid body.  On hardware the
+    /// ticket also costs a __threadfence() per block, which the model does
+    /// not charge.
+    KernelProfile launch(std::string name, const LaunchConfig& cfg, const KernelFn& fn,
+                         const KernelFn& epilogue = {});
 
     // ---- streams & events --------------------------------------------------
     // The simulated clock is per stream: a launch on stream s starts when

@@ -98,11 +98,16 @@ void Sanitizer::unregister_region(const void* base) noexcept {
 }
 
 void Sanitizer::begin_launch(std::string_view kernel) {
+    next_epoch();
+    kernel_.assign(kernel);
+}
+
+void Sanitizer::next_epoch() {
     ++epoch_;
     if ((epoch_ & 0xffffu) == 0) {
         // The 16-bit epoch field of the packed shadow cells wrapped: stale
-        // cells from 65536 launches ago would alias the new epoch, so wipe
-        // every shadow (O(shadow bytes) once per 65536 launches) and skip
+        // cells from 65536 epochs ago would alias the new epoch, so wipe
+        // every shadow (O(shadow bytes) once per 65536 epochs) and skip
         // field value 0, which is reserved for "never accessed".
         for (auto& [base, r] : regions_) {
             std::fill(r.writers.begin(), r.writers.end(), 0u);
@@ -110,7 +115,6 @@ void Sanitizer::begin_launch(std::string_view kernel) {
         }
         ++epoch_;
     }
-    kernel_.assign(kernel);
 }
 
 void Sanitizer::end_launch() {

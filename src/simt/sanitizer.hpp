@@ -166,6 +166,10 @@ public:
     /// Starts a new race-detection epoch; accesses from different blocks
     /// conflict only within one epoch (launches serialize on the host).
     void begin_launch(std::string_view kernel);
+    /// Starts the current launch's grid epilogue (Device::launch) in an
+    /// epoch of its own: it runs after every block of the grid, so none of
+    /// the grid's accesses conflict with it.  Reports keep the kernel name.
+    void begin_epilogue() { next_epoch(); }
     /// Sweeps every registered canary band; throws SanError in strict mode.
     void end_launch();
 
@@ -301,10 +305,14 @@ private:
                ((static_cast<std::uint32_t>(block + 1) & 0x7fffu) << 1) | (atomic ? 1u : 0u);
     }
 
+    /// Advances the launch epoch, wiping every shadow when its 16-bit
+    /// field wraps.
+    void next_epoch();
+
     SanMode mode_;
     bool concurrent_;             ///< shadow may be touched cross-thread
     RegionTable<Region> regions_;
-    std::uint32_t epoch_ = 0;     ///< current launch ordinal
+    std::uint32_t epoch_ = 0;     ///< current launch (or epilogue) ordinal
     std::string kernel_;          ///< current launch's kernel name
     std::atomic<std::uint64_t> checks_{0};
     ReportLog<SanViolation> log_;

@@ -5,20 +5,23 @@
 
 namespace gpusel::simt {
 
-TimingBreakdown simulate_time(const ArchSpec& arch, const KernelProfile& p) {
-    TimingBreakdown t;
-    const auto& c = p.counters;
+namespace {
 
+/// Fills every term of `t` but launch_ns, epilogue_ns and total_ns: the
+/// pipelines, barriers and body of `grid` x `block` threads (unrolled
+/// `unroll` deep) performing the events in `c`.
+void price_body(const ArchSpec& arch, const KernelCounters& c, int grid, int block, int unroll,
+                TimingBreakdown& t) {
     // -- utilization: too few threads -> latency-bound, throughput scales
     //    roughly linearly with resident parallelism.
-    const double threads = static_cast<double>(p.threads_launched());
+    const double threads = static_cast<double>(grid) * static_cast<double>(block);
     const double peak_threads = static_cast<double>(arch.effective_threads_for_peak());
     const double util = std::clamp(threads / peak_threads, 0.02, 1.0);
 
     // -- unroll effects (Sec. IV-H d): deeper unrolling lets the compiler
     //    overlap loads from consecutive iterations (better latency hiding),
     //    but inflates register pressure and can reduce occupancy.
-    const double u = static_cast<double>(std::max(1, p.unroll));
+    const double u = static_cast<double>(std::max(1, unroll));
     const double mem_latency_eff = std::min(1.0, 0.88 + 0.04 * u);
     const double occupancy_penalty = u >= 8.0 ? 1.06 : 1.0;
 
@@ -47,17 +50,15 @@ TimingBreakdown simulate_time(const ArchSpec& arch, const KernelProfile& p) {
                        (arch.ballot_ops_per_ns * util);
 
     // -- barriers: blocks beyond one resident wave serialize their barriers.
-    if (c.block_barriers > 0 && p.grid_dim > 0 && p.block_dim > 0) {
+    if (c.block_barriers > 0 && grid > 0 && block > 0) {
         const int blocks_per_sm =
-            std::max(1, arch.max_resident_threads_per_sm / std::max(1, p.block_dim));
-        const int concurrent = std::max(1, std::min(p.grid_dim, arch.num_sms * blocks_per_sm));
-        const double waves = std::ceil(static_cast<double>(p.grid_dim) / concurrent);
+            std::max(1, arch.max_resident_threads_per_sm / std::max(1, block));
+        const int concurrent = std::max(1, std::min(grid, arch.num_sms * blocks_per_sm));
+        const double waves = std::ceil(static_cast<double>(grid) / concurrent);
         const double per_block_barriers =
-            static_cast<double>(c.block_barriers) / static_cast<double>(p.grid_dim);
+            static_cast<double>(c.block_barriers) / static_cast<double>(grid);
         t.barrier_ns = per_block_barriers * waves * arch.barrier_ns;
     }
-
-    t.launch_ns = p.origin == LaunchOrigin::host ? arch.host_launch_ns : arch.device_launch_ns;
 
     t.body_ns = std::max({t.mem_ns, t.shared_mem_ns, t.atomic_ns, t.compute_ns});
     if (t.body_ns == t.mem_ns) {
@@ -69,7 +70,23 @@ TimingBreakdown simulate_time(const ArchSpec& arch, const KernelProfile& p) {
     } else {
         t.bottleneck = "smem";
     }
+}
+
+}  // namespace
+
+TimingBreakdown simulate_time(const ArchSpec& arch, const KernelProfile& p) {
+    TimingBreakdown t;
+    price_body(arch, p.counters, p.grid_dim, p.block_dim, p.unroll, t);
+    t.launch_ns = p.origin == LaunchOrigin::host ? arch.host_launch_ns : arch.device_launch_ns;
     t.total_ns = t.launch_ns + t.body_ns + t.barrier_ns;
+    if (p.epilogue != KernelCounters{}) {
+        // One warp of the last block runs it after the grid: its own
+        // utilization, no launch latency, and nothing overlaps it.
+        TimingBreakdown e;
+        price_body(arch, p.epilogue, 1, kWarpSize, 1, e);
+        t.epilogue_ns = e.body_ns + e.barrier_ns;
+        t.total_ns += t.epilogue_ns;
+    }
     return t;
 }
 

@@ -7,6 +7,9 @@
 //     event totals divided by a device-aggregate throughput;
 //   * the pipelines overlap, so the kernel body costs max(...) of them;
 //   * launch latency and serialized barrier waves are added on top;
+//   * a grid epilogue (Device::launch) runs after the body on one warp of
+//     one block: it is priced like a one-warp launch without latency and
+//     added after the body, outside the max(...);
 //   * a utilization factor < 1 penalizes launches with too few threads to
 //     saturate the device (latency-bound regime at small n);
 //   * the declared unroll depth slightly improves memory latency hiding and
@@ -31,7 +34,10 @@ struct TimingBreakdown {
     double compute_ns = 0.0;      ///< scalar instructions + votes + shuffles
     double barrier_ns = 0.0;      ///< serialized barrier waves
     double body_ns = 0.0;         ///< max of the overlapping pipelines
-    double total_ns = 0.0;        ///< launch + body + barriers
+    /// The grid epilogue: body + barriers of a one-block launch of
+    /// kWarpSize threads over KernelProfile::epilogue (0 without one).
+    double epilogue_ns = 0.0;
+    double total_ns = 0.0;        ///< launch + body + barriers + epilogue
 
     /// Which pipeline dominated the body (for reporting): "mem", "atomic",
     /// "compute" or "smem".

@@ -33,15 +33,7 @@ private:
     std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-/// Folds one launch: name, grid, block, origin, stream, exact counters and
-/// simulated duration.
-inline void add_profile(Fnv1a& h, const simt::KernelProfile& p) {
-    h.add(p.name);
-    h.add(static_cast<std::uint64_t>(p.grid_dim));
-    h.add(static_cast<std::uint64_t>(p.block_dim));
-    h.add(static_cast<std::uint64_t>(p.origin));
-    h.add(static_cast<std::uint64_t>(p.stream));
-    const simt::KernelCounters& c = p.counters;
+inline void add_counters(Fnv1a& h, const simt::KernelCounters& c) {
     for (const std::uint64_t v :
          {c.global_bytes_read, c.global_bytes_written, c.scattered_bytes_read,
           c.scattered_bytes_written, c.shared_bytes_accessed, c.shared_atomic_ops,
@@ -49,6 +41,18 @@ inline void add_profile(Fnv1a& h, const simt::KernelProfile& p) {
           c.warp_ballots, c.warp_shuffles, c.block_barriers, c.instructions}) {
         h.add(v);
     }
+}
+
+/// Folds one launch: name, grid, block, origin, stream, exact counters, the
+/// grid epilogue's counters when it has one, and simulated duration.
+inline void add_profile(Fnv1a& h, const simt::KernelProfile& p) {
+    h.add(p.name);
+    h.add(static_cast<std::uint64_t>(p.grid_dim));
+    h.add(static_cast<std::uint64_t>(p.block_dim));
+    h.add(static_cast<std::uint64_t>(p.origin));
+    h.add(static_cast<std::uint64_t>(p.stream));
+    add_counters(h, p.counters);
+    if (p.epilogue != simt::KernelCounters{}) add_counters(h, p.epilogue);
     h.add(p.sim_ns);
 }
 

@@ -113,22 +113,22 @@ std::vector<double> all_equal_doubles() { return std::vector<double>(8192, 2.5);
 
 TEST(DescentGolden, UniformFloats) {
     const Hashes h = run_all(uniform_floats(), {});
-    EXPECT_EQ(h.select, 0x71afdf77e1f2e046ULL);
-    EXPECT_EQ(h.topk_largest, 0x7fd4bff5da6100a0ULL);
-    EXPECT_EQ(h.topk_smallest, 0xcb3edb2a67c7f4a0ULL);
-    EXPECT_EQ(h.multi_select, 0x2d378a28ce69fafaULL);
-    EXPECT_EQ(h.sample_sort, 0x60976aa892405ed1ULL);
+    EXPECT_EQ(h.select, 0x28a15e747c74651eULL);
+    EXPECT_EQ(h.topk_largest, 0xac966169cb59f528ULL);
+    EXPECT_EQ(h.topk_smallest, 0xa74bf4a846376e1aULL);
+    EXPECT_EQ(h.multi_select, 0x707ed4b539e34216ULL);
+    EXPECT_EQ(h.sample_sort, 0xc0ff916e9d0cd0d9ULL);
 }
 
 TEST(DescentGolden, UniformFloatsForcedFallback) {
     core::SampleSelectConfig cfg;
     cfg.force_fallback = true;
     const Hashes h = run_all(uniform_floats(), cfg);
-    EXPECT_EQ(h.select, 0x32b5e67773cd2f14ULL);
-    EXPECT_EQ(h.topk_largest, 0x6c5bd932f72c7c16ULL);
-    EXPECT_EQ(h.topk_smallest, 0x82ae9945f17cd94bULL);
-    EXPECT_EQ(h.multi_select, 0xdbb4a86802a67970ULL);
-    EXPECT_EQ(h.sample_sort, 0xe323f8793d590d2eULL);
+    EXPECT_EQ(h.select, 0x3e04da62d07f1c33ULL);
+    EXPECT_EQ(h.topk_largest, 0x6b9e3411a70fdecdULL);
+    EXPECT_EQ(h.topk_smallest, 0xb57efa3f51ce810dULL);
+    EXPECT_EQ(h.multi_select, 0x781d41f846fdf8f3ULL);
+    EXPECT_EQ(h.sample_sort, 0x34c59242aec0a154ULL);
 }
 
 TEST(DescentGolden, AllEqualDoubles) {
@@ -136,8 +136,8 @@ TEST(DescentGolden, AllEqualDoubles) {
     EXPECT_EQ(h.select, 0xcf435b488a02b637ULL);
     EXPECT_EQ(h.topk_largest, 0x7c53106582f72e35ULL);
     EXPECT_EQ(h.topk_smallest, 0xbe1a6db274235e00ULL);
-    EXPECT_EQ(h.multi_select, 0xc9cb1b0d273ce342ULL);
-    EXPECT_EQ(h.sample_sort, 0x0eb0c5b207cc659cULL);
+    EXPECT_EQ(h.multi_select, 0xe29131a0a12c8d7dULL);
+    EXPECT_EQ(h.sample_sort, 0xfebf5263cd38de27ULL);
 }
 
 struct ArgPairHashes {
@@ -185,9 +185,9 @@ TEST(DescentGolden, ArgPairFrontEnds) {
     // answer and every bucket.
     const ArgPairHashes u = run_argpair(uniform_floats());
     const ArgPairHashes eq = run_argpair(std::vector<float>(8192, 2.5f));
-    EXPECT_EQ(u.argselect, 0xb17428a9aeac2304ULL);
-    EXPECT_EQ(u.topk_indices, 0x6d2f20ac4708d199ULL);
-    EXPECT_EQ(u.partial_sort, 0x62f02208c7e8d96aULL);
+    EXPECT_EQ(u.argselect, 0x4671399cbe570530ULL);
+    EXPECT_EQ(u.topk_indices, 0x94748db7f7abfe07ULL);
+    EXPECT_EQ(u.partial_sort, 0x1a7d97c74aa72b28ULL);
     EXPECT_EQ(eq.argselect, 0xf60a9950f94d12cbULL);
     EXPECT_EQ(eq.topk_indices, 0x508dea2e5c70debfULL);
     EXPECT_EQ(eq.partial_sort, 0xe929daf5edd984a1ULL);
@@ -198,9 +198,9 @@ TEST(DescentGolden, AllEqualDoublesSampleBackend) {
     // sampled descent pins its equality-bucket exit as well.
     const ForceBackend sample("sample");
     const Hashes h = run_all(all_equal_doubles(), {});
-    EXPECT_EQ(h.select, 0xc9cb1b0d273ce342ULL);
-    EXPECT_EQ(h.topk_largest, 0x4de59ab8f79c0c90ULL);
-    EXPECT_EQ(h.topk_smallest, 0xfc47faf410b715efULL);
+    EXPECT_EQ(h.select, 0xe29131a0a12c8d7dULL);
+    EXPECT_EQ(h.topk_largest, 0x7011fc68695ca32bULL);
+    EXPECT_EQ(h.topk_smallest, 0x1d1295c50ab153feULL);
 }
 
 }  // namespace

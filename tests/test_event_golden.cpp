@@ -14,6 +14,7 @@
 #include "core/searchtree.hpp"
 #include "golden_hash.hpp"
 #include "simt/device.hpp"
+#include "simt/timing.hpp"
 
 namespace {
 
@@ -146,6 +147,122 @@ TEST(EventGolden, ReduceKernelTraffic) {
         EXPECT_EQ(c.instructions, s.instr);
         for (std::size_t i = 0; i < s.b; ++i) EXPECT_EQ(totals[i], s.g);
     }
+}
+
+// The locate every located level runs in its last counting kernel's grid
+// epilogue (core::locate_epilogue): one pass writing the b + 1 prefix sums
+// while reading the b totals, one lower-bound pass, each an instruction per
+// bucket.  One warp of one block runs it, priced after the grid body at the
+// one-warp utilization floor of 0.02: on the V100 memory-bound at
+// (8b + 4) B / (742 B/ns * 0.02 * 0.92 latency efficiency).
+simt::KernelCounters locate_counters(std::size_t b) {
+    simt::KernelCounters c;
+    c.global_bytes_read = b * 4;
+    c.global_bytes_written = (b + 1) * 4;
+    c.instructions = 2 * b;
+    return c;
+}
+
+double locate_ns_v100(std::size_t b) {
+    return static_cast<double>(8 * b + 4) / (742.0 * 0.02 * 0.92);
+}
+
+/// The duration of a launch with an epilogue: launch + body + barriers +
+/// epilogue, with the epilogue's term pinned by hand.
+void expect_epilogue_duration(const simt::Device& dev, const simt::KernelProfile& p,
+                              std::size_t b) {
+    const auto t = simt::simulate_time(dev.arch(), p);
+    EXPECT_DOUBLE_EQ(t.epilogue_ns, locate_ns_v100(b));
+    EXPECT_DOUBLE_EQ(p.sim_ns, t.launch_ns + t.body_ns + t.barrier_ns + locate_ns_v100(b));
+    EXPECT_DOUBLE_EQ(t.launch_ns, dev.arch().host_launch_ns);
+}
+
+TEST(EventGolden, LocatingReduceKernel) {
+    // The ReduceKernelTraffic shapes with a rank to locate: the body's
+    // counters are those shapes' plus one ticket atomic per strip block.
+    struct Shape {
+        int g;
+        std::size_t b;
+        bool offsets;
+        int grid;
+        std::uint64_t read, written, shared, barriers, instr;
+    };
+    const Shape shapes[] = {
+        {4, 4, false, 1, 64, 16, 192, 1, 32},
+        {4, 4, true, 1, 64, 80, 256, 2, 48},
+        {40, 40, false, 2, 6400, 160, 15360, 2, 2880},
+        {40, 40, true, 2, 6400, 6560, 20480, 4, 4480},
+    };
+    for (const Shape& s : shapes) {
+        SCOPED_TRACE("g=" + std::to_string(s.g) + " b=" + std::to_string(s.b) +
+                     (s.offsets ? " offsets" : " totals"));
+        Golden g;
+        auto bc = g.dev.alloc<std::int32_t>(static_cast<std::size_t>(s.g) * s.b);
+        for (std::size_t i = 0; i < bc.size(); ++i) bc[i] = 1;
+        auto totals = g.dev.alloc<std::int32_t>(s.b);
+        auto prefix = g.dev.alloc<std::int32_t>(s.b + 1);
+        // Every total is g, so rank g * b / 2 opens bucket b / 2.
+        core::RankLocate loc{.prefix = prefix.span(),
+                             .rank = static_cast<std::size_t>(s.g) * s.b / 2};
+        g.dev.clear_profiles();
+        core::reduce_kernel(g.dev, bc.span(), s.g, static_cast<int>(s.b), totals.span(),
+                            s.offsets, simt::LaunchOrigin::host, 0, &loc);
+        ASSERT_EQ(g.dev.profiles().size(), 1u);
+        const auto& p = g.dev.profiles().back();
+        EXPECT_EQ(p.name, s.offsets ? "reduce_offsets" : "reduce");
+        EXPECT_EQ(p.grid_dim, s.grid);
+        const auto& c = p.counters;
+        EXPECT_EQ(c.global_bytes_read, s.read);
+        EXPECT_EQ(c.global_bytes_written, s.written);
+        EXPECT_EQ(c.shared_bytes_accessed, s.shared);
+        EXPECT_EQ(c.block_barriers, s.barriers);
+        EXPECT_EQ(c.instructions, s.instr);
+        EXPECT_EQ(c.global_atomic_ops, static_cast<std::uint64_t>(s.grid));  // tickets
+        EXPECT_EQ(c.shared_atomic_ops + c.global_atomic_collisions, 0u);
+        EXPECT_EQ(p.epilogue, locate_counters(s.b));
+        expect_epilogue_duration(g.dev, p, s.b);
+        EXPECT_EQ(loc.bucket, static_cast<std::int32_t>(s.b / 2));
+        for (std::size_t i = 0; i <= s.b; ++i) {
+            EXPECT_EQ(prefix[i], static_cast<std::int32_t>(i) * s.g);
+        }
+    }
+}
+
+TEST(EventGolden, LocatingCountKernelGlobalAggregated) {
+    // CountKernelGlobalAggregated with a rank to locate: its 32 aggregated
+    // atomics plus one ticket per block (4 blocks), then the locate.
+    Golden g;
+    g.cfg.atomic_space = simt::AtomicSpace::global;
+    g.cfg.warp_aggregation = true;
+    auto totals = g.dev.alloc<std::int32_t>(Golden::kB);
+    core::launch_memset32(g.dev, totals.span(), simt::LaunchOrigin::host);
+    auto oracles = g.dev.alloc<std::uint8_t>(Golden::kN);
+    auto prefix = g.dev.alloc<std::int32_t>(Golden::kB + 1);
+    core::RankLocate loc{.prefix = prefix.span(), .rank = 600};
+    g.dev.clear_profiles();
+    core::count_kernel<float>(g.dev, g.data, g.tree, oracles.span(), totals.span(), {}, g.cfg,
+                              simt::LaunchOrigin::host, -1, &loc);
+    ASSERT_EQ(g.dev.profiles().size(), 1u);
+    const auto& p = g.dev.profiles().back();
+    EXPECT_EQ(p.name, "count");
+    const auto& c = p.counters;
+    EXPECT_EQ(c.global_atomic_ops, 32u + 4);
+    EXPECT_EQ(c.global_atomic_collisions, 0u);
+    EXPECT_EQ(c.warp_ballots, 32u * 2);
+    EXPECT_EQ(c.shared_atomic_ops, 0u);
+    EXPECT_EQ(p.epilogue, locate_counters(Golden::kB));
+    expect_epilogue_duration(g.dev, p, Golden::kB);
+    // Prefix 0, 256, 512, 768, 1024: rank 600 lies in bucket 2.
+    EXPECT_EQ(loc.bucket, 2);
+    for (std::size_t i = 0; i <= Golden::kB; ++i) {
+        EXPECT_EQ(prefix[i], 256 * static_cast<std::int32_t>(i));
+    }
+    // Shared-mode totals are the reduce's to locate.
+    g.cfg.atomic_space = simt::AtomicSpace::shared;
+    auto bc = g.dev.alloc<std::int32_t>(4 * Golden::kB);
+    EXPECT_THROW(core::count_kernel<float>(g.dev, g.data, g.tree, oracles.span(), totals.span(),
+                                           bc.span(), g.cfg, simt::LaunchOrigin::host, -1, &loc),
+                 std::invalid_argument);
 }
 
 TEST(EventGolden, FilterKernelTraffic) {

@@ -100,8 +100,9 @@ TEST(MultiSelect, SharedWorkCheaperThanRepeatedSelect) {
 }
 
 TEST(MultiSelect, LaunchesIndependentOfRankCount) {
-    // One level serves every rank: one multi-bucket filter launch and one
-    // batched base case, however many buckets hold a rank.
+    // One level serves every rank: sample, count, reduce (which locates),
+    // one multi-bucket filter launch and one batched base case, however
+    // many buckets hold a rank.
     const std::size_t n = 1 << 16;
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 13});
@@ -117,6 +118,7 @@ TEST(MultiSelect, LaunchesIndependentOfRankCount) {
         }
         launches.push_back(res.launches);
     }
+    EXPECT_EQ(launches[0], 5u);
     EXPECT_EQ(launches[1], launches[0]);
     EXPECT_EQ(launches[2], launches[0]);
 }

@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "bitonic/bitonic.hpp"
+#include "core/approx_select.hpp"
 #include "core/batched_select.hpp"
 #include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
@@ -69,6 +72,48 @@ TEST(Pipeline, PlanGridMatchesSuggestedGrid) {
     EXPECT_TRUE(plan.shared_mode);
     EXPECT_EQ(plan.block_counts_len(),
               static_cast<std::size_t>(plan.grid) * plan.num_buckets);
+}
+
+TEST(Pipeline, FourLaunchesPerSampledLevel) {
+    // A level is sample, count, reduce and filter: the reduce locates the
+    // rank in its grid epilogue, so no select_bucket launch follows it.
+    const std::size_t n = std::size_t{1} << 22;
+    const auto data = data::generate<float>(
+        {.n = n, .dist = data::Distribution::uniform_real, .seed = 1});
+    const auto names = [](const simt::Device& dev) {
+        std::vector<std::string> v;
+        for (const auto& p : dev.profiles()) v.push_back(p.name);
+        return v;
+    };
+    {
+        // Two sampled levels and the base case.
+        simt::Device dev(simt::arch_v100());
+        const auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
+        EXPECT_EQ(res.levels, 2u);
+        EXPECT_EQ(res.launches, 9u);
+        EXPECT_EQ(names(dev), (std::vector<std::string>{
+                                  "sample", "count", "reduce_offsets", "filter", "sample",
+                                  "count", "reduce_offsets", "filter", "bitonic_sort"}));
+    }
+    {
+        // One read-only count level.
+        simt::Device dev(simt::arch_v100());
+        const auto res = core::try_approx_select<float>(dev, data, n / 2, {}).value();
+        EXPECT_EQ(res.launches, 3u);
+        EXPECT_EQ(names(dev), (std::vector<std::string>{"sample", "count_nowrite", "reduce"}));
+    }
+    {
+        // The deterministic fallback level locates the same way.
+        simt::Device dev(simt::arch_v100());
+        core::SampleSelectConfig cfg;
+        cfg.force_fallback = true;
+        const auto res = core::try_sample_select<float>(dev, data, n / 2, cfg).value();
+        EXPECT_GT(res.fallback_levels, 0u);
+        const auto v = names(dev);
+        EXPECT_EQ(std::count(v.begin(), v.end(), "select_bucket"), 0);
+        EXPECT_EQ(std::count(v.begin(), v.end(), "pivot_sample"),
+                  static_cast<std::ptrdiff_t>(res.fallback_levels));
+    }
 }
 
 TEST(MultiSelectEdge, DuplicateRanksReturnOneValuePerQuery) {

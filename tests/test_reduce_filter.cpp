@@ -12,6 +12,7 @@
 #include "core/filter_kernel.hpp"
 #include "core/reduce_kernel.hpp"
 #include "core/sample_kernel.hpp"
+#include "core/searchtree.hpp"
 #include "data/distributions.hpp"
 #include "golden_hash.hpp"
 
@@ -91,6 +92,108 @@ TEST(ReduceKernel, MatchesHostColumnScanAcrossShapes) {
                     EXPECT_EQ(std::vector<std::int32_t>(totals.data(), totals.data() + ub), sums);
                     EXPECT_EQ(std::vector<std::int32_t>(bc.data(), bc.data() + g * ub),
                               keep ? offsets : counts);
+                }
+            }
+        }
+    }
+}
+
+TEST(ReduceKernel, LocatesLikeSelectBucketAcrossShapes) {
+    // The level's last counting kernel locates the rank in its grid
+    // epilogue: the reduce in shared-atomic mode, the count in global-atomic
+    // mode.  Its prefix table and bucket must equal select_bucket_kernel's
+    // on the same totals, whichever block finishes last.  Buckets
+    // [b/4, b/2) stay empty, so a rank at the end of that run must skip it.
+    // The ranks: 0, n - 1, the end of the empty run, and the first and
+    // last rank of every bucket -- at b > 32 of the two edge buckets of
+    // every 32-bucket reduce strip (which include the run's neighbours),
+    // so the suite stays inside its budget under TSan.  Under
+    // GPUSEL_WORKERS the blocks of a launch run concurrently.
+    for (const simt::ArchSpec& arch : {simt::arch_v100(), simt::arch_k20xm()}) {
+        simt::Device dev(arch, golden::device_options());
+        for (const int grid : {1, 5, 31, 33, 160}) {
+            for (const int b : {2, 4, 32, 256, 1024}) {
+                const auto g = static_cast<std::size_t>(grid);
+                const auto ub = static_cast<std::size_t>(b);
+                const auto empty = [ub](std::size_t i) { return i >= ub / 4 && i < ub / 2; };
+                std::vector<std::size_t> filled;
+                for (std::size_t i = 0; i < ub; ++i) {
+                    if (!empty(i)) filled.push_back(i);
+                }
+                for (const auto space : {simt::AtomicSpace::shared, simt::AtomicSpace::global}) {
+                    const bool shared = space == simt::AtomicSpace::shared;
+                    SCOPED_TRACE(arch.name + " g=" + std::to_string(grid) +
+                                 " b=" + std::to_string(b) + (shared ? " shared" : " global"));
+                    // Shared mode reduces a g x b count table directly.  Global
+                    // mode counts g * 256 elements, a grid of g count blocks (at
+                    // most 2 per SM: 26 on the K20Xm), against splitters
+                    // 1..b-1, each element in a hashed non-empty bucket.
+                    auto bc = dev.alloc<std::int32_t>(shared ? g * ub : 1);
+                    std::vector<float> data;
+                    if (shared) {
+                        for (std::size_t i = 0; i < g * ub; ++i) {
+                            bc[i] = empty(i % ub)
+                                        ? 0
+                                        : static_cast<std::int32_t>((i * 2654435761u) % 7);
+                        }
+                    } else {
+                        data.resize(g * 256);
+                        for (std::size_t k = 0; k < data.size(); ++k) {
+                            data[k] = static_cast<float>(
+                                          filled[(k * 2654435761u) % filled.size()]) +
+                                      0.5f;
+                        }
+                    }
+                    std::vector<float> splitters(ub - 1);
+                    std::iota(splitters.begin(), splitters.end(), 1.0f);
+                    const auto tree = core::SearchTree<float>::build(splitters);
+                    SampleSelectConfig cfg;
+                    cfg.num_buckets = b;
+                    cfg.atomic_space = space;
+                    auto totals = dev.alloc<std::int32_t>(ub);
+                    auto prefix = dev.alloc<std::int32_t>(ub + 1);
+                    const auto locate = [&](std::size_t rank) {
+                        core::RankLocate loc{.prefix = prefix.span(), .rank = rank};
+                        if (shared) {
+                            core::reduce_kernel(dev, bc.span(), grid, b, totals.span(), false,
+                                                simt::LaunchOrigin::host, 0, &loc);
+                        } else {
+                            core::launch_memset32(dev, totals.span(), simt::LaunchOrigin::host);
+                            core::count_kernel<float>(dev, data, tree, {}, totals.span(), {}, cfg,
+                                                      simt::LaunchOrigin::host, -1, &loc);
+                        }
+                        return loc.bucket;
+                    };
+                    // The first pass fixes the totals the ranks are drawn from.
+                    (void)locate(0);
+                    std::vector<std::int32_t> prefix_ref(ub + 1, 0);
+                    for (std::size_t i = 0; i < ub; ++i) {
+                        prefix_ref[i + 1] = prefix_ref[i] + totals[i];
+                    }
+                    const auto n = static_cast<std::size_t>(prefix_ref[ub]);
+                    ASSERT_GT(n, 0u);
+                    std::vector<std::size_t> ranks{0, n - 1,
+                                                   static_cast<std::size_t>(prefix_ref[ub / 2])};
+                    for (const std::size_t i : filled) {
+                        if (totals[i] == 0 || (ub > 32 && i % 32 != 0 && i % 32 != 31)) continue;
+                        ranks.push_back(static_cast<std::size_t>(prefix_ref[i]));
+                        ranks.push_back(static_cast<std::size_t>(prefix_ref[i + 1]) - 1);
+                    }
+                    auto sb_prefix = dev.alloc<std::int32_t>(ub + 1);
+                    for (const std::size_t rank : ranks) {
+                        const std::int32_t bucket = locate(rank);
+                        const std::int32_t expect = core::select_bucket_kernel(
+                            dev, std::span<const std::int32_t>(totals.span()), sb_prefix.span(),
+                            rank, simt::LaunchOrigin::host);
+                        ASSERT_EQ(bucket, expect) << "rank " << rank;
+                        ASSERT_FALSE(empty(static_cast<std::size_t>(bucket))) << "rank " << rank;
+                        ASSERT_TRUE(std::equal(prefix.data(), prefix.data() + ub + 1,
+                                               sb_prefix.data()))
+                            << "rank " << rank;
+                        ASSERT_TRUE(std::equal(prefix.data(), prefix.data() + ub + 1,
+                                               prefix_ref.begin()))
+                            << "rank " << rank;
+                    }
                 }
             }
         }

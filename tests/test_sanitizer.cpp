@@ -241,6 +241,70 @@ TEST(SimTSan, AtomicOnlyContentionIsClean) {
     EXPECT_EQ(buf[0], 4);
 }
 
+// ---- the grid epilogue: after every block, inside the launch ---------------
+
+/// A launch over `grid` blocks with `body` and `epilogue`, run inline and on
+/// two host workers; returns the violations each device recorded.
+template <typename Body, typename Epilogue>
+std::vector<std::uint64_t> epilogue_violations(int grid, Body&& body, Epilogue&& epilogue) {
+    std::vector<std::uint64_t> totals;
+    for (const unsigned workers : {0u, 2u}) {
+        simt::Device dev(simt::arch_v100(), {.host_workers = workers});
+        dev.set_sanitizer(simt::SanMode::collect);
+        auto buf = dev.alloc<std::int32_t>(static_cast<std::size_t>(grid));
+        dev.launch(
+            "epilogue", {.grid_dim = grid, .block_dim = 32},
+            [&](simt::BlockCtx& blk) { body(blk, buf.span()); },
+            [&](simt::BlockCtx& blk) { epilogue(blk, buf.span()); });
+        totals.push_back(dev.sanitizer()->total_violations());
+        EXPECT_GT(dev.sanitizer()->checks(), 0u);
+    }
+    return totals;
+}
+
+TEST(SimTSan, EpilogueLeavesBodyRacesRacy) {
+    // BROKEN ON PURPOSE: block 1 reads block 0's plain store in the body.
+    // The epilogue orders nothing between the grid's own blocks.
+    const auto v = epilogue_violations(
+        2,
+        [](simt::BlockCtx& blk, std::span<std::int32_t> buf) {
+            if (blk.block_idx() == 0) {
+                blk.st(buf, 0, 7);
+            } else {
+                (void)blk.ld(buf, 0);
+            }
+        },
+        [](simt::BlockCtx& blk, std::span<std::int32_t> buf) { (void)blk.ld(buf, 0); });
+    // Inline, block 1 always runs second and sees block 0's cell.  On host
+    // workers the two blocks may check their cells before either stores,
+    // the race SimTSan's concurrent mode may miss (never invent).
+    EXPECT_EQ(v.front(), 1u);
+    EXPECT_LE(v.back(), 1u);
+}
+
+TEST(SimTSan, EpilogueReadsEveryBlocksStoreCleanly) {
+    // The same cross-block read, moved into the epilogue: it runs after
+    // every block of the grid, so no store of the body races it.
+    const auto v = epilogue_violations(
+        4, [](simt::BlockCtx& blk, std::span<std::int32_t> buf) {
+            blk.st(buf, static_cast<std::size_t>(blk.block_idx()), blk.block_idx());
+        },
+        [](simt::BlockCtx& blk, std::span<std::int32_t> buf) {
+            std::int32_t sum = 0;
+            for (std::size_t i = 0; i < buf.size(); ++i) sum += blk.ld(buf, i);
+            EXPECT_EQ(sum, 0 + 1 + 2 + 3);
+        });
+    EXPECT_EQ(v, (std::vector<std::uint64_t>{0, 0}));
+}
+
+TEST(SimTSan, EpilogueStoreOverBodyReadsIsClean) {
+    // Every block reads word 0; the epilogue then overwrites it.
+    const auto v = epilogue_violations(
+        4, [](simt::BlockCtx& blk, std::span<std::int32_t> buf) { (void)blk.ld(buf, 0); },
+        [](simt::BlockCtx& blk, std::span<std::int32_t> buf) { blk.st(buf, 0, 42); });
+    EXPECT_EQ(v, (std::vector<std::uint64_t>{0, 0}));
+}
+
 // ---- shared-memory epoch hazards ------------------------------------------
 
 TEST(SimTSan, DetectsCrossWarpSharedAccessWithoutSync) {

@@ -23,6 +23,7 @@
 
 #include "core/batch_executor.hpp"
 #include "core/pipeline.hpp"
+#include "core/reduce_kernel.hpp"
 #include "core/sample_select.hpp"
 #include "data/distributions.hpp"
 #include "mode_grammar.hpp"
@@ -265,6 +266,39 @@ TEST(StreamSanHazards, HazardCarriesContext) {
         EXPECT_LT(h.lo, h.hi);
         EXPECT_EQ(h.hi - h.lo, 64 * sizeof(float));
         EXPECT_NE(std::string(e.what()).find("write_write_race"), std::string::npos);
+    }
+}
+
+TEST(StreamSanHazards, EpiloguePrefixStoreBelongsToItsLaunch) {
+    // The locating reduce writes `prefix` only in its grid epilogue; a
+    // read of it from another stream races that launch unless an event
+    // edge orders the two.
+    for (const bool edge : {false, true}) {
+        SCOPED_TRACE(edge ? "with an event edge" : "without an edge");
+        auto dev = make_dev();
+        dev.set_stream_sanitizer(StreamSanMode::strict);
+        const int s1 = dev.create_stream();
+        constexpr int kGrid = 4;
+        constexpr int kB = 64;
+        auto counts = dev.alloc<std::int32_t>(std::size_t{kGrid} * kB);
+        for (std::size_t i = 0; i < counts.size(); ++i) counts[i] = 1;
+        auto totals = dev.alloc<std::int32_t>(kB);
+        auto prefix = dev.alloc<std::int32_t>(kB + 1);
+        core::RankLocate loc{.prefix = prefix.span(), .rank = 100};
+        core::reduce_kernel(dev, counts.span(), kGrid, kB, totals.span(), false,
+                            simt::LaunchOrigin::host, 0, &loc);
+        EXPECT_EQ(loc.bucket, 100 / kGrid);
+        if (edge) dev.wait_event(s1, dev.record_event(0));
+        const auto hazard = hazard_kind_of([&] {
+            dev.launch("read_prefix", {.grid_dim = 1, .block_dim = 32, .stream = s1},
+                       [&](simt::BlockCtx& blk) { (void)blk.ld(prefix.span(), kB); });
+        });
+        if (edge) {
+            EXPECT_EQ(hazard, std::nullopt);
+            EXPECT_EQ(dev.stream_sanitizer()->total_hazards(), 0u);
+        } else {
+            EXPECT_EQ(hazard, HazardKind::read_write_race);
+        }
     }
 }
 

@@ -132,6 +132,41 @@ TEST(TimingModel, TotalIsLaunchPlusBodyPlusBarriers) {
     EXPECT_DOUBLE_EQ(t.total_ns, t.launch_ns + t.body_ns + t.barrier_ns);
 }
 
+TEST(TimingModel, EpilogueRunsAfterTheBody) {
+    const auto arch = arch_v100();
+    auto p = base_profile();
+    p.counters.global_bytes_read = 1'000'000;
+    const auto plain = simulate_time(arch, p);
+    // A locate over 1024 totals: far less traffic than the body, so inside
+    // the max(...) it would vanish; after the body it cannot.
+    p.epilogue.global_bytes_read = 4096;
+    p.epilogue.global_bytes_written = 4100;
+    p.epilogue.instructions = 2048;
+    const auto t = simulate_time(arch, p);
+    EXPECT_DOUBLE_EQ(t.launch_ns, plain.launch_ns);  // charged once
+    EXPECT_DOUBLE_EQ(t.body_ns, plain.body_ns);
+    EXPECT_DOUBLE_EQ(t.barrier_ns, plain.barrier_ns);
+    EXPECT_DOUBLE_EQ(t.total_ns, t.launch_ns + t.body_ns + t.barrier_ns + t.epilogue_ns);
+    // One warp of one block at its own utilization (the 0.02 floor), not
+    // the grid's: memory-bound at 8196 B / (742 B/ns * 0.02 * 0.92).
+    EXPECT_DOUBLE_EQ(t.epilogue_ns, 8196.0 / (arch.sustained_bytes_per_ns() * 0.02 * 0.92));
+    KernelProfile one_warp;
+    one_warp.grid_dim = 1;
+    one_warp.block_dim = kWarpSize;
+    one_warp.counters = p.epilogue;
+    const auto w = simulate_time(arch, one_warp);
+    EXPECT_DOUBLE_EQ(t.epilogue_ns, w.total_ns - w.launch_ns);
+    p.grid_dim = 2;  // the grid's shape does not move it
+    EXPECT_DOUBLE_EQ(simulate_time(arch, p).epilogue_ns, t.epilogue_ns);
+
+    // An empty epilogue adds exactly nothing.
+    p = base_profile();
+    p.counters.global_bytes_read = 1'000'000;
+    const auto empty = simulate_time(arch, p);
+    EXPECT_EQ(empty.epilogue_ns, 0.0);
+    EXPECT_EQ(empty.total_ns, plain.total_ns);
+}
+
 TEST(SuggestGrid, CoversDataAndRespectsCap) {
     const auto arch = arch_v100();
     EXPECT_EQ(suggest_grid(arch, 0, 256), 1);
