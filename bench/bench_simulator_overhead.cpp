@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "baselines/quickselect.hpp"
@@ -16,7 +15,6 @@
 #include "core/batch_executor.hpp"
 #include "core/approx_select.hpp"
 #include "core/count_kernel.hpp"
-#include "core/radix_backend.hpp"
 #include "core/reduce_kernel.hpp"
 #include "core/sample_kernel.hpp"
 #include "core/sample_select.hpp"
@@ -372,50 +370,18 @@ void BM_Argselect(benchmark::State& state) {
 }
 BENCHMARK(BM_Argselect)->Arg(1 << 16)->Arg(1 << 18);
 
-// The promoted radix top-k backend (core/radix_backend.hpp) driven
-// directly over staged data: tracks the simulated cost of the fused
-// multi-digit histogram + filter-topk descent, independent of planner
-// routing.  Manual timing feeds the device's simulated clock to the
-// harness, so items_per_second expresses selection throughput under the
-// timing model rather than host-side simulation overhead.
-void BM_RadixTopK(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const std::size_t k = n / 4;
-    const auto data = data::generate<float>(
-        {.n = n, .dist = data::Distribution::uniform_real, .seed = 12});
-    std::size_t levels = 0;
-    for (auto _ : state) {
-        simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        core::SampleSelectConfig cfg;
-        core::PipelineContext ctx(dev, cfg);
-        auto staged = core::DataHolder<float>::stage(ctx, data);
-        auto res = core::try_radix_topk_staged<float>(dev, std::move(staged), k, cfg);
-        benchmark::DoNotOptimize(res);
-        if (res.ok()) levels = res.value().levels;
-        state.SetIterationTime(dev.elapsed_ns() * 1e-9);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-    state.counters["levels"] = static_cast<double>(levels);
-}
-BENCHMARK(BM_RadixTopK)->Arg(1 << 16)->Arg(1 << 18)->UseManualTime();
-
 // Adversarial-distribution top-k through the planned front-end
 // (docs/planner.md).  range(1) picks the distribution (0 = all-equal,
-// 1 = heavy duplicates), range(2) the routing (0 = planner auto, which
-// must pick radix on these inputs; 1 = GPUSEL_BACKEND=sample, the
-// pre-planner behavior).  Manual timing on the simulated clock: at
-// n = 65536 the auto rows' items_per_second read 2.36x (all-equal) and
-// 1.34x (two values) their forced-sample siblings (docs/planner.md); the
+// 1 = heavy duplicates); k = n/2.  Manual timing on the simulated clock:
+// every row at n = 65536 runs the sampled descent and its equality-bucket
+// exit, 42.8 us all-equal and 42.0 us two-value on the V100 model.  The
 // CI gate keeps the family from regressing.  The backend_* counters feed
-// the planner-coverage step
-// of tools/check_bench_regression.py: across the whole sweep every
-// backend must be selected at least once (the small-n row routes to
-// bitonic).
+// the planner-coverage step of tools/check_bench_regression.py: across the
+// whole sweep every backend must be selected at least once (the small-n
+// row routes to bitonic).
 void BM_PlannerAdversarial(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const bool heavy_dup = state.range(1) != 0;
-    const bool force_sample = state.range(2) != 0;
     const std::size_t k = n / 2;  // deep top-k: the sampler's worst case
     const auto data =
         heavy_dup ? data::generate<float>({.n = n,
@@ -423,11 +389,6 @@ void BM_PlannerAdversarial(benchmark::State& state) {
                                            .distinct_values = 2,
                                            .seed = 14})
                   : std::vector<float>(n, 1.5f);
-    if (force_sample) {
-        ::setenv("GPUSEL_BACKEND", "sample", 1);
-    } else {
-        ::unsetenv("GPUSEL_BACKEND");
-    }
     simt::RobustnessCounters rc;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
@@ -436,21 +397,16 @@ void BM_PlannerAdversarial(benchmark::State& state) {
         rc += dev.robustness();
         state.SetIterationTime(dev.elapsed_ns() * 1e-9);
     }
-    ::unsetenv("GPUSEL_BACKEND");
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
     state.counters["backend_sample"] = static_cast<double>(rc.backend_sample);
-    state.counters["backend_radix"] = static_cast<double>(rc.backend_radix);
     state.counters["backend_bitonic"] = static_cast<double>(rc.backend_bitonic);
-    state.SetLabel(std::string(heavy_dup ? "heavy_dup" : "all_equal") +
-                   (force_sample ? "/forced_sample" : "/auto"));
+    state.SetLabel(heavy_dup ? "heavy_dup" : "all_equal");
 }
 BENCHMARK(BM_PlannerAdversarial)
-    ->Args({1 << 16, 0, 0})
-    ->Args({1 << 16, 0, 1})
-    ->Args({1 << 16, 1, 0})
-    ->Args({1 << 16, 1, 1})
-    ->Args({512, 0, 0})  // small n: the planner's bitonic lane
+    ->Args({1 << 16, 0})
+    ->Args({1 << 16, 1})
+    ->Args({512, 0})  // small n: the planner's bitonic lane
     ->UseManualTime();
 
 // Sharded multi-device selection (core/shard_select.hpp): one out-of-core

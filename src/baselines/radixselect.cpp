@@ -20,10 +20,8 @@ void RadixSelectConfig::validate() const {
     }
 }
 
-// The key bijection and the digit kernels moved to core/radix_kernel.hpp
-// when the radix backend was promoted into the pipeline; this baseline is
-// a thin shim over them (one digit per pass = a fused pass of one level),
-// kept for the classic fresh-allocation driver below and its goldens.
+// The key bijection and the one-digit kernels live in core/radix_kernel.hpp;
+// this baseline runs the classic fresh-allocation descent over them.
 
 std::uint32_t radix_key(float x) noexcept { return core::RadixTraits<float>::key(x); }
 
@@ -49,15 +47,13 @@ constexpr int key_bits() noexcept {
     return p;
 }
 
-/// Digit histogram pass (the RadixSelect `count`): the core fused-histogram
-/// kernel at one level, which charges exactly what the classic one-digit
-/// pass did.
+/// Digit histogram pass (the RadixSelect `count`).
 template <typename T>
 int digit_count(simt::Device& dev, std::span<const T> data, int shift,
                 std::span<std::int32_t> totals, std::span<std::int32_t> block_counts,
                 const RadixSelectConfig& cfg, simt::LaunchOrigin origin) {
-    return core::radix_count_fused<T>(dev, data, shift, /*levels=*/1, totals, block_counts,
-                                      launch_params(cfg), origin);
+    return core::radix_count<T>(dev, data, shift, totals, block_counts, launch_params(cfg),
+                                origin);
 }
 
 /// Extraction of the elements whose current digit equals `digit` (the digit

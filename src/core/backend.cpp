@@ -1,25 +1,10 @@
 #include "core/backend.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "bitonic/bitonic.hpp"
-#include "core/radix_backend.hpp"
 
 namespace gpusel::core {
-
-std::optional<BackendKind> parse_backend(std::string_view name) noexcept {
-    if (name == "sample") return BackendKind::sample;
-    if (name == "radix") return BackendKind::radix;
-    if (name == "bitonic") return BackendKind::bitonic;
-    return std::nullopt;  // "auto" and anything unknown: let the planner decide
-}
-
-std::optional<BackendKind> backend_env_override() {
-    const char* v = std::getenv("GPUSEL_BACKEND");
-    if (v == nullptr) return std::nullopt;
-    return parse_backend(v);
-}
 
 namespace {
 
@@ -40,26 +25,6 @@ public:
                                                      const SampleSelectConfig& cfg,
                                                      int stream) const override {
         return detail::sample_topk_descend<T>(dev, std::move(data), k, cfg, stream);
-    }
-};
-
-/// MSD radix digit descent (core/radix_backend.hpp).
-template <typename T>
-class RadixBackend final : public SelectionBackend<T> {
-public:
-    [[nodiscard]] BackendKind kind() const noexcept override { return BackendKind::radix; }
-
-    [[nodiscard]] Result<SelectResult<T>> select(simt::Device& dev, DataHolder<T> data,
-                                                 std::size_t rank, const SampleSelectConfig& cfg,
-                                                 int stream) const override {
-        return try_radix_select_staged<T>(dev, std::move(data), rank, cfg, stream);
-    }
-
-    [[nodiscard]] Result<TopKResult<T>> topk_largest(simt::Device& dev, DataHolder<T> data,
-                                                     std::size_t k,
-                                                     const SampleSelectConfig& cfg,
-                                                     int stream) const override {
-        return try_radix_topk_staged<T>(dev, std::move(data), k, cfg, stream);
     }
 };
 
@@ -123,13 +88,8 @@ public:
 template <typename T>
 const SelectionBackend<T>& selection_backend(BackendKind kind) {
     static const SampleBackend<T> sample;
-    static const RadixBackend<T> radix;
     static const BitonicBackend<T> bitonic_;
-    switch (kind) {
-        case BackendKind::radix: return radix;
-        case BackendKind::bitonic: return bitonic_;
-        case BackendKind::sample: break;
-    }
+    if (kind == BackendKind::bitonic) return bitonic_;
     return sample;
 }
 

@@ -8,22 +8,16 @@
 // the SelectionBackend interface:
 //
 //   * sample  -- the paper's sampled bucket recursion (core/sample_select);
-//                distribution-adaptive, equality-bucket early exit.
-//   * radix   -- MSD radix digit descent (core/radix_backend) with fused
-//                multi-level histograms; distribution-independent, immune
-//                to duplicate-heavy inputs that make sampling degenerate.
+//                distribution-adaptive, with an equality-bucket exit that
+//                ends a level early on duplicate-heavy inputs.
 //   * bitonic -- single-block bitonic sort (the recursion base case run as
 //                a whole-problem backend for small n).
 //
 // Backends consume an already-staged, NaN-free DataHolder; staging, NaN
 // policy, planning, and result post-processing (timing, NaN tail append)
-// stay in the front-ends so every backend sees the same contract.  The
-// GPUSEL_BACKEND environment variable ("auto" / "sample" / "radix" /
-// "bitonic") overrides the planner where the forced backend is feasible.
+// stay in the front-ends so every backend sees the same contract.
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "core/config.hpp"
 #include "core/pipeline.hpp"
@@ -34,14 +28,16 @@
 namespace gpusel::core {
 
 /// The selection algorithms the planner can route a problem to.
-enum class BackendKind : std::uint8_t { sample, radix, bitonic };
+enum class BackendKind : std::uint8_t { sample, bitonic };
 
-/// Stable lowercase name ("sample" / "radix" / "bitonic"): the value the
-/// GPUSEL_BACKEND override accepts and the planner log / bench JSON report.
+/// Every BackendKind, in the planner's quarantine reroute order.
+inline constexpr BackendKind kBackends[] = {BackendKind::sample, BackendKind::bitonic};
+
+/// Stable lowercase name ("sample" / "bitonic"), as the planner log and
+/// the bench JSON report it.
 [[nodiscard]] constexpr const char* backend_name(BackendKind k) noexcept {
     switch (k) {
         case BackendKind::sample: return "sample";
-        case BackendKind::radix: return "radix";
         case BackendKind::bitonic: return "bitonic";
     }
     return "?";
@@ -53,14 +49,6 @@ enum class BackendKind : std::uint8_t { sample, radix, bitonic };
 [[nodiscard]] constexpr std::uint32_t backend_bit(BackendKind k) noexcept {
     return 1u << static_cast<std::uint32_t>(k);
 }
-
-/// Parses a backend name; "auto" (and anything unknown) maps to nullopt,
-/// i.e. "let the planner decide".
-[[nodiscard]] std::optional<BackendKind> parse_backend(std::string_view name) noexcept;
-
-/// The GPUSEL_BACKEND environment override, re-read on every call so tests
-/// can flip it between selections.  Unset / "auto" / unknown -> nullopt.
-[[nodiscard]] std::optional<BackendKind> backend_env_override();
 
 /// One selection algorithm behind a uniform contract.  `data` is staged
 /// and NaN-free (the front-ends' pre-pass guarantees it); `stream`

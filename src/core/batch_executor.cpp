@@ -218,14 +218,10 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
 
     // Classify: NaN-tail ranks answer at staging, short numeric prefixes
     // coalesce per lane, the rest run the full recursion on their lane.
-    // A GPUSEL_BACKEND override other than bitonic disables coalescing
-    // (the fused lane kernel *is* the bitonic backend, just many problems
-    // per launch) and routes everything through the planned recursion.
-    // A quarantined bitonic backend (server circuit breaker,
-    // docs/service.md) likewise routes around the fused path.
-    const std::optional<BackendKind> forced = backend_env_override();
-    const bool allow_fused = (!forced || *forced == BackendKind::bitonic) &&
-                             (dev.backend_quarantine() & backend_bit(BackendKind::bitonic)) == 0;
+    // The fused lane kernel *is* the bitonic backend, just many problems
+    // per launch, so a quarantined bitonic backend (server circuit
+    // breaker, docs/service.md) routes around the fused path.
+    const bool allow_fused = (dev.backend_quarantine() & backend_bit(BackendKind::bitonic)) == 0;
     std::vector<std::vector<std::size_t>> fused(lanes);
     std::vector<std::size_t> recursive;
     for (std::size_t i = 0; i < m; ++i) {
@@ -254,12 +250,9 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
             // Structural decision: the fused lane launch is the bitonic
             // backend applied per block, recorded so backend tallies and
             // the planner log cover coalesced problems too.
-            record_planned_decision(
-                dev,
-                PlanDecision{BackendKind::bitonic,
-                             forced ? "GPUSEL_BACKEND override" : "batch-coalesced bitonic lane",
-                             forced.has_value()},
-                staged[i].size(), problems[i].rank, fan.stream(static_cast<int>(l)));
+            record_planned_decision(dev, {BackendKind::bitonic, "batch-coalesced bitonic lane"},
+                                    staged[i].size(), problems[i].rank,
+                                    fan.stream(static_cast<int>(l)));
         }
         simt::PooledBuffer<T> dout;
         const std::uint64_t before = dev.launch_count();

@@ -200,16 +200,9 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
         // Multi-rank descent is planned structurally: the bucket tree is
         // the only backend sharing one partition level across all targets,
         // so the decision is recorded (planner log + backend tallies)
-        // rather than probed per rank.  An env-forced radix/bitonic
-        // override is infeasible here and falls through to sample.
-        PlanQuery q;
-        q.n = buf.size();
-        q.k = targets.size();
-        q.multi = true;
-        q.elem_size = sizeof(T);
-        q.base_case_size = cfg.base_case_size;
-        record_planned_decision(dev, plan(q, DistributionHints{}, backend_env_override()),
-                                q.n, q.k, ctx.stream());
+        // rather than planned per rank.
+        const PlanQuery q{.n = buf.size(), .k = targets.size(), .multi = true};
+        record_planned_decision(dev, plan(q), q.n, q.k, ctx.stream());
     }
 
     const Stamp<MultiSelectResult<T>> stamp(dev);

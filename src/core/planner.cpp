@@ -14,14 +14,12 @@ namespace {
 /// and duplicate *keys* count as duplicates even for key/payload pairs
 /// (payloads are unique indices and would hide every duplicate).
 std::uint64_t probe_key(float x) noexcept { return RadixTraits<float>::key(x); }
-std::uint64_t probe_key(double x) noexcept { return RadixTraits<double>::key(x); }
 std::uint64_t probe_key(ArgPair x) noexcept { return RadixTraits<float>::key(x.key); }
 
-/// Can the forced backend run this problem at all?
+/// Can the backend run this problem at all?
 bool feasible(BackendKind k, const PlanQuery& q) noexcept {
     switch (k) {
         case BackendKind::sample: return true;
-        case BackendKind::radix: return !q.multi;
         case BackendKind::bitonic:
             return !q.multi && q.n <= static_cast<std::size_t>(bitonic::kMaxSortSize);
     }
@@ -33,24 +31,21 @@ bool quarantined(BackendKind k, const PlanQuery& q) noexcept {
 }
 
 /// Reroutes a decision whose backend the circuit breaker quarantined:
-/// tries the remaining backends in sample -> radix -> bitonic order
-/// (sample is always feasible, so a healthy sample wins).  When every
-/// feasible backend is quarantined the original decision stands -- the
-/// planner degrades the quarantine to advisory rather than failing the
-/// selection, and the descent's own fault retry carries the risk.
+/// tries the other backends in kBackends order, sample then bitonic (sample
+/// is always feasible, so a healthy sample wins).  When every feasible
+/// backend is quarantined the original decision stands -- the planner
+/// degrades the quarantine to advisory rather than failing the selection,
+/// and the descent's own fault retry carries the risk.
 PlanDecision apply_quarantine(PlanDecision d, const PlanQuery& q) noexcept {
     if (!quarantined(d.backend, q)) return d;
-    constexpr BackendKind order[] = {BackendKind::sample, BackendKind::radix,
-                                     BackendKind::bitonic};
-    for (const BackendKind k : order) {
+    for (const BackendKind k : kBackends) {
         if (k == d.backend || !feasible(k, q) || quarantined(k, q)) continue;
         switch (k) {
-            case BackendKind::sample: return {k, "quarantine reroute: sample", false};
-            case BackendKind::radix: return {k, "quarantine reroute: radix", false};
-            case BackendKind::bitonic: return {k, "quarantine reroute: bitonic", false};
+            case BackendKind::sample: return {k, "quarantine reroute: sample"};
+            case BackendKind::bitonic: return {k, "quarantine reroute: bitonic"};
         }
     }
-    return {d.backend, "all feasible backends quarantined", d.env_forced};
+    return {d.backend, "all feasible backends quarantined"};
 }
 
 }  // namespace
@@ -83,52 +78,21 @@ DistributionHints probe_distribution(std::span<const T> data) {
     return h;
 }
 
-PlanDecision plan(const PlanQuery& q, const DistributionHints& h,
-                  std::optional<BackendKind> forced) {
-    // 0. Environment override, when the forced backend can run the problem
-    //    (an infeasible override -- bitonic beyond the sort capacity,
-    //    radix/bitonic for a multi-rank tree -- falls through to the
-    //    automatic rules rather than failing the selection).  A quarantined
-    //    override also falls through: the breaker's verdict on a faulting
-    //    backend outranks an operator preference.
-    if (forced && feasible(*forced, q) && !quarantined(*forced, q)) {
-        return {*forced, "GPUSEL_BACKEND override", true};
-    }
+PlanDecision plan(const PlanQuery& q) {
     // 1. Multi-rank descent shares one bucket tree across all targets;
     //    only the sampled bucket machinery implements it.
     if (q.multi) {
-        return {BackendKind::sample, "multi-rank bucket tree", false};
+        return {BackendKind::sample, "multi-rank bucket tree"};
     }
     // 2. Small problems fit one block: sorting outright beats any level
     //    machinery (this is the recursion base case run as a backend).
     if (q.n <= q.base_case_size) {
-        return apply_quarantine({BackendKind::bitonic, "small n: single-block bitonic sort", false},
-                                q);
+        return apply_quarantine({BackendKind::bitonic, "small n: single-block bitonic sort"}, q);
     }
-    // 3./4. Duplicate-heavy or low-cardinality probes defeat sampled
-    //    splitters (most samples collide, buckets stay fat) but are
-    //    exactly where the radix skip-filter descent shines: shared digit
-    //    prefixes resolve from one fused histogram pass.
-    if (h.dominant_frac >= kPlannerDominantFrac) {
-        return apply_quarantine({BackendKind::radix, "duplicate-heavy probe", false}, q);
-    }
-    if (h.probe_size >= 4 && h.probe_distinct * 4 <= h.probe_size) {
-        return apply_quarantine({BackendKind::radix, "low distinct-value probe", false}, q);
-    }
-    // 5. RobustnessCounters feedback: the previous planned descent on this
-    //    device thrashed (resamples/fallbacks grew), so the distribution
-    //    is defeating the sampler in a way the probe missed.
-    if (q.thrash_delta > 0) {
-        return apply_quarantine({BackendKind::radix, "sampler thrash feedback", false}, q);
-    }
-    // 6. Deep top-k keeps a constant fraction of the input; radix secures
-    //    whole upper-digit bins per pass with a width-bounded level count.
-    if (q.topk && q.k * 4 >= q.n) {
-        return apply_quarantine({BackendKind::radix, "deep top-k (k >= n/4)", false}, q);
-    }
-    // 7. Default: the paper's distribution-adaptive sampled descent.
-    return apply_quarantine(
-        {BackendKind::sample, "distribution-adaptive sampled descent", false}, q);
+    // 3. Everything else: the paper's distribution-adaptive sampled
+    //    descent, whose equality buckets end a level early on
+    //    duplicate-heavy inputs.
+    return apply_quarantine({BackendKind::sample, "distribution-adaptive sampled descent"}, q);
 }
 
 void record_planned_decision(simt::Device& dev, const PlanDecision& d, std::uint64_t n,
@@ -136,44 +100,20 @@ void record_planned_decision(simt::Device& dev, const PlanDecision& d, std::uint
     auto& rc = dev.robustness();
     switch (d.backend) {
         case BackendKind::sample: ++rc.backend_sample; break;
-        case BackendKind::radix: ++rc.backend_radix; break;
         case BackendKind::bitonic: ++rc.backend_bitonic; break;
     }
-    if (d.env_forced) ++rc.backend_env_overrides;
     simt::PlannerEvent ev;
     ev.stream = stream;
     ev.backend = backend_name(d.backend);
     ev.reason = d.reason;
     ev.n = n;
     ev.k = k;
-    ev.env_forced = d.env_forced;
     dev.note_planner_event(std::move(ev));
 }
 
-template <typename T>
-PlanDecision plan_selection(simt::Device& dev, std::span<const T> data, PlanQuery q,
-                            int stream) {
-    q.elem_size = sizeof(T);
-    // Sampler-thrash feedback: resamples/fallbacks growth since the mark
-    // left by the previous decision -- but only attributed when that
-    // decision was for a shape-similar problem (same element width, n
-    // within 4x either way).  A dissimilar shape resets the context: the
-    // thrash belonged to a different workload and must not bias this one.
-    auto& fb = dev.planner_feedback();
-    const auto& rc = dev.robustness();
-    const std::uint64_t now = rc.resamples + rc.fallbacks;
-    const std::uint64_t delta = now - std::min(now, fb.thrash_mark);
-    const bool shape_similar =
-        fb.prev_n == 0 || (fb.prev_elem_size == sizeof(T) && fb.prev_n / 4 <= q.n &&
-                           q.n <= fb.prev_n * 4);
-    q.thrash_delta = shape_similar ? delta : 0;
-    fb.thrash_mark = now;
-    fb.prev_n = q.n;
-    fb.prev_elem_size = sizeof(T);
+PlanDecision plan_selection(simt::Device& dev, PlanQuery q, int stream) {
     q.quarantined = dev.backend_quarantine();
-
-    const DistributionHints h = probe_distribution<T>(data);
-    const PlanDecision d = plan(q, h, backend_env_override());
+    const PlanDecision d = plan(q);
     record_planned_decision(dev, d, q.n, q.k, stream);
     return d;
 }
@@ -207,13 +147,6 @@ ShardPlan plan_shard_count(std::size_t n, std::size_t elem_size,
 }
 
 template DistributionHints probe_distribution<float>(std::span<const float>);
-template DistributionHints probe_distribution<double>(std::span<const double>);
 template DistributionHints probe_distribution<ArgPair>(std::span<const ArgPair>);
-template PlanDecision plan_selection<float>(simt::Device&, std::span<const float>, PlanQuery,
-                                            int);
-template PlanDecision plan_selection<double>(simt::Device&, std::span<const double>, PlanQuery,
-                                             int);
-template PlanDecision plan_selection<ArgPair>(simt::Device&, std::span<const ArgPair>, PlanQuery,
-                                              int);
 
 }  // namespace gpusel::core

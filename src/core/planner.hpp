@@ -1,16 +1,14 @@
 #pragma once
-// The adaptive backend planner (docs/planner.md): chooses which selection
-// backend (core/backend.hpp) runs a given problem, from the problem shape
-// (n, k, element width), a cheap host-side distribution probe, the
-// GPUSEL_BACKEND environment override, and the device's RobustnessCounters
-// feedback (a sampler that just thrashed -- resamples/fallbacks grew since
-// the previous decision -- is evidence the distribution defeats sampling).
+// The backend planner (docs/planner.md): chooses which selection backend
+// (core/backend.hpp) runs a given problem, from its shape alone.  A
+// multi-rank tree or an input above the base case runs the paper's sampled
+// descent; an input that fits the base case runs the single-block bitonic
+// sort; a supervisor's quarantine (the server's circuit breakers) can
+// reroute between the two.
 //
-// Planning is pure host-side bookkeeping: the probe reads a handful of
-// staged elements (host reads are untimed in this simulator, like every
-// host-side driver decision), no kernel is launched, and when the planner
-// picks the sample backend the subsequent launch sequence is byte-identical
-// to the pre-planner code -- golden event streams are unchanged.
+// Planning is pure host-side bookkeeping: it reads no data, launches no
+// kernel, and advances no clock, so the chosen backend's event stream
+// starts where the selection does.
 //
 // Every decision is recorded as a simt::PlannerEvent on the device (the
 // chrome-trace export renders them as instant events) and tallied into
@@ -18,7 +16,6 @@
 // actually ran.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "core/backend.hpp"
@@ -26,15 +23,12 @@
 
 namespace gpusel::core {
 
-/// Elements the distribution probe reads (evenly strided over the staged
-/// buffer; host-side, untimed).
+/// Elements the distribution probe reads (evenly strided; host-side,
+/// untimed).
 inline constexpr std::size_t kPlannerProbeSize = 64;
-/// Probes whose dominant key reaches this share classify the input as
-/// duplicate-heavy -> radix (its skip-filter descent resolves shared
-/// digit prefixes without re-reading the data).
-inline constexpr double kPlannerDominantFrac = 0.25;
 
-/// What the planner learned from probing the staged data.
+/// What a probe of the staged data shows.  No planner rule reads it; the
+/// bench suite reports core.planner.probe_host_us from it.
 struct DistributionHints {
     /// Share of the probe held by its most frequent key, in [0, 1].
     double dominant_frac = 0.0;
@@ -44,26 +38,19 @@ struct DistributionHints {
     std::size_t probe_size = 0;
 };
 
-/// Probes `data` with kPlannerProbeSize evenly strided host reads.
-/// For key/payload pairs the key alone is probed -- payloads are unique
-/// indices, so including them would hide every duplicate.
+/// Probes `data` with kPlannerProbeSize evenly strided host reads (kept
+/// for the bench suite's core.planner.probe_host_us row).  For key/payload
+/// pairs the key alone is probed -- payloads are unique indices, so
+/// including them would hide every duplicate.
 template <typename T>
 [[nodiscard]] DistributionHints probe_distribution(std::span<const T> data);
 
 /// The problem shape a decision is made for.
 struct PlanQuery {
-    std::size_t n = 0;          ///< staged, NaN-free element count
-    std::size_t k = 0;          ///< rank (selection) or k (top-k)
-    bool topk = false;          ///< top-k accumulation vs single-rank
-    bool multi = false;         ///< multi-rank bucket tree (sample only)
-    std::size_t elem_size = 0;  ///< sizeof(T)
+    std::size_t n = 0;   ///< staged, NaN-free element count
+    std::size_t k = 0;   ///< rank (selection) or k (top-k)
+    bool multi = false;  ///< multi-rank bucket tree (sample only)
     std::size_t base_case_size = 0;
-    /// resamples+fallbacks growth since the previous planned decision on
-    /// this device (sampler-thrash feedback; 0 = healthy).  plan_selection
-    /// zeroes the delta when the previous decision was for a problem of a
-    /// dissimilar shape (different element width, or n outside 4x either
-    /// way), so one workload's thrash never biases an unrelated one.
-    std::uint64_t thrash_delta = 0;
     /// Quarantine bitmask (backend_bit per BackendKind): backends a
     /// supervisor's circuit breaker has taken out of rotation.  plan()
     /// treats them as infeasible and routes to the healthiest fallback;
@@ -75,21 +62,15 @@ struct PlanDecision {
     BackendKind backend = BackendKind::sample;
     /// One-line rationale, stable across runs (golden-tested).
     const char* reason = "";
-    /// True when GPUSEL_BACKEND forced the choice.
-    bool env_forced = false;
 };
 
 /// The pure decision function (the docs/planner.md decision table).
-/// `forced` is the parsed environment override, applied when feasible.
-[[nodiscard]] PlanDecision plan(const PlanQuery& q, const DistributionHints& h,
-                                std::optional<BackendKind> forced);
+[[nodiscard]] PlanDecision plan(const PlanQuery& q);
 
-/// Full planning step for one selection about to run on `stream`: probes
-/// `data`, reads GPUSEL_BACKEND, consumes the device's thrash feedback,
-/// records the PlannerEvent and tallies RobustnessCounters::backend_*.
-template <typename T>
-[[nodiscard]] PlanDecision plan_selection(simt::Device& dev, std::span<const T> data,
-                                          PlanQuery q, int stream);
+/// Full planning step for one selection about to run on `stream`: reads
+/// the device's quarantine mask, plans, records the PlannerEvent and
+/// tallies RobustnessCounters::backend_*.
+[[nodiscard]] PlanDecision plan_selection(simt::Device& dev, PlanQuery q, int stream);
 
 /// Records a decision made structurally by a front-end (the batch
 /// executor's fused-bitonic groups, multiselect's bucket tree) so the
@@ -123,13 +104,6 @@ struct ShardPlan {
                                          std::size_t device_capacity_bytes, int num_devices);
 
 extern template DistributionHints probe_distribution<float>(std::span<const float>);
-extern template DistributionHints probe_distribution<double>(std::span<const double>);
 extern template DistributionHints probe_distribution<ArgPair>(std::span<const ArgPair>);
-extern template PlanDecision plan_selection<float>(simt::Device&, std::span<const float>,
-                                                   PlanQuery, int);
-extern template PlanDecision plan_selection<double>(simt::Device&, std::span<const double>,
-                                                    PlanQuery, int);
-extern template PlanDecision plan_selection<ArgPair>(simt::Device&, std::span<const ArgPair>,
-                                                     PlanQuery, int);
 
 }  // namespace gpusel::core

@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 #include "simt/timing.hpp"
 
 namespace gpusel::core {
 
 template <typename T>
-int radix_count_fused(simt::Device& dev, std::span<const T> data, int shift0, int levels,
-                      std::span<std::int32_t> totals, std::span<std::int32_t> block_counts,
-                      const RadixLaunchParams& p, simt::LaunchOrigin origin) {
-    using key_type = typename RadixTraits<T>::key_type;
+int radix_count(simt::Device& dev, std::span<const T> data, int shift,
+                std::span<std::int32_t> totals, std::span<std::int32_t> block_counts,
+                const RadixLaunchParams& p, simt::LaunchOrigin origin) {
     const std::size_t n = data.size();
     const bool shared_mode = p.atomic_space == simt::AtomicSpace::shared;
     const int grid = simt::suggest_grid(dev.arch(), n, p.block_dim, p.unroll);
@@ -20,62 +18,42 @@ int radix_count_fused(simt::Device& dev, std::span<const T> data, int shift0, in
         "radix_count",
         {.grid_dim = grid, .block_dim = p.block_dim, .origin = origin, .unroll = p.unroll,
          .stream = p.stream},
-        [&, n, shift0, levels, grid, shared_mode](simt::BlockCtx& blk) {
-            const auto nbins = static_cast<std::size_t>(levels) * kRadixBins;
+        [&, n, shift, shared_mode](simt::BlockCtx& blk) {
             std::span<std::int32_t> counters;
             std::span<std::int32_t> sh;
             if (shared_mode) {
-                sh = blk.shared_array<std::int32_t>(nbins);
+                sh = blk.shared_array<std::int32_t>(kRadixBins);
                 std::fill(sh.begin(), sh.end(), 0);
-                blk.charge_shared(nbins * sizeof(std::int32_t));
+                blk.charge_shared(kRadixBins * sizeof(std::int32_t));
                 blk.sync();
                 counters = sh;
             } else {
-                counters = totals;
+                counters = totals.first(kRadixBins);
             }
             const auto space = shared_mode ? simt::AtomicSpace::shared : simt::AtomicSpace::global;
             blk.warp_tiles(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
                 T elems[simt::kWarpSize];
-                key_type keys[simt::kWarpSize];
                 std::int32_t digit[simt::kWarpSize];
                 w.load(data, base, elems);
-                for (int l = 0; l < w.lanes(); ++l) keys[l] = RadixTraits<T>::key(elems[l]);
-                for (int lv = 0; lv < levels; ++lv) {
-                    const int shift = shift0 - lv * kRadixDigitBits;
-                    for (int l = 0; l < w.lanes(); ++l) {
-                        digit[l] = static_cast<std::int32_t>((keys[l] >> shift) &
-                                                             (kRadixBins - 1));
-                    }
-                    // Key extraction amortizes over the fused levels; the
-                    // per-level cost (shift+mask, histogram index) matches
-                    // the classic one-digit pass, so level 1 of a fused
-                    // launch charges exactly what the baseline kernel did.
-                    w.add_instr(2 * static_cast<std::uint64_t>(w.lanes()));
-                    auto ctr = counters.subspan(static_cast<std::size_t>(lv) * kRadixBins,
-                                                kRadixBins);
-                    if (p.warp_aggregation) {
-                        w.atomic_add_aggregated(space, ctr, digit, kRadixDigitBits);
-                    } else {
-                        w.atomic_add(space, ctr, digit);
-                    }
+                for (int l = 0; l < w.lanes(); ++l) digit[l] = radix_digit_of(elems[l], shift);
+                // Digit extraction (shift+mask) and the histogram index.
+                w.add_instr(2 * static_cast<std::uint64_t>(w.lanes()));
+                if (p.warp_aggregation) {
+                    w.atomic_add_aggregated(space, counters, digit, kRadixDigitBits);
+                } else {
+                    w.atomic_add(space, counters, digit);
                 }
             });
             if (shared_mode) {
                 blk.sync();
-                // [level][block][bin]: each level's slice is a contiguous
-                // grid x kRadixBins matrix, fed to reduce_kernel unchanged.
-                for (int lv = 0; lv < levels; ++lv) {
-                    const auto out_base =
-                        (static_cast<std::size_t>(lv) * static_cast<std::size_t>(grid) +
-                         static_cast<std::size_t>(blk.block_idx())) *
-                        kRadixBins;
-                    const auto sh_base = static_cast<std::size_t>(lv) * kRadixBins;
-                    for (std::size_t i = 0; i < kRadixBins; ++i) {
-                        blk.st(block_counts, out_base + i, blk.shared_ld(sh, sh_base + i));
-                    }
+                // [block][bin]: a grid x kRadixBins matrix, fed to
+                // reduce_kernel unchanged.
+                const auto out_base = static_cast<std::size_t>(blk.block_idx()) * kRadixBins;
+                for (std::size_t i = 0; i < kRadixBins; ++i) {
+                    blk.st(block_counts, out_base + i, blk.shared_ld(sh, i));
                 }
-                blk.charge_shared(nbins * sizeof(std::int32_t));
-                blk.charge_global_write(nbins * sizeof(std::int32_t));
+                blk.charge_shared(kRadixBins * sizeof(std::int32_t));
+                blk.charge_global_write(kRadixBins * sizeof(std::int32_t));
             }
         });
     return grid;
@@ -131,128 +109,17 @@ void radix_filter(simt::Device& dev, std::span<const T> data, int shift, std::in
         });
 }
 
-RadixWalkResult radix_walk(simt::Device& dev, std::span<const std::int32_t> totals,
-                           std::span<std::int32_t> prefix, int levels, std::size_t n,
-                           std::size_t rank, simt::LaunchOrigin origin, int stream) {
-    if (totals.size() < static_cast<std::size_t>(levels) * kRadixBins) {
-        throw std::invalid_argument("totals too small for the fused levels");
-    }
-    if (prefix.size() != kRadixBins + 1) throw std::invalid_argument("prefix size mismatch");
-    RadixWalkResult res;
-    dev.launch("radix_walk",
-               {.grid_dim = 1, .block_dim = 32, .origin = origin, .stream = stream},
-               [&, levels, n, rank](simt::BlockCtx& blk) {
-                   std::size_t r = rank;
-                   for (int lv = 0; lv < levels; ++lv) {
-                       const auto base = static_cast<std::size_t>(lv) * kRadixBins;
-                       std::int32_t running = 0;
-                       std::size_t digit = 0;
-                       for (std::size_t i = 0; i < kRadixBins; ++i) {
-                           blk.st(prefix, i, running);
-                           if (static_cast<std::size_t>(running) <= r) digit = i;
-                           running += blk.ld(totals, base + i);
-                       }
-                       blk.st(prefix, kRadixBins, running);
-                       blk.charge_global_read(kRadixBins * sizeof(std::int32_t));
-                       blk.charge_global_write((kRadixBins + 1) * sizeof(std::int32_t));
-                       blk.charge_instr(2 * kRadixBins);
-                       const auto size =
-                           static_cast<std::size_t>(blk.ld(totals, base + digit));
-                       const auto below = static_cast<std::size_t>(blk.ld(prefix, digit));
-                       r -= below;
-                       res.digits[res.consumed] = static_cast<std::int32_t>(digit);
-                       ++res.consumed;
-                       res.bucket_size = size;
-                       res.cnt_upper =
-                           n - static_cast<std::size_t>(blk.ld(prefix, digit + 1));
-                       if (size < n) break;
-                   }
-                   res.rank = r;
-               });
-    return res;
-}
-
-template <typename T>
-void radix_filter_topk(simt::Device& dev, std::span<const T> data, int shift, std::int32_t digit,
-                       std::span<T> out, std::span<T> acc, std::int32_t acc_fill,
-                       std::span<const std::int32_t> block_offsets,
-                       std::span<std::int32_t> cursors, const RadixLaunchParams& p,
-                       simt::LaunchOrigin origin, int grid_dim) {
-    const std::size_t n = data.size();
-    const bool shared_mode = p.atomic_space == simt::AtomicSpace::shared;
-    dev.launch(
-        "radix_filter_topk",
-        {.grid_dim = grid_dim, .block_dim = p.block_dim, .origin = origin, .unroll = p.unroll,
-         .stream = p.stream},
-        [&, n, shift, digit, acc_fill, shared_mode](simt::BlockCtx& blk) {
-            std::int32_t sh_cursor = 0;
-            std::span<std::int32_t> tctr;
-            simt::AtomicSpace tspace;
-            if (shared_mode) {
-                const auto idx = static_cast<std::size_t>(blk.block_idx()) * kRadixBins +
-                                 static_cast<std::size_t>(digit);
-                sh_cursor = blk.ld(block_offsets, idx);
-                blk.charge_global_read(sizeof(std::int32_t));
-                tctr = std::span<std::int32_t>(&sh_cursor, 1);
-                tspace = simt::AtomicSpace::shared;
-            } else {
-                tctr = cursors.subspan(0, 1);
-                tspace = simt::AtomicSpace::global;
-            }
-            // Upper-digit elements have no per-block offsets (the reduce
-            // only prefix-sums the target bucket's bins), so the
-            // accumulator cursor is global in both modes.
-            auto uctr = cursors.subspan(1, 1);
-            blk.warp_tiles(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
-                T elems[simt::kWarpSize];
-                bool eq[simt::kWarpSize];
-                bool gt[simt::kWarpSize];
-                const std::int32_t zeros[simt::kWarpSize] = {};
-                std::int32_t off[simt::kWarpSize];
-                w.load(data, base, elems);
-                std::uint32_t eq_mask = 0;
-                std::uint32_t gt_mask = 0;
-                for (int l = 0; l < w.lanes(); ++l) {
-                    const std::int32_t d = radix_digit_of(elems[l], shift);
-                    eq[l] = d == digit;
-                    gt[l] = d > digit;
-                    if (eq[l]) eq_mask |= 1u << l;
-                    if (gt[l]) gt_mask |= 1u << l;
-                }
-                w.add_instr(3 * static_cast<std::uint64_t>(w.lanes()));
-                w.fetch_add(tspace, tctr, zeros, off, /*aggregated=*/true, 1, eq);
-                if (eq_mask != 0) {
-                    w.compress_store(out,
-                                     static_cast<std::size_t>(off[std::countr_zero(eq_mask)]),
-                                     eq_mask, elems);
-                }
-                w.fetch_add(simt::AtomicSpace::global, uctr, zeros, off, /*aggregated=*/true, 1,
-                            gt);
-                if (gt_mask != 0) {
-                    const auto slot = static_cast<std::size_t>(acc_fill) +
-                                      static_cast<std::size_t>(off[std::countr_zero(gt_mask)]);
-                    w.compress_store(acc, slot, gt_mask, elems);
-                }
-            });
-        });
-}
-
-#define GPUSEL_RADIX_KERNEL_INST(T)                                                             \
-    template int radix_count_fused<T>(simt::Device&, std::span<const T>, int, int,              \
-                                      std::span<std::int32_t>, std::span<std::int32_t>,         \
-                                      const RadixLaunchParams&, simt::LaunchOrigin);            \
-    template void radix_filter<T>(simt::Device&, std::span<const T>, int, std::int32_t,         \
-                                  std::span<T>, std::span<const std::int32_t>,                  \
-                                  std::span<std::int32_t>, const RadixLaunchParams&,            \
-                                  simt::LaunchOrigin, int);                                     \
-    template void radix_filter_topk<T>(simt::Device&, std::span<const T>, int, std::int32_t,    \
-                                       std::span<T>, std::span<T>, std::int32_t,                \
-                                       std::span<const std::int32_t>, std::span<std::int32_t>,  \
-                                       const RadixLaunchParams&, simt::LaunchOrigin, int);
+#define GPUSEL_RADIX_KERNEL_INST(T)                                                            \
+    template int radix_count<T>(simt::Device&, std::span<const T>, int, std::span<std::int32_t>, \
+                                std::span<std::int32_t>, const RadixLaunchParams&,             \
+                                simt::LaunchOrigin);                                           \
+    template void radix_filter<T>(simt::Device&, std::span<const T>, int, std::int32_t,        \
+                                  std::span<T>, std::span<const std::int32_t>,                 \
+                                  std::span<std::int32_t>, const RadixLaunchParams&,           \
+                                  simt::LaunchOrigin, int);
 
 GPUSEL_RADIX_KERNEL_INST(float)
 GPUSEL_RADIX_KERNEL_INST(double)
-GPUSEL_RADIX_KERNEL_INST(ArgPair)
 #undef GPUSEL_RADIX_KERNEL_INST
 
 }  // namespace gpusel::core

@@ -1,32 +1,20 @@
 #pragma once
-// Pipeline-grade radix digit kernels (promoted out of baselines/ for the
-// radix selection backend, docs/planner.md).  MSD radix selection works on
-// the order-preserving unsigned image of the element (RadixTraits): digit
-// histograms replace sampled splitters, so the descent depth is bounded by
-// the key width regardless of the distribution.
+// One-digit radix kernels of the RadixSelect baseline (Sec. V-D,
+// baselines/radixselect.hpp).  MSD radix selection works on the
+// order-preserving unsigned image of the element (RadixTraits): a digit
+// histogram replaces the sampled splitters, so the descent depth is bounded
+// by the key width regardless of the distribution.  The planner's
+// distribution probe (core/planner.hpp) reads the same key image, so
+// -0.0 == +0.0 there too.
 //
-// Two upgrades over the baseline kernels they replace (the baseline driver
-// now shims onto these):
-//
-//   * Fused multi-level histograms: one data pass accumulates up to
-//     kRadixMaxFusedLevels digit histograms (consecutive shifts) at once.
-//     While the selected bin keeps the whole buffer (all-equal prefixes,
-//     heavy duplicates), the host walks deeper digits from the same pass
-//     without re-reading the data -- the skip-filter descent that makes
-//     radix beat sampling on adversarial duplicate distributions.
-//   * Compress-store extraction: the filter scatters through the masked
-//     compress-store engine (lint rule R5) instead of per-lane stores,
-//     charging the same coalesced bytes with SimTSan-checked writes.
-//
-// Launch parameters are carried in RadixLaunchParams so the kernels are
-// stream-taggable and reusable by both the backend driver (pooled scratch,
-// fault retry) and the baseline shim (fresh allocations, level = 1).
+// The filter scatters through the masked compress-store engine (lint rule
+// R5) instead of per-lane stores, charging the same coalesced bytes with
+// SimTSan-checked writes.
 
 #include <bit>
 #include <cstdint>
 #include <span>
 
-#include "core/key_payload.hpp"
 #include "simt/device.hpp"
 
 namespace gpusel::core {
@@ -34,9 +22,6 @@ namespace gpusel::core {
 /// Radix digit width; 8 bits = 256 histogram bins per level.
 inline constexpr int kRadixDigitBits = 8;
 inline constexpr std::size_t kRadixBins = std::size_t{1} << kRadixDigitBits;
-/// Most digit levels one count pass histograms at once (shared budget:
-/// kRadixMaxFusedLevels * kRadixBins int32 bins per block).
-inline constexpr int kRadixMaxFusedLevels = 4;
 
 /// Order-preserving bijection to an unsigned key: x < y (total order over
 /// the NaN-free inputs the kernels see)  <=>  key(x) < key(y).
@@ -62,21 +47,6 @@ struct RadixTraits<double> {
     }
 };
 
-template <>
-struct RadixTraits<ArgPair> {
-    using key_type = std::uint64_t;
-    /// Composed key: float key image in the high 32 bits, payload below.
-    /// KeyPayload orders (key, payload) lexicographically with -0.0 == +0.0
-    /// at the key comparison, so -0.0 is canonicalized to +0.0 first --
-    /// otherwise the radix image would order {-0, p} below every {+0, q}
-    /// instead of tie-breaking by payload.
-    [[nodiscard]] static constexpr key_type key(ArgPair x) noexcept {
-        const float k = x.key == 0.0f ? 0.0f : x.key;
-        return (static_cast<std::uint64_t>(RadixTraits<float>::key(k)) << 32) |
-               static_cast<std::uint64_t>(x.payload);
-    }
-};
-
 template <typename T>
 [[nodiscard]] constexpr int radix_key_bits() noexcept {
     return static_cast<int>(sizeof(typename RadixTraits<T>::key_type) * 8);
@@ -88,104 +58,54 @@ template <typename T>
     return static_cast<std::int32_t>((RadixTraits<T>::key(x) >> shift) & (kRadixBins - 1));
 }
 
-/// Launch-shape knobs shared by the radix kernels (subset of
-/// SampleSelectConfig plus the resolved stream).
+/// Launch-shape knobs shared by the radix kernels.
 struct RadixLaunchParams {
     int block_dim = 256;
     int unroll = 1;
     simt::AtomicSpace atomic_space = simt::AtomicSpace::shared;
-    /// Warp-aggregated histogram atomics (Fig. 6).  The radix backend
-    /// forces this on: duplicate-heavy inputs -- exactly what the planner
-    /// routes here -- serialize plain same-bin atomics warp-wide.
+    /// Warp-aggregated histogram atomics (Fig. 6).
     bool warp_aggregation = false;
+    /// Stream the launches enqueue on (lint rule R6: every src/core launch
+    /// threads one; the baseline keeps the default stream).
     int stream = 0;
 };
 
-/// Fused digit-histogram pass: accumulates `levels` histograms over the
-/// digits at shifts shift0, shift0 - 8, ..., in one read of `data`.
+/// Digit-histogram pass over the digit at `shift`.
 ///
-/// * Shared mode: per-block partials go to `block_counts`, laid out
-///   [level][block][bin] so the level-l slice (grid * kRadixBins int32s at
-///   offset l * grid * kRadixBins) feeds reduce_kernel unchanged; `totals`
-///   is not touched.
-/// * Global mode: counts accumulate atomically into `totals`
-///   (levels * kRadixBins int32s, level-major; must be pre-zeroed).
+/// * Shared mode: per-block partials go to `block_counts` ([block][bin],
+///   grid * kRadixBins int32s), which reduce_kernel folds; `totals` is not
+///   touched.
+/// * Global mode: counts accumulate atomically into `totals` (kRadixBins
+///   int32s; must be pre-zeroed).
 ///
-/// With levels == 1 the pass is event-identical to the classic single-digit
-/// count kernel (the baseline shims onto this).  Returns the grid size.
+/// Returns the grid size.
 template <typename T>
-int radix_count_fused(simt::Device& dev, std::span<const T> data, int shift0, int levels,
-                      std::span<std::int32_t> totals, std::span<std::int32_t> block_counts,
-                      const RadixLaunchParams& p, simt::LaunchOrigin origin);
+int radix_count(simt::Device& dev, std::span<const T> data, int shift,
+                std::span<std::int32_t> totals, std::span<std::int32_t> block_counts,
+                const RadixLaunchParams& p, simt::LaunchOrigin origin);
 
 /// Extraction of the elements whose digit at `shift` equals `digit` into
 /// `out` (sized to the bucket), via aggregated cursor offsets + masked
 /// compress-store.  Shared mode consumes the reduce kernel's per-block
-/// offsets (`block_offsets`, the level's slice); global mode a zeroed
-/// one-slot `cursor`.  `grid_dim` must match the count pass.
+/// offsets (`block_offsets`); global mode a zeroed one-slot `cursor`.
+/// `grid_dim` must match the count pass.
 template <typename T>
 void radix_filter(simt::Device& dev, std::span<const T> data, int shift, std::int32_t digit,
                   std::span<T> out, std::span<const std::int32_t> block_offsets,
                   std::span<std::int32_t> cursor, const RadixLaunchParams& p,
                   simt::LaunchOrigin origin, int grid_dim);
 
-/// Outcome of one radix_walk launch over a fused histogram pass.
-struct RadixWalkResult {
-    /// Digit located at each consumed level (level-major, `consumed` valid).
-    std::int32_t digits[kRadixMaxFusedLevels] = {};
-    /// Fused levels consumed: the walk stops at (and includes) the first
-    /// level whose located bin is smaller than the buffer.
-    int consumed = 0;
-    /// The rank rebased into the located bucket.
-    std::size_t rank = 0;
-    /// Size of the located bin at the last consumed level.
-    std::size_t bucket_size = 0;
-    /// Elements in strictly greater bins at the last consumed level (the
-    /// guaranteed top-k members of the Sec. IV-I fusion).
-    std::size_t cnt_upper = 0;
-};
-
-/// Single-launch walk over the fused digit levels of a *global-mode* totals
-/// array (levels * kRadixBins, level-major, as produced by
-/// radix_count_fused): per level, prefix-sum the 256 bins into `prefix`,
-/// locate the bin holding `rank`, rebase the rank, and descend while the
-/// bin still holds the whole buffer.  Replaces one reduce + select_bucket
-/// launch pair per level with a single launch -- on duplicate-heavy inputs
-/// (every bin holds everything) the entire fused pass is walked in one go.
-/// `prefix` holds the last consumed level's exclusive prefix on return.
-RadixWalkResult radix_walk(simt::Device& dev, std::span<const std::int32_t> totals,
-                           std::span<std::int32_t> prefix, int levels, std::size_t n,
-                           std::size_t rank, simt::LaunchOrigin origin, int stream);
-
-/// Fused top-k extraction (the Sec. IV-I fusion applied to radix): the
-/// `digit` bucket goes to `out` while every element with a *greater* digit
-/// -- a guaranteed top-k member -- is appended to `acc` starting at slot
-/// `acc_fill`.  `cursors` is a zeroed two-slot global buffer: slot 0 is
-/// the target-bucket cursor (global mode only), slot 1 the accumulator
-/// cursor (both modes; upper elements have no per-block offsets).
-template <typename T>
-void radix_filter_topk(simt::Device& dev, std::span<const T> data, int shift, std::int32_t digit,
-                       std::span<T> out, std::span<T> acc, std::int32_t acc_fill,
-                       std::span<const std::int32_t> block_offsets,
-                       std::span<std::int32_t> cursors, const RadixLaunchParams& p,
-                       simt::LaunchOrigin origin, int grid_dim);
-
-#define GPUSEL_RADIX_KERNEL_EXTERN(T)                                                           \
-    extern template int radix_count_fused<T>(simt::Device&, std::span<const T>, int, int,       \
-                                             std::span<std::int32_t>, std::span<std::int32_t>,  \
-                                             const RadixLaunchParams&, simt::LaunchOrigin);     \
-    extern template void radix_filter<T>(simt::Device&, std::span<const T>, int, std::int32_t,  \
-                                         std::span<T>, std::span<const std::int32_t>,           \
-                                         std::span<std::int32_t>, const RadixLaunchParams&,     \
-                                         simt::LaunchOrigin, int);                              \
-    extern template void radix_filter_topk<T>(                                                  \
-        simt::Device&, std::span<const T>, int, std::int32_t, std::span<T>, std::span<T>,       \
-        std::int32_t, std::span<const std::int32_t>, std::span<std::int32_t>,                   \
-        const RadixLaunchParams&, simt::LaunchOrigin, int);
+#define GPUSEL_RADIX_KERNEL_EXTERN(T)                                                          \
+    extern template int radix_count<T>(simt::Device&, std::span<const T>, int,                 \
+                                       std::span<std::int32_t>, std::span<std::int32_t>,       \
+                                       const RadixLaunchParams&, simt::LaunchOrigin);          \
+    extern template void radix_filter<T>(simt::Device&, std::span<const T>, int, std::int32_t, \
+                                         std::span<T>, std::span<const std::int32_t>,          \
+                                         std::span<std::int32_t>, const RadixLaunchParams&,    \
+                                         simt::LaunchOrigin, int);
 
 GPUSEL_RADIX_KERNEL_EXTERN(float)
 GPUSEL_RADIX_KERNEL_EXTERN(double)
-GPUSEL_RADIX_KERNEL_EXTERN(ArgPair)
 #undef GPUSEL_RADIX_KERNEL_EXTERN
 
 }  // namespace gpusel::core

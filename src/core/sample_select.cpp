@@ -54,12 +54,9 @@ Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T
                                                  const SampleSelectConfig& cfg, int stream) {
     // Plan which backend runs the NaN-free problem (host-side only; no
     // launches, so the chosen backend's event stream starts at t0).
-    PlanQuery q;
-    q.n = data.size();
-    q.k = rank;
-    q.base_case_size = cfg.base_case_size;
-    const PlanDecision plan = plan_selection<T>(dev, std::span<const T>(data.span()), q,
-                                                stream < 0 ? cfg.stream : stream);
+    const PlanDecision plan =
+        plan_selection(dev, {.n = data.size(), .k = rank, .base_case_size = cfg.base_case_size},
+                       stream < 0 ? cfg.stream : stream);
 
     const Stamp<SelectResult<T>> stamp(dev);
     Result<SelectResult<T>> res =

@@ -194,7 +194,7 @@ struct ShardEnv {
             }
             shard_dev[j] = static_cast<int>(j % static_cast<std::size_t>(devices_used));
         }
-        record_planned_decision(group.device(0), {BackendKind::sample, o.plan.reason, false},
+        record_planned_decision(group.device(0), {BackendKind::sample, o.plan.reason},
                                 total_n, planner_k, stream[0]);
     }
     ShardEnv(const ShardEnv&) = delete;

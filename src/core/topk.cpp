@@ -99,13 +99,8 @@ Status check_k(std::size_t n, std::size_t k) {
 template <typename T>
 Result<TopKResult<T>> topk_staged(simt::Device& dev, DataHolder<T> data, std::size_t k,
                                   const SampleSelectConfig& cfg) {
-    PlanQuery q;
-    q.n = data.size();
-    q.k = k;
-    q.topk = true;
-    q.base_case_size = cfg.base_case_size;
-    const PlanDecision plan =
-        plan_selection<T>(dev, std::span<const T>(data.span()), q, cfg.stream);
+    const PlanDecision plan = plan_selection(
+        dev, {.n = data.size(), .k = k, .base_case_size = cfg.base_case_size}, cfg.stream);
 
     const Stamp<TopKResult<T>> stamp(dev);
     Result<TopKResult<T>> res = selection_backend<T>(plan.backend)

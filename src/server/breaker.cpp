@@ -54,8 +54,7 @@ void CircuitBreaker::open(double now_ns) noexcept {
 
 std::uint32_t BreakerBank::mask() const noexcept {
     std::uint32_t m = 0;
-    for (const core::BackendKind k :
-         {core::BackendKind::sample, core::BackendKind::radix, core::BackendKind::bitonic}) {
+    for (const core::BackendKind k : core::kBackends) {
         if (of(k).quarantined()) m |= core::backend_bit(k);
     }
     return m;

@@ -76,7 +76,7 @@ private:
 class BreakerBank {
 public:
     explicit BreakerBank(const BreakerConfig& cfg = {})
-        : breakers_{CircuitBreaker(cfg), CircuitBreaker(cfg), CircuitBreaker(cfg)} {}
+        : breakers_{CircuitBreaker(cfg), CircuitBreaker(cfg)} {}
 
     [[nodiscard]] CircuitBreaker& of(core::BackendKind k) noexcept {
         return breakers_[static_cast<std::size_t>(k)];
@@ -93,7 +93,7 @@ public:
     [[nodiscard]] std::uint32_t mask() const noexcept;
 
 private:
-    std::array<CircuitBreaker, 3> breakers_;
+    std::array<CircuitBreaker, std::size(core::kBackends)> breakers_;
 };
 
 }  // namespace gpusel::server

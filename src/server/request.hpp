@@ -103,7 +103,7 @@ struct Response {
     std::vector<float> values;
     /// argselect: original position of `value`.
     std::uint32_t index = 0;
-    /// Backend that answered ("sample"/"radix"/"bitonic"; "" when unknown).
+    /// Backend that answered ("sample"/"bitonic"; "" when unknown).
     const char* backend = "";
     /// Approx/degraded answers: exact rank error of the returned splitter
     /// and the level's a-priori bound (max_bucket / 2, Sec. II-C).

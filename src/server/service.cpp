@@ -528,9 +528,8 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
     // round.  Terminal fault codes and heavy fault-retry pressure (retries
     // that succeeded, but only just) both count as failure evidence.
     const simt::RobustnessCounters& rc1 = dev_.robustness();
-    const bool saw[3] = {rc1.backend_sample != rc0.backend_sample,
-                         rc1.backend_radix != rc0.backend_radix,
-                         rc1.backend_bitonic != rc0.backend_bitonic};
+    const bool saw[] = {rc1.backend_sample != rc0.backend_sample,
+                        rc1.backend_bitonic != rc0.backend_bitonic};
     bool any_fault = false;
     for (const InFlight& f : fl) {
         if (!f.resp.status.ok() && is_fault_code(f.resp.status.code)) any_fault = true;
@@ -538,9 +537,8 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
     const std::uint64_t retry_delta = (rc1.alloc_retries + rc1.launch_retries) -
                                       (rc0.alloc_retries + rc0.launch_retries);
     const bool round_failed = any_fault || retry_delta >= cfg_.breaker.retry_pressure_threshold;
-    bool any_seen = saw[0] || saw[1] || saw[2];
-    for (const core::BackendKind k :
-         {core::BackendKind::sample, core::BackendKind::radix, core::BackendKind::bitonic}) {
+    const bool any_seen = saw[0] || saw[1];
+    for (const core::BackendKind k : core::kBackends) {
         const bool used = any_seen ? saw[static_cast<std::size_t>(k)]
                                    : k == core::BackendKind::sample;
         if (!used) continue;

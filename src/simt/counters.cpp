@@ -35,9 +35,8 @@ std::ostream& operator<<(std::ostream& os, const KernelCounters& c) {
 std::ostream& operator<<(std::ostream& os, const RobustnessCounters& c) {
     os << "{alloc_retries " << c.alloc_retries << ", launch_retries " << c.launch_retries
        << ", resamples " << c.resamples << ", fallbacks " << c.fallbacks << ", fallback_levels "
-       << c.fallback_levels << ", streamsan_hazards " << c.streamsan_hazards << ", backend s/r/b "
-       << c.backend_sample << "/" << c.backend_radix << "/" << c.backend_bitonic << " (env "
-       << c.backend_env_overrides << ")}";
+       << c.fallback_levels << ", streamsan_hazards " << c.streamsan_hazards << ", backend s/b "
+       << c.backend_sample << "/" << c.backend_bitonic << "}";
     return os;
 }
 

@@ -111,12 +111,10 @@ struct RobustnessCounters {
     // alongside the recovery counters it was chosen from.
     /// Selections the planner routed to the sample-select recursion.
     std::uint64_t backend_sample = 0;
-    /// Selections the planner routed to the radix digit descent.
+    /// Always 0 (no radix backend); kept for bench/suite's radix_frac row.
     std::uint64_t backend_radix = 0;
     /// Selections the planner routed to the fused-bitonic small-n path.
     std::uint64_t backend_bitonic = 0;
-    /// Decisions forced by the GPUSEL_BACKEND environment override.
-    std::uint64_t backend_env_overrides = 0;
 
     RobustnessCounters& operator+=(const RobustnessCounters& o) noexcept {
         alloc_retries += o.alloc_retries;
@@ -128,7 +126,6 @@ struct RobustnessCounters {
         backend_sample += o.backend_sample;
         backend_radix += o.backend_radix;
         backend_bitonic += o.backend_bitonic;
-        backend_env_overrides += o.backend_env_overrides;
         return *this;
     }
     bool operator==(const RobustnessCounters&) const = default;
@@ -148,30 +145,13 @@ struct PlannerEvent {
     double sim_ns = 0.0;
     /// Stream the planned selection runs on.
     int stream = 0;
-    /// Backend name ("sample" / "radix" / "bitonic").
+    /// Backend name ("sample" / "bitonic").
     std::string backend;
-    /// One-line rationale ("duplicate-heavy probe", "env override", ...).
+    /// One-line rationale ("multi-rank bucket tree", ...).
     std::string reason;
     /// Problem shape the decision was made for.
     std::uint64_t n = 0;
     std::uint64_t k = 0;
-    /// True when GPUSEL_BACKEND forced the choice.
-    bool env_forced = false;
-};
-
-/// Planner feedback context kept on the Device (core/planner.cpp reads and
-/// writes it).  thrash_mark snapshots resamples+fallbacks at the previous
-/// decision; prev_n/prev_elem_size record the shape of the problem that
-/// decision was made for, so a counter delta is only attributed to "the
-/// sampler thrashes on inputs like this one" when the next problem is
-/// shape-similar -- counters accumulated by one workload no longer bias a
-/// later unrelated workload in the same process (docs/planner.md).
-struct PlannerFeedbackState {
-    std::uint64_t thrash_mark = 0;
-    /// Shape of the previously planned problem; prev_n == 0 means no
-    /// decision has been recorded yet.
-    std::uint64_t prev_n = 0;
-    std::uint64_t prev_elem_size = 0;
 };
 
 /// One sample of a numeric track for the chrome-trace export ("ph":"C"

@@ -223,17 +223,6 @@ public:
         return planner_log_;
     }
     void clear_planner_log() { planner_log_.clear(); }
-    /// Snapshot hook for the planner's RobustnessCounters feedback: the
-    /// resample+fallback total the planner saw at its previous decision.
-    /// A delta since then means the last planned descent thrashed.
-    [[nodiscard]] std::uint64_t& planner_thrash_mark() noexcept {
-        return planner_feedback_.thrash_mark;
-    }
-    /// Full planner feedback context, including the shape of the problem
-    /// the mark was taken against (core/planner.cpp gates the thrash delta
-    /// on shape similarity so one workload's counters do not bias a later
-    /// unrelated workload -- the staleness fix, docs/planner.md).
-    [[nodiscard]] PlannerFeedbackState& planner_feedback() noexcept { return planner_feedback_; }
 
     // ---- backend quarantine ----------------------------------------------
     // Bitmask of backends (1 << BackendKind) currently quarantined by a
@@ -300,7 +289,6 @@ private:
     FaultInjector injector_;
     RobustnessCounters robustness_;
     std::vector<PlannerEvent> planner_log_;
-    PlannerFeedbackState planner_feedback_;
     std::uint32_t backend_quarantine_ = 0;
     std::unique_ptr<Sanitizer> san_;
     std::unique_ptr<StreamSan> ssan_;

@@ -80,8 +80,7 @@ void write_chrome_trace(std::ostream& os, const std::vector<KernelProfile>& prof
            << ",\"s\":\"t\",\"ts\":" << std::max(0.0, e.sim_ns - t0) / 1000.0
            << ",\"pid\":0,\"tid\":" << e.stream << ",\"args\":{"
            << "\"backend\":\"" << e.backend << "\",\"reason\":\"" << e.reason << "\""
-           << ",\"n\":" << e.n << ",\"k\":" << e.k
-           << ",\"env_forced\":" << (e.env_forced ? "true" : "false") << "}}";
+           << ",\"n\":" << e.n << ",\"k\":" << e.k << "}}";
     }
     // Supervisor telemetry: name each counter/instant track after its
     // first event so the service tracks read as lanes in the viewer.

@@ -9,12 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <numeric>
-#include <string>
 #include <vector>
 
+#include "baselines/radixselect.hpp"
 #include "core/argselect.hpp"
 #include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
@@ -53,28 +52,6 @@ std::uint64_t golden_answer(const std::function<bool(simt::Device&, golden::Fnv1
     h.add(static_cast<std::uint64_t>(dev.profiles().size()));
     return h.value();
 }
-
-/// Pins GPUSEL_BACKEND for one scope so planner-routed front-ends take the
-/// sampled descent even where the probe would pick radix.
-class ForceBackend {
-public:
-    explicit ForceBackend(const char* name) {
-        if (const char* old = std::getenv("GPUSEL_BACKEND")) saved_ = old;
-        ::setenv("GPUSEL_BACKEND", name, 1);
-    }
-    ~ForceBackend() {
-        if (saved_.empty()) {
-            ::unsetenv("GPUSEL_BACKEND");
-        } else {
-            ::setenv("GPUSEL_BACKEND", saved_.c_str(), 1);
-        }
-    }
-    ForceBackend(const ForceBackend&) = delete;
-    ForceBackend& operator=(const ForceBackend&) = delete;
-
-private:
-    std::string saved_;
-};
 
 struct Hashes {
     std::uint64_t select = 0;
@@ -132,10 +109,12 @@ TEST(DescentGolden, UniformFloatsForcedFallback) {
 }
 
 TEST(DescentGolden, AllEqualDoubles) {
+    // Every front-end takes the sampled descent and its equality-bucket
+    // exit.
     const Hashes h = run_all(all_equal_doubles(), {});
-    EXPECT_EQ(h.select, 0xcf435b488a02b637ULL);
-    EXPECT_EQ(h.topk_largest, 0x7c53106582f72e35ULL);
-    EXPECT_EQ(h.topk_smallest, 0xbe1a6db274235e00ULL);
+    EXPECT_EQ(h.select, 0xe29131a0a12c8d7dULL);
+    EXPECT_EQ(h.topk_largest, 0x7011fc68695ca32bULL);
+    EXPECT_EQ(h.topk_smallest, 0x1d1295c50ab153feULL);
     EXPECT_EQ(h.multi_select, 0xe29131a0a12c8d7dULL);
     EXPECT_EQ(h.sample_sort, 0xfebf5263cd38de27ULL);
 }
@@ -188,19 +167,40 @@ TEST(DescentGolden, ArgPairFrontEnds) {
     EXPECT_EQ(u.argselect, 0x4671399cbe570530ULL);
     EXPECT_EQ(u.topk_indices, 0x94748db7f7abfe07ULL);
     EXPECT_EQ(u.partial_sort, 0x1a7d97c74aa72b28ULL);
-    EXPECT_EQ(eq.argselect, 0xf60a9950f94d12cbULL);
-    EXPECT_EQ(eq.topk_indices, 0x508dea2e5c70debfULL);
-    EXPECT_EQ(eq.partial_sort, 0xe929daf5edd984a1ULL);
+    EXPECT_EQ(eq.argselect, 0x65e9007b13680502ULL);
+    EXPECT_EQ(eq.topk_indices, 0xd745861feaf03fe2ULL);
+    EXPECT_EQ(eq.partial_sort, 0x9ded2f0e22d8c4c2ULL);
 }
 
-TEST(DescentGolden, AllEqualDoublesSampleBackend) {
-    // The probe routes all-equal select and top-k to radix; forcing the
-    // sampled descent pins its equality-bucket exit as well.
-    const ForceBackend sample("sample");
-    const Hashes h = run_all(all_equal_doubles(), {});
-    EXPECT_EQ(h.select, 0xe29131a0a12c8d7dULL);
-    EXPECT_EQ(h.topk_largest, 0x7011fc68695ca32bULL);
-    EXPECT_EQ(h.topk_smallest, 0x1d1295c50ab153feULL);
+/// One RadixSelect baseline call on a fresh device, answer folded in.
+template <typename T>
+std::uint64_t radix_baseline_hash(const std::vector<T>& data) {
+    return golden_answer([&](simt::Device& dev, golden::Fnv1a& f) {
+        const auto r = baselines::radix_select<T>(dev, data, data.size() / 2, {});
+        f.add(r.value);
+        f.add(static_cast<std::uint64_t>(r.levels));
+        return true;
+    });
+}
+
+TEST(DescentGolden, RadixSelectBaseline) {
+    // The Sec. V-D RadixSelect baseline runs the one-digit radix count and
+    // filter kernels (core/radix_kernel.hpp): a change to those kernels
+    // that moves the baseline's launches, and so its Sec. V-D cells,
+    // fails here.
+    const auto spec = [](data::Distribution dist) {
+        return data::DatasetSpec{.n = 1u << 16, .dist = dist, .seed = 1301};
+    };
+    EXPECT_EQ(radix_baseline_hash(data::generate<float>(spec(data::Distribution::uniform_real))),
+              0x94af1c172e5064eULL);
+    EXPECT_EQ(
+        radix_baseline_hash(data::generate<float>(spec(data::Distribution::adversarial_cluster))),
+        0xedd4f2ecab6b2023ULL);
+    EXPECT_EQ(radix_baseline_hash(data::generate<double>(spec(data::Distribution::uniform_real))),
+              0x62dd6736adf6fd15ULL);
+    EXPECT_EQ(
+        radix_baseline_hash(data::generate<double>(spec(data::Distribution::adversarial_cluster))),
+        0x44f88d0eb08b1c68ULL);
 }
 
 }  // namespace

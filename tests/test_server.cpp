@@ -574,9 +574,7 @@ TEST(Server, BreakerTripsQuarantinesAndRecovers) {
         EXPECT_TRUE(r.status.ok()) << r.status.message;
     }
     EXPECT_EQ(dev.backend_quarantine(), 0u) << "breaker must recover after faults stop";
-    using core::BackendKind;
-    for (const BackendKind k :
-         {BackendKind::sample, BackendKind::radix, BackendKind::bitonic}) {
+    for (const core::BackendKind k : core::kBackends) {
         if ((tripped & core::backend_bit(k)) != 0u) {
             EXPECT_EQ(srv.breakers().of(k).state(), server::BreakerState::closed)
                 << "tripped breaker must close after a successful probe";

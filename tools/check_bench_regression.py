@@ -69,7 +69,7 @@ def family_of(name):
 # Planner backend tallies exported by bench_simulator_overhead
 # (RobustnessCounters::backend_*, see docs/planner.md).  The coverage step
 # asserts the bench sweep exercised every selection backend at least once.
-BACKEND_COUNTERS = ("backend_sample", "backend_radix", "backend_bitonic")
+BACKEND_COUNTERS = ("backend_sample", "backend_bitonic")
 
 
 def planner_coverage(doc):
@@ -363,10 +363,10 @@ def self_test(baseline_path, tolerance):
             return REGRESSION
         starved = copy.deepcopy(doc)
         for b in starved.get("benchmarks", []):
-            if "backend_radix" in b:
-                b["backend_radix"] = 0
+            if "backend_bitonic" in b:
+                b["backend_bitonic"] = 0
         checked, missing = planner_coverage(starved)
-        if not (checked and missing == ["backend_radix"]):
+        if not (checked and missing == ["backend_bitonic"]):
             print("self-test FAIL: zeroed backend tally did not trip coverage",
                   file=sys.stderr)
             return REGRESSION

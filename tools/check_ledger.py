@@ -23,8 +23,9 @@ differences between hosts, while one kernel launch more or less moves a
 row by far more.  Each mismatch prints as `workload row: ledger → run`;
 any mismatch, missing workload or missing row exits 1.  A change that
 moves a row regenerates the ledger and lists old → new in CHANGES.md.
-GPUSEL_WORKERS=0 keeps topk_skewed_1m's radix-routed ops exact (host
-workers reorder its atomics; bench/suite/README.md, "Determinism").
+GPUSEL_WORKERS=0 pins the inline block scheduler, so the ledger is
+recorded the way the golden suites run by default; every simulated row
+also reads the same under GPUSEL_WORKERS=3.
 """
 
 import argparse
