@@ -374,7 +374,7 @@ BENCHMARK(BM_Argselect)->Arg(1 << 16)->Arg(1 << 18);
 // (docs/planner.md).  range(1) picks the distribution (0 = all-equal,
 // 1 = heavy duplicates); k = n/2.  Manual timing on the simulated clock:
 // every row at n = 65536 runs the sampled descent and its equality-bucket
-// exit, 42.8 us all-equal and 42.0 us two-value on the V100 model.  The
+// exit, 34.5 us all-equal and two-value on the V100 model.  The
 // CI gate keeps the family from regressing.  The backend_* counters feed
 // the planner-coverage step of tools/check_bench_regression.py: across the
 // whole sweep every backend must be selected at least once (the small-n

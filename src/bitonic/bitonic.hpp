@@ -101,7 +101,9 @@ void sort_in_shared(simt::BlockCtx& blk, std::span<T> sh, std::size_t n_valid) {
 /// Single-block kernel body: sorts data[0..n) ascending through shared
 /// memory.  Instrumentation: coalesced load/store of the payload, one
 /// block barrier per network step, one compare-exchange instruction and
-/// two shared accesses per pair per step.
+/// two shared accesses per pair per step.  The block's own warps stride
+/// the payload, so a grid epilogue (one warp of a wider grid) runs the
+/// same body with the same counters as the one-block `bitonic_sort`.
 template <typename T>
 void sort_small_kernel(simt::BlockCtx& blk, std::span<T> data, std::size_t n) {
     if (n > kMaxSortSize) {
@@ -112,7 +114,7 @@ void sort_small_kernel(simt::BlockCtx& blk, std::span<T> data, std::size_t n) {
     auto sh = blk.shared_array<T>(m);
 
     // Load into shared memory (coalesced).
-    blk.warp_tiles(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
+    blk.warp_tiles_local(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
         T regs[simt::kWarpSize];
         w.load(std::span<const T>(data), base, regs);
         for (int l = 0; l < w.lanes(); ++l) {
@@ -123,7 +125,7 @@ void sort_small_kernel(simt::BlockCtx& blk, std::span<T> data, std::size_t n) {
     sort_in_shared(blk, sh, n);
 
     // Write back (coalesced).
-    blk.warp_tiles(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
+    blk.warp_tiles_local(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
         T regs[simt::kWarpSize];
         for (int l = 0; l < w.lanes(); ++l) {
             regs[l] = blk.shared_ld(sh, base + static_cast<std::size_t>(l));

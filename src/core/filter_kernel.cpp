@@ -10,15 +10,29 @@ namespace gpusel::core {
 
 namespace {
 
+/// The lowest `count` set bits of `mask` (all of them if it has fewer).
+std::uint32_t lowest_bits(std::uint32_t mask, std::size_t count) {
+    if (static_cast<std::size_t>(std::popcount(mask)) <= count) return mask;
+    std::uint32_t kept = 0;
+    for (; count > 0; --count) {
+        const std::uint32_t low = mask & (~mask + 1);
+        kept |= low;
+        mask ^= low;
+    }
+    return kept;
+}
+
 /// Shared implementation: predicate = (oracle == bucket) extraction into
 /// `out`; when `upper` is non-empty, (oracle > bucket) elements go to
-/// `upper` through the global cursor counters[1] (top-k fusion).
+/// `upper` through the global cursor counters[1] (top-k fusion), and a
+/// target element whose slot falls past out.size() is dropped.
 template <typename T>
 void run_filter(simt::Device& dev, std::span<const T> data, std::span<const std::uint8_t> oracles,
                 std::int32_t bucket, std::span<T> out, std::span<T> upper,
                 std::span<const std::int32_t> block_offsets, int num_buckets,
                 std::span<std::int32_t> counters, const SampleSelectConfig& cfg,
-                simt::LaunchOrigin origin, int grid_dim, int stream, const char* name) {
+                simt::LaunchOrigin origin, int grid_dim, int stream, const char* name,
+                const simt::Device::KernelFn& epilogue) {
     const std::size_t n = data.size();
     if (oracles.size() != n) throw std::invalid_argument("oracle buffer size mismatch");
     const bool shared_mode = cfg.atomic_space == simt::AtomicSpace::shared;
@@ -82,8 +96,13 @@ void run_filter(simt::Device& dev, std::span<const T> data, std::span<const std:
                             /*index_bits=*/1, pred);
                 if (mask != 0) {
                     const int lead = std::countr_zero(mask);
-                    w.compress_gather_store(out, static_cast<std::size_t>(off[lead]), data, base,
-                                            mask);
+                    const auto slot = static_cast<std::size_t>(off[lead]);
+                    // The run's slots are consecutive: keep the lanes whose
+                    // slot lies inside `out` (all of them unless fused).
+                    const std::uint32_t kept =
+                        fused ? lowest_bits(mask, slot < out.size() ? out.size() - slot : 0)
+                              : mask;
+                    if (kept != 0) w.compress_gather_store(out, slot, data, base, kept);
                 }
 
                 if (fused) {
@@ -100,7 +119,8 @@ void run_filter(simt::Device& dev, std::span<const T> data, std::span<const std:
                     }
                 }
             });
-        });
+        },
+        epilogue);
 }
 
 }  // namespace
@@ -110,9 +130,10 @@ void filter_kernel(simt::Device& dev, std::span<const T> data,
                    std::span<const std::uint8_t> oracles, std::int32_t bucket, std::span<T> out,
                    std::span<const std::int32_t> block_offsets, int num_buckets,
                    std::span<std::int32_t> global_counter, const SampleSelectConfig& cfg,
-                   simt::LaunchOrigin origin, int grid_dim, int stream) {
+                   simt::LaunchOrigin origin, int grid_dim, int stream,
+                   const simt::Device::KernelFn& epilogue) {
     run_filter<T>(dev, data, oracles, bucket, out, {}, block_offsets, num_buckets, global_counter,
-                  cfg, origin, grid_dim, stream, "filter");
+                  cfg, origin, grid_dim, stream, "filter", epilogue);
 }
 
 template <typename T>
@@ -195,20 +216,21 @@ void filter_fused_topk_kernel(simt::Device& dev, std::span<const T> data,
                               std::span<T> out, std::span<T> upper,
                               std::span<const std::int32_t> block_offsets, int num_buckets,
                               std::span<std::int32_t> counters, const SampleSelectConfig& cfg,
-                              simt::LaunchOrigin origin, int grid_dim, int stream) {
+                              simt::LaunchOrigin origin, int grid_dim, int stream,
+                              const simt::Device::KernelFn& epilogue) {
     if (counters.size() < 2) throw std::invalid_argument("fused filter needs two cursors");
     run_filter<T>(dev, data, oracles, bucket, out, upper, block_offsets, num_buckets, counters,
-                  cfg, origin, grid_dim, stream, "filter_topk");
+                  cfg, origin, grid_dim, stream, "filter_topk", epilogue);
 }
 
-template void filter_kernel<float>(simt::Device&, std::span<const float>,
-                                   std::span<const std::uint8_t>, std::int32_t, std::span<float>,
-                                   std::span<const std::int32_t>, int, std::span<std::int32_t>,
-                                   const SampleSelectConfig&, simt::LaunchOrigin, int, int);
-template void filter_kernel<double>(simt::Device&, std::span<const double>,
-                                    std::span<const std::uint8_t>, std::int32_t, std::span<double>,
-                                    std::span<const std::int32_t>, int, std::span<std::int32_t>,
-                                    const SampleSelectConfig&, simt::LaunchOrigin, int, int);
+template void filter_kernel<float>(
+    simt::Device&, std::span<const float>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<float>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
+template void filter_kernel<double>(
+    simt::Device&, std::span<const double>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<double>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
 template void filter_buckets_kernel<float>(simt::Device&, std::span<const float>,
                                            std::span<const std::uint8_t>,
                                            std::span<const std::int32_t>, std::span<float>,
@@ -221,28 +243,23 @@ template void filter_buckets_kernel<double>(simt::Device&, std::span<const doubl
                                             std::span<const std::int32_t>, std::span<std::int32_t>,
                                             const SampleSelectConfig&, simt::LaunchOrigin, int,
                                             int, const char*);
-template void filter_fused_topk_kernel<float>(simt::Device&, std::span<const float>,
-                                              std::span<const std::uint8_t>, std::int32_t,
-                                              std::span<float>, std::span<float>,
-                                              std::span<const std::int32_t>, int,
-                                              std::span<std::int32_t>, const SampleSelectConfig&,
-                                              simt::LaunchOrigin, int, int);
-template void filter_fused_topk_kernel<double>(simt::Device&, std::span<const double>,
-                                               std::span<const std::uint8_t>, std::int32_t,
-                                               std::span<double>, std::span<double>,
-                                               std::span<const std::int32_t>, int,
-                                               std::span<std::int32_t>, const SampleSelectConfig&,
-                                               simt::LaunchOrigin, int, int);
-template void filter_kernel<ArgPair>(simt::Device&, std::span<const ArgPair>,
-                                     std::span<const std::uint8_t>, std::int32_t,
-                                     std::span<ArgPair>, std::span<const std::int32_t>, int,
-                                     std::span<std::int32_t>, const SampleSelectConfig&,
-                                     simt::LaunchOrigin, int, int);
-template void filter_fused_topk_kernel<ArgPair>(simt::Device&, std::span<const ArgPair>,
-                                                std::span<const std::uint8_t>, std::int32_t,
-                                                std::span<ArgPair>, std::span<ArgPair>,
-                                                std::span<const std::int32_t>, int,
-                                                std::span<std::int32_t>, const SampleSelectConfig&,
-                                                simt::LaunchOrigin, int, int);
+template void filter_fused_topk_kernel<float>(
+    simt::Device&, std::span<const float>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<float>, std::span<float>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
+template void filter_fused_topk_kernel<double>(
+    simt::Device&, std::span<const double>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<double>, std::span<double>, std::span<const std::int32_t>, int,
+    std::span<std::int32_t>, const SampleSelectConfig&, simt::LaunchOrigin, int, int,
+    const simt::Device::KernelFn&);
+template void filter_kernel<ArgPair>(
+    simt::Device&, std::span<const ArgPair>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<ArgPair>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
+template void filter_fused_topk_kernel<ArgPair>(
+    simt::Device&, std::span<const ArgPair>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<ArgPair>, std::span<ArgPair>, std::span<const std::int32_t>, int,
+    std::span<std::int32_t>, const SampleSelectConfig&, simt::LaunchOrigin, int, int,
+    const simt::Device::KernelFn&);
 
 }  // namespace gpusel::core

@@ -25,12 +25,17 @@ namespace gpusel::core {
 ///   equal the count kernel's grid.  `global_counter` is unused.
 /// * Global mode: `global_counter` is a zeroed 1-element array used as the
 ///   shared "next free slot" cursor; `block_offsets` is unused.
+///
+/// A non-empty `epilogue` runs once after the grid (Device::launch) and
+/// sees the whole of `out`: a linear descent finishes its level there
+/// (core/pipeline.hpp, LevelTail).
 template <typename T>
 void filter_kernel(simt::Device& dev, std::span<const T> data,
                    std::span<const std::uint8_t> oracles, std::int32_t bucket, std::span<T> out,
                    std::span<const std::int32_t> block_offsets, int num_buckets,
                    std::span<std::int32_t> global_counter, const SampleSelectConfig& cfg,
-                   simt::LaunchOrigin origin, int grid_dim, int stream = -1);
+                   simt::LaunchOrigin origin, int grid_dim, int stream = -1,
+                   const simt::Device::KernelFn& epilogue = {});
 
 /// Multi-bucket filter (the sample-sort scatter): writes every element of a
 /// bucket b with seg_start[b] >= 0 into out[seg_start[b], seg_start[b] +
@@ -52,28 +57,31 @@ void filter_buckets_kernel(simt::Device& dev, std::span<const T> data,
                            simt::LaunchOrigin origin, int grid_dim, int stream, const char* name);
 
 /// Fused top-k variant (Sec. IV-I): extracts the target bucket into `out`
-/// *and* every element of a larger bucket (oracle > bucket) into `upper`,
-/// whose cursor starts at upper_counter/upper_offsets analogously.  Used by
-/// the top-k driver, where elements above the target bucket are already
-/// guaranteed to belong to the top-k set.
+/// *and* every element of a larger bucket (oracle > bucket) into `upper`
+/// through the global cursor counters[1]; the target cursor is counters[0]
+/// in global mode and the block offsets in shared mode, as in
+/// filter_kernel.  Used by top-k, where elements above the target bucket
+/// are already guaranteed to belong to the top-k set.
+/// `out` may be shorter than the bucket: a target element whose slot falls
+/// past out.size() is dropped, so an equality bucket writes only the
+/// copies top-k still needs.  `epilogue` as in filter_kernel.
 template <typename T>
 void filter_fused_topk_kernel(simt::Device& dev, std::span<const T> data,
                               std::span<const std::uint8_t> oracles, std::int32_t bucket,
                               std::span<T> out, std::span<T> upper,
                               std::span<const std::int32_t> block_offsets, int num_buckets,
                               std::span<std::int32_t> counters, const SampleSelectConfig& cfg,
-                              simt::LaunchOrigin origin, int grid_dim, int stream = -1);
+                              simt::LaunchOrigin origin, int grid_dim, int stream = -1,
+                              const simt::Device::KernelFn& epilogue = {});
 
-extern template void filter_kernel<float>(simt::Device&, std::span<const float>,
-                                          std::span<const std::uint8_t>, std::int32_t,
-                                          std::span<float>, std::span<const std::int32_t>, int,
-                                          std::span<std::int32_t>, const SampleSelectConfig&,
-                                          simt::LaunchOrigin, int, int);
-extern template void filter_kernel<double>(simt::Device&, std::span<const double>,
-                                           std::span<const std::uint8_t>, std::int32_t,
-                                           std::span<double>, std::span<const std::int32_t>, int,
-                                           std::span<std::int32_t>, const SampleSelectConfig&,
-                                           simt::LaunchOrigin, int, int);
+extern template void filter_kernel<float>(
+    simt::Device&, std::span<const float>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<float>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
+extern template void filter_kernel<double>(
+    simt::Device&, std::span<const double>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<double>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
 extern template void filter_buckets_kernel<float>(simt::Device&, std::span<const float>,
                                                   std::span<const std::uint8_t>,
                                                   std::span<const std::int32_t>, std::span<float>,
@@ -89,33 +97,23 @@ extern template void filter_buckets_kernel<double>(simt::Device&, std::span<cons
                                                    std::span<std::int32_t>,
                                                    const SampleSelectConfig&, simt::LaunchOrigin,
                                                    int, int, const char*);
-extern template void filter_fused_topk_kernel<float>(simt::Device&, std::span<const float>,
-                                                     std::span<const std::uint8_t>, std::int32_t,
-                                                     std::span<float>, std::span<float>,
-                                                     std::span<const std::int32_t>, int,
-                                                     std::span<std::int32_t>,
-                                                     const SampleSelectConfig&,
-                                                     simt::LaunchOrigin, int, int);
-extern template void filter_fused_topk_kernel<double>(simt::Device&, std::span<const double>,
-                                                      std::span<const std::uint8_t>, std::int32_t,
-                                                      std::span<double>, std::span<double>,
-                                                      std::span<const std::int32_t>, int,
-                                                      std::span<std::int32_t>,
-                                                      const SampleSelectConfig&,
-                                                      simt::LaunchOrigin, int, int);
-extern template void filter_kernel<ArgPair>(simt::Device&, std::span<const ArgPair>,
-                                            std::span<const std::uint8_t>, std::int32_t,
-                                            std::span<ArgPair>, std::span<const std::int32_t>,
-                                            int, std::span<std::int32_t>,
-                                            const SampleSelectConfig&, simt::LaunchOrigin, int,
-                                            int);
-extern template void filter_fused_topk_kernel<ArgPair>(simt::Device&, std::span<const ArgPair>,
-                                                       std::span<const std::uint8_t>,
-                                                       std::int32_t, std::span<ArgPair>,
-                                                       std::span<ArgPair>,
-                                                       std::span<const std::int32_t>, int,
-                                                       std::span<std::int32_t>,
-                                                       const SampleSelectConfig&,
-                                                       simt::LaunchOrigin, int, int);
+extern template void filter_fused_topk_kernel<float>(
+    simt::Device&, std::span<const float>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<float>, std::span<float>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
+extern template void filter_fused_topk_kernel<double>(
+    simt::Device&, std::span<const double>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<double>, std::span<double>, std::span<const std::int32_t>, int,
+    std::span<std::int32_t>, const SampleSelectConfig&, simt::LaunchOrigin, int, int,
+    const simt::Device::KernelFn&);
+extern template void filter_kernel<ArgPair>(
+    simt::Device&, std::span<const ArgPair>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<ArgPair>, std::span<const std::int32_t>, int, std::span<std::int32_t>,
+    const SampleSelectConfig&, simt::LaunchOrigin, int, int, const simt::Device::KernelFn&);
+extern template void filter_fused_topk_kernel<ArgPair>(
+    simt::Device&, std::span<const ArgPair>, std::span<const std::uint8_t>, std::int32_t,
+    std::span<ArgPair>, std::span<ArgPair>, std::span<const std::int32_t>, int,
+    std::span<std::int32_t>, const SampleSelectConfig&, simt::LaunchOrigin, int, int,
+    const simt::Device::KernelFn&);
 
 }  // namespace gpusel::core

@@ -95,38 +95,51 @@ LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data
 
 namespace {
 
-/// Deterministic pivot for the guaranteed-progress fallback: the median of
-/// 9 elements at fixed strided positions, fetched by a tiny single-block
-/// kernel (charged like the sampler's gather, Sec. IV-D pivot selection).
-/// No randomness: the same buffer always yields the same pivot.
+/// The pivot probe's body, run by one block: the median of 9 elements at
+/// fixed strided positions (charged like the sampler's gather, Sec. IV-D
+/// pivot selection).  No randomness: the same buffer always yields the
+/// same pivot.
+template <typename T>
+T probe_pivot(simt::BlockCtx& blk, std::span<const T> data) {
+    const std::size_t n = data.size();
+    constexpr std::size_t kProbes = 9;
+    T probes[kProbes];
+    for (std::size_t i = 0; i < kProbes; ++i) {
+        // Odd-numerator strides cover the whole range without touching the
+        // (possibly adversarial) extremes.
+        probes[i] = blk.ld(data, (2 * i + 1) * n / (2 * kProbes));
+    }
+    // Total order: identical to `<` on the NaN-free data the front-ends
+    // stage, but safe if a host caller skips the NaN pre-pass.
+    std::sort(std::begin(probes), std::end(probes), [](T a, T b) { return total_less(a, b); });
+    // 9 scattered reads, a fixed sorting network, one publish.
+    blk.counters().scattered_bytes_read += kProbes * sizeof(T);
+    blk.charge_instr(kProbes * kProbes);
+    blk.charge_global_write(sizeof(T));
+    return probes[kProbes / 2];
+}
+
+/// The deterministic guaranteed-progress pivot, fetched by a tiny
+/// single-block kernel.
 template <typename T>
 T deterministic_pivot(simt::Device& dev, std::span<const T> data, const SampleSelectConfig& cfg,
                       simt::LaunchOrigin origin, int stream) {
-    const std::size_t n = data.size();
-    constexpr std::size_t kProbes = 9;
     T pivot{};
     dev.launch("pivot_sample",
                {.grid_dim = 1, .block_dim = cfg.block_dim, .origin = origin, .unroll = 1,
                 .stream = stream},
-               [&, n](simt::BlockCtx& blk) {
-                   T probes[kProbes];
-                   for (std::size_t i = 0; i < kProbes; ++i) {
-                       // Odd-numerator strides cover the whole range without
-                       // touching the (possibly adversarial) extremes.
-                       probes[i] = blk.ld(data, (2 * i + 1) * n / (2 * kProbes));
-                   }
-                   // Total order: identical to `<` on the NaN-free data the
-                   // front-ends stage, but safe if a host caller skips the
-                   // NaN pre-pass.
-                   std::sort(std::begin(probes), std::end(probes),
-                             [](T a, T b) { return total_less(a, b); });
-                   pivot = probes[kProbes / 2];
-                   // 9 scattered reads, a fixed sorting network, one publish.
-                   blk.counters().scattered_bytes_read += kProbes * sizeof(T);
-                   blk.charge_instr(kProbes * kProbes);
-                   blk.charge_global_write(sizeof(T));
-               });
+               [&](simt::BlockCtx& blk) { pivot = probe_pivot<T>(blk, data); });
     return pivot;
+}
+
+/// One warp tile of the device copy: dst[dst_base + base + l] =
+/// src[src_base + base + l] for the tile's lanes.
+template <typename T>
+void copy_tile(simt::WarpCtx& w, std::span<const T> src, std::size_t src_base, std::span<T> dst,
+               std::size_t dst_base, std::size_t base) {
+    T regs[simt::kWarpSize];
+    w.load(src, src_base + base, regs);
+    w.store(dst, dst_base + base, regs);
 }
 
 /// The deterministic guaranteed-progress level, under with_fault_retry:
@@ -134,14 +147,22 @@ T deterministic_pivot(simt::Device& dev, std::span<const T> data, const SampleSe
 /// {p, p, p} -> 4 buckets: {< p} split in two, the equality bucket {== p}
 /// (non-empty: the pivot came from the data), and {> p}, so the
 /// non-equality buckets always shrink.  No randomness, so it cannot stall
-/// twice the same way and a retry reruns it verbatim.
+/// twice the same way and a retry reruns it verbatim.  A `drawn`
+/// tripartition stands in for the first attempt's pivot launch.
 template <typename T>
 Result<LevelOutcome<T>> try_run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
-                                            std::size_t rank, simt::LaunchOrigin origin) {
+                                            std::size_t rank, simt::LaunchOrigin origin,
+                                            std::optional<SearchTree<T>> drawn) {
     LevelOutcome<T> lv;
     Status s = with_fault_retry(ctx, [&] {
-        const T p = deterministic_pivot<T>(ctx.dev(), data, ctx.cfg(), origin, ctx.stream());
-        lv = finish_level<T>(ctx, data, rank, origin, SearchTree<T>::build({p, p, p}));
+        SearchTree<T> tree;
+        if (drawn) {
+            tree = *std::exchange(drawn, std::nullopt);
+        } else {
+            const T p = deterministic_pivot<T>(ctx.dev(), data, ctx.cfg(), origin, ctx.stream());
+            tree = SearchTree<T>::build({p, p, p});
+        }
+        lv = finish_level<T>(ctx, data, rank, origin, std::move(tree));
     });
     if (!s.ok()) return s;
     return lv;
@@ -152,15 +173,17 @@ Result<LevelOutcome<T>> try_run_pivot_level(const PipelineContext& ctx, std::spa
 template <typename T>
 Result<LevelOutcome<T>> try_run_bucket_level(const PipelineContext& ctx, std::span<const T> data,
                                              std::size_t rank, simt::LaunchOrigin origin,
-                                             std::uint64_t salt, const LevelOptions& opt) {
+                                             std::uint64_t salt, const LevelOptions& opt,
+                                             std::optional<SearchTree<T>> drawn) {
     LevelOutcome<T> lv;
     std::uint64_t attempt = 0;
     Status s = with_fault_retry(ctx, [&] {
         // Retries re-sample with a fresh salt: if the fault hit mid-level
         // the partial work is discarded and the level reruns end to end.
         const std::uint64_t attempt_salt = salt + attempt++ * std::uint64_t{0x9e3779b9};
-        auto tree =
-            sample_splitters<T>(ctx.dev(), data, ctx.cfg(), origin, attempt_salt, ctx.stream());
+        auto tree = drawn ? *std::exchange(drawn, std::nullopt)
+                          : sample_splitters<T>(ctx.dev(), data, ctx.cfg(), origin, attempt_salt,
+                                                ctx.stream());
         lv = finish_level<T>(ctx, data, rank, origin, std::move(tree), opt);
     });
     if (!s.ok()) return s;
@@ -171,7 +194,7 @@ template <typename T>
 Result<LevelOutcome<T>> try_level_step(const PipelineContext& ctx, std::span<const T> data,
                                        std::size_t rank, simt::LaunchOrigin origin,
                                        std::uint64_t salt, DescentPath& path,
-                                       ProgressTally& tally) {
+                                       ProgressTally& tally, std::optional<SearchTree<T>> drawn) {
     const SampleSelectConfig& cfg = ctx.cfg();
     // Hard depth cap: with strict shrink guaranteed below, genuine inputs
     // terminate in O(log n) levels; the cap makes that provable even under
@@ -186,8 +209,9 @@ Result<LevelOutcome<T>> try_level_step(const PipelineContext& ctx, std::span<con
     // times; past that budget the path runs the deterministic fallback.
     const bool fallback =
         cfg.force_fallback || path.stalls > static_cast<std::size_t>(cfg.max_stalled_levels);
-    Result<LevelOutcome<T>> lv = fallback ? try_run_pivot_level<T>(ctx, data, rank, origin)
-                                          : try_run_bucket_level<T>(ctx, data, rank, origin, salt);
+    Result<LevelOutcome<T>> lv =
+        fallback ? try_run_pivot_level<T>(ctx, data, rank, origin, std::move(drawn))
+                 : try_run_bucket_level<T>(ctx, data, rank, origin, salt, {}, std::move(drawn));
     if (!lv.ok()) return lv.status();
     if (fallback) {
         ++tally.fallback_levels;
@@ -220,7 +244,8 @@ Result<LevelOutcome<T>> try_level_step(const PipelineContext& ctx, std::span<con
 
 template <typename T>
 void filter_bucket(const PipelineContext& ctx, std::span<const T> data, const LevelOutcome<T>& lv,
-                   std::int32_t bucket, std::span<T> out, simt::LaunchOrigin origin) {
+                   std::int32_t bucket, std::span<T> out, simt::LaunchOrigin origin,
+                   const simt::Device::KernelFn& epilogue) {
     simt::Device& dev = ctx.dev();
     const SampleSelectConfig& cfg = ctx.cfg();
     simt::PooledBuffer<std::int32_t> cursor;
@@ -228,13 +253,14 @@ void filter_bucket(const PipelineContext& ctx, std::span<const T> data, const Le
     // Bucket count comes from the level's own tree: cfg.num_buckets for a
     // sampled level, 4 for the deterministic fallback tripartition.
     filter_kernel<T>(dev, data, lv.oracles.span(), bucket, out, lv.block_counts.span(),
-                     lv.tree.num_buckets, cursor.span(), cfg, origin, lv.grid, ctx.stream());
+                     lv.tree.num_buckets, cursor.span(), cfg, origin, lv.grid, ctx.stream(),
+                     epilogue);
 }
 
 template <typename T>
 void filter_topk(const PipelineContext& ctx, std::span<const T> data, const LevelOutcome<T>& lv,
                  std::span<T> out, std::span<T> acc, std::int32_t acc_fill,
-                 simt::LaunchOrigin origin) {
+                 simt::LaunchOrigin origin, const simt::Device::KernelFn& epilogue) {
     simt::Device& dev = ctx.dev();
     const SampleSelectConfig& cfg = ctx.cfg();
     auto cursors = ctx.scratch<std::int32_t>(2);
@@ -244,7 +270,39 @@ void filter_topk(const PipelineContext& ctx, std::span<const T> data, const Leve
     cursors[1] = acc_fill;
     filter_fused_topk_kernel<T>(dev, data, lv.oracles.span(), lv.bucket, out, acc,
                                 lv.block_counts.span(), lv.tree.num_buckets, cursors.span(), cfg,
-                                origin, lv.grid, ctx.stream());
+                                origin, lv.grid, ctx.stream(), epilogue);
+}
+
+template <typename T>
+simt::Device::KernelFn LevelTail<T>::epilogue(std::span<T> bucket) {
+    const SampleSelectConfig& cfg = ctx_->cfg();
+    if (sorts_) {
+        return [bucket, take = take_](simt::BlockCtx& blk) {
+            bitonic::sort_small_kernel<T>(blk, bucket, bucket.size());
+            const std::span<const T> top = bucket.last(take.size());
+            blk.warp_tiles_local(take.size(), [&](simt::WarpCtx& w, std::size_t base,
+                                                  std::size_t) {
+                copy_tile<T>(w, top, 0, take, 0, base);
+            });
+        };
+    }
+    if (cfg.force_fallback) {
+        splitters_.assign(3, T{});
+        return [this, bucket](simt::BlockCtx& blk) {
+            std::fill(splitters_.begin(), splitters_.end(),
+                      probe_pivot<T>(blk, std::span<const T>(bucket)));
+        };
+    }
+    splitters_.assign(static_cast<std::size_t>(cfg.num_buckets) - 1, T{});
+    return [this, bucket, &cfg](simt::BlockCtx& blk) {
+        draw_splitters<T>(blk, bucket, cfg, salt_, splitters_);
+    };
+}
+
+template <typename T>
+std::optional<SearchTree<T>> LevelTail<T>::drawn_tree() {
+    if (sorts_) return std::nullopt;
+    return SearchTree<T>::build(std::move(splitters_));
 }
 
 template <typename T>
@@ -257,9 +315,7 @@ void launch_copy(simt::Device& dev, std::span<const T> src, std::size_t src_base
                {.grid_dim = grid, .block_dim = block_dim, .origin = origin, .stream = stream},
                [=](simt::BlockCtx& blk) {
                    blk.warp_tiles(count, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
-                       T regs[simt::kWarpSize];
-                       w.load(src, src_base + base, regs);
-                       w.store(dst, dst_base + base, regs);
+                       copy_tile<T>(w, src, src_base, dst, dst_base, base);
                    });
                });
 }
@@ -272,47 +328,42 @@ void sort_base_case(const PipelineContext& ctx, std::span<T> data, simt::LaunchO
 
 template struct LevelOutcome<float>;
 template struct LevelOutcome<double>;
+template class LevelTail<float>;
+template class LevelTail<double>;
+template class LevelTail<ArgPair>;
 template LevelOutcome<float> finish_level<float>(const PipelineContext&, std::span<const float>,
                                                  std::size_t, simt::LaunchOrigin,
                                                  SearchTree<float>, const LevelOptions&);
 template LevelOutcome<double> finish_level<double>(const PipelineContext&, std::span<const double>,
                                                    std::size_t, simt::LaunchOrigin,
                                                    SearchTree<double>, const LevelOptions&);
-template Result<LevelOutcome<float>> try_level_step<float>(const PipelineContext&,
-                                                           std::span<const float>, std::size_t,
-                                                           simt::LaunchOrigin, std::uint64_t,
-                                                           DescentPath&, ProgressTally&);
-template Result<LevelOutcome<double>> try_level_step<double>(const PipelineContext&,
-                                                             std::span<const double>, std::size_t,
-                                                             simt::LaunchOrigin, std::uint64_t,
-                                                             DescentPath&, ProgressTally&);
-template Result<LevelOutcome<ArgPair>> try_level_step<ArgPair>(const PipelineContext&,
-                                                               std::span<const ArgPair>,
-                                                               std::size_t, simt::LaunchOrigin,
-                                                               std::uint64_t, DescentPath&,
-                                                               ProgressTally&);
-template Result<LevelOutcome<float>> try_run_bucket_level<float>(const PipelineContext&,
-                                                                 std::span<const float>,
-                                                                 std::size_t, simt::LaunchOrigin,
-                                                                 std::uint64_t,
-                                                                 const LevelOptions&);
-template Result<LevelOutcome<double>> try_run_bucket_level<double>(const PipelineContext&,
-                                                                   std::span<const double>,
-                                                                   std::size_t, simt::LaunchOrigin,
-                                                                   std::uint64_t,
-                                                                   const LevelOptions&);
-template void filter_bucket<float>(const PipelineContext&, std::span<const float>,
-                                   const LevelOutcome<float>&, std::int32_t, std::span<float>,
-                                   simt::LaunchOrigin);
-template void filter_bucket<double>(const PipelineContext&, std::span<const double>,
-                                    const LevelOutcome<double>&, std::int32_t, std::span<double>,
-                                    simt::LaunchOrigin);
-template void filter_topk<float>(const PipelineContext&, std::span<const float>,
-                                 const LevelOutcome<float>&, std::span<float>, std::span<float>,
-                                 std::int32_t, simt::LaunchOrigin);
-template void filter_topk<double>(const PipelineContext&, std::span<const double>,
-                                  const LevelOutcome<double>&, std::span<double>,
-                                  std::span<double>, std::int32_t, simt::LaunchOrigin);
+template Result<LevelOutcome<float>> try_level_step<float>(
+    const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    DescentPath&, ProgressTally&, std::optional<SearchTree<float>>);
+template Result<LevelOutcome<double>> try_level_step<double>(
+    const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    DescentPath&, ProgressTally&, std::optional<SearchTree<double>>);
+template Result<LevelOutcome<ArgPair>> try_level_step<ArgPair>(
+    const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
+    std::uint64_t, DescentPath&, ProgressTally&, std::optional<SearchTree<ArgPair>>);
+template Result<LevelOutcome<float>> try_run_bucket_level<float>(
+    const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    const LevelOptions&, std::optional<SearchTree<float>>);
+template Result<LevelOutcome<double>> try_run_bucket_level<double>(
+    const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    const LevelOptions&, std::optional<SearchTree<double>>);
+template void filter_bucket<float>(
+    const PipelineContext&, std::span<const float>, const LevelOutcome<float>&, std::int32_t,
+    std::span<float>, simt::LaunchOrigin, const simt::Device::KernelFn&);
+template void filter_bucket<double>(
+    const PipelineContext&, std::span<const double>, const LevelOutcome<double>&, std::int32_t,
+    std::span<double>, simt::LaunchOrigin, const simt::Device::KernelFn&);
+template void filter_topk<float>(
+    const PipelineContext&, std::span<const float>, const LevelOutcome<float>&, std::span<float>,
+    std::span<float>, std::int32_t, simt::LaunchOrigin, const simt::Device::KernelFn&);
+template void filter_topk<double>(
+    const PipelineContext&, std::span<const double>, const LevelOutcome<double>&, std::span<double>,
+    std::span<double>, std::int32_t, simt::LaunchOrigin, const simt::Device::KernelFn&);
 template void launch_copy<float>(simt::Device&, std::span<const float>, std::size_t,
                                  std::span<float>, std::size_t, std::size_t, simt::LaunchOrigin,
                                  int, int);
@@ -327,18 +378,16 @@ template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
                                                      std::span<const ArgPair>, std::size_t,
                                                      simt::LaunchOrigin, SearchTree<ArgPair>,
                                                      const LevelOptions&);
-template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(const PipelineContext&,
-                                                                     std::span<const ArgPair>,
-                                                                     std::size_t,
-                                                                     simt::LaunchOrigin,
-                                                                     std::uint64_t,
-                                                                     const LevelOptions&);
-template void filter_bucket<ArgPair>(const PipelineContext&, std::span<const ArgPair>,
-                                     const LevelOutcome<ArgPair>&, std::int32_t,
-                                     std::span<ArgPair>, simt::LaunchOrigin);
-template void filter_topk<ArgPair>(const PipelineContext&, std::span<const ArgPair>,
-                                   const LevelOutcome<ArgPair>&, std::span<ArgPair>,
-                                   std::span<ArgPair>, std::int32_t, simt::LaunchOrigin);
+template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(
+    const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
+    std::uint64_t, const LevelOptions&, std::optional<SearchTree<ArgPair>>);
+template void filter_bucket<ArgPair>(
+    const PipelineContext&, std::span<const ArgPair>, const LevelOutcome<ArgPair>&, std::int32_t,
+    std::span<ArgPair>, simt::LaunchOrigin, const simt::Device::KernelFn&);
+template void filter_topk<ArgPair>(
+    const PipelineContext&, std::span<const ArgPair>, const LevelOutcome<ArgPair>&,
+    std::span<ArgPair>, std::span<ArgPair>, std::int32_t, simt::LaunchOrigin,
+    const simt::Device::KernelFn&);
 template void launch_copy<ArgPair>(simt::Device&, std::span<const ArgPair>, std::size_t,
                                    std::span<ArgPair>, std::size_t, std::size_t,
                                    simt::LaunchOrigin, int, int);

@@ -32,6 +32,9 @@
 //                          and tallies.
 //   * filter_bucket / filter_topk -- bucket extraction on top of an
 //                          outcome.
+//   * LevelTail         -- the grid epilogue of a linear descent's filter
+//                          launch: the base-case sort (and top-k's tail
+//                          copy), or the next level's splitter draw.
 //   * DataHolder/PingPong -- the two data buffers ping-ponged across
 //                          recursion levels instead of a fresh `out`
 //                          allocation per level (Sec. IV-A: auxiliary
@@ -64,8 +67,10 @@
 // exhaustion into a typed Status instead of an escaping exception.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/searchtree.hpp"
@@ -203,19 +208,25 @@ template <typename T>
 /// -> (reduce in shared mode), locating `rank` when opt.locate, under
 /// with_fault_retry.  A retry reruns the whole level with a fresh sample
 /// salt; the first attempt uses `salt` verbatim, so fault-free event
-/// streams are unchanged.
+/// streams are unchanged.  A `drawn` tree (LevelTail) stands in for the
+/// first attempt's sample launch; a retry samples afresh.
 template <typename T>
-[[nodiscard]] Result<LevelOutcome<T>> try_run_bucket_level(const PipelineContext& ctx,
-                                                           std::span<const T> data,
-                                                           std::size_t rank,
-                                                           simt::LaunchOrigin origin,
-                                                           std::uint64_t salt = 0,
-                                                           const LevelOptions& opt = {});
+[[nodiscard]] Result<LevelOutcome<T>> try_run_bucket_level(
+    const PipelineContext& ctx, std::span<const T> data, std::size_t rank,
+    simt::LaunchOrigin origin, std::uint64_t salt = 0, const LevelOptions& opt = {},
+    std::optional<SearchTree<T>> drawn = std::nullopt);
 
 /// Launch origin of a descent's level `level`: the host launches the first
 /// level, deeper levels are device-side launches (Sec. IV-E).
 [[nodiscard]] constexpr simt::LaunchOrigin level_origin(std::size_t level) noexcept {
     return level == 0 ? simt::LaunchOrigin::host : simt::LaunchOrigin::device;
+}
+
+/// Sample salt of a linear descent's level after `levels` located levels
+/// and `stalls` consecutive stalls: each level and each rerun of a stalled
+/// one draws a fresh sample.
+[[nodiscard]] constexpr std::uint64_t level_salt(std::size_t levels, std::size_t stalls) noexcept {
+    return levels * 977 + stalls * 7919;
 }
 
 /// Guaranteed-progress state of one descent path (docs/robustness.md).  A
@@ -266,11 +277,15 @@ struct ProgressTally {
 /// no_progress for a stall inside the fallback.  On a stall the
 /// caller reruns the step on the same data (linear) or on the full-size
 /// child (tree).  Updates `path`, `tally` and Device::robustness().
+/// `drawn` is the level's tree drawn ahead by the previous level's filter
+/// (LevelTail: sampled with `salt`, or the fallback's pivot tripartition);
+/// it replaces the first attempt's sample or pivot launch.
 template <typename T>
 [[nodiscard]] Result<LevelOutcome<T>> try_level_step(const PipelineContext& ctx,
                                                      std::span<const T> data, std::size_t rank,
                                                      simt::LaunchOrigin origin, std::uint64_t salt,
-                                                     DescentPath& path, ProgressTally& tally);
+                                                     DescentPath& path, ProgressTally& tally,
+                                                     std::optional<SearchTree<T>> drawn = {});
 
 /// Runs `step` under the bounded-retry fault policy: injected allocation
 /// faults trigger a pool trim + retry, injected launch faults a plain
@@ -316,18 +331,58 @@ template <typename F>
     }
 }
 
-/// Extracts `bucket`'s elements into `out` (sized to the bucket).
+/// Extracts `bucket`'s elements into `out` (sized to the bucket); the
+/// launch runs `epilogue` after its grid.
 template <typename T>
 void filter_bucket(const PipelineContext& ctx, std::span<const T> data,
                    const LevelOutcome<T>& lv, std::int32_t bucket, std::span<T> out,
-                   simt::LaunchOrigin origin);
+                   simt::LaunchOrigin origin, const simt::Device::KernelFn& epilogue = {});
 
 /// Fused top-k extraction (Sec. IV-I): target bucket into `out`, all
 /// higher-bucket elements appended to `acc` starting at slot `acc_fill`.
+/// An `out` shorter than the bucket keeps only its first out.size() slots.
 template <typename T>
 void filter_topk(const PipelineContext& ctx, std::span<const T> data, const LevelOutcome<T>& lv,
                  std::span<T> out, std::span<T> acc, std::int32_t acc_fill,
-                 simt::LaunchOrigin origin);
+                 simt::LaunchOrigin origin, const simt::Device::KernelFn& epilogue = {});
+
+/// The grid epilogue of a linear descent's filter launch (docs/
+/// architecture.md): it finishes the level over the bucket the filter
+/// filled, so the descent launches nothing else for it.  The host knows
+/// the bucket's size before the launch and picks the tail then:
+///   * a bucket that fits cfg.base_case_size is bitonic-sorted in place
+///     (Sec. IV-D), and for top-k its top take.size() elements are copied
+///     into `take`;
+///   * a larger bucket gets the next level's tree drawn from it: the
+///     sample with that level's first-attempt salt, or under
+///     cfg.force_fallback the median-of-9 pivot probe.
+/// The bodies are those of the `bitonic_sort`, `copy`, `sample` and
+/// `pivot_sample` launches they replace, run by one warp (Device::launch).
+template <typename T>
+class LevelTail {
+public:
+    LevelTail(const PipelineContext& ctx, std::size_t bucket_size, std::uint64_t next_salt,
+              std::span<T> take = {})
+        : ctx_(&ctx),
+          sorts_(bucket_size <= ctx.cfg().base_case_size),
+          salt_(next_salt),
+          take_(take) {}
+
+    /// The epilogue over `bucket`, the filter's output.  It writes the
+    /// drawn splitters into this tail, which must outlive the launch; a
+    /// retried launch redraws them.
+    [[nodiscard]] simt::Device::KernelFn epilogue(std::span<T> bucket);
+    /// After the launch: the next level's tree, or nullopt when the tail
+    /// sorted the bucket.
+    [[nodiscard]] std::optional<SearchTree<T>> drawn_tree();
+
+private:
+    const PipelineContext* ctx_;
+    bool sorts_;
+    std::uint64_t salt_;
+    std::span<T> take_;
+    std::vector<T> splitters_;
+};
 
 /// Coalesced device copy: dst[dst_base + i] = src[src_base + i].
 template <typename T>
@@ -449,7 +504,10 @@ struct LinearDescent {
 /// The linear descent: one located bucket per level over two ping-pong
 /// data buffers.  Exact selection and top-k are bucket policies over its
 /// descend() loop; the tree descents (multiselect, sample sort) branch and
-/// recurse through try_level_step with their own buffers.
+/// recurse through try_level_step with their own buffers.  Each level's
+/// filter launch finishes the level in its grid epilogue (LevelTail), so a
+/// level below the first is count, reduce and filter, and the base case
+/// runs in the last filter.
 template <typename T>
 class SelectionPipeline {
 public:
@@ -464,78 +522,114 @@ public:
     [[nodiscard]] T value_at(std::size_t i) const noexcept { return data_.data()[i]; }
 
     /// The linear descent loop (Sec. IV-E).  Runs level steps over the
-    /// current buffer until it fits the base case, which is bitonic-sorted
-    /// in place (Sec. IV-D), or until `on_bucket` stops.  The loop owns the
-    /// deadline check between levels, the base case and the rank rebase:
-    /// `rank` is the tracked rank, rebased into the current buffer as the
-    /// descent goes.  `on_bucket(lv, origin) -> Result<bool>` owns what a
-    /// located bucket means: true after it descended into lv.bucket
-    /// (try_descend / try_descend_topk), false to stop.
+    /// current buffer until it fits the base case, bitonic-sorted in place
+    /// (Sec. IV-D) by the last filter's tail or, for an input that fits it
+    /// outright, by a sort launch; or until `on_bucket` stops.  The loop
+    /// owns the deadline check between levels and the rank rebase: `rank`
+    /// is the tracked rank, rebased into the current buffer as the descent
+    /// goes.  `on_bucket(lv, origin) -> Result<bool>` owns what a located
+    /// bucket means: true after it descended into lv.bucket (try_descend /
+    /// try_descend_topk), false to stop.
     template <typename OnBucket>
     [[nodiscard]] Result<LinearDescent> descend(std::size_t& rank, OnBucket&& on_bucket) {
         const SampleSelectConfig& cfg = ctx_.cfg();
         LinearDescent d;
+        if (size() <= cfg.base_case_size) {
+            // The sort launch faults before touching the data, so a retry
+            // sees the unsorted input.
+            Status s = with_fault_retry(
+                ctx_, [&] { sort_base_case<T>(ctx_, data_.data(), level_origin(0)); });
+            if (!s.ok()) return s;
+            d.base_case = true;
+            return d;
+        }
         DescentPath path;
         for (;;) {
             const simt::LaunchOrigin origin = level_origin(d.levels);
             if (Status s = check_deadline(ctx_, path, "sample descent"); !s.ok()) return s;
-            if (size() <= cfg.base_case_size) {
-                // The sort launch faults before touching the data, so a
-                // retry sees the unsorted input.
-                Status s = with_fault_retry(
-                    ctx_, [&] { sort_base_case<T>(ctx_, data_.data(), origin); });
-                if (!s.ok()) return s;
-                d.base_case = true;
-                return d;
-            }
+            // A tree drawn by the last filter serves only this level's
+            // first step: a stalled rerun samples afresh.
             Result<LevelOutcome<T>> step =
                 try_level_step<T>(ctx_, data_.data(), rank, origin,
-                                  d.levels * 977 + path.stalls * 7919, path, d.tally);
+                                  level_salt(d.levels, path.stalls), path, d.tally,
+                                  std::exchange(drawn_, std::nullopt));
             if (!step.ok()) return step.status();
             if (path.stalled()) continue;  // rerun the level on the same buffer
             const LevelOutcome<T> lv = step.take();
             ++d.levels;
+            next_salt_ = level_salt(d.levels, 0);
             Result<bool> descended = on_bucket(lv, origin);
             if (!descended.ok()) return descended.status();
             if (!descended.value()) return d;
             rank -= lv.rank_offset;
+            if (size() <= cfg.base_case_size) {
+                d.base_case = true;  // the filter's tail sorted it
+                return d;
+            }
         }
     }
 
     /// Filters the located bucket into the back buffer and makes it the
-    /// current buffer.  The back-buffer acquisition and the filter launch
+    /// current buffer; the filter's tail sorts it or draws the next level's
+    /// tree from it.  The back-buffer acquisition and the filter launch
     /// retry under the bounded policy; the flip happens only after the
     /// filter succeeded, so a failed descent leaves the pipeline on its
     /// current (intact) buffer.
     [[nodiscard]] Status try_descend(const LevelOutcome<T>& lv, simt::LaunchOrigin origin) {
+        LevelTail<T> tail(ctx_, lv.bucket_size, next_salt_);
         Status s = with_fault_retry(ctx_, [&] {
             auto out = data_.back(ctx_, lv.bucket_size);
-            filter_bucket<T>(ctx_, data_.data(), lv, lv.bucket, out, origin);
+            filter_bucket<T>(ctx_, data_.data(), lv, lv.bucket, out, origin, tail.epilogue(out));
         });
-        if (s.ok()) data_.flip(lv.bucket_size);
+        if (!s.ok()) return s;
+        data_.flip(lv.bucket_size);
+        drawn_ = tail.drawn_tree();
         return s;
     }
-    /// Top-k descent: fused filter of the located bucket into the back
-    /// buffer and of every higher bucket into `acc` from slot `acc_fill`.
-    /// Safe to retry: the fused filter rewrites both from scratch on every
+    /// Top-k descent: the fused filter writes every higher bucket into
+    /// `acc` from slot `fill` on, and the located bucket's `needed` top
+    /// elements right after them where it can.  An equality bucket writes
+    /// `needed` copies there and drops the rest; a bucket that fits the
+    /// base case goes to the back buffer, whose tail sorts it and copies
+    /// its top there.  Any other bucket goes to the back buffer for the
+    /// next level.  Safe to retry: the fused filter rewrites both on every
     /// run (fresh cursors per attempt).
     [[nodiscard]] Status try_descend_topk(const LevelOutcome<T>& lv, std::span<T> acc,
-                                          std::int32_t acc_fill, simt::LaunchOrigin origin) {
+                                          std::size_t fill, std::size_t needed,
+                                          simt::LaunchOrigin origin) {
+        const std::span<T> take = acc.subspan(fill + lv.rank_above, needed);
+        const auto acc_fill = static_cast<std::int32_t>(fill);
+        if (lv.equality) {
+            return with_fault_retry(ctx_, [&] {
+                filter_topk<T>(ctx_, data_.data(), lv, take, acc, acc_fill, origin);
+            });
+        }
+        LevelTail<T> tail(ctx_, lv.bucket_size, next_salt_, take);
         Status s = with_fault_retry(ctx_, [&] {
             auto out = data_.back(ctx_, lv.bucket_size);
-            filter_topk<T>(ctx_, data_.data(), lv, out, acc, acc_fill, origin);
+            filter_topk<T>(ctx_, data_.data(), lv, out, acc, acc_fill, origin,
+                           tail.epilogue(out));
         });
-        if (s.ok()) data_.flip(lv.bucket_size);
+        if (!s.ok()) return s;
+        data_.flip(lv.bucket_size);
+        drawn_ = tail.drawn_tree();
         return s;
     }
 
 private:
     PipelineContext ctx_;
     PingPong<T> data_;
+    /// The next level's first-attempt salt, and the tree the last filter's
+    /// tail drew with it.
+    std::uint64_t next_salt_ = 0;
+    std::optional<SearchTree<T>> drawn_;
 };
 
 extern template struct LevelOutcome<float>;
 extern template struct LevelOutcome<double>;
+extern template class LevelTail<float>;
+extern template class LevelTail<double>;
+extern template class LevelTail<ArgPair>;
 extern template LevelOutcome<float> finish_level<float>(const PipelineContext&,
                                                         std::span<const float>, std::size_t,
                                                         simt::LaunchOrigin, SearchTree<float>,
@@ -545,32 +639,32 @@ extern template LevelOutcome<double> finish_level<double>(const PipelineContext&
                                                           simt::LaunchOrigin, SearchTree<double>,
                                                           const LevelOptions&);
 extern template Result<LevelOutcome<float>> try_level_step<float>(
-    const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin,
-    std::uint64_t, DescentPath&, ProgressTally&);
+    const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    DescentPath&, ProgressTally&, std::optional<SearchTree<float>>);
 extern template Result<LevelOutcome<double>> try_level_step<double>(
-    const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin,
-    std::uint64_t, DescentPath&, ProgressTally&);
+    const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    DescentPath&, ProgressTally&, std::optional<SearchTree<double>>);
 extern template Result<LevelOutcome<ArgPair>> try_level_step<ArgPair>(
     const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
-    std::uint64_t, DescentPath&, ProgressTally&);
+    std::uint64_t, DescentPath&, ProgressTally&, std::optional<SearchTree<ArgPair>>);
 extern template Result<LevelOutcome<float>> try_run_bucket_level<float>(
-    const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin,
-    std::uint64_t, const LevelOptions&);
+    const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    const LevelOptions&, std::optional<SearchTree<float>>);
 extern template Result<LevelOutcome<double>> try_run_bucket_level<double>(
-    const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin,
-    std::uint64_t, const LevelOptions&);
-extern template void filter_bucket<float>(const PipelineContext&, std::span<const float>,
-                                          const LevelOutcome<float>&, std::int32_t,
-                                          std::span<float>, simt::LaunchOrigin);
-extern template void filter_bucket<double>(const PipelineContext&, std::span<const double>,
-                                           const LevelOutcome<double>&, std::int32_t,
-                                           std::span<double>, simt::LaunchOrigin);
-extern template void filter_topk<float>(const PipelineContext&, std::span<const float>,
-                                        const LevelOutcome<float>&, std::span<float>,
-                                        std::span<float>, std::int32_t, simt::LaunchOrigin);
-extern template void filter_topk<double>(const PipelineContext&, std::span<const double>,
-                                         const LevelOutcome<double>&, std::span<double>,
-                                         std::span<double>, std::int32_t, simt::LaunchOrigin);
+    const PipelineContext&, std::span<const double>, std::size_t, simt::LaunchOrigin, std::uint64_t,
+    const LevelOptions&, std::optional<SearchTree<double>>);
+extern template void filter_bucket<float>(
+    const PipelineContext&, std::span<const float>, const LevelOutcome<float>&, std::int32_t,
+    std::span<float>, simt::LaunchOrigin, const simt::Device::KernelFn&);
+extern template void filter_bucket<double>(
+    const PipelineContext&, std::span<const double>, const LevelOutcome<double>&, std::int32_t,
+    std::span<double>, simt::LaunchOrigin, const simt::Device::KernelFn&);
+extern template void filter_topk<float>(
+    const PipelineContext&, std::span<const float>, const LevelOutcome<float>&, std::span<float>,
+    std::span<float>, std::int32_t, simt::LaunchOrigin, const simt::Device::KernelFn&);
+extern template void filter_topk<double>(
+    const PipelineContext&, std::span<const double>, const LevelOutcome<double>&, std::span<double>,
+    std::span<double>, std::int32_t, simt::LaunchOrigin, const simt::Device::KernelFn&);
 extern template void launch_copy<float>(simt::Device&, std::span<const float>, std::size_t,
                                         std::span<float>, std::size_t, std::size_t,
                                         simt::LaunchOrigin, int, int);
@@ -588,13 +682,14 @@ extern template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContex
                                                             const LevelOptions&);
 extern template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(
     const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
-    std::uint64_t, const LevelOptions&);
-extern template void filter_bucket<ArgPair>(const PipelineContext&, std::span<const ArgPair>,
-                                            const LevelOutcome<ArgPair>&, std::int32_t,
-                                            std::span<ArgPair>, simt::LaunchOrigin);
-extern template void filter_topk<ArgPair>(const PipelineContext&, std::span<const ArgPair>,
-                                          const LevelOutcome<ArgPair>&, std::span<ArgPair>,
-                                          std::span<ArgPair>, std::int32_t, simt::LaunchOrigin);
+    std::uint64_t, const LevelOptions&, std::optional<SearchTree<ArgPair>>);
+extern template void filter_bucket<ArgPair>(
+    const PipelineContext&, std::span<const ArgPair>, const LevelOutcome<ArgPair>&, std::int32_t,
+    std::span<ArgPair>, simt::LaunchOrigin, const simt::Device::KernelFn&);
+extern template void filter_topk<ArgPair>(
+    const PipelineContext&, std::span<const ArgPair>, const LevelOutcome<ArgPair>&,
+    std::span<ArgPair>, std::span<ArgPair>, std::int32_t, simt::LaunchOrigin,
+    const simt::Device::KernelFn&);
 extern template void launch_copy<ArgPair>(simt::Device&, std::span<const ArgPair>, std::size_t,
                                           std::span<ArgPair>, std::size_t, std::size_t,
                                           simt::LaunchOrigin, int, int);

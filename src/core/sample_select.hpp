@@ -2,7 +2,8 @@
 // Exact SampleSelect (Sec. IV-B/IV-E): the recursive driver tying together
 // the sample, count, reduce and filter kernels.  Each level inspects the
 // bucket counts, terminates early in an equality bucket or descends into the
-// rank's bucket (SelectionPipeline::descend, core/pipeline.hpp).  The
+// rank's bucket (SelectionPipeline::descend, core/pipeline.hpp), whose
+// filter draws the next level's sample or sorts the base case.  The
 // paper's CUDA Dynamic Parallelism tail recursion is modeled by launch
 // latency alone: every level below the first launches with
 // LaunchOrigin::device; there is no host-side control queue.

@@ -520,8 +520,8 @@ Result<Located<T>> locate(ShardEnv<T>& env, std::size_t rank) {
 /// Phase B2: count, filter and gather one bucket onto device 0.  Re-stages
 /// each shard, counts it against its device's copy of `tree`, extracts its
 /// slice of `bucket` and gathers the slices in shard order into `out` on
-/// the root (transfer-ordered; same-device slices move with a plain device
-/// copy so no phantom link bytes are charged).  A slice's size comes from
+/// the root: a root shard filters straight into `out`, any other into a
+/// slice buffer that a link transfer moves.  A slice's size comes from
 /// this pass's own count, and an empty slice issues no filter launch.  A
 /// shard an earlier count showed to hold none of the bucket
 /// (`known[j] == 0`) is skipped without being staged.  Returns the elements
@@ -543,36 +543,37 @@ Result<std::size_t> gather_bucket(ShardEnv<T>& env, const std::vector<SearchTree
         sc.num_buckets = dtree.num_buckets;
         PipelineContext ctx(dev, sc, sc.stream);
         std::optional<simt::PooledBuffer<T>> slice;
+        std::size_t q = 0;
         Status st = with_fault_retry(ctx, [&] {
             slice.reset();
             auto staged = DataHolder<T>::stage(ctx, chunk);
             const std::span<const T> data(staged.span());
             const LevelOutcome<T> lv =
                 finish_level<T>(ctx, data, 0, simt::LaunchOrigin::host, dtree, kCountForFilter);
-            const auto q = static_cast<std::size_t>(lv.totals[static_cast<std::size_t>(bucket)]);
-            if (q == 0) return;
+            q = static_cast<std::size_t>(lv.totals[static_cast<std::size_t>(bucket)]);
+            if (q == 0 || off + q > out.size()) return;
+            if (d == 0) {
+                filter_bucket<T>(ctx, data, lv, bucket, out.span().subspan(off, q),
+                                 simt::LaunchOrigin::host);
+                return;
+            }
             auto s = dev.pooled<T>(q, sc.stream);
             filter_bucket<T>(ctx, data, lv, bucket, s.span(), simt::LaunchOrigin::host);
             slice.emplace(std::move(s));
         });
         if (!st.ok()) return st;
         env.sample_peaks();
-        if (!slice) continue;
-        const std::size_t q = slice->size();
         if (off + q > out.size()) {
             return Status::failure(SelectError::internal,
                                    "sharded gather overflowed its root buffer");
         }
-        if (d == 0) {
-            launch_copy<T>(rdev, std::span<const T>(slice->span()), 0, out.span(), off, q,
-                           simt::LaunchOrigin::host, env.cfg.select.block_dim, rstream);
-        } else {
+        if (slice) {
             const auto rec = env.group.template transfer<T>(d, std::span<const T>(slice->span()), 0,
                                                             0, out.span(), off, q, sc.stream);
             rdev.wait_event(rstream, rec.ready_ns);
             dev.wait_event(sc.stream, rec.src_done_ns);
+            slice.reset();
         }
-        slice.reset();
         off += q;
     }
     return off;
@@ -614,8 +615,16 @@ Result<ShardedSelectResult<T>> run_exact(ShardEnv<T>& env, std::size_t rank) {
         return Status::failure(SelectError::internal,
                                "sharded filter gathered a mis-sized bucket");
     }
+    // The locate was the descent's first level, so the root's descent over
+    // the gathered bucket continues below it and checks the deadline first.
+    const SampleSelectConfig rcfg = env.on_device(0);
+    if (Status s = check_deadline(PipelineContext(rdev, rcfg), DescentPath{.levels = 1},
+                                  "sharded select");
+        !s.ok()) {
+        return s;
+    }
     auto r = try_sample_select_staged<T>(rdev, DataHolder<T>::from_pooled(std::move(merged)),
-                                         rank - rank_offset, env.on_device(0), env.stream[0]);
+                                         rank - rank_offset, rcfg, env.stream[0]);
     if (!r.ok()) return r.status();
     env.sample_peaks();
     out.value = r.value().value;

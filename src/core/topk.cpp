@@ -42,25 +42,31 @@ Result<TopKResult<T>> sample_topk_descend(simt::Device& dev, DataHolder<T> data,
         // Top elements still to secure from the located bucket once every
         // element of the higher buckets is in.
         const std::size_t needed = pipe.size() - rank - lv.rank_above;
-        // Fused filter (Sec. IV-I): target bucket to the back buffer, all
-        // higher buckets straight into the accumulator.
-        Status st = pipe.try_descend_topk(lv, acc.span(), static_cast<std::int32_t>(fill), origin);
+        // Fused filter (Sec. IV-I): all higher buckets straight into the
+        // accumulator, the target bucket to the back buffer or, when it can
+        // finish the set, its `needed` top elements right after them.
+        Status st = pipe.try_descend_topk(lv, acc.span(), fill, needed, origin);
         if (!st.ok()) return st;
         fill += lv.rank_above;
         if (!lv.equality) return true;
-        // Every bucket element equals the splitter: take as many as still
-        // needed and finish.
+        // Every bucket element equals the splitter: the filter wrote the
+        // copies still needed, and the descent ends.
+        fill += needed;
         res.threshold = lv.equality_value(lv.bucket);
-        st = take(0, needed, origin);
-        if (!st.ok()) return st;
         return false;
     });
     if (!d.ok()) return d.status();
     if (d.value().base_case) {
         // The sorted base case holds the threshold at `rank` and the rest of
-        // the top-k set above it.
-        s = take(rank, pipe.size() - rank, level_origin(d.value().levels));
-        if (!s.ok()) return s;
+        // the top-k set above it.  The last filter's tail appended those,
+        // unless the input fit the base case outright.
+        const std::size_t tail = pipe.size() - rank;
+        if (d.value().levels == 0) {
+            s = take(rank, tail, simt::LaunchOrigin::host);
+            if (!s.ok()) return s;
+        } else {
+            fill += tail;
+        }
         res.threshold = pipe.value_at(rank);
     }
 

@@ -3,7 +3,10 @@
 // not only the bucket containing the threshold rank, but also every element
 // of the buckets above it -- those are guaranteed members of the top-k set,
 // so they move straight to the result while the recursion descends only
-// into the threshold bucket.
+// into the threshold bucket.  The threshold bucket's own share goes
+// straight to the result too when it can finish the set: an equality
+// bucket writes only the copies still needed, and a bucket that fits the
+// base case is sorted and its top copied in the filter's grid epilogue.
 
 #include <cstdint>
 #include <span>

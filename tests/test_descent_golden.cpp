@@ -90,9 +90,9 @@ std::vector<double> all_equal_doubles() { return std::vector<double>(8192, 2.5);
 
 TEST(DescentGolden, UniformFloats) {
     const Hashes h = run_all(uniform_floats(), {});
-    EXPECT_EQ(h.select, 0x28a15e747c74651eULL);
-    EXPECT_EQ(h.topk_largest, 0xac966169cb59f528ULL);
-    EXPECT_EQ(h.topk_smallest, 0xa74bf4a846376e1aULL);
+    EXPECT_EQ(h.select, 0x9d54d6d3876a12ccULL);
+    EXPECT_EQ(h.topk_largest, 0x76f570074eedd3f8ULL);
+    EXPECT_EQ(h.topk_smallest, 0x37a94e68ca51a5a4ULL);
     EXPECT_EQ(h.multi_select, 0x707ed4b539e34216ULL);
     EXPECT_EQ(h.sample_sort, 0xc0ff916e9d0cd0d9ULL);
 }
@@ -101,9 +101,9 @@ TEST(DescentGolden, UniformFloatsForcedFallback) {
     core::SampleSelectConfig cfg;
     cfg.force_fallback = true;
     const Hashes h = run_all(uniform_floats(), cfg);
-    EXPECT_EQ(h.select, 0x3e04da62d07f1c33ULL);
-    EXPECT_EQ(h.topk_largest, 0x6b9e3411a70fdecdULL);
-    EXPECT_EQ(h.topk_smallest, 0xb57efa3f51ce810dULL);
+    EXPECT_EQ(h.select, 0x27f0714fece68ed9ULL);
+    EXPECT_EQ(h.topk_largest, 0x28ab33fcaae585d4ULL);
+    EXPECT_EQ(h.topk_smallest, 0x4bcafb33d150871cULL);
     EXPECT_EQ(h.multi_select, 0x781d41f846fdf8f3ULL);
     EXPECT_EQ(h.sample_sort, 0x34c59242aec0a154ULL);
 }
@@ -113,8 +113,8 @@ TEST(DescentGolden, AllEqualDoubles) {
     // exit.
     const Hashes h = run_all(all_equal_doubles(), {});
     EXPECT_EQ(h.select, 0xe29131a0a12c8d7dULL);
-    EXPECT_EQ(h.topk_largest, 0x7011fc68695ca32bULL);
-    EXPECT_EQ(h.topk_smallest, 0x1d1295c50ab153feULL);
+    EXPECT_EQ(h.topk_largest, 0x7c8ee9af910c7867ULL);
+    EXPECT_EQ(h.topk_smallest, 0xb428afaa37335260ULL);
     EXPECT_EQ(h.multi_select, 0xe29131a0a12c8d7dULL);
     EXPECT_EQ(h.sample_sort, 0xfebf5263cd38de27ULL);
 }
@@ -164,12 +164,12 @@ TEST(DescentGolden, ArgPairFrontEnds) {
     // answer and every bucket.
     const ArgPairHashes u = run_argpair(uniform_floats());
     const ArgPairHashes eq = run_argpair(std::vector<float>(8192, 2.5f));
-    EXPECT_EQ(u.argselect, 0x4671399cbe570530ULL);
-    EXPECT_EQ(u.topk_indices, 0x94748db7f7abfe07ULL);
-    EXPECT_EQ(u.partial_sort, 0x1a7d97c74aa72b28ULL);
-    EXPECT_EQ(eq.argselect, 0x65e9007b13680502ULL);
-    EXPECT_EQ(eq.topk_indices, 0xd745861feaf03fe2ULL);
-    EXPECT_EQ(eq.partial_sort, 0x9ded2f0e22d8c4c2ULL);
+    EXPECT_EQ(u.argselect, 0xc03696a614cbde3bULL);
+    EXPECT_EQ(u.topk_indices, 0x6cf7f771ef337916ULL);
+    EXPECT_EQ(u.partial_sort, 0x25dbb0cac68eea2dULL);
+    EXPECT_EQ(eq.argselect, 0x86474d14923c7124ULL);
+    EXPECT_EQ(eq.topk_indices, 0xee0d5162c4d1f586ULL);
+    EXPECT_EQ(eq.partial_sort, 0xc6e8225bb3c3d2f4ULL);
 }
 
 /// One RadixSelect baseline call on a fresh device, answer folded in.

@@ -8,9 +8,11 @@
 #include <numeric>
 #include <string>
 
+#include "bitonic/bitonic.hpp"
 #include "core/count_kernel.hpp"
 #include "core/filter_kernel.hpp"
 #include "core/reduce_kernel.hpp"
+#include "core/sample_kernel.hpp"
 #include "core/searchtree.hpp"
 #include "golden_hash.hpp"
 #include "simt/device.hpp"
@@ -295,6 +297,111 @@ TEST(EventGolden, FilterKernelTraffic) {
     for (std::size_t i = 0; i < 256; ++i) {
         ASSERT_EQ(out[i], 512.0f + static_cast<float>(i));
     }
+}
+
+/// The Golden input counted and reduced in shared mode: oracles and the
+/// per-block offsets of bucket b = values [256 b, 256 b + 256).
+struct FilterInput {
+    simt::DeviceBuffer<std::uint8_t> oracles;
+    simt::DeviceBuffer<std::int32_t> offsets;
+};
+FilterInput count_and_reduce(Golden& g) {
+    g.cfg.atomic_space = simt::AtomicSpace::shared;
+    auto totals = g.dev.alloc<std::int32_t>(Golden::kB);
+    FilterInput in{g.dev.alloc<std::uint8_t>(Golden::kN),
+                   g.dev.alloc<std::int32_t>(4 * Golden::kB)};
+    core::count_kernel<float>(g.dev, g.data, g.tree, in.oracles.span(), totals.span(),
+                              in.offsets.span(), g.cfg, simt::LaunchOrigin::host);
+    core::reduce_kernel(g.dev, in.offsets.span(), 4, Golden::kB, totals.span(), true,
+                        simt::LaunchOrigin::host);
+    return in;
+}
+
+/// The duration of a launch whose epilogue runs the body of `standalone`, a
+/// one-block launch: on the V100 both sit at the 0.02 utilization floor, so
+/// the epilogue costs the standalone launch minus its launch latency.
+void expect_moved_body_duration(const simt::Device& dev, const simt::KernelProfile& p,
+                                const simt::KernelProfile& standalone) {
+    const auto t = simt::simulate_time(dev.arch(), p);
+    const auto alone = simt::simulate_time(dev.arch(), standalone);
+    EXPECT_DOUBLE_EQ(t.epilogue_ns, alone.body_ns + alone.barrier_ns);
+    EXPECT_DOUBLE_EQ(p.sim_ns, t.launch_ns + t.body_ns + t.barrier_ns + t.epilogue_ns);
+    EXPECT_DOUBLE_EQ(t.launch_ns, dev.arch().host_launch_ns);
+}
+
+TEST(EventGolden, FilterWithSortEpilogue) {
+    // FilterKernelTraffic's launch carrying the base-case tail: the body's
+    // counters are its own plus one ticket per block, and the epilogue's
+    // are those of a standalone bitonic_sort of the bucket.
+    Golden g;
+    const FilterInput in = count_and_reduce(g);
+    auto plain = g.dev.alloc<float>(256);
+    core::filter_kernel<float>(g.dev, g.data, in.oracles.span(), 2, plain.span(),
+                               in.offsets.span(), Golden::kB, {}, g.cfg,
+                               simt::LaunchOrigin::host, 4);
+    auto out = g.dev.alloc<float>(256);
+    core::filter_kernel<float>(g.dev, g.data, in.oracles.span(), 2, out.span(), in.offsets.span(),
+                               Golden::kB, {}, g.cfg, simt::LaunchOrigin::host, 4, -1,
+                               [&](simt::BlockCtx& blk) {
+                                   bitonic::sort_small_kernel<float>(blk, out.span(), 256);
+                               });
+    bitonic::sort_on_device<float>(g.dev, plain.span(), 256);
+    const auto& prof = g.dev.profiles();
+    ASSERT_EQ(prof.size(), 5u);
+    const simt::KernelProfile& fused = prof[3];
+    EXPECT_EQ(fused.name, "filter");
+    simt::KernelCounters body = fused.counters;
+    EXPECT_EQ(body.global_atomic_ops, 4u);  // one ticket per block
+    body.global_atomic_ops = 0;
+    EXPECT_EQ(body, prof[2].counters);
+    EXPECT_EQ(prof[4].name, "bitonic_sort");
+    EXPECT_EQ(fused.epilogue, prof[4].counters);
+    expect_moved_body_duration(g.dev, fused, prof[4]);
+    for (std::size_t i = 0; i < 256; ++i) {
+        ASSERT_EQ(out[i], 512.0f + static_cast<float>(i));
+        ASSERT_EQ(plain[i], out[i]);
+    }
+}
+
+TEST(EventGolden, FusedFilterWithSampleEpilogue) {
+    // A filter_topk launch that draws the next level's splitters from its
+    // bucket: body = the plain fused filter's counters plus one ticket per
+    // block; epilogue = a standalone sample launch over the same bucket
+    // with the same salt, which also draws the same splitters.
+    Golden g;
+    const FilterInput in = count_and_reduce(g);
+    auto cursors = g.dev.alloc<std::int32_t>(2);
+    auto plain = g.dev.alloc<float>(256);
+    auto plain_upper = g.dev.alloc<float>(256);
+    core::filter_fused_topk_kernel<float>(g.dev, g.data, in.oracles.span(), 2, plain.span(),
+                                          plain_upper.span(), in.offsets.span(), Golden::kB,
+                                          cursors.span(), g.cfg, simt::LaunchOrigin::host, 4);
+    cursors[1] = 0;
+    auto out = g.dev.alloc<float>(256);
+    auto upper = g.dev.alloc<float>(256);
+    std::vector<float> drawn(Golden::kB - 1);
+    constexpr std::uint64_t kSalt = 977;
+    core::filter_fused_topk_kernel<float>(
+        g.dev, g.data, in.oracles.span(), 2, out.span(), upper.span(), in.offsets.span(),
+        Golden::kB, cursors.span(), g.cfg, simt::LaunchOrigin::host, 4, -1,
+        [&](simt::BlockCtx& blk) {
+            core::draw_splitters<float>(blk, out.span(), g.cfg, kSalt, drawn);
+        });
+    const auto tree =
+        core::sample_splitters<float>(g.dev, out.span(), g.cfg, simt::LaunchOrigin::host, kSalt);
+    const auto& prof = g.dev.profiles();
+    ASSERT_EQ(prof.size(), 5u);
+    const simt::KernelProfile& fused = prof[3];
+    EXPECT_EQ(fused.name, "filter_topk");
+    simt::KernelCounters body = fused.counters;
+    EXPECT_EQ(body.global_atomic_ops, prof[2].counters.global_atomic_ops + 4);
+    body.global_atomic_ops = prof[2].counters.global_atomic_ops;
+    EXPECT_EQ(body, prof[2].counters);
+    EXPECT_EQ(prof[4].name, "sample");
+    EXPECT_EQ(fused.epilogue, prof[4].counters);
+    expect_moved_body_duration(g.dev, fused, prof[4]);
+    EXPECT_EQ(drawn, tree.splitters);
+    EXPECT_EQ(cursors[1], 256);  // bucket 3 went to `upper`
 }
 
 TEST(EventGolden, TimingDeterminism) {

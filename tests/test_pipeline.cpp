@@ -13,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "baselines/cpu_reference.hpp"
 #include "bitonic/bitonic.hpp"
 #include "core/approx_select.hpp"
 #include "core/batched_select.hpp"
 #include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
+#include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "simt/timing.hpp"
 #include "stats/order_stats.hpp"
@@ -74,45 +76,161 @@ TEST(Pipeline, PlanGridMatchesSuggestedGrid) {
               static_cast<std::size_t>(plan.grid) * plan.num_buckets);
 }
 
-TEST(Pipeline, FourLaunchesPerSampledLevel) {
-    // A level is sample, count, reduce and filter: the reduce locates the
-    // rank in its grid epilogue, so no select_bucket launch follows it.
+/// Kernel names in launch order.
+std::vector<std::string> launch_names(const simt::Device& dev) {
+    std::vector<std::string> v;
+    for (const auto& p : dev.profiles()) v.push_back(p.name);
+    return v;
+}
+
+TEST(Pipeline, ThreeLaunchesPerLevelBelowTheFirst) {
+    // Level 0 is sample, count, reduce and filter: the reduce locates the
+    // rank in its grid epilogue, and the filter draws the next level's
+    // sample in its own.  A deeper level is count, reduce and filter, and
+    // the last filter sorts the base case.
     const std::size_t n = std::size_t{1} << 22;
     const auto data = data::generate<float>(
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 1});
-    const auto names = [](const simt::Device& dev) {
-        std::vector<std::string> v;
-        for (const auto& p : dev.profiles()) v.push_back(p.name);
-        return v;
-    };
     {
-        // Two sampled levels and the base case.
         simt::Device dev(simt::arch_v100());
         const auto res = core::try_sample_select<float>(dev, data, n / 2, {}).value();
         EXPECT_EQ(res.levels, 2u);
-        EXPECT_EQ(res.launches, 9u);
-        EXPECT_EQ(names(dev), (std::vector<std::string>{
-                                  "sample", "count", "reduce_offsets", "filter", "sample",
-                                  "count", "reduce_offsets", "filter", "bitonic_sort"}));
+        EXPECT_EQ(res.launches, 7u);
+        EXPECT_EQ(launch_names(dev),
+                  (std::vector<std::string>{"sample", "count", "reduce_offsets", "filter", "count",
+                                            "reduce_offsets", "filter"}));
+        for (const auto& p : dev.profiles()) {
+            if (p.name == "filter") EXPECT_NE(p.epilogue, simt::KernelCounters{});
+        }
+        EXPECT_EQ(res.value, baselines::cpu_nth_element<float>(data, n / 2).value);
     }
     {
         // One read-only count level.
         simt::Device dev(simt::arch_v100());
         const auto res = core::try_approx_select<float>(dev, data, n / 2, {}).value();
         EXPECT_EQ(res.launches, 3u);
-        EXPECT_EQ(names(dev), (std::vector<std::string>{"sample", "count_nowrite", "reduce"}));
+        EXPECT_EQ(launch_names(dev),
+                  (std::vector<std::string>{"sample", "count_nowrite", "reduce"}));
     }
     {
-        // The deterministic fallback level locates the same way.
+        // The deterministic fallback levels locate the same way, and every
+        // pivot below level 0 is probed in the filter above it.
         simt::Device dev(simt::arch_v100());
         core::SampleSelectConfig cfg;
         cfg.force_fallback = true;
         const auto res = core::try_sample_select<float>(dev, data, n / 2, cfg).value();
-        EXPECT_GT(res.fallback_levels, 0u);
-        const auto v = names(dev);
+        EXPECT_GT(res.fallback_levels, 1u);
+        EXPECT_EQ(res.fallback_levels, res.levels);
+        EXPECT_EQ(res.launches, 1 + 3 * res.levels);
+        const auto v = launch_names(dev);
         EXPECT_EQ(std::count(v.begin(), v.end(), "select_bucket"), 0);
-        EXPECT_EQ(std::count(v.begin(), v.end(), "pivot_sample"),
-                  static_cast<std::ptrdiff_t>(res.fallback_levels));
+        EXPECT_EQ(std::count(v.begin(), v.end(), "pivot_sample"), 1);
+        EXPECT_EQ(v.front(), "pivot_sample");
+        EXPECT_EQ(dev.profiles().front().origin, simt::LaunchOrigin::host);
+        EXPECT_EQ(res.value, baselines::cpu_nth_element<float>(data, n / 2).value);
+    }
+}
+
+TEST(Pipeline, AllEqualTopKTakesOnlyWhatItNeeds) {
+    // 2^22 equal keys: level 0 locates the equality bucket, and the fused
+    // filter writes the k copies top-k needs straight into the accumulator
+    // and drops the rest.  No copy launch follows it, and the V100 time
+    // stays below the 0.165 ms the deleted radix descent took.
+    const std::size_t n = std::size_t{1} << 22;
+    const std::size_t k = 100;
+    const auto data = data::generate<float>(
+        {.n = n, .dist = data::Distribution::uniform_distinct, .distinct_values = 1, .seed = 42});
+    simt::Device dev(simt::arch_v100());
+    const auto res = core::try_topk_largest<float>(dev, data, k, {}).value();
+    EXPECT_EQ(res.levels, 1u);
+    EXPECT_LT(res.sim_ns, 165e3);
+    const float threshold = baselines::cpu_nth_element<float>(data, n - k).value;
+    EXPECT_EQ(res.threshold, threshold);
+    ASSERT_EQ(res.elements.size(), k);
+    for (const float x : res.elements) ASSERT_EQ(x, threshold);
+    const auto v = launch_names(dev);
+    EXPECT_EQ(std::count(v.begin(), v.end(), "copy"), 0);
+    ASSERT_EQ(v.back(), "filter_topk");
+    EXPECT_LE(dev.profiles().back().counters.global_bytes_written, k * sizeof(float));
+}
+
+TEST(Pipeline, FaultInAPreDrawnLevelResamples) {
+    // A launch fault inside the level whose tree the previous filter drew
+    // discards that tree: the retry launches a sample of its own with the
+    // attempt salt, and the answer stands.  Searches the fault schedules
+    // for one that hits level 1 (a device-origin sample launch shows it).
+    const std::size_t n = std::size_t{1} << 20;
+    const auto data = data::generate<float>(
+        {.n = n, .dist = data::Distribution::uniform_real, .seed = 5});
+    const float expect = baselines::cpu_nth_element<float>(data, n / 3).value;
+    simt::Device clean(simt::arch_v100());
+    ASSERT_TRUE(core::try_sample_select<float>(clean, data, n / 3, {}).ok());
+    ASSERT_EQ(clean.profiles()[4].name, "count");  // level 1, on the drawn tree
+    const simt::KernelCounters drawn_count = clean.profiles()[4].counters;
+    bool hit = false;
+    for (std::uint64_t seed = 1; seed <= 64 && !hit; ++seed) {
+        simt::Device dev(simt::arch_v100());
+        dev.set_faults({.seed = seed, .launch_rate = 0.25});
+        const auto res = core::try_sample_select<float>(dev, data, n / 3, {});
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        EXPECT_EQ(res.value().value, expect);
+        EXPECT_EQ(res.value().resamples, 0u);
+        const auto& prof = dev.profiles();
+        const auto is_level1_sample = [](const simt::KernelProfile& p) {
+            return p.name == "sample" && p.origin == simt::LaunchOrigin::device;
+        };
+        const auto first = std::find_if(prof.begin(), prof.end(), is_level1_sample);
+        if (first == prof.end()) continue;
+        hit = true;
+        EXPECT_GE(dev.robustness().launch_retries, 1u);
+        EXPECT_EQ(res.value().levels, 2u);
+        // The level-0 filter came before the retry's sample, and the last
+        // attempt counted after its own.
+        EXPECT_NE(std::find_if(prof.begin(), first,
+                               [](const simt::KernelProfile& p) { return p.name == "filter"; }),
+                  first);
+        const auto last = std::find_if(prof.rbegin(), prof.rend(), is_level1_sample);
+        ASSERT_NE(last, prof.rbegin());
+        EXPECT_EQ(std::prev(last)->name, "count");
+        // A fresh salt drew another tree, so level 1 bucketed differently.
+        EXPECT_NE(std::prev(last)->counters, drawn_count);
+    }
+    EXPECT_TRUE(hit) << "no fault schedule hit level 1";
+}
+
+TEST(Pipeline, FilterTailsAreCleanUnderSimTSan) {
+    // The tails read and write across every block's output after the grid:
+    // a sort tail reads each block's `out` writes, a top-k tail writes the
+    // accumulator past the cursor region the blocks filled, and a sample
+    // tail gathers from the whole bucket.  Strict mode, inline and on two
+    // host workers.
+    const auto small = data::generate<float>(
+        {.n = 1u << 16, .dist = data::Distribution::uniform_real, .seed = 8});
+    const auto large = data::generate<float>(
+        {.n = 1u << 20, .dist = data::Distribution::uniform_real, .seed = 9});
+    for (const unsigned workers : {0u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        simt::Device dev(simt::arch_v100(), {.host_workers = workers});
+        dev.set_sanitizer(simt::SanMode::strict);
+        const auto sel = core::try_sample_select<float>(dev, small, 1000, {});
+        ASSERT_TRUE(sel.ok()) << sel.status().message;
+        EXPECT_EQ(sel.value().value, baselines::cpu_nth_element<float>(small, 1000).value);
+        ASSERT_EQ(dev.profiles().back().name, "filter");
+        EXPECT_NE(dev.profiles().back().epilogue, simt::KernelCounters{});
+
+        const auto top = core::try_topk_largest<float>(dev, small, 100, {});
+        ASSERT_TRUE(top.ok()) << top.status().message;
+        EXPECT_EQ(top.value().threshold,
+                  baselines::cpu_nth_element<float>(small, small.size() - 100).value);
+        ASSERT_EQ(dev.profiles().back().name, "filter_topk");
+        EXPECT_NE(dev.profiles().back().epilogue, simt::KernelCounters{});
+
+        const auto deep = core::try_sample_select<float>(dev, large, 12345, {});
+        ASSERT_TRUE(deep.ok()) << deep.status().message;
+        EXPECT_EQ(deep.value().levels, 2u);
+        EXPECT_EQ(deep.value().value, baselines::cpu_nth_element<float>(large, 12345).value);
+        EXPECT_EQ(dev.sanitizer()->total_violations(), 0u);
+        EXPECT_GT(dev.sanitizer()->checks(), 0u);
     }
 }
 

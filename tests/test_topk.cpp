@@ -63,6 +63,11 @@ TEST(TopK, WorksWithDuplicates) {
                                              .seed = 23});
     expect_topk(data, n / 10, {});
     expect_topk(data, std::size_t{5}, {});
+    // The threshold's equality bucket writes only the copies still needed,
+    // after the higher buckets' elements, through either cursor kind.
+    core::SampleSelectConfig global;
+    global.atomic_space = simt::AtomicSpace::global;
+    expect_topk(data, n / 10, global);
 }
 
 TEST(TopK, AllEqualInput) {
