@@ -61,6 +61,46 @@ SearchTree<T> sample_splitters(simt::Device& dev, std::span<const T> data,
     return SearchTree<T>::build(std::move(splitters));
 }
 
+template <typename T>
+void sample_sorted_tiles(simt::Device& dev, std::span<const T> data, const TileSample& shape,
+                         std::span<T> out, simt::LaunchOrigin origin, int stream) {
+    // A full block per tile: the timing model scales utilization with the
+    // launched threads, and a tile keeps 1024 of them busy (4 elements per
+    // thread at kMaxSortSize).
+    constexpr int kTileBlockDim = 1024;
+    if (shape.tiles() == 0) return;
+    dev.launch("sample",
+               {.grid_dim = static_cast<int>(shape.tiles()), .block_dim = kTileBlockDim,
+                .origin = origin, .stream = stream},
+               [data, &shape, out](simt::BlockCtx& blk) {
+                   const auto t = static_cast<std::size_t>(blk.block_idx());
+                   const std::size_t begin = t * bitonic::kMaxSortSize;
+                   const std::size_t len = shape.length(t);
+                   auto sh = blk.shared_array<T>(bitonic::next_pow2(len));
+                   blk.warp_tiles_local(len, [&](simt::WarpCtx& w, std::size_t base,
+                                                 std::size_t) {
+                       T regs[simt::kWarpSize];
+                       w.load(data, begin + base, regs);
+                       for (int l = 0; l < w.lanes(); ++l) {
+                           blk.shared_st(sh, base + static_cast<std::size_t>(l), regs[l]);
+                       }
+                       w.touch_shared(static_cast<std::uint64_t>(w.lanes()) * sizeof(T));
+                   });
+                   bitonic::sort_in_shared(blk, sh, len);
+                   // Only the regular sample leaves shared memory.
+                   blk.warp_tiles_local(shape.samples(t), [&](simt::WarpCtx& w,
+                                                              std::size_t base, std::size_t) {
+                       T regs[simt::kWarpSize];
+                       for (int l = 0; l < w.lanes(); ++l) {
+                           regs[l] = blk.shared_ld(
+                               sh, shape.rank(t, base + static_cast<std::size_t>(l)));
+                       }
+                       w.touch_shared(static_cast<std::uint64_t>(w.lanes()) * sizeof(T));
+                       w.store(out, t * shape.per_tile + base, regs);
+                   });
+               });
+}
+
 template void draw_splitters<float>(simt::BlockCtx&, std::span<const float>,
                                     const SampleSelectConfig&, std::uint64_t, std::span<float>);
 template void draw_splitters<double>(simt::BlockCtx&, std::span<const double>,
@@ -77,5 +117,10 @@ template SearchTree<double> sample_splitters<double>(simt::Device&, std::span<co
 template SearchTree<ArgPair> sample_splitters<ArgPair>(simt::Device&, std::span<const ArgPair>,
                                                        const SampleSelectConfig&,
                                                        simt::LaunchOrigin, std::uint64_t, int);
+template void sample_sorted_tiles<float>(simt::Device&, std::span<const float>, const TileSample&,
+                                         std::span<float>, simt::LaunchOrigin, int);
+template void sample_sorted_tiles<double>(simt::Device&, std::span<const double>,
+                                          const TileSample&, std::span<double>,
+                                          simt::LaunchOrigin, int);
 
 }  // namespace gpusel::core

@@ -12,16 +12,13 @@
 #include "core/pipeline.hpp"
 #include "core/planner.hpp"
 #include "core/reduce_kernel.hpp"
+#include "core/sample_kernel.hpp"
 #include "core/sample_select.hpp"
 #include "core/topk.hpp"
 
 namespace gpusel::core {
 
 namespace {
-
-/// Distinct per-shard sampling seeds (golden-ratio stepping), so the
-/// per-shard descents never share a splitter sample stream.
-constexpr std::uint64_t kShardSeedStep = 0x9e3779b97f4a7c15ull;
 
 /// Level-executor options over a merged (not sampled) tree: the caller
 /// already knows which bucket it wants, so no locate epilogue runs.  Count-
@@ -155,10 +152,11 @@ struct ShardEnv {
     std::vector<std::size_t> peak_start;   ///< per used device
     std::vector<std::size_t> peak_seen;
 
-    /// Marks the measurement baselines, leases one stream per used device,
-    /// cuts the non-NaN elements of `input` into near-equal contiguous
-    /// chunks placed round-robin over the used devices, and records the
-    /// planner decision for `planner_k` on device 0.
+    /// Marks the measurement baselines, leases one stream per used device
+    /// and starts it at the group clock, cuts the non-NaN elements of
+    /// `input` into near-equal contiguous chunks placed round-robin over the
+    /// used devices, and records the planner decision for `planner_k` on
+    /// device 0.
     ShardEnv(simt::DeviceGroup& g, const ShardSelectConfig& c, std::span<const T> input,
              const Opening& o, std::size_t planner_k)
         : ShardEnv(g, c) {
@@ -175,6 +173,10 @@ struct ShardEnv {
         for (int d = 0; d < devices_used; ++d) {
             simt::Device& dev = group.device(d);
             stream.push_back(dev.lease_stream());
+            // The call starts when it is issued: a device that finished its
+            // share of an earlier call sooner must not start this one ahead
+            // of the group.  A scheduling fact, not an ordering edge.
+            dev.advance_stream(stream.back(), t0);
             dev.tracker().set_baseline();
             peak_start.push_back(dev.tracker().current());
             peak_seen.push_back(dev.tracker().current());
@@ -210,8 +212,48 @@ struct ShardEnv {
     /// The pipeline config on device d's leased stream.
     [[nodiscard]] SampleSelectConfig on_device(int d) const {
         SampleSelectConfig c = cfg.select;
-        c.stream = stream[static_cast<std::size_t>(d)];
+        c.stream = stream_of(d);
         return c;
+    }
+    [[nodiscard]] int stream_of(int d) const { return stream[static_cast<std::size_t>(d)]; }
+
+    /// Runs `step` on device d under the bounded fault retry of the
+    /// single-device passes (with_fault_retry).  Every allocation, launch
+    /// and transfer of a sharded call runs under one, so an injected fault
+    /// is retried or becomes a typed status, never an exception.
+    template <typename F>
+    [[nodiscard]] Status retry(int d, F&& step) {
+        const SampleSelectConfig c = on_device(d);
+        return with_fault_retry(PipelineContext(group.device(d), c), std::forward<F>(step));
+    }
+
+    /// A pooled checkout of n Us on device d's leased stream.
+    template <typename U>
+    [[nodiscard]] Result<simt::PooledBuffer<U>> checkout(int d, std::size_t n) {
+        simt::PooledBuffer<U> buf;
+        if (Status st = retry(d, [&] { buf = group.device(d).template pooled<U>(n, stream_of(d)); });
+            !st.ok()) {
+            return st;
+        }
+        return buf;
+    }
+
+    /// Moves `src`, produced on device `from`'s leased stream, to
+    /// dst[dst_base...] on device `to`, and adopts both edges of the
+    /// transfer: `to`'s leased stream waits for the landing and `from`'s for
+    /// the send, so the landing may be read and the source released.
+    template <typename U>
+    [[nodiscard]] Status send(int from, std::span<const U> src, int to, std::span<U> dst,
+                              std::size_t dst_base) {
+        simt::TransferRecord rec;
+        Status st = retry(from, [&] {
+            rec = group.template transfer<U>(from, src, 0, to, dst, dst_base, src.size(),
+                                             stream_of(from));
+        });
+        if (!st.ok()) return st;
+        group.device(to).wait_event(stream_of(to), rec.ready_ns);
+        group.device(from).wait_event(stream_of(from), rec.src_done_ns);
+        return Status::success();
     }
 
     /// Folds each used device's tracker peak into the running maximum.
@@ -252,41 +294,63 @@ private:
     ShardEnv(simt::DeviceGroup& g, const ShardSelectConfig& c) : group(g), cfg(c) {}
 };
 
-/// Splitter candidates, concatenated per device in shard order (shards on
-/// one device share its memory; only cross-device hops cost link traffic).
+/// Splitter candidates: one buffer per used device holding the tile samples
+/// of its shards in shard order.  The buffers are the merge's per-device
+/// nodes, so no candidate passes through the host before the root has them
+/// all.
 template <typename T>
 struct Candidates {
-    std::vector<std::vector<T>> per_device;
-    std::size_t max_stride = 0;  ///< largest candidate rank stride w_j
+    std::vector<simt::PooledBuffer<T>> per_device;
+    std::size_t tiles = 0;       ///< T: sorted tiles over all shards
+    std::size_t max_stride = 0;  ///< max_t ceil(n_t / (s_t + 1))
 };
 
-/// Phase A: every shard contributes 4 * splitter_buckets exact order
-/// statistics at regular rank strides (a deterministic regular sample, not
-/// a random one) via a multi-rank selection on its own device and stream.
+/// Phase A: every shard is staged and cut into tiles of
+/// bitonic::kMaxSortSize elements; one `sample` launch sorts each tile in
+/// shared memory and writes s_t = min(4 * splitter_buckets, n_t) of its
+/// elements, at regular ranks, into its device's candidate buffer.  A
+/// deterministic regular sample of locally sorted sources (parallel sorting
+/// by regular sampling), not a random one.
 template <typename T>
 Result<Candidates<T>> shard_candidates(ShardEnv<T>& env) {
+    const auto per_tile = static_cast<std::size_t>(4 * env.cfg.splitter_buckets);
+    const auto devices = static_cast<std::size_t>(env.devices_used);
     Candidates<T> cand;
-    cand.per_device.resize(static_cast<std::size_t>(env.devices_used));
+    cand.per_device.resize(devices);
+    std::vector<std::size_t> fill(devices, 0);
+    for (std::size_t j = 0; j < env.chunks.size(); ++j) {
+        const TileSample shape{.n = env.chunks[j].size(), .per_tile = per_tile};
+        for (std::size_t t = 0; t < shape.tiles(); ++t) {
+            cand.max_stride = std::max(cand.max_stride, shape.stride(t));
+        }
+        cand.tiles += shape.tiles();
+        fill[static_cast<std::size_t>(env.shard_dev[j])] += shape.total();
+    }
+    for (int d = 0; d < env.devices_used; ++d) {
+        const auto i = static_cast<std::size_t>(d);
+        if (fill[i] == 0) continue;
+        auto buf = env.template checkout<T>(d, fill[i]);
+        if (!buf.ok()) return buf.status();
+        cand.per_device[i] = buf.take();
+    }
+    std::fill(fill.begin(), fill.end(), 0);
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
         const auto& chunk = env.chunks[j];
-        const std::size_t nj = chunk.size();
-        if (nj == 0) continue;
-        const std::size_t sj =
-            std::min(static_cast<std::size_t>(4 * env.cfg.splitter_buckets), nj);
-        const std::size_t wj = (nj + sj) / (sj + 1);  // ceil(nj / (sj + 1)) >= 1
-        cand.max_stride = std::max(cand.max_stride, wj);
-        std::vector<std::size_t> ranks;
-        ranks.reserve(sj);
-        for (std::size_t i = 0; i < sj; ++i) ranks.push_back(std::min(nj - 1, (i + 1) * wj - 1));
-        ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+        if (chunk.empty()) continue;
         const int d = env.shard_dev[j];
-        SampleSelectConfig sc = env.on_device(d);
-        sc.seed = env.cfg.select.seed + (static_cast<std::uint64_t>(j) + 1) * kShardSeedStep;
-        auto r = try_multi_select<T>(env.group.device(d), std::span<const T>(chunk), ranks, sc);
-        if (!r.ok()) return r.status();
-        auto& dst = cand.per_device[static_cast<std::size_t>(d)];
-        dst.insert(dst.end(), r.value().values.begin(), r.value().values.end());
+        const auto i = static_cast<std::size_t>(d);
+        const TileSample shape{.n = chunk.size(), .per_tile = per_tile};
+        const std::span<T> dst = cand.per_device[i].span().subspan(fill[i], shape.total());
+        const SampleSelectConfig sc = env.on_device(d);
+        const PipelineContext ctx(env.group.device(d), sc, sc.stream);
+        Status st = with_fault_retry(ctx, [&] {
+            auto staged = DataHolder<T>::stage(ctx, chunk);
+            sample_sorted_tiles<T>(ctx.dev(), std::span<const T>(staged.span()), shape, dst,
+                                   simt::LaunchOrigin::host, ctx.stream());
+        });
+        if (!st.ok()) return st;
         env.sample_peaks();
+        fill[i] += shape.total();
     }
     return cand;
 }
@@ -296,59 +360,45 @@ Result<Candidates<T>> shard_candidates(ShardEnv<T>& env) {
 /// copy with `build`.  The root's staging buffer is released only after
 /// the last send finished.
 template <typename T, typename Build>
-std::vector<SearchTree<T>> broadcast_tree(ShardEnv<T>& env, const std::vector<T>& values,
-                                          Build build) {
-    std::vector<SearchTree<T>> tree(static_cast<std::size_t>(env.devices_used));
+Status broadcast_tree(ShardEnv<T>& env, const std::vector<T>& values, Build build,
+                      std::vector<SearchTree<T>>& tree) {
+    tree.assign(static_cast<std::size_t>(env.devices_used), {});
     tree[0] = build(values);
-    if (env.devices_used == 1) return tree;
-    simt::Device& rdev = env.group.device(0);
-    const int rstream = env.stream[0];
-    auto staged = rdev.pooled<T>(values.size(), rstream);
-    std::copy(values.begin(), values.end(), staged.span().begin());
-    double last_src_done = 0.0;
+    if (env.devices_used == 1) return Status::success();
+    auto staged = env.template checkout<T>(0, values.size());
+    if (!staged.ok()) return staged.status();
+    std::copy(values.begin(), values.end(), staged.value().span().begin());
     for (int d = 1; d < env.devices_used; ++d) {
-        simt::Device& ddev = env.group.device(d);
-        const int dstream = env.stream[static_cast<std::size_t>(d)];
-        auto landing = ddev.pooled<T>(values.size(), dstream);
-        const auto rec = env.group.template transfer<T>(0, std::span<const T>(staged.span()), 0, d,
-                                                        landing.span(), 0, values.size(), rstream);
-        ddev.wait_event(dstream, rec.ready_ns);
-        last_src_done = rec.src_done_ns;
-        tree[static_cast<std::size_t>(d)] =
-            build(std::vector<T>(landing.span().begin(), landing.span().end()));
+        auto landing = env.template checkout<T>(d, values.size());
+        if (!landing.ok()) return landing.status();
+        const std::span<T> got = landing.value().span();
+        if (Status st = env.send(0, std::span<const T>(staged.value().span()), d, got, 0);
+            !st.ok()) {
+            return st;
+        }
+        tree[static_cast<std::size_t>(d)] = build(std::vector<T>(got.begin(), got.end()));
     }
-    rdev.wait_event(rstream, last_src_done);
-    return tree;
+    return Status::success();
 }
 
-/// Phase B0: hierarchical candidate gather.  Per-device candidate lists are
-/// staged once, then merged toward device 0 in rounds of `merge_fanin`;
-/// every hop is a real DeviceGroup::transfer whose ready/src-done events
-/// order the gather writes and the source releases.  The merged set is
-/// sorted on the host (|C| is tiny next to n) and cut into global splitters
-/// at regular candidate gaps, which the root then broadcasts so every used
-/// device builds the same SearchTree.
+/// Phase B0: hierarchical candidate gather.  The per-device candidate
+/// buffers are merged toward device 0 in rounds of `merge_fanin`; every hop
+/// is a real DeviceGroup::transfer whose ready/src-done events order the
+/// gather writes and the source releases.  The merged set is sorted on the
+/// host (|C| is tiny next to n) and cut into global splitters at regular
+/// candidate gaps, which the root then broadcasts so every used device
+/// builds the same SearchTree.
 template <typename T>
-Status merge_candidates(ShardEnv<T>& env, const Candidates<T>& cand,
-                        std::vector<SearchTree<T>>& tree) {
+Status merge_candidates(ShardEnv<T>& env, Candidates<T>& cand, std::vector<SearchTree<T>>& tree) {
     struct Node {
         int dev = 0;
-        std::optional<simt::PooledBuffer<T>> buf;
-        std::size_t count = 0;
+        simt::PooledBuffer<T> buf;
     };
     std::vector<Node> active;
     for (int d = 0; d < env.devices_used; ++d) {
-        const auto& h = cand.per_device[static_cast<std::size_t>(d)];
-        if (h.empty()) continue;
-        Node nd;
-        nd.dev = d;
-        nd.count = h.size();
-        nd.buf.emplace(env.group.device(d).template pooled<T>(
-            h.size(), env.stream[static_cast<std::size_t>(d)]));
-        std::copy(h.begin(), h.end(), nd.buf->span().begin());
-        active.push_back(std::move(nd));
+        auto& buf = cand.per_device[static_cast<std::size_t>(d)];
+        if (!buf.empty()) active.push_back({d, std::move(buf)});
     }
-    env.sample_peaks();
     if (active.empty()) {
         return Status::failure(SelectError::internal, "sharded merge produced no candidates");
     }
@@ -363,34 +413,30 @@ Status merge_candidates(ShardEnv<T>& env, const Candidates<T>& cand,
             }
             Node& leader = active[g];
             std::size_t total = 0;
-            for (std::size_t m = g; m < end; ++m) total += active[m].count;
+            for (std::size_t m = g; m < end; ++m) total += active[m].buf.size();
             simt::Device& ldev = env.group.device(leader.dev);
-            const int lstream = env.stream[static_cast<std::size_t>(leader.dev)];
-            auto gather = ldev.pooled<T>(total, lstream);
-            launch_copy<T>(ldev, std::span<const T>(leader.buf->span()), 0, gather.span(), 0,
-                           leader.count, simt::LaunchOrigin::host, env.cfg.select.block_dim,
-                           lstream);
-            std::size_t off = leader.count;
+            simt::PooledBuffer<T> gather;
+            Status st = env.retry(leader.dev, [&] {
+                gather = ldev.template pooled<T>(total, env.stream_of(leader.dev));
+                launch_copy<T>(ldev, std::span<const T>(leader.buf.span()), 0, gather.span(), 0,
+                               leader.buf.size(), simt::LaunchOrigin::host,
+                               env.cfg.select.block_dim, env.stream_of(leader.dev));
+            });
+            if (!st.ok()) return st;
+            std::size_t off = leader.buf.size();
             for (std::size_t m = g + 1; m < end; ++m) {
                 Node& mem = active[m];
-                const int mstream = env.stream[static_cast<std::size_t>(mem.dev)];
-                const auto rec = env.group.template transfer<T>(
-                    mem.dev, std::span<const T>(mem.buf->span()), 0, leader.dev, gather.span(),
-                    off, mem.count, mstream);
-                // Leader-side consumers read after the landing write; the
-                // member's buffer is released only after the send finished.
-                ldev.wait_event(lstream, rec.ready_ns);
-                env.group.device(mem.dev).wait_event(mstream, rec.src_done_ns);
-                mem.buf.reset();
-                off += mem.count;
+                // The leader reads after the landing write; the member's
+                // buffer is released only after the send finished.
+                st = env.send(mem.dev, std::span<const T>(mem.buf.span()), leader.dev,
+                              gather.span(), off);
+                if (!st.ok()) return st;
+                off += mem.buf.size();
+                mem.buf = {};
             }
             env.sample_peaks();
-            Node merged;
-            merged.dev = leader.dev;
-            merged.count = total;
-            leader.buf.reset();
-            merged.buf.emplace(std::move(gather));
-            next.push_back(std::move(merged));
+            leader.buf = {};
+            next.push_back({leader.dev, std::move(gather)});
         }
         active = std::move(next);
     }
@@ -399,7 +445,7 @@ Status merge_candidates(ShardEnv<T>& env, const Candidates<T>& cand,
         return Status::failure(SelectError::internal,
                                "candidate merge did not land on the root device");
     }
-    std::vector<T> merged(root.buf->span().begin(), root.buf->span().end());
+    std::vector<T> merged(root.buf.span().begin(), root.buf.span().end());
     std::sort(merged.begin(), merged.end(), [](T a, T b) { return total_less(a, b); });
     std::vector<T> splitters;
     for (const std::size_t r : regular_ranks(merged.size(), env.cfg.splitter_buckets)) {
@@ -408,13 +454,27 @@ Status merge_candidates(ShardEnv<T>& env, const Candidates<T>& cand,
     const std::size_t b = splitters.size() + 1;
     const std::size_t gap = (merged.size() + b - 1) / b;  // g = ceil(|C| / b_eff)
     env.acct.merge_candidates = merged.size();
-    env.acct.skew_bound = (gap + env.chunks.size()) * cand.max_stride;
-    tree = broadcast_tree(env, splitters,
-                          [](std::vector<T> s) { return SearchTree<T>::build(std::move(s)); });
-    root.buf.reset();
+    // A non-equality bucket holds fewer than 2g candidates: at most g up to
+    // its upper splitter, plus the ties of its lower splitter that sort
+    // before that splitter's position (fewer than g, or the splitter would
+    // repeat and get an equality bucket).  Each of them, and each tile once,
+    // stands for at most one rank stride of its tile's elements.
+    env.acct.skew_bound = (2 * gap + cand.tiles) * cand.max_stride;
+    Status st = broadcast_tree(
+        env, splitters, [](std::vector<T> s) { return SearchTree<T>::build(std::move(s)); }, tree);
+    root.buf = {};
     env.sample_peaks();
-    return Status::success();
+    return st;
 }
+
+/// A counted level a device keeps from the locate for the gather: its last
+/// shard, still staged, with the oracles and block offsets a filter needs.
+template <typename T>
+struct KeptLevel {
+    std::size_t shard = 0;
+    DataHolder<T> data;
+    LevelOutcome<T> level;
+};
 
 /// Where a rank fell among the merged global splitters.
 template <typename T>
@@ -423,40 +483,55 @@ struct Located {
     std::vector<std::int64_t> prefix;    ///< exclusive global bucket prefix, size b + 1
     std::vector<std::size_t> in_bucket;  ///< per shard: its elements in the located bucket
     std::size_t bucket = 0;
+    /// Root stream clock when the host learned `bucket`: the end of
+    /// select_bucket, or the arrival of the last totals on the int64 path.
+    double located_ns = 0.0;
+    /// Per used device, the level the gather filters without a recount.
+    std::vector<std::optional<KeptLevel<T>>> kept;
 };
 
 /// Phase B1: out-of-core count.  Every shard is re-staged, counted against
 /// its device's copy of the merged tree, and released before the next shard
 /// touches the device; per-shard int32 counts travel to the root over the
 /// link and accumulate in int64 (the global n may exceed int32).  Then
-/// `rank`'s global bucket is located.
+/// `rank`'s global bucket is located.  With `keep`, each device's last
+/// shard is counted with oracles and block offsets, and its level stays
+/// staged in `loc.kept` for the gather.
 template <typename T>
-Status count_shards(ShardEnv<T>& env, std::size_t rank, Located<T>& loc) {
+Status count_shards(ShardEnv<T>& env, std::size_t rank, bool keep, Located<T>& loc) {
     const std::size_t shards = env.chunks.size();
     const auto b = static_cast<std::size_t>(loc.tree[0].num_buckets);
     std::vector<std::vector<std::int64_t>> shard_totals(shards, std::vector<std::int64_t>(b, 0));
     std::vector<std::int64_t> totals(b, 0);
     simt::Device& rdev = env.group.device(0);
-    const int rstream = env.stream[0];
-    std::optional<simt::PooledBuffer<std::int32_t>> landing;
+    const int rstream = env.stream_of(0);
+    simt::PooledBuffer<std::int32_t> landing;
+    std::vector<std::size_t> last(static_cast<std::size_t>(env.devices_used), shards);
+    for (std::size_t j = 0; j < shards; ++j) {
+        if (!env.chunks[j].empty()) last[static_cast<std::size_t>(env.shard_dev[j])] = j;
+    }
+    loc.kept.resize(static_cast<std::size_t>(env.devices_used));
 
     for (std::size_t j = 0; j < shards; ++j) {
         const auto& chunk = env.chunks[j];
         if (chunk.empty()) continue;
         const int d = env.shard_dev[j];
+        const bool kept = keep && last[static_cast<std::size_t>(d)] == j;
         simt::Device& dev = env.group.device(d);
         SampleSelectConfig sc = env.on_device(d);
         sc.num_buckets = static_cast<int>(b);
         PipelineContext ctx(dev, sc, sc.stream);
         // The level owns the device totals; it stays alive until their
         // transfer to the root is issued below.
+        DataHolder<T> staged;
         std::optional<LevelOutcome<T>> lv;
         Status st = with_fault_retry(ctx, [&] {
             lv.reset();
-            auto staged = DataHolder<T>::stage(ctx, chunk);
+            staged = DataHolder<T>::stage(ctx, chunk);
             lv.emplace(finish_level<T>(ctx, std::span<const T>(staged.span()), 0,
                                        simt::LaunchOrigin::host,
-                                       loc.tree[static_cast<std::size_t>(d)], kCountOnly));
+                                       loc.tree[static_cast<std::size_t>(d)],
+                                       kept ? kCountForFilter : kCountOnly));
         });
         if (!st.ok()) return st;
         env.sample_peaks();
@@ -468,11 +543,18 @@ Status count_shards(ShardEnv<T>& env, std::size_t rank, Located<T>& loc) {
             // The counts travel to the root like any other payload, so the
             // merge's link cost is modeled even though the values are
             // already host-visible.
-            if (!landing) landing.emplace(rdev.pooled<std::int32_t>(b, rstream));
-            const auto rec = env.group.template transfer<std::int32_t>(
-                d, lv->totals_span(), 0, 0, landing->span(), 0, b, sc.stream);
-            rdev.wait_event(rstream, rec.ready_ns);
-            dev.wait_event(sc.stream, rec.src_done_ns);
+            if (landing.empty()) {
+                auto got = env.template checkout<std::int32_t>(0, b);
+                if (!got.ok()) return got.status();
+                landing = got.take();
+            }
+            if (Status s = env.send(d, lv->totals_span(), 0, landing.span(), 0); !s.ok()) {
+                return s;
+            }
+        }
+        if (kept) {
+            loc.kept[static_cast<std::size_t>(d)].emplace(
+                KeptLevel<T>{.shard = j, .data = std::move(staged), .level = std::move(*lv)});
         }
     }
 
@@ -484,16 +566,20 @@ Status count_shards(ShardEnv<T>& env, std::size_t rank, Located<T>& loc) {
         // The totals were summed on the host, so no device kernel counted
         // them last: a one-block select_bucket launch runs the locate the
         // single-device levels run in their reduce's epilogue (Sec. IV-E).
-        auto dtot = rdev.pooled<std::int32_t>(b, rstream);
-        for (std::size_t i = 0; i < b; ++i) dtot[i] = static_cast<std::int32_t>(totals[i]);
-        auto dpre = rdev.pooled<std::int32_t>(b + 1, rstream);
-        loc.bucket = static_cast<std::size_t>(
-            select_bucket_kernel(rdev, std::span<const std::int32_t>(dtot.span()), dpre.span(),
-                                 rank, simt::LaunchOrigin::host, rstream));
+        Status st = env.retry(0, [&] {
+            auto dtot = rdev.pooled<std::int32_t>(b, rstream);
+            for (std::size_t i = 0; i < b; ++i) dtot[i] = static_cast<std::int32_t>(totals[i]);
+            auto dpre = rdev.pooled<std::int32_t>(b + 1, rstream);
+            loc.bucket = static_cast<std::size_t>(
+                select_bucket_kernel(rdev, std::span<const std::int32_t>(dtot.span()),
+                                     dpre.span(), rank, simt::LaunchOrigin::host, rstream));
+        });
+        if (!st.ok()) return st;
         env.sample_peaks();
     } else {
         loc.bucket = locate_bucket(loc.prefix, rank);
     }
+    loc.located_ns = rdev.stream_clock(rstream);
     for (const auto& row : shard_totals) {
         loc.in_bucket.push_back(static_cast<std::size_t>(row[loc.bucket]));
     }
@@ -506,75 +592,98 @@ Status count_shards(ShardEnv<T>& env, std::size_t rank, Located<T>& loc) {
 }
 
 /// Candidates -> merge -> count: locates `rank` among the merged global
-/// splitters.
+/// splitters, keeping one counted level per device when `keep`.
 template <typename T>
-Result<Located<T>> locate(ShardEnv<T>& env, std::size_t rank) {
+Result<Located<T>> locate(ShardEnv<T>& env, std::size_t rank, bool keep) {
     Result<Candidates<T>> cand = shard_candidates(env);
     if (!cand.ok()) return cand.status();
     Located<T> loc;
     if (Status st = merge_candidates(env, cand.value(), loc.tree); !st.ok()) return st;
-    if (Status st = count_shards(env, rank, loc); !st.ok()) return st;
+    if (Status st = count_shards(env, rank, keep, loc); !st.ok()) return st;
     return loc;
 }
 
-/// Phase B2: count, filter and gather one bucket onto device 0.  Re-stages
-/// each shard, counts it against its device's copy of `tree`, extracts its
-/// slice of `bucket` and gathers the slices in shard order into `out` on
-/// the root: a root shard filters straight into `out`, any other into a
-/// slice buffer that a link transfer moves.  A slice's size comes from
-/// this pass's own count, and an empty slice issues no filter launch.  A
-/// shard an earlier count showed to hold none of the bucket
-/// (`known[j] == 0`) is skipped without being staged.  Returns the elements
-/// gathered.
+/// Phase B2: filter one bucket out of every shard and gather it onto
+/// device 0, device by device.  Device 0's shards filter straight into
+/// `out`; every other device filters all its shards' slices into one buffer
+/// and sends it with one transfer.  Each device's stream first advances to
+/// `start_ns`, when the host learned `bucket`.  A device's `kept` level is
+/// filtered first, without a recount; every other shard is re-staged and
+/// counted for the filter.  `known[j]`, when given, is shard j's count of
+/// the bucket from the locate: it sizes each device's slice, and a shard
+/// that holds none is not staged.  Without it, each shard's own count
+/// places its slice at a running offset in a slice of the room left in
+/// `out`.  Returns the elements gathered.
 template <typename T>
 Result<std::size_t> gather_bucket(ShardEnv<T>& env, const std::vector<SearchTree<T>>& tree,
                                   std::int32_t bucket, std::span<const std::size_t> known,
+                                  std::vector<std::optional<KeptLevel<T>>> kept, double start_ns,
                                   simt::PooledBuffer<T>& out) {
-    simt::Device& rdev = env.group.device(0);
-    const int rstream = env.stream[0];
+    kept.resize(static_cast<std::size_t>(env.devices_used));
     std::size_t off = 0;
-    for (std::size_t j = 0; j < env.chunks.size(); ++j) {
-        const auto& chunk = env.chunks[j];
-        if (chunk.empty() || (!known.empty() && known[j] == 0)) continue;
-        const int d = env.shard_dev[j];
+    for (int d = 0; d < env.devices_used; ++d) {
         simt::Device& dev = env.group.device(d);
+        dev.advance_stream(env.stream_of(d), start_ns);
+        std::optional<KeptLevel<T>>& keep = kept[static_cast<std::size_t>(d)];
+        std::vector<std::size_t> order;
+        if (keep) order.push_back(keep->shard);
+        std::size_t room = known.empty() ? out.size() - off : 0;
+        for (std::size_t j = 0; j < env.chunks.size(); ++j) {
+            if (env.shard_dev[j] != d || env.chunks[j].empty()) continue;
+            if (!known.empty()) room += known[j];
+            const bool skip = (keep && keep->shard == j) || (!known.empty() && known[j] == 0);
+            if (!skip) order.push_back(j);
+        }
+        room = std::min(room, out.size() - off);
+        simt::PooledBuffer<T> slice;
+        std::span<T> dst;
+        if (d == 0) {
+            dst = out.span().subspan(off, room);
+        } else if (room > 0 && !order.empty()) {
+            auto got = env.template checkout<T>(d, room);
+            if (!got.ok()) return got.status();
+            slice = got.take();
+            dst = slice.span();
+        }
         const SearchTree<T>& dtree = tree[static_cast<std::size_t>(d)];
         SampleSelectConfig sc = env.on_device(d);
         sc.num_buckets = dtree.num_buckets;
-        PipelineContext ctx(dev, sc, sc.stream);
-        std::optional<simt::PooledBuffer<T>> slice;
-        std::size_t q = 0;
-        Status st = with_fault_retry(ctx, [&] {
-            slice.reset();
-            auto staged = DataHolder<T>::stage(ctx, chunk);
-            const std::span<const T> data(staged.span());
-            const LevelOutcome<T> lv =
-                finish_level<T>(ctx, data, 0, simt::LaunchOrigin::host, dtree, kCountForFilter);
-            q = static_cast<std::size_t>(lv.totals[static_cast<std::size_t>(bucket)]);
-            if (q == 0 || off + q > out.size()) return;
-            if (d == 0) {
-                filter_bucket<T>(ctx, data, lv, bucket, out.span().subspan(off, q),
-                                 simt::LaunchOrigin::host);
-                return;
+        const PipelineContext ctx(dev, sc, sc.stream);
+        std::size_t used = 0;
+        for (const std::size_t j : order) {
+            const bool reuse = keep && keep->shard == j;
+            std::size_t q = 0;
+            Status st = with_fault_retry(ctx, [&] {
+                DataHolder<T> staged;
+                std::optional<LevelOutcome<T>> fresh;
+                if (!reuse) {
+                    staged = DataHolder<T>::stage(ctx, env.chunks[j]);
+                    fresh.emplace(finish_level<T>(ctx, std::span<const T>(staged.span()), 0,
+                                                  simt::LaunchOrigin::host, dtree,
+                                                  kCountForFilter));
+                }
+                const LevelOutcome<T>& lv = reuse ? keep->level : *fresh;
+                q = static_cast<std::size_t>(lv.totals[static_cast<std::size_t>(bucket)]);
+                if (q == 0 || used + q > dst.size()) return;
+                filter_bucket<T>(ctx, reuse ? keep->data.span() : staged.span(), lv, bucket,
+                                 dst.subspan(used, q), simt::LaunchOrigin::host);
+            });
+            if (!st.ok()) return st;
+            if (reuse) keep.reset();  // the kept shard's staging goes first
+            env.sample_peaks();
+            if (used + q > dst.size()) {
+                return Status::failure(SelectError::internal,
+                                       "sharded gather overflowed its slice");
             }
-            auto s = dev.pooled<T>(q, sc.stream);
-            filter_bucket<T>(ctx, data, lv, bucket, s.span(), simt::LaunchOrigin::host);
-            slice.emplace(std::move(s));
-        });
-        if (!st.ok()) return st;
-        env.sample_peaks();
-        if (off + q > out.size()) {
-            return Status::failure(SelectError::internal,
-                                   "sharded gather overflowed its root buffer");
+            used += q;
         }
-        if (slice) {
-            const auto rec = env.group.template transfer<T>(d, std::span<const T>(slice->span()), 0,
-                                                            0, out.span(), off, q, sc.stream);
-            rdev.wait_event(rstream, rec.ready_ns);
-            dev.wait_event(sc.stream, rec.src_done_ns);
-            slice.reset();
+        if (d != 0 && used > 0) {
+            if (Status st = env.send(d, std::span<const T>(dst.first(used)), 0, out.span(), off);
+                !st.ok()) {
+                return st;
+            }
         }
-        off += q;
+        off += used;
     }
     return off;
 }
@@ -595,9 +704,9 @@ Result<ShardedSelectResult<T>> run_exact(ShardEnv<T>& env, std::size_t rank) {
         out.equality_exit = r.value().equality_exit;
         return out;
     }
-    Result<Located<T>> found = locate(env, rank);
+    Result<Located<T>> found = locate(env, rank, true);
     if (!found.ok()) return found.status();
-    const Located<T>& loc = found.value();
+    Located<T>& loc = found.value();
     if (loc.tree[0].equality[loc.bucket]) {
         // The rank fell into a bucket that holds one repeated value.
         out.value = loc.tree[0].splitters[loc.bucket - 1];
@@ -606,12 +715,15 @@ Result<ShardedSelectResult<T>> run_exact(ShardEnv<T>& env, std::size_t rank) {
     }
     simt::Device& rdev = env.group.device(0);
     const auto rank_offset = static_cast<std::size_t>(loc.prefix[loc.bucket]);
-    auto merged = rdev.pooled<T>(static_cast<std::size_t>(loc.prefix[loc.bucket + 1]) - rank_offset,
-                                 env.stream[0]);
-    Result<std::size_t> got = gather_bucket(env, loc.tree, static_cast<std::int32_t>(loc.bucket),
-                                            std::span<const std::size_t>(loc.in_bucket), merged);
+    auto merged = env.template checkout<T>(
+        0, static_cast<std::size_t>(loc.prefix[loc.bucket + 1]) - rank_offset);
+    if (!merged.ok()) return merged.status();
+    Result<std::size_t> got = gather_bucket(
+        env, loc.tree, static_cast<std::int32_t>(loc.bucket),
+        std::span<const std::size_t>(loc.in_bucket), std::move(loc.kept), loc.located_ns,
+        merged.value());
     if (!got.ok()) return got.status();
-    if (got.value() != merged.size()) {
+    if (got.value() != merged.value().size()) {
         return Status::failure(SelectError::internal,
                                "sharded filter gathered a mis-sized bucket");
     }
@@ -623,8 +735,8 @@ Result<ShardedSelectResult<T>> run_exact(ShardEnv<T>& env, std::size_t rank) {
         !s.ok()) {
         return s;
     }
-    auto r = try_sample_select_staged<T>(rdev, DataHolder<T>::from_pooled(std::move(merged)),
-                                         rank - rank_offset, rcfg, env.stream[0]);
+    auto r = try_sample_select_staged<T>(rdev, DataHolder<T>::from_pooled(merged.take()),
+                                         rank - rank_offset, rcfg, env.stream_of(0));
     if (!r.ok()) return r.status();
     env.sample_peaks();
     out.value = r.value().value;
@@ -665,7 +777,7 @@ Result<ShardedApproxSelectResult<T>> try_sharded_approx_select(simt::DeviceGroup
     // The approximate path always runs the merge machinery (even for one
     // shard): the splitter edges ARE the answer, and the exact per-shard
     // counts make the residual rank error exact.
-    Result<Located<T>> loc = locate(env, rank);
+    Result<Located<T>> loc = locate(env, rank, false);
     if (!loc.ok()) return loc.status();
     const auto [value, bound] =
         splitter_edge(loc.value().tree[0], loc.value().prefix, loc.value().bucket, rank);
@@ -701,7 +813,7 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
     ShardEnv<T> env(group, cfg, input, o.value(), kp);
     // The root's winner buffer outlives the final join, so its pool release
     // is stamped at the joined clock.
-    std::optional<simt::PooledBuffer<T>> winners;
+    simt::PooledBuffer<T> winners;
     if (plan.shards == 1) {
         auto r = try_topk_largest<T>(group.device(0), std::span<const T>(env.chunks[0]), kp,
                                      env.on_device(0));
@@ -718,14 +830,19 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
         // 2 is the equality bucket == t, bucket 3 holds > t (exactly the
         // fallback level's layout; at most kp - 1 elements globally).  Only
         // t crosses the links.
-        const auto tri = broadcast_tree(env, std::vector<T>{t}, [](std::vector<T> v) {
-            return SearchTree<T>::build({v[0], v[0], v[0]});
-        });
-        winners.emplace(group.device(0).template pooled<T>(kp, env.stream[0]));
-        Result<std::size_t> got = gather_bucket(env, tri, 3, {}, *winners);
+        std::vector<SearchTree<T>> tri;
+        Status st = broadcast_tree(
+            env, std::vector<T>{t},
+            [](std::vector<T> v) { return SearchTree<T>::build({v[0], v[0], v[0]}); }, tri);
+        if (!st.ok()) return st;
+        auto buf = env.template checkout<T>(0, kp);
+        if (!buf.ok()) return buf.status();
+        winners = buf.take();
+        // The broadcast's ready edges already order every device after t.
+        Result<std::size_t> got = gather_bucket<T>(env, tri, 3, {}, {}, 0.0, winners);
         if (!got.ok()) return got.status();
-        res.elements.assign(winners->span().begin(),
-                            winners->span().begin() + static_cast<std::ptrdiff_t>(got.value()));
+        res.elements.assign(winners.span().begin(),
+                            winners.span().begin() + static_cast<std::ptrdiff_t>(got.value()));
         res.elements.resize(kp, t);  // pad with threshold copies (ties)
         res.threshold = t;
     }

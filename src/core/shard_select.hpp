@@ -3,31 +3,38 @@
 //
 // The paper's algorithms assume the input fits one device.  This layer
 // chunks n far beyond one device's modeled memory into shards, runs the
-// existing planner-driven pipeline per shard on its own simulated device
-// and stream (simt/topology.hpp), and merges per-shard results through
+// single-device level executor per shard on its own simulated device and
+// stream (simt/topology.hpp), and merges per-shard results through
 // hierarchical *deterministic* splitters in the style of Deterministic
-// Sample Sort (PAPERS.md): every shard contributes s exact order
-// statistics taken at regular rank strides (a multi-rank selection, not a
-// random sample), the merged candidate set yields b-1 global splitters at
-// regular candidate gaps, and the classic regular-sampling argument then
-// bounds every non-equality global bucket by
+// Sample Sort (PAPERS.md): every shard is cut into tiles of
+// bitonic::kMaxSortSize, one launch sorts each tile in shared memory and
+// keeps s_t = min(4 b, n_t) of its elements at regular rank strides (a
+// regular sample of sorted tiles, not a random one), the merged candidate
+// set yields b-1 global splitters at regular candidate gaps, and the
+// regular-sampling argument then bounds every non-equality global bucket by
 //
-//     max_bucket <= (g + S) * max_i ceil(n_i / (s_i + 1))
+//     max_bucket <= (2g + T) * max_t ceil(n_t / (s_t + 1))
 //
 // where g = ceil(|C| / b) is the candidate gap between consecutive global
-// splitters and S the shard count -- independent of the data.  The bound
-// (ShardAccounting::skew_bound) is what keeps the merged rank bucket small
-// enough to finish on one device, and per-shard auxiliary memory never
-// exceeds what the single-device pipeline would use on a capacity-sized
-// input (asserted in tests/test_shard_select.cpp).
+// splitters and T the tile count -- independent of the data, ties
+// included (a bucket's lower splitter can pull up to g - 1 tied candidates
+// in; docs/sharding.md).  The bound (ShardAccounting::skew_bound) is what
+// keeps the merged rank bucket small enough to finish on one device, and
+// per-shard auxiliary memory never exceeds what the single-device pipeline
+// would use on a capacity-sized input (asserted in
+// tests/test_shard_select.cpp).
 //
 // Every cross-device byte moves through DeviceGroup::transfer, so link
 // traffic is charged like global memory, serialized per directed link, and
 // rendered as per-link chrome-trace tracks.  Devices hold at most one
 // shard's staging at a time (out-of-core: phases re-stage rather than
-// cache), and all cross-device reads are ordered by transfer ready events
-// -- StreamSan-clean by construction, with the broken-scenario tests
-// demonstrating the hazards the edges prevent.
+// cache; the one exception is each device's last counted level, which
+// the gather filters without a recount), and all cross-device reads are
+// ordered by transfer ready events -- StreamSan-clean by construction,
+// with the broken-scenario tests demonstrating the hazards the edges
+// prevent.  A call starts at the group clock and a gather when the root
+// has located its bucket, and every step runs under the bounded fault
+// retry, so a sharded try_* returns a typed status instead of throwing.
 
 #include <cstdint>
 #include <span>
@@ -44,8 +51,10 @@ namespace gpusel::core {
 /// root-side pipelines (its `stream` field is ignored -- the shard layer
 /// leases one compute stream per device); the shard-specific knobs control
 /// the deterministic splitter merge.  The shard count follows from the
-/// group's modeled per-device capacity (plan_shard_count), and every shard
-/// contributes 4 * splitter_buckets exact order statistics to the merge.
+/// group's modeled per-device capacity (plan_shard_count), and every
+/// bitonic::kMaxSortSize tile of a shard contributes min(4 *
+/// splitter_buckets, tile length) elements of its sorted order to the
+/// merge.
 struct ShardSelectConfig {
     SampleSelectConfig select;
     /// Global splitter-bucket count b (power of two, 2..256; one-byte
@@ -67,7 +76,7 @@ struct ShardAccounting {
     /// level (staged shard + pipeline scratch; the out-of-core invariant is
     /// that this stays within one device's modeled capacity).
     std::size_t max_shard_aux_bytes = 0;
-    /// Merged splitter-candidate count |C| (sum of per-shard contributions).
+    /// Merged splitter-candidate count |C| (sum of per-tile contributions).
     std::size_t merge_candidates = 0;
     /// Deterministic bound on any non-equality global bucket (see header
     /// comment); 0 when the input fit a single shard.
@@ -117,8 +126,7 @@ struct ShardedApproxSelectResult {
 /// Exact sharded selection of the 0-based `rank` over an input that may
 /// exceed any single device's modeled memory.  Matches the CPU reference
 /// exactly (same total order as the single-device pipeline, NaNs above
-/// +inf).  float/double only (the candidate phase is a multi-rank
-/// selection).
+/// +inf).  float/double only.
 template <typename T>
 [[nodiscard]] Result<ShardedSelectResult<T>> try_sharded_select(simt::DeviceGroup& group,
                                                                 std::span<const T> input,
@@ -127,7 +135,8 @@ template <typename T>
 
 /// Sharded top-k (largest): finds the threshold via an exact sharded
 /// selection, then gathers every element above it with one tripartition
-/// count+filter pass per shard, padding with threshold copies.
+/// count+filter pass per shard and one transfer per device, padding with
+/// threshold copies.
 template <typename T>
 [[nodiscard]] Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group,
                                                             std::span<const T> input,
