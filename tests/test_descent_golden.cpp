@@ -172,6 +172,30 @@ TEST(DescentGolden, ArgPairFrontEnds) {
     EXPECT_EQ(eq.partial_sort, 0xc6e8225bb3c3d2f4ULL);
 }
 
+TEST(DescentGolden, FitsTheBaseCase) {
+    // Inputs within base_case_size: every front-end sorts outright, with
+    // no sampled level, so select, multiselect and sample sort each issue
+    // the one sort launch.
+    const auto floats = data::generate<float>(
+        {.n = 512, .dist = data::Distribution::uniform_real, .seed = 1301});
+    const Hashes f = run_all(floats, {});
+    EXPECT_EQ(f.select, 0x7cbcb6ab235a3effULL);
+    EXPECT_EQ(f.topk_largest, 0x4cb962c6f2230899ULL);
+    EXPECT_EQ(f.topk_smallest, 0x63d34d74c85ef86dULL);
+    EXPECT_EQ(f.multi_select, 0x7cbcb6ab235a3effULL);
+    EXPECT_EQ(f.sample_sort, 0x7cbcb6ab235a3effULL);
+    const Hashes d = run_all(std::vector<double>(1000, 2.5), {});
+    EXPECT_EQ(d.select, 0x29287f5b2c17a8d4ULL);
+    EXPECT_EQ(d.topk_largest, 0x40977cbe4664b89eULL);
+    EXPECT_EQ(d.topk_smallest, 0xddf537b88dc3bd2dULL);
+    EXPECT_EQ(d.multi_select, 0x29287f5b2c17a8d4ULL);
+    EXPECT_EQ(d.sample_sort, 0x29287f5b2c17a8d4ULL);
+    const ArgPairHashes a = run_argpair(floats);
+    EXPECT_EQ(a.argselect, 0x613bb85f501a643aULL);
+    EXPECT_EQ(a.topk_indices, 0x9f962d1f50922234ULL);
+    EXPECT_EQ(a.partial_sort, 0x8872f3aa146008f4ULL);
+}
+
 /// One RadixSelect baseline call on a fresh device, answer folded in.
 template <typename T>
 std::uint64_t radix_baseline_hash(const std::vector<T>& data) {
