@@ -370,15 +370,15 @@ void BM_Argselect(benchmark::State& state) {
 }
 BENCHMARK(BM_Argselect)->Arg(1 << 16)->Arg(1 << 18);
 
-// Adversarial-distribution top-k through the planned front-end
+// Adversarial-distribution top-k through the public front-end
 // (docs/planner.md).  range(1) picks the distribution (0 = all-equal,
 // 1 = heavy duplicates); k = n/2.  Manual timing on the simulated clock:
 // every row at n = 65536 runs the sampled descent and its equality-bucket
 // exit, 34.5 us all-equal and two-value on the V100 model.  The
-// CI gate keeps the family from regressing.  The backend_* counters feed
-// the planner-coverage step of tools/check_bench_regression.py: across the
-// whole sweep every backend must be selected at least once (the small-n
-// row routes to bitonic).
+// CI gate keeps the family from regressing.  The backend_* descent tallies
+// feed the coverage step of tools/check_bench_regression.py: across the
+// whole sweep each descent must run at least once (the small-n row fits
+// the base case and sorts outright).
 void BM_PlannerAdversarial(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const bool heavy_dup = state.range(1) != 0;
@@ -406,7 +406,7 @@ void BM_PlannerAdversarial(benchmark::State& state) {
 BENCHMARK(BM_PlannerAdversarial)
     ->Args({1 << 16, 0})
     ->Args({1 << 16, 1})
-    ->Args({512, 0})  // small n: the planner's bitonic lane
+    ->Args({512, 0})  // small n: sorted outright in the base case
     ->UseManualTime();
 
 // Sharded multi-device selection (core/shard_select.hpp): one out-of-core

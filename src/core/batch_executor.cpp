@@ -218,16 +218,12 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
 
     // Classify: NaN-tail ranks answer at staging, short numeric prefixes
     // coalesce per lane, the rest run the full recursion on their lane.
-    // The fused lane kernel *is* the bitonic backend, just many problems
-    // per launch, so a quarantined bitonic backend (server circuit
-    // breaker, docs/service.md) routes around the fused path.
-    const bool allow_fused = (dev.backend_quarantine() & backend_bit(BackendKind::bitonic)) == 0;
     std::vector<std::vector<std::size_t>> fused(lanes);
     std::vector<std::size_t> recursive;
     for (std::size_t i = 0; i < m; ++i) {
         if (problems[i].rank >= staged[i].size()) {
             res.items[i].value = quiet_nan<T>();
-        } else if (allow_fused && staged[i].size() <= bitonic::kMaxSortSize) {
+        } else if (staged[i].size() <= bitonic::kMaxSortSize) {
             fused[static_cast<std::size_t>(fan.lane_of(i))].push_back(i);
         } else {
             recursive.push_back(i);
@@ -247,12 +243,10 @@ Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>
         for (const std::size_t i : group) {
             seqs.push_back(staged[i].span());
             seq_rank.push_back(problems[i].rank);
-            // Structural decision: the fused lane launch is the bitonic
-            // backend applied per block, recorded so backend tallies and
-            // the planner log cover coalesced problems too.
-            record_planned_decision(dev, {BackendKind::bitonic, "batch-coalesced bitonic lane"},
-                                    staged[i].size(), problems[i].rank,
-                                    fan.stream(static_cast<int>(l)));
+            // The fused lane launch sorts each problem outright, one per
+            // block, so each records a bitonic descent.
+            record_descent(dev, {Descent::bitonic, "batch-coalesced bitonic lane"},
+                           staged[i].size(), problems[i].rank, fan.stream(static_cast<int>(l)));
         }
         simt::PooledBuffer<T> dout;
         const std::uint64_t before = dev.launch_count();

@@ -197,12 +197,10 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
     }
 
     if (!targets.empty()) {
-        // Multi-rank descent is planned structurally: the bucket tree is
-        // the only backend sharing one partition level across all targets,
-        // so the decision is recorded (planner log + backend tallies)
-        // rather than planned per rank.
-        const PlanQuery q{.n = buf.size(), .k = targets.size(), .multi = true};
-        record_planned_decision(dev, plan(q), q.n, q.k, ctx.stream());
+        // One bucket tree serves every target: one sampled-descent record
+        // for the whole call, not one per rank.
+        record_descent(dev, {Descent::sample, "multi-rank bucket tree"}, buf.size(),
+                       targets.size(), ctx.stream());
     }
 
     const Stamp<MultiSelectResult<T>> stamp(dev);

@@ -13,8 +13,8 @@
 //                  histogram bucket) stays with the front-end.
 //   * Stamp     -- the sim_ns / launches (/ aux_bytes) measurement a
 //                  front-end reports, opened where its device work starts.
-//   * try_sample_select_staged -- planned exact selection over an opened
-//                  (or otherwise staged, NaN-free) holder; the sharded root
+//   * try_sample_select_staged -- the exact descent over an opened (or
+//                  otherwise staged, NaN-free) holder; the sharded root
 //                  and the batch lanes feed it too.
 //
 // Internal to src/core: the public entry points are the try_* front-ends.
@@ -118,7 +118,7 @@ private:
 };
 
 /// Exact selection over a staged, NaN-free holder, which is consumed:
-/// plans the backend (host-side, no launches), then runs and stamps it.
+/// records the descent (host-side, no launches), then runs and stamps it.
 /// The caller has run the opening's checks and guarantees rank < size.
 /// `stream` overrides the selection's stream (every launch and pooled
 /// checkout); the default -1 keeps cfg.stream.

@@ -346,6 +346,13 @@ void filter_topk(const PipelineContext& ctx, std::span<const T> data, const Leve
                  std::span<T> out, std::span<T> acc, std::int32_t acc_fill,
                  simt::LaunchOrigin origin, const simt::Device::KernelFn& epilogue = {});
 
+/// True when a linear descent sorts n elements outright (Sec. IV-D's base
+/// case) instead of sampling a level over them.  The descent's record
+/// (core/planner.hpp) reads the same predicate, so it names what ran.
+[[nodiscard]] inline bool fits_base_case(std::size_t n, const SampleSelectConfig& cfg) noexcept {
+    return n <= cfg.base_case_size;
+}
+
 /// The grid epilogue of a linear descent's filter launch (docs/
 /// architecture.md): it finishes the level over the bucket the filter
 /// filled, so the descent launches nothing else for it.  The host knows
@@ -364,7 +371,7 @@ public:
     LevelTail(const PipelineContext& ctx, std::size_t bucket_size, std::uint64_t next_salt,
               std::span<T> take = {})
         : ctx_(&ctx),
-          sorts_(bucket_size <= ctx.cfg().base_case_size),
+          sorts_(fits_base_case(bucket_size, ctx.cfg())),
           salt_(next_salt),
           take_(take) {}
 
@@ -534,7 +541,7 @@ public:
     [[nodiscard]] Result<LinearDescent> descend(std::size_t& rank, OnBucket&& on_bucket) {
         const SampleSelectConfig& cfg = ctx_.cfg();
         LinearDescent d;
-        if (size() <= cfg.base_case_size) {
+        if (fits_base_case(size(), cfg)) {
             // The sort launch faults before touching the data, so a retry
             // sees the unsorted input.
             Status s = with_fault_retry(
@@ -562,7 +569,7 @@ public:
             if (!descended.ok()) return descended.status();
             if (!descended.value()) return d;
             rank -= lv.rank_offset;
-            if (size() <= cfg.base_case_size) {
+            if (fits_base_case(size(), cfg)) {
                 d.base_case = true;  // the filter's tail sorted it
                 return d;
             }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
-#include "bitonic/bitonic.hpp"
+#include "core/pipeline.hpp"
 #include "core/radix_kernel.hpp"
 
 namespace gpusel::core {
@@ -15,38 +16,6 @@ namespace {
 /// (payloads are unique indices and would hide every duplicate).
 std::uint64_t probe_key(float x) noexcept { return RadixTraits<float>::key(x); }
 std::uint64_t probe_key(ArgPair x) noexcept { return RadixTraits<float>::key(x.key); }
-
-/// Can the backend run this problem at all?
-bool feasible(BackendKind k, const PlanQuery& q) noexcept {
-    switch (k) {
-        case BackendKind::sample: return true;
-        case BackendKind::bitonic:
-            return !q.multi && q.n <= static_cast<std::size_t>(bitonic::kMaxSortSize);
-    }
-    return false;
-}
-
-bool quarantined(BackendKind k, const PlanQuery& q) noexcept {
-    return (q.quarantined & backend_bit(k)) != 0;
-}
-
-/// Reroutes a decision whose backend the circuit breaker quarantined:
-/// tries the other backends in kBackends order, sample then bitonic (sample
-/// is always feasible, so a healthy sample wins).  When every feasible
-/// backend is quarantined the original decision stands -- the planner
-/// degrades the quarantine to advisory rather than failing the selection,
-/// and the descent's own fault retry carries the risk.
-PlanDecision apply_quarantine(PlanDecision d, const PlanQuery& q) noexcept {
-    if (!quarantined(d.backend, q)) return d;
-    for (const BackendKind k : kBackends) {
-        if (k == d.backend || !feasible(k, q) || quarantined(k, q)) continue;
-        switch (k) {
-            case BackendKind::sample: return {k, "quarantine reroute: sample"};
-            case BackendKind::bitonic: return {k, "quarantine reroute: bitonic"};
-        }
-    }
-    return {d.backend, "all feasible backends quarantined"};
-}
 
 }  // namespace
 
@@ -78,72 +47,23 @@ DistributionHints probe_distribution(std::span<const T> data) {
     return h;
 }
 
-PlanDecision plan(const PlanQuery& q) {
-    // 1. Multi-rank descent shares one bucket tree across all targets;
-    //    only the sampled bucket machinery implements it.
-    if (q.multi) {
-        return {BackendKind::sample, "multi-rank bucket tree"};
-    }
-    // 2. Small problems fit one block: sorting outright beats any level
-    //    machinery (this is the recursion base case run as a backend).
-    if (q.n <= q.base_case_size) {
-        return apply_quarantine({BackendKind::bitonic, "small n: single-block bitonic sort"}, q);
-    }
-    // 3. Everything else: the paper's distribution-adaptive sampled
-    //    descent, whose equality buckets end a level early on
-    //    duplicate-heavy inputs.
-    return apply_quarantine({BackendKind::sample, "distribution-adaptive sampled descent"}, q);
+DescentRecord linear_descent(std::size_t n, const SampleSelectConfig& cfg) noexcept {
+    if (fits_base_case(n, cfg)) return {Descent::bitonic, "small n: single-block bitonic sort"};
+    return {Descent::sample, "distribution-adaptive sampled descent"};
 }
 
-void record_planned_decision(simt::Device& dev, const PlanDecision& d, std::uint64_t n,
-                             std::uint64_t k, int stream) {
-    auto& rc = dev.robustness();
-    switch (d.backend) {
-        case BackendKind::sample: ++rc.backend_sample; break;
-        case BackendKind::bitonic: ++rc.backend_bitonic; break;
-    }
+void record_descent(simt::Device& dev, const DescentRecord& d, std::uint64_t n, std::uint64_t k,
+                    int stream) {
+    const bool sorted = d.descent == Descent::bitonic;
+    simt::RobustnessCounters& rc = dev.robustness();
+    ++(sorted ? rc.backend_bitonic : rc.backend_sample);
     simt::PlannerEvent ev;
     ev.stream = stream;
-    ev.backend = backend_name(d.backend);
+    ev.backend = sorted ? "bitonic" : "sample";
     ev.reason = d.reason;
     ev.n = n;
     ev.k = k;
     dev.note_planner_event(std::move(ev));
-}
-
-PlanDecision plan_selection(simt::Device& dev, PlanQuery q, int stream) {
-    q.quarantined = dev.backend_quarantine();
-    const PlanDecision d = plan(q);
-    record_planned_decision(dev, d, q.n, q.k, stream);
-    return d;
-}
-
-ShardPlan plan_shard_count(std::size_t n, std::size_t elem_size,
-                           std::size_t device_capacity_bytes, int num_devices) {
-    ShardPlan p;
-    const auto staging_bytes = static_cast<std::size_t>(
-        static_cast<double>(device_capacity_bytes) * kShardStagingFraction);
-    std::size_t budget = elem_size > 0 ? staging_bytes / elem_size : staging_bytes;
-    if (budget == 0) budget = 1;
-    p.shard_elems = budget;
-    if (n <= budget) {
-        p.shards = 1;
-        p.reason = "fits one device";
-        return p;
-    }
-    p.shards = (n + budget - 1) / budget;
-    p.reason = "exceeds per-device staging budget";
-    // With little oversubscription, spreading over all devices shrinks the
-    // critical path at no extra merge cost (the candidate fan-in already
-    // visits every used device).
-    const auto devices = static_cast<std::size_t>(num_devices < 1 ? 1 : num_devices);
-    if (p.shards < devices && devices > 1) {
-        p.shards = devices;
-        p.reason = "spread over all devices";
-    }
-    if (p.shards > n) p.shards = n;  // never cut below one element per shard
-    p.shard_elems = (n + p.shards - 1) / p.shards;
-    return p;
 }
 
 template DistributionHints probe_distribution<float>(std::span<const float>);

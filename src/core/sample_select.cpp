@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/backend.hpp"
 #include "core/float_order.hpp"
 #include "core/opening.hpp"
 #include "core/pipeline.hpp"
@@ -10,12 +9,14 @@
 
 namespace gpusel::core {
 
-namespace detail {
-
 template <typename T>
-Result<SelectResult<T>> sample_select_descend(simt::Device& dev, DataHolder<T> data,
-                                              std::size_t rank, const SampleSelectConfig& cfg,
-                                              int stream) {
+Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T> data,
+                                                 std::size_t rank,
+                                                 const SampleSelectConfig& cfg, int stream) {
+    record_descent(dev, linear_descent(data.size(), cfg), data.size(), rank,
+                   stream < 0 ? cfg.stream : stream);
+
+    const Stamp<SelectResult<T>> stamp(dev);
     SelectionPipeline<T> pipe(dev, cfg, stream);
     pipe.reset(std::move(data));
     SelectResult<T> res;
@@ -36,32 +37,7 @@ Result<SelectResult<T>> sample_select_descend(simt::Device& dev, DataHolder<T> d
     res.levels = d.value().levels;
     res.resamples = d.value().tally.resamples;
     res.fallback_levels = d.value().tally.fallback_levels;
-    return res;
-}
-
-template Result<SelectResult<float>> sample_select_descend<float>(
-    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
-template Result<SelectResult<double>> sample_select_descend<double>(
-    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
-template Result<SelectResult<ArgPair>> sample_select_descend<ArgPair>(
-    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
-
-}  // namespace detail
-
-template <typename T>
-Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T> data,
-                                                 std::size_t rank,
-                                                 const SampleSelectConfig& cfg, int stream) {
-    // Plan which backend runs the NaN-free problem (host-side only; no
-    // launches, so the chosen backend's event stream starts at t0).
-    const PlanDecision plan =
-        plan_selection(dev, {.n = data.size(), .k = rank, .base_case_size = cfg.base_case_size},
-                       stream < 0 ? cfg.stream : stream);
-
-    const Stamp<SelectResult<T>> stamp(dev);
-    Result<SelectResult<T>> res =
-        selection_backend<T>(plan.backend).select(dev, std::move(data), rank, cfg, stream);
-    if (res.ok()) stamp.write(res.value());
+    stamp.write(res);
     return res;
 }
 

@@ -59,27 +59,6 @@ template <typename T>
                                                         std::span<const T> input, std::size_t rank,
                                                         const SampleSelectConfig& cfg);
 
-namespace detail {
-
-/// The sample backend's descent over staged NaN-free data: the recursive
-/// level driver without planning, measurement stamping, or NaN handling
-/// (the dispatching front-end owns those).  Called through the backend
-/// interface (core/backend.hpp); front-ends should not call it directly.
-template <typename T>
-[[nodiscard]] Result<SelectResult<T>> sample_select_descend(simt::Device& dev, DataHolder<T> data,
-                                                            std::size_t rank,
-                                                            const SampleSelectConfig& cfg,
-                                                            int stream);
-
-extern template Result<SelectResult<float>> sample_select_descend<float>(
-    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
-extern template Result<SelectResult<double>> sample_select_descend<double>(
-    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
-extern template Result<SelectResult<ArgPair>> sample_select_descend<ArgPair>(
-    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
-
-}  // namespace detail
-
 extern template Result<SelectResult<float>> try_sample_select<float>(
     simt::Device&, std::span<const float>, std::size_t, const SampleSelectConfig&);
 extern template Result<SelectResult<double>> try_sample_select<double>(

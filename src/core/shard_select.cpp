@@ -155,7 +155,7 @@ struct ShardEnv {
     /// Marks the measurement baselines, leases one stream per used device
     /// and starts it at the group clock, cuts the non-NaN elements of
     /// `input` into near-equal contiguous chunks placed round-robin over the
-    /// used devices, and records the planner decision for `planner_k` on
+    /// used devices, and records the call's descent for `planner_k` on
     /// device 0.
     ShardEnv(simt::DeviceGroup& g, const ShardSelectConfig& c, std::span<const T> input,
              const Opening& o, std::size_t planner_k)
@@ -196,8 +196,8 @@ struct ShardEnv {
             }
             shard_dev[j] = static_cast<int>(j % static_cast<std::size_t>(devices_used));
         }
-        record_planned_decision(group.device(0), {BackendKind::sample, o.plan.reason},
-                                total_n, planner_k, stream[0]);
+        record_descent(group.device(0), {Descent::sample, o.plan.reason}, total_n, planner_k,
+                       stream[0]);
     }
     ShardEnv(const ShardEnv&) = delete;
     ShardEnv& operator=(const ShardEnv&) = delete;
@@ -744,6 +744,34 @@ Result<ShardedSelectResult<T>> run_exact(ShardEnv<T>& env, std::size_t rank) {
 }
 
 }  // namespace
+
+ShardPlan plan_shard_count(std::size_t n, std::size_t elem_size,
+                           std::size_t device_capacity_bytes, int num_devices) {
+    ShardPlan p;
+    const auto staging_bytes = static_cast<std::size_t>(
+        static_cast<double>(device_capacity_bytes) * kShardStagingFraction);
+    std::size_t budget = elem_size > 0 ? staging_bytes / elem_size : staging_bytes;
+    if (budget == 0) budget = 1;
+    p.shard_elems = budget;
+    if (n <= budget) {
+        p.shards = 1;
+        p.reason = "fits one device";
+        return p;
+    }
+    p.shards = (n + budget - 1) / budget;
+    p.reason = "exceeds per-device staging budget";
+    // With little oversubscription, spreading over all devices shrinks the
+    // critical path at no extra merge cost (the candidate fan-in already
+    // visits every used device).
+    const auto devices = static_cast<std::size_t>(num_devices < 1 ? 1 : num_devices);
+    if (p.shards < devices && devices > 1) {
+        p.shards = devices;
+        p.reason = "spread over all devices";
+    }
+    if (p.shards > n) p.shards = n;  // never cut below one element per shard
+    p.shard_elems = (n + p.shards - 1) / p.shards;
+    return p;
+}
 
 template <typename T>
 Result<ShardedSelectResult<T>> try_sharded_select(simt::DeviceGroup& group,

@@ -65,6 +65,31 @@ struct ShardSelectConfig {
     int merge_fanin = 4;
 };
 
+/// Fraction of a device's modeled memory one shard's staged input may
+/// occupy.  The rest is headroom for the pipeline's oracles (1 byte/elem),
+/// int32 scratch and the ping-pong bucket buffers, so a shard sized
+/// against this budget keeps the whole per-shard descent within the
+/// device's capacity.
+inline constexpr double kShardStagingFraction = 0.25;
+
+/// The shard-count decision for an out-of-core sharded selection: how
+/// many chunks to cut n into so every chunk's staged data plus pipeline
+/// scratch fits one device's modeled memory.
+struct ShardPlan {
+    /// Number of shards (>= 1; 1 means the input fits one device).
+    std::size_t shards = 1;
+    /// Maximum staged elements per shard.
+    std::size_t shard_elems = 0;
+    /// Stable one-line rationale; the call's descent record carries it.
+    const char* reason = "";
+};
+
+/// Pure decision function: chunks n elements of elem_size bytes against a
+/// device's modeled capacity; num_devices only rounds small multi-shard
+/// counts up so every device gets work.
+[[nodiscard]] ShardPlan plan_shard_count(std::size_t n, std::size_t elem_size,
+                                         std::size_t device_capacity_bytes, int num_devices);
+
 /// Accounting shared by every sharded front-end: how the input was cut,
 /// what the merge guaranteed vs measured, and what the topology charged.
 struct ShardAccounting {

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/backend.hpp"
 #include "core/float_order.hpp"
 #include "core/opening.hpp"
 #include "core/pipeline.hpp"
@@ -10,12 +9,26 @@
 
 namespace gpusel::core {
 
-namespace detail {
+namespace {
 
+/// The top-k range check: 0 < k <= n.
+Status check_k(std::size_t n, std::size_t k) {
+    if (k == 0 || k > n) {
+        return Status::failure(SelectError::rank_out_of_range, "k must be in [1, n]");
+    }
+    return Status::success();
+}
+
+/// The k largest elements of an opened, NaN-free holder (0 < k <= size),
+/// which is consumed: records the descent (host-side, no launches), then
+/// runs the fused top-k descent and stamps it.
 template <typename T>
-Result<TopKResult<T>> sample_topk_descend(simt::Device& dev, DataHolder<T> data, std::size_t k,
-                                          const SampleSelectConfig& cfg, int stream) {
-    SelectionPipeline<T> pipe(dev, cfg, stream);
+Result<TopKResult<T>> topk_staged(simt::Device& dev, DataHolder<T> data, std::size_t k,
+                                  const SampleSelectConfig& cfg) {
+    record_descent(dev, linear_descent(data.size(), cfg), data.size(), k, cfg.stream);
+
+    const Stamp<TopKResult<T>> stamp(dev);
+    SelectionPipeline<T> pipe(dev, cfg);
     const PipelineContext& ctx = pipe.context();
     pipe.reset(std::move(data));
 
@@ -25,16 +38,6 @@ Result<TopKResult<T>> sample_topk_descend(simt::Device& dev, DataHolder<T> data,
     if (!s.ok()) return s;
 
     std::size_t fill = 0;  // next free slot in acc
-    // Appends `count` elements of the current buffer, from `from` on, to acc.
-    auto take = [&](std::size_t from, std::size_t count, simt::LaunchOrigin origin) {
-        Status st = with_fault_retry(ctx, [&] {
-            launch_copy<T>(dev, pipe.data(), from, acc.span(), fill, count, origin, cfg.block_dim,
-                           ctx.stream());
-        });
-        if (st.ok()) fill += count;
-        return st;
-    };
-
     // The descent tracks the threshold: the element of ascending rank n - k.
     std::size_t rank = pipe.size() - k;
     auto d = pipe.descend(rank, [&](const LevelOutcome<T>& lv,
@@ -59,14 +62,17 @@ Result<TopKResult<T>> sample_topk_descend(simt::Device& dev, DataHolder<T> data,
     if (d.value().base_case) {
         // The sorted base case holds the threshold at `rank` and the rest of
         // the top-k set above it.  The last filter's tail appended those,
-        // unless the input fit the base case outright.
+        // unless the input fit the base case outright: then one copy
+        // launch appends them.
         const std::size_t tail = pipe.size() - rank;
         if (d.value().levels == 0) {
-            s = take(rank, tail, simt::LaunchOrigin::host);
+            s = with_fault_retry(ctx, [&] {
+                launch_copy<T>(dev, pipe.data(), rank, acc.span(), fill, tail,
+                               simt::LaunchOrigin::host, cfg.block_dim, ctx.stream());
+            });
             if (!s.ok()) return s;
-        } else {
-            fill += tail;
         }
+        fill += tail;
         res.threshold = pipe.value_at(rank);
     }
 
@@ -77,42 +83,7 @@ Result<TopKResult<T>> sample_topk_descend(simt::Device& dev, DataHolder<T> data,
     res.levels = d.value().levels;
     res.resamples = d.value().tally.resamples;
     res.fallback_levels = d.value().tally.fallback_levels;
-    return res;
-}
-
-template Result<TopKResult<float>> sample_topk_descend<float>(
-    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
-template Result<TopKResult<double>> sample_topk_descend<double>(
-    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
-template Result<TopKResult<ArgPair>> sample_topk_descend<ArgPair>(
-    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
-
-}  // namespace detail
-
-namespace {
-
-/// The top-k range check: 0 < k <= n.
-Status check_k(std::size_t n, std::size_t k) {
-    if (k == 0 || k > n) {
-        return Status::failure(SelectError::rank_out_of_range, "k must be in [1, n]");
-    }
-    return Status::success();
-}
-
-/// The k largest elements of an opened, NaN-free holder (0 < k <= size),
-/// which is consumed: plans the backend (host-side, no launches), then
-/// runs and stamps it.
-template <typename T>
-Result<TopKResult<T>> topk_staged(simt::Device& dev, DataHolder<T> data, std::size_t k,
-                                  const SampleSelectConfig& cfg) {
-    const PlanDecision plan = plan_selection(
-        dev, {.n = data.size(), .k = k, .base_case_size = cfg.base_case_size}, cfg.stream);
-
-    const Stamp<TopKResult<T>> stamp(dev);
-    Result<TopKResult<T>> res = selection_backend<T>(plan.backend)
-                                    .topk_largest(dev, std::move(data), k, cfg,
-                                                  PipelineContext::kConfigStream);
-    if (res.ok()) stamp.write(res.value());
+    stamp.write(res);
     return res;
 }
 
@@ -134,8 +105,8 @@ Result<TopKResult<T>> try_topk_largest(simt::Device& dev, std::span<const T> inp
     TopKResult<T> res;
     if (kk == 0) {
         // Every requested element falls in the NaN tail; answered at
-        // staging without any device work (and without a planner decision,
-        // since no backend runs).
+        // staging without any device work (and without a descent record,
+        // since no descent runs).
         res.threshold = quiet_nan<T>();
     } else {
         Result<TopKResult<T>> bres = topk_staged<T>(dev, std::move(op.data), kk, cfg);

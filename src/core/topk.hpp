@@ -88,27 +88,6 @@ template <typename T>
     simt::Device& dev, std::span<const TopKBatchProblem<T>> problems,
     const SampleSelectConfig& cfg, const BatchOptions& opts = {});
 
-namespace detail {
-
-/// The sample backend's fused top-k descent over staged NaN-free data
-/// (k largest, unordered): the accumulation loop without planning,
-/// measurement stamping, or the NaN tail append.  Called through the
-/// backend interface (core/backend.hpp).
-template <typename T>
-[[nodiscard]] Result<TopKResult<T>> sample_topk_descend(simt::Device& dev, DataHolder<T> data,
-                                                        std::size_t k,
-                                                        const SampleSelectConfig& cfg,
-                                                        int stream);
-
-extern template Result<TopKResult<float>> sample_topk_descend<float>(
-    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
-extern template Result<TopKResult<double>> sample_topk_descend<double>(
-    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
-extern template Result<TopKResult<ArgPair>> sample_topk_descend<ArgPair>(
-    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
-
-}  // namespace detail
-
 extern template Result<TopKResult<float>> try_topk_largest<float>(simt::Device&,
                                                                   std::span<const float>,
                                                                   std::size_t,

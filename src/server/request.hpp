@@ -103,8 +103,6 @@ struct Response {
     std::vector<float> values;
     /// argselect: original position of `value`.
     std::uint32_t index = 0;
-    /// Backend that answered ("sample"/"bitonic"; "" when unknown).
-    const char* backend = "";
     /// Approx/degraded answers: exact rank error of the returned splitter
     /// and the level's a-priori bound (max_bucket / 2, Sec. II-C).
     std::size_t rank_error = 0;
@@ -119,20 +117,6 @@ struct Response {
 
     [[nodiscard]] double latency_ns() const noexcept { return finish_ns - arrival_ns; }
     [[nodiscard]] double queue_delay_ns() const noexcept { return start_ns - arrival_ns; }
-};
-
-/// Per-backend circuit-breaker tuning (server/breaker.hpp).
-struct BreakerConfig {
-    /// Consecutive failures that trip a closed breaker open.
-    int failure_threshold = 3;
-    /// First quarantine window; doubles on every re-trip (exponential
-    /// backoff), capped at max_backoff_ns.
-    double initial_backoff_ns = 250e3;
-    double max_backoff_ns = 64e6;
-    /// Fault-retry pressure (alloc_retries + launch_retries growth during
-    /// one round) counted as one failure even when the round's Status was
-    /// ok -- retries succeeding is still evidence the backend is faulting.
-    std::uint64_t retry_pressure_threshold = 16;
 };
 
 /// Server tuning; the defaults serve the unit tests and the load
@@ -163,7 +147,6 @@ struct ServerConfig {
     /// Pipeline configuration shared by every request (stream is the
     /// server's base stream; per-request deadlines overlay deadline_ns).
     core::SampleSelectConfig select;
-    BreakerConfig breaker;
     /// Collect queue-depth counter samples and admission-decision instants
     /// for the chrome-trace export (simt/trace.hpp).
     bool record_trace = false;

@@ -10,7 +10,6 @@
 #include "core/approx_select.hpp"
 #include "core/argselect.hpp"
 #include "core/batch_executor.hpp"
-#include "core/planner.hpp"
 #include "core/shard_select.hpp"
 #include "core/topk.hpp"
 #include "simt/streamsan.hpp"
@@ -27,21 +26,6 @@ using core::Status;
 /// launch latency + staging, amortized.  The EWMA refines the per-element
 /// slope; the intercept only has to be the right order of magnitude.
 constexpr double kEstBaseNs = 500.0;
-
-/// Terminal codes that indicate the backend (not the request) is sick --
-/// these feed the circuit breaker as failures.
-bool is_fault_code(SelectError e) noexcept {
-    switch (e) {
-        case SelectError::allocation_failed:
-        case SelectError::launch_failed:
-        case SelectError::no_progress:
-        case SelectError::internal:
-        case SelectError::sanitizer_violation:
-            return true;
-        default:
-            return false;
-    }
-}
 
 double percentile(std::vector<double> v, double pct) {
     if (v.empty()) return 0.0;
@@ -74,7 +58,7 @@ double ServerMetrics::latency_percentile(double pct) const {
 }
 
 SelectServer::SelectServer(simt::Device& dev, ServerConfig cfg)
-    : dev_(dev), cfg_(std::move(cfg)), breakers_(cfg_.breaker) {
+    : dev_(dev), cfg_(std::move(cfg)) {
     // A constructor cannot return a Status: a bad config throws.
     if (Status vs = cfg_.select.validate(/*exact=*/true); !vs.ok()) {
         throw std::invalid_argument(vs.message);
@@ -295,8 +279,6 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
     // recorded event, so it must not look like an ordering edge (StreamSan
     // would rightly flag a wait on a timestamp nothing recorded).
     dev_.advance_stream(base, round_start);
-    const simt::RobustnessCounters rc0 = dev_.robustness();
-    const std::uint32_t mask0 = breakers_.sync(dev_, round_start);
 
     std::vector<InFlight> fl;
     fl.reserve(picked.size());
@@ -429,7 +411,6 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
             f.resp.value = res.value().value;
             f.resp.rank_error = res.value().rank_error;
             f.resp.rank_error_bound = res.value().max_bucket / 2;
-            f.resp.backend = "sample";
         } else {
             f.resp.status = res.status();
         }
@@ -492,7 +473,6 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
                 f.resp.status = res.status();
             }
         }
-        f.resp.backend = "sample";
         f.resolved = true;
         std::lock_guard<std::mutex> lk(mu_);
         ++metrics_.sharded;
@@ -523,40 +503,9 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
 
     const double finish = dev_.stream_clock(base);
 
-    // Feed the breakers: backends planned during this round (the
-    // per-backend decision tallies moved) succeed or fail together with the
-    // round.  Terminal fault codes and heavy fault-retry pressure (retries
-    // that succeeded, but only just) both count as failure evidence.
-    const simt::RobustnessCounters& rc1 = dev_.robustness();
-    const bool saw[] = {rc1.backend_sample != rc0.backend_sample,
-                        rc1.backend_bitonic != rc0.backend_bitonic};
-    bool any_fault = false;
-    for (const InFlight& f : fl) {
-        if (!f.resp.status.ok() && is_fault_code(f.resp.status.code)) any_fault = true;
-    }
-    const std::uint64_t retry_delta = (rc1.alloc_retries + rc1.launch_retries) -
-                                      (rc0.alloc_retries + rc0.launch_retries);
-    const bool round_failed = any_fault || retry_delta >= cfg_.breaker.retry_pressure_threshold;
-    const bool any_seen = saw[0] || saw[1];
-    for (const core::BackendKind k : core::kBackends) {
-        const bool used = any_seen ? saw[static_cast<std::size_t>(k)]
-                                   : k == core::BackendKind::sample;
-        if (!used) continue;
-        if (round_failed) {
-            breakers_.of(k).record_failure(finish);
-        } else {
-            breakers_.of(k).record_success(finish);
-        }
-    }
-    const std::uint32_t mask1 = breakers_.sync(dev_, finish);
-
     // Resolve every picked future and fold the round into the metrics.
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (mask1 != mask0) {
-            note_trace_instant_locked(finish, kBreakerTrack, "breaker_mask",
-                                      "mask=" + std::to_string(mask1));
-        }
         busy_until_ns_ = std::max(busy_until_ns_, finish);
         if (executed_elems > 0 && finish > round_start) {
             const double obs = (finish - round_start) / static_cast<double>(executed_elems);
@@ -665,7 +614,7 @@ std::vector<simt::TraceInstant> SelectServer::trace_instants() const {
     // Collect-mode StreamSan hazards ride along as their own annotation
     // track (kStreamSanTrack, above the supervisor tracks), so a
     // GPUSEL_STREAMSAN=2 load run renders ordering hazards inline with the
-    // admission/breaker timeline (docs/streamsan.md).
+    // admission timeline (docs/streamsan.md).
     if (const simt::StreamSan* ssan = dev_.stream_sanitizer();
         ssan != nullptr && ssan->mode() == simt::StreamSanMode::collect) {
         const std::vector<simt::TraceInstant>& hz = ssan->trace_instants();

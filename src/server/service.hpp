@@ -24,9 +24,9 @@
 //   * under queue delay past degrade_queue_delay_ns, degradable exact
 //     requests downgrade to single-level approximate selection and report
 //     their exact rank error (graceful degradation);
-//   * a backend that keeps faulting is quarantined by the per-backend
-//     circuit breaker (server/breaker.hpp) and the planner routes around
-//     it until its backoff expires.
+//   * a faulting device fails requests, never hangs them: each request's
+//     device work runs under the bounded fault retry, and one whose
+//     retries run out resolves with its typed fault.
 //
 // Threading: submit() is safe from any thread (it only touches the queue
 // under the mutex -- never the device).  All device work happens on the
@@ -49,7 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "server/breaker.hpp"
 #include "server/request.hpp"
 #include "simt/device.hpp"
 
@@ -97,8 +96,6 @@ public:
     /// Aggregate metrics (snapshot under the queue lock; call when
     /// quiescent for exact totals).
     [[nodiscard]] ServerMetrics metrics() const;
-    /// Breaker states (read-only; meaningful between rounds).
-    [[nodiscard]] const BreakerBank& breakers() const noexcept { return breakers_; }
     /// Telemetry for the chrome-trace export (record_trace only).
     [[nodiscard]] std::vector<simt::TraceCounter> trace_counters() const;
     [[nodiscard]] std::vector<simt::TraceInstant> trace_instants() const;
@@ -107,7 +104,6 @@ public:
     /// stream id so service lanes group below the kernel lanes).
     static constexpr int kQueueTrack = 1000;
     static constexpr int kAdmissionTrack = 1001;
-    static constexpr int kBreakerTrack = 1002;
 
 private:
     struct Pending {
@@ -139,7 +135,6 @@ private:
 
     simt::Device& dev_;
     ServerConfig cfg_;
-    BreakerBank breakers_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

@@ -80,12 +80,12 @@ std::ostream& operator<<(std::ostream& os, const KernelCounters& c);
 
 /// Tallies of the selection stack's self-healing actions (retry on
 /// injected faults, resampling on stalled levels, deterministic fallback
-/// descent) plus the backend planner's decision counts.  Owned by the
-/// Device so every front-end reports into one place; surfaced in the
+/// descent) plus a count of which descent each selection ran.  Owned by
+/// the Device so every front-end reports into one place; surfaced in the
 /// benchmark JSON so robustness regressions show up in the perf trajectory
 /// alongside the pool counters.  The recovery tallies are all-zero on a
 /// healthy, fault-free run over non-adversarial data; the backend_* fields
-/// count planner decisions and grow on every planned selection.
+/// grow by one on every recorded selection.
 struct RobustnessCounters {
     /// Allocation faults recovered by pool-trim + retry.
     std::uint64_t alloc_retries = 0;
@@ -104,16 +104,16 @@ struct RobustnessCounters {
     /// event boundaries while the stream sanitizer is active.
     std::uint64_t streamsan_hazards = 0;
 
-    // -- backend planner (core/planner.hpp) -------------------------------
-    // One tally per planned selection, keyed by the backend the planner
-    // chose.  Not "self-healing" in the retry sense, but reported here so
-    // the bench JSON's robustness block shows which algorithm actually ran
-    // alongside the recovery counters it was chosen from.
-    /// Selections the planner routed to the sample-select recursion.
+    // -- descent tallies (core/planner.hpp) -------------------------------
+    // One tally per selection, keyed by the descent that ran.  Not
+    // "self-healing" in the retry sense, but reported here so the bench
+    // JSON's robustness block shows which descent actually ran alongside
+    // the recovery counters.
+    /// Selections that ran sampled levels.
     std::uint64_t backend_sample = 0;
     /// Always 0 (no radix backend); kept for bench/suite's radix_frac row.
     std::uint64_t backend_radix = 0;
-    /// Selections the planner routed to the fused-bitonic small-n path.
+    /// Selections whose input fit the base case and sorted outright.
     std::uint64_t backend_bitonic = 0;
 
     RobustnessCounters& operator+=(const RobustnessCounters& o) noexcept {
@@ -134,18 +134,18 @@ struct RobustnessCounters {
 
 std::ostream& operator<<(std::ostream& os, const RobustnessCounters& c);
 
-/// One backend-planner decision (core/planner.hpp), recorded on the Device
-/// so the chrome-trace export (simt/trace.hpp) can render it as an instant
-/// event on the stream it applied to.  Kept at the simt layer as plain
-/// strings/ints -- the simulator knows nothing about the core backends.
+/// Which descent one selection ran (core/planner.hpp), recorded on the
+/// Device so the chrome-trace export (simt/trace.hpp) can render it as an
+/// instant event on the stream it applied to.  Kept at the simt layer as
+/// plain strings/ints -- the simulator knows nothing about the descents.
 /// Recording is host-side bookkeeping: no launch, no clock advance, so
 /// kernel event streams are untouched.
 struct PlannerEvent {
     /// Stream clock at decision time (the instant event's timestamp).
     double sim_ns = 0.0;
-    /// Stream the planned selection runs on.
+    /// Stream the selection runs on.
     int stream = 0;
-    /// Backend name ("sample" / "bitonic").
+    /// Descent name ("sample" / "bitonic").
     std::string backend;
     /// One-line rationale ("multi-rank bucket tree", ...).
     std::string reason;
@@ -170,11 +170,11 @@ struct TraceCounter {
 
 /// One point annotation for the chrome-trace export ("ph":"i" instant
 /// events): admission decisions (admit/shed/deadline-reject/degrade),
-/// breaker transitions, drain milestones.
+/// drain milestones.
 struct TraceInstant {
     double sim_ns = 0.0;
     int track = 0;
-    /// Event name ("shed", "degrade", "breaker_open", ...).
+    /// Event name ("shed", "degrade", "shard_route", ...).
     std::string name;
     /// Free-form detail rendered into the event args ("tenant=3", ...).
     std::string detail;

@@ -205,13 +205,13 @@ public:
     [[nodiscard]] RobustnessCounters& robustness() noexcept { return robustness_; }
     [[nodiscard]] const RobustnessCounters& robustness() const noexcept { return robustness_; }
 
-    // ---- backend planner log ---------------------------------------------
-    // The core planner (core/planner.hpp) records one PlannerEvent per
-    // planned selection; the chrome-trace export renders them as instant
+    // ---- planner log -------------------------------------------------------
+    // core/planner.hpp records one PlannerEvent per selection, naming the
+    // descent that ran; the chrome-trace export renders them as instant
     // events on the stream they applied to.  Host-side bookkeeping only:
     // no launch, no clock advance, no counter merge.
 
-    /// Appends a planner decision to the log (only with
+    /// Appends a descent record to the log (only with
     /// DeviceOptions::record_profiles), stamping the current stream clock so
     /// the trace event lands where the selection starts.
     void note_planner_event(PlannerEvent ev) {
@@ -223,18 +223,6 @@ public:
         return planner_log_;
     }
     void clear_planner_log() { planner_log_.clear(); }
-
-    // ---- backend quarantine ----------------------------------------------
-    // Bitmask of backends (1 << BackendKind) currently quarantined by a
-    // supervisor -- the server's per-backend circuit breaker
-    // (src/server/breaker.hpp) trips a backend after repeated faults and
-    // the planner then routes around it (plan() treats quarantined
-    // backends as infeasible).  0 (the default) changes nothing.
-
-    [[nodiscard]] std::uint32_t backend_quarantine() const noexcept {
-        return backend_quarantine_;
-    }
-    void set_backend_quarantine(std::uint32_t mask) noexcept { backend_quarantine_ = mask; }
 
     // ---- SimTSan ----------------------------------------------------------
     // The Device owns the sanitizer (simt/sanitizer.hpp) so one shadow
@@ -289,7 +277,6 @@ private:
     FaultInjector injector_;
     RobustnessCounters robustness_;
     std::vector<PlannerEvent> planner_log_;
-    std::uint32_t backend_quarantine_ = 0;
     std::unique_ptr<Sanitizer> san_;
     std::unique_ptr<StreamSan> ssan_;
 };

@@ -70,9 +70,9 @@ void write_chrome_trace(std::ostream& os, const std::vector<KernelProfile>& prof
            << ",\"collisions\":" << c.shared_atomic_collisions + c.global_atomic_collisions
            << ",\"ballots\":" << c.warp_ballots << "}}";
     }
-    // Planner decisions as instant events: one marker per planned
-    // selection at the stream clock the decision was taken on.  Decisions
-    // recorded before any launch share the rebased origin (clamped at 0).
+    // Descent records as instant events: one marker per selection at the
+    // stream clock it was recorded on.  Records made before any launch
+    // share the rebased origin (clamped at 0).
     for (const auto& e : planner_events) {
         if (!first) os << ',';
         first = false;

@@ -33,18 +33,18 @@ struct KernelAggregate {
 /// arguments.
 void write_chrome_trace(std::ostream& os, const std::vector<KernelProfile>& profiles);
 
-/// Overload that also renders backend-planner decisions
-/// (Device::planner_log()) as instant events ("i" phase) on the stream
-/// track each decision applied to, with the chosen backend, rationale and
-/// problem shape as event arguments.  Timestamps share the profiles'
-/// rebased clock, so a decision appears right where its selection starts.
+/// Overload that also renders the descent records (Device::planner_log())
+/// as instant events ("i" phase) on the stream track each selection ran
+/// on, with the descent, rationale and problem shape as event arguments.
+/// Timestamps share the profiles' rebased clock, so a record appears right
+/// where its selection starts.
 void write_chrome_trace(std::ostream& os, const std::vector<KernelProfile>& profiles,
                         const std::vector<PlannerEvent>& planner_events);
 
 /// Overload that additionally renders supervisor telemetry tracks: numeric
 /// series (TraceCounter -> "C" counter events, e.g. the server's
 /// queue-depth track) and point annotations (TraceInstant -> "i" instant
-/// events, e.g. admission decisions and breaker transitions).  Counter and
+/// events, e.g. admission decisions).  Counter and
 /// instant tracks render under their own tid (TraceCounter/Instant::track,
 /// conventionally above the stream ids) with a thread_name of the first
 /// event's name on that track.  Same rebased clock as the profiles.

@@ -1,20 +1,18 @@
-// Tests for the backend planner (core/planner.hpp): the pure decision
-// table and its golden reason strings, the quarantine reroutes, the
-// host-side distribution probe, the planned front-ends' logs and tallies,
-// and the cross-backend adversarial matrix -- every backend must return
-// the same selected set on the distributions that defeat sampling.
+// Tests for the descent record (core/planner.hpp): the host-side
+// distribution probe, the front-ends' logs and tallies with their reason
+// strings, and the adversarial matrix -- the descent must return the same
+// selected set on the distributions that defeat sampling whether it sorts
+// the input outright or samples levels over it.
 
 #include "core/planner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "baselines/cpu_reference.hpp"
-#include "core/backend.hpp"
 #include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
 #include "core/topk.hpp"
@@ -24,69 +22,6 @@
 namespace {
 
 using namespace gpusel;
-using core::BackendKind;
-using core::PlanQuery;
-
-TEST(Planner, BackendNamesAreStable) {
-    EXPECT_STREQ(core::backend_name(BackendKind::sample), "sample");
-    EXPECT_STREQ(core::backend_name(BackendKind::bitonic), "bitonic");
-}
-
-// ---- the pure decision table (golden reason strings) ----------------------
-
-TEST(Planner, DecisionTableGolden) {
-    PlanQuery q;
-    q.n = 1 << 20;
-    q.k = 1 << 19;
-    q.base_case_size = 1024;
-    const std::uint32_t sample_bit = core::backend_bit(BackendKind::sample);
-    const std::uint32_t bitonic_bit = core::backend_bit(BackendKind::bitonic);
-
-    // 1. multi-rank trees only exist in the sample machinery, quarantined
-    //    or not.
-    PlanQuery multi = q;
-    multi.multi = true;
-    auto d = core::plan(multi);
-    EXPECT_EQ(d.backend, BackendKind::sample);
-    EXPECT_STREQ(d.reason, "multi-rank bucket tree");
-    multi.quarantined = sample_bit;
-    EXPECT_STREQ(core::plan(multi).reason, "multi-rank bucket tree");
-
-    // 2. small n.
-    PlanQuery small = q;
-    small.n = 600;
-    d = core::plan(small);
-    EXPECT_EQ(d.backend, BackendKind::bitonic);
-    EXPECT_STREQ(d.reason, "small n: single-block bitonic sort");
-
-    // 3. everything else, whatever the data.
-    d = core::plan(q);
-    EXPECT_EQ(d.backend, BackendKind::sample);
-    EXPECT_STREQ(d.reason, "distribution-adaptive sampled descent");
-
-    // Quarantine reroutes, in sample -> bitonic order.
-    small.quarantined = bitonic_bit;
-    d = core::plan(small);
-    EXPECT_EQ(d.backend, BackendKind::sample);
-    EXPECT_STREQ(d.reason, "quarantine reroute: sample");
-    PlanQuery mid = q;  // above the base case, within the sort capacity
-    mid.n = 4096;
-    mid.quarantined = sample_bit;
-    d = core::plan(mid);
-    EXPECT_EQ(d.backend, BackendKind::bitonic);
-    EXPECT_STREQ(d.reason, "quarantine reroute: bitonic");
-    // Beyond the sort capacity nothing can take over: the quarantine is
-    // advisory and the sampled descent runs anyway.
-    q.quarantined = sample_bit;
-    d = core::plan(q);
-    EXPECT_EQ(d.backend, BackendKind::sample);
-    EXPECT_STREQ(d.reason, "all feasible backends quarantined");
-    small.quarantined = sample_bit | bitonic_bit;
-    d = core::plan(small);
-    EXPECT_EQ(d.backend, BackendKind::bitonic);
-    EXPECT_STREQ(d.reason, "all feasible backends quarantined");
-}
-
 // ---- the distribution probe -----------------------------------------------
 
 TEST(Planner, ProbeAllEqual) {
@@ -220,7 +155,7 @@ TEST(Planner, LargeAdversarialInputsRunSampled) {
     }
 }
 
-// ---- adversarial matrix: identical selected sets across backends ----------
+// ---- adversarial matrix: identical selected sets across descents --------
 
 std::vector<float> adversarial_dataset(const std::string& name, std::size_t n) {
     if (name == "all_equal") return std::vector<float>(n, 5.5f);
@@ -241,34 +176,12 @@ std::vector<float> adversarial_dataset(const std::string& name, std::size_t n) {
     return data::generate<float>({.n = n, .dist = data::Distribution::zipf, .seed = 2});
 }
 
-/// One path through the matrix: a backend run directly over staged data,
-/// or (nullopt) the planned front-end.
-using Path = std::optional<BackendKind>;
-
-core::Result<core::SelectResult<float>> select_via(Path path, const std::vector<float>& data,
-                                                   std::size_t rank) {
-    simt::Device dev(simt::arch_v100());
-    const core::SampleSelectConfig cfg;
-    if (!path) return core::try_sample_select<float>(dev, data, rank, cfg);
-    const core::PipelineContext ctx(dev, cfg);
-    return core::selection_backend<float>(*path).select(
-        dev, core::DataHolder<float>::stage(ctx, data), rank, cfg, -1);
-}
-
-core::Result<core::TopKResult<float>> topk_via(Path path, const std::vector<float>& data,
-                                               std::size_t k) {
-    simt::Device dev(simt::arch_v100());
-    const core::SampleSelectConfig cfg;
-    if (!path) return core::try_topk_largest<float>(dev, data, k, cfg);
-    const core::PipelineContext ctx(dev, cfg);
-    return core::selection_backend<float>(*path).topk_largest(
-        dev, core::DataHolder<float>::stage(ctx, data), k, cfg, -1);
-}
-
 TEST(Planner, AdversarialMatrixAllBackendsAgree) {
-    const std::size_t n = 2048;  // within bitonic sort capacity
+    const std::size_t n = 2048;
     const char* dists[] = {"all_equal", "two_value", "sorted", "reverse", "zipf"};
-    const Path paths[] = {BackendKind::sample, BackendKind::bitonic, std::nullopt};
+    // 4096 sorts the input outright; 1024 (the default) and 64 run sampled
+    // levels first, 64 through several.
+    const std::size_t base_cases[] = {4096, 1024, 64};
 
     for (const char* dist : dists) {
         const auto data = adversarial_dataset(dist, n);
@@ -276,18 +189,21 @@ TEST(Planner, AdversarialMatrixAllBackendsAgree) {
         std::sort(sorted.begin(), sorted.end());
 
         for (const std::size_t k : {std::size_t{1}, n / 2, n - 1}) {
-            for (const Path& path : paths) {
-                SCOPED_TRACE(std::string(dist) + " k=" + std::to_string(k) + " " +
-                             (path ? core::backend_name(*path) : "planned"));
+            for (const std::size_t base_case : base_cases) {
+                SCOPED_TRACE(std::string(dist) + " k=" + std::to_string(k) +
+                             " base_case_size=" + std::to_string(base_case));
+                core::SampleSelectConfig cfg;
+                cfg.base_case_size = base_case;
 
                 // Rank selection: the value at rank k must be exact.
-                const auto r = select_via(path, data, k);
+                simt::Device dev(simt::arch_v100());
+                const auto r = core::try_sample_select<float>(dev, data, k, cfg);
                 ASSERT_TRUE(r.ok()) << r.status().to_message();
                 EXPECT_EQ(r.value().value, sorted[k]);
 
                 // Top-k: the selected multiset must equal the reference
-                // top-k slice (identical across paths by transitivity).
-                const auto t = topk_via(path, data, k);
+                // top-k slice (identical across descents by transitivity).
+                const auto t = core::try_topk_largest<float>(dev, data, k, cfg);
                 ASSERT_TRUE(t.ok()) << t.status().to_message();
                 std::vector<float> got = t.value().elements;
                 ASSERT_EQ(got.size(), k);
@@ -296,6 +212,13 @@ TEST(Planner, AdversarialMatrixAllBackendsAgree) {
                     ASSERT_EQ(got[i], sorted[n - k + i]) << "slot " << i;
                 }
                 EXPECT_EQ(t.value().threshold, sorted[n - k]);
+
+                // Each call ran, and recorded, the descent its base case
+                // size picks.
+                const bool outright = n <= base_case;
+                EXPECT_EQ(r.value().levels == 0, outright);
+                EXPECT_EQ(dev.robustness().backend_bitonic, outright ? 2u : 0u);
+                EXPECT_EQ(dev.robustness().backend_sample, outright ? 0u : 2u);
             }
         }
     }

@@ -1,8 +1,8 @@
 // Selection-as-a-service tests (docs/service.md): correctness of every
 // request kind against the CPU reference, admission control (bounded-queue
 // shedding, per-tenant fairness, up-front deadline rejection), graceful
-// degradation under queue delay, the per-backend circuit breaker's
-// trip / half-open / recovery cycle, clean drain and shutdown semantics,
+// degradation under queue delay, typed fault outcomes while the device
+// faults and recovery once it stops, clean drain and shutdown semantics,
 // concurrent submission against the dispatcher thread, and a seeded
 // overload + fault soak in which every admitted request must resolve --
 // the service never hangs a future.
@@ -531,17 +531,15 @@ TEST(Server, AllowDegradeFalseStaysExact) {
     EXPECT_EQ(stats::rank_error<float>(data, r1.value, 30000), 0u);
 }
 
-// ---- circuit breaker ---------------------------------------------------------
+// ---- device faults -----------------------------------------------------------
 
-TEST(Server, BreakerTripsQuarantinesAndRecovers) {
+TEST(Server, FaultedRoundsResolveTypedThenRecover) {
     simt::Device dev(simt::arch_v100());
-    ServerConfig cfg;
-    cfg.breaker.failure_threshold = 2;
-    cfg.breaker.initial_backoff_ns = 1e4;
-    SelectServer srv(dev, cfg);
+    SelectServer srv(dev, {});
     const auto data = dataset(8192, 16);
 
-    // Hard launch faults: every round fails terminally until cleared.
+    // Hard launch faults: every launch fails until cleared, so each round
+    // exhausts its bounded retry and resolves with the typed fault.
     simt::FaultSpec faults;
     faults.seed = 99;
     faults.launch_rate = 1.0;
@@ -553,17 +551,12 @@ TEST(Server, BreakerTripsQuarantinesAndRecovers) {
         req.rank = 50;
         auto fut = srv.submit(req);
         srv.pump();
-        EXPECT_FALSE(fut.get().status.ok());
+        const Response r = fut.get();
+        EXPECT_EQ(r.status.code, core::SelectError::launch_failed) << r.status.message;
     }
-    const std::uint32_t tripped = dev.backend_quarantine();
-    EXPECT_NE(tripped, 0u) << "two consecutive faulted rounds must trip a breaker";
 
-    // Faults stop; the next rounds (after the backoff window) half-open
-    // probe and recover -- the quarantine mask must clear again.
+    // Faults stop: the very next rounds succeed, with exact answers.
     dev.clear_faults();
-    // A few fault-free rounds: first the backoff window expires (open ->
-    // half_open, quarantine bit clears), then the planner's next pick of
-    // the backend is the half-open probe whose success closes it.
     for (int i = 0; i < 8; ++i) {
         Request req;
         req.data = data;
@@ -571,14 +564,8 @@ TEST(Server, BreakerTripsQuarantinesAndRecovers) {
         auto fut = srv.submit(req);
         srv.pump();
         const Response r = fut.get();
-        EXPECT_TRUE(r.status.ok()) << r.status.message;
-    }
-    EXPECT_EQ(dev.backend_quarantine(), 0u) << "breaker must recover after faults stop";
-    for (const core::BackendKind k : core::kBackends) {
-        if ((tripped & core::backend_bit(k)) != 0u) {
-            EXPECT_EQ(srv.breakers().of(k).state(), server::BreakerState::closed)
-                << "tripped breaker must close after a successful probe";
-        }
+        ASSERT_TRUE(r.status.ok()) << r.status.message;
+        EXPECT_EQ(stats::rank_error<float>(data, r.value, 60), 0u);
     }
 }
 
@@ -724,8 +711,8 @@ TEST(Server, LoadgenOverloadShedsNotHangs) {
 // ---- seeded overload + fault soak -------------------------------------------
 // Scenario grid: (request mix x fault schedule x overload burst) as a
 // deterministic function of the scenario index.  Every admitted request
-// must resolve (result or typed error), drain must finish the in-flight
-// work, and after the faults stop the breakers must recover.
+// must resolve (result or typed error), and drain must finish the
+// in-flight work.
 
 std::size_t soak_scenarios() {
     if (const char* env = std::getenv("GPUSEL_SOAK_SCENARIOS")) {
@@ -749,8 +736,6 @@ TEST(ServerSoak, EveryAdmittedRequestResolves) {
         cfg.max_batch = 1 + s % 7;
         cfg.degrade_queue_delay_ns = (s % 3 == 0) ? 5e3 : 0.0;
         cfg.default_deadline_ns = (s % 4 == 0) ? 5e5 : 0.0;
-        cfg.breaker.failure_threshold = 2;
-        cfg.breaker.initial_backoff_ns = 1e4;
         SelectServer srv(dev, cfg);
 
         // Scenario fault schedule: off / alloc / launch / both, bursty.
@@ -794,8 +779,7 @@ TEST(ServerSoak, EveryAdmittedRequestResolves) {
             if (i % 2 == 1) srv.pump();  // interleave rounds with arrivals
         }
 
-        // Faults stop; drain must finish every in-flight request and the
-        // breakers must be recoverable.
+        // Faults stop; drain must finish every in-flight request.
         dev.clear_faults();
         srv.drain();
         ASSERT_EQ(srv.queue_depth(), 0u) << "scenario " << s;
@@ -810,22 +794,6 @@ TEST(ServerSoak, EveryAdmittedRequestResolves) {
                 ++typed_errors;
                 EXPECT_FALSE(r.status.message.empty()) << "scenario " << s;
             }
-        }
-
-        // Breaker recovery: pump fault-free work until the quarantine mask
-        // clears (bounded by the backoff ladder).
-        if (dev.backend_quarantine() != 0u) {
-            srv.reopen();
-            for (int probe = 0; probe < 16 && dev.backend_quarantine() != 0u; ++probe) {
-                Request req;
-                req.data = base;
-                req.rank = 64;
-                auto f = srv.submit(req);
-                srv.pump();
-                f.get();
-            }
-            EXPECT_EQ(dev.backend_quarantine(), 0u)
-                << "breaker failed to recover in scenario " << s;
         }
     }
     // Sanity on the grid itself: work actually ran and faults actually bit.

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/float_order.hpp"
-#include "core/planner.hpp"
 #include "data/distributions.hpp"
 #include "data/rng.hpp"
 #include "golden_hash.hpp"

@@ -66,9 +66,11 @@ def family_of(name):
     return name.split("/", 1)[0]
 
 
-# Planner backend tallies exported by bench_simulator_overhead
-# (RobustnessCounters::backend_*, see docs/planner.md).  The coverage step
-# asserts the bench sweep exercised every selection backend at least once.
+# Descent tallies exported by bench_simulator_overhead
+# (RobustnessCounters::backend_*, see docs/planner.md): backend_sample
+# counts selections that ran sampled levels, backend_bitonic those that
+# sorted their input outright in the base case.  The coverage step asserts
+# the bench sweep ran each descent at least once.
 BACKEND_COUNTERS = ("backend_sample", "backend_bitonic")
 
 

@@ -6,7 +6,7 @@
 // bench-results JSON that tools/check_bench_regression.py's SLO gate
 // consumes (--server-current / --server-baseline).  Optionally exports a
 // chrome trace of the nominal run with the service telemetry tracks
-// (queue depth, admission decisions, breaker transitions).
+// (queue depth, admission decisions).
 //
 // Examples:
 //   gpusel_loadgen --rates 500,2000,8000 --out results/BENCH_server.json
