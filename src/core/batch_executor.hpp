@@ -88,8 +88,6 @@ public:
     double fork();
     /// Makes the base stream wait on every lane's completion event.
     void join();
-    /// The timestamp fork() recorded (0 before the first fork).
-    [[nodiscard]] double fork_ns() const noexcept { return fork_ns_; }
 
     /// Lane busy time since the fork, read before join().
     struct Overlap {

@@ -5,7 +5,6 @@
 #include "core/float_order.hpp"
 #include "core/opening.hpp"
 #include "core/pipeline.hpp"
-#include "simt/scan.hpp"
 #include "simt/timing.hpp"
 
 namespace gpusel::core {
@@ -33,24 +32,18 @@ Result<EquiDepthHistogram<T>> try_equi_depth_histogram(simt::Device& dev, std::s
     h.n = n;
     const Stamp<EquiDepthHistogram<T>> stamp(dev);
 
-    // Count-only pipeline level: no oracles, no per-block offsets, and no
-    // locate epilogue (there is no rank to locate).
+    // Count-only pipeline level: no oracles and no per-block offsets.  Its
+    // locate epilogue at rank 0 writes the cumulative counts; the located
+    // bucket is unused.
     auto lvres = try_run_bucket_level<T>(
         ctx, std::span<const T>(o.value().data.span()), /*rank=*/0, origin, /*salt=*/0,
-        {.write_oracles = false, .keep_block_offsets = false, .locate = false});
+        {.write_oracles = false, .keep_block_offsets = false, .locate = true});
     if (!lvres.ok()) return lvres.status();
     const LevelOutcome<T> lv = lvres.take();
     h.tree = lv.tree;
     h.boundaries = h.tree.splitters;
     const auto totals = lv.totals_span();
-
-    // Cumulative counts via the device scan substrate.
-    simt::PooledBuffer<std::int32_t> prefix;
-    Status s = with_fault_retry(ctx, [&] {
-        prefix = ctx.scratch<std::int32_t>(b);
-        simt::exclusive_scan_i32(dev, totals, prefix.span(), origin, cfg.block_dim, cfg.stream);
-    });
-    if (!s.ok()) return s;
+    const auto prefix = lv.prefix_span();
 
     h.counts.resize(b);
     h.cumulative.resize(b + 1);

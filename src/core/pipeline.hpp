@@ -402,21 +402,14 @@ void launch_copy(simt::Device& dev, std::span<const T> src, std::size_t src_base
 template <typename T>
 void sort_base_case(const PipelineContext& ctx, std::span<T> data, simt::LaunchOrigin origin);
 
-/// A data buffer for pipeline descent: either an adopted DeviceBuffer (the
-/// caller's input) or a pooled block, viewed at a logical length that can
-/// shrink as the recursion descends while the backing checkout is reused.
+/// A data buffer for pipeline descent: a pooled block, viewed at a logical
+/// length that can shrink as the recursion descends while the backing
+/// checkout is reused.
 template <typename T>
 class DataHolder {
 public:
     DataHolder() = default;
 
-    /// Takes ownership of a caller-provided device buffer.
-    [[nodiscard]] static DataHolder adopt(simt::DeviceBuffer<T> buf) {
-        DataHolder h;
-        h.len_ = buf.size();
-        h.owned_ = std::move(buf);
-        return h;
-    }
     /// Wraps an existing pooled checkout at logical length n.
     [[nodiscard]] static DataHolder from_pooled(simt::PooledBuffer<T> buf) {
         DataHolder h;
@@ -437,9 +430,7 @@ public:
     }
 
     [[nodiscard]] std::span<T> span() noexcept {
-        return owned_.empty() && pooled_.empty() ? std::span<T>{}
-               : owned_.empty() ? std::span<T>{pooled_.data(), len_}
-                                : std::span<T>{owned_.data(), len_};
+        return pooled_.empty() ? std::span<T>{} : std::span<T>{pooled_.data(), len_};
     }
     [[nodiscard]] std::span<const T> span() const noexcept {
         return const_cast<DataHolder*>(this)->span();
@@ -447,14 +438,11 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return len_; }
     [[nodiscard]] bool empty() const noexcept { return len_ == 0; }
     /// Elements the backing storage can hold (>= size()).
-    [[nodiscard]] std::size_t capacity() const noexcept {
-        return !owned_.empty() ? owned_.size() : pooled_.capacity();
-    }
+    [[nodiscard]] std::size_t capacity() const noexcept { return pooled_.capacity(); }
     /// Shrinks the logical length without touching the backing storage.
     void view(std::size_t n) noexcept { len_ = n <= capacity() ? n : capacity(); }
 
 private:
-    simt::DeviceBuffer<T> owned_;
     simt::PooledBuffer<T> pooled_;
     std::size_t len_ = 0;
 };

@@ -52,20 +52,90 @@ Status check_rank(std::size_t n, std::size_t rank) {
     return Status::success();
 }
 
+/// The bucket count b_eff that splitters at regular ranks cut a sorted set
+/// of n elements into: `buckets` halved until the set can fill it (never
+/// below 2).
+int effective_buckets(std::size_t n, int buckets) {
+    int b = buckets;
+    while (b > 2 && static_cast<std::size_t>(b) > n + 1) b /= 2;
+    return b;
+}
+
+/// The tile sample over `shards` near-equal shards of n elements (the
+/// chunks ShardEnv cuts): the candidate count |C| and the bound on any
+/// non-equality global bucket, (2 ceil(|C| / b_eff) + T) * max_t
+/// ceil(n_t / (s_t + 1)) over the T tiles.  A non-equality bucket holds
+/// fewer than 2 ceil(|C| / b_eff) candidates: at most that gap up to its
+/// upper splitter, plus the ties of its lower splitter that sort before
+/// that splitter's position (fewer than the gap, or the splitter would
+/// repeat and get an equality bucket).  Each of them, and each tile once,
+/// stands for at most one rank stride of its tile's elements.  Both
+/// numbers follow from the shard sizes alone.
+struct TileBound {
+    std::size_t candidates = 0;
+    std::size_t skew_bound = 0;
+};
+
+TileBound tile_bound(std::size_t n, std::size_t shards, int splitter_buckets) {
+    const auto per_tile = static_cast<std::size_t>(4 * splitter_buckets);
+    TileBound tb;
+    std::size_t tiles = 0;
+    std::size_t stride = 0;
+    for (std::size_t j = 0; j < shards; ++j) {
+        const TileSample shape{.n = n / shards + (j < n % shards ? 1 : 0), .per_tile = per_tile};
+        for (std::size_t t = 0; t < shape.tiles(); ++t) stride = std::max(stride, shape.stride(t));
+        tiles += shape.tiles();
+        tb.candidates += shape.total();
+    }
+    const auto b = static_cast<std::size_t>(effective_buckets(tb.candidates, splitter_buckets));
+    tb.skew_bound = (2 * ((tb.candidates + b - 1) / b) + tiles) * stride;
+    return tb;
+}
+
+/// Whether device 0 can hold a multi-shard call's merge and gather, from
+/// sizes alone (docs/sharding.md, "What device 0 holds").  The merge holds
+/// at most 2 |C| candidates on it: the gather buffer and the node it held
+/// before the last round.  A gather (`gathers`: exact select and top-k)
+/// holds the rank's bucket, at most skew_bound elements, next to one
+/// staged shard's counted level.
+template <typename T>
+Status check_root_fits(const simt::DeviceGroup& group, const ShardSelectConfig& cfg,
+                       const ShardPlan& plan, const TileBound& tb, bool gathers) {
+    const std::size_t capacity = group.mem_capacity_bytes();
+    if (2 * tb.candidates * sizeof(T) > capacity) {
+        return Status::failure(SelectError::invalid_argument,
+                               "sharded select: the splitter merge cannot fit device 0");
+    }
+    if (!gathers) return Status::success();
+    SampleSelectConfig shard_cfg = cfg.select;
+    shard_cfg.num_buckets = cfg.splitter_buckets;
+    const std::size_t shard_level =
+        plan.shard_elems * sizeof(T) +
+        PipelinePlan::make(group.device(0), plan.shard_elems, shard_cfg).scratch_bytes();
+    if (tb.skew_bound * sizeof(T) + shard_level > capacity) {
+        return Status::failure(SelectError::invalid_argument,
+                               "sharded select: the rank's bucket cannot fit device 0");
+    }
+    return Status::success();
+}
+
 /// What the prologue every sharded front-end shares decided.
 struct Opening {
     std::size_t nan = 0;      ///< NaN keys in the input
     std::size_t clean_n = 0;  ///< non-NaN elements
     ShardPlan plan;
+    std::size_t skew_bound = 0;  ///< the plan's TileBound, reported once the merge runs
 };
 
 /// The shared prologue, in its fixed check order: config validation, the
 /// front-end's own `range` check, NaN rejection under NanPolicy::reject,
-/// then the shard-count plan for the non-NaN elements (a pure decision: no
-/// stream is leased and no planner event recorded until ShardEnv opens).
+/// the shard-count plan for the non-NaN elements, then, for several
+/// shards, whether device 0 can hold the merge and, when the front-end
+/// `gathers`, the rank's bucket.  A pure decision: no stream is leased, no
+/// planner event recorded and nothing launched until ShardEnv opens.
 template <typename T>
 Result<Opening> open_shards(const simt::DeviceGroup& group, std::span<const T> input,
-                            const ShardSelectConfig& cfg, Status range) {
+                            const ShardSelectConfig& cfg, Status range, bool gathers) {
     if (Status v = validate_shard_config(cfg); !v.ok()) return v;
     if (!range.ok()) return range;
     Opening o;
@@ -76,15 +146,18 @@ Result<Opening> open_shards(const simt::DeviceGroup& group, std::span<const T> i
     }
     o.clean_n = input.size() - o.nan;
     o.plan = plan_shard_count(o.clean_n, sizeof(T), group.mem_capacity_bytes(), group.size());
+    const TileBound tb = tile_bound(o.clean_n, o.plan.shards, cfg.splitter_buckets);
+    o.skew_bound = tb.skew_bound;
+    if (o.plan.shards > 1) {
+        if (Status s = check_root_fits<T>(group, cfg, o.plan, tb, gathers); !s.ok()) return s;
+    }
     return o;
 }
 
 /// Ranks of the splitters cut from a sorted set of n >= 1 elements at
-/// regular gaps: b_eff - 1 of them, where b_eff halves `buckets` until the
-/// set can fill it (never below 2).
+/// regular gaps: b_eff - 1 of them.
 std::vector<std::size_t> regular_ranks(std::size_t n, int buckets) {
-    int b = buckets;
-    while (b > 2 && static_cast<std::size_t>(b) > n + 1) b /= 2;
+    const int b = effective_buckets(n, buckets);
     std::vector<std::size_t> ranks;
     ranks.reserve(static_cast<std::size_t>(b - 1));
     for (int t = 0; t + 1 < b; ++t) {
@@ -142,9 +215,10 @@ struct ShardEnv {
     std::vector<std::vector<T>> chunks;  ///< NaN-free host slices, one per shard
     std::vector<int> shard_dev;          ///< owning device per shard (j % devices_used)
     int devices_used = 0;
-    std::vector<int> stream;  ///< leased compute stream per used device
-    std::size_t total_n = 0;  ///< non-NaN elements over all shards
-    ShardAccounting acct;     ///< merge fields set by the passes, the rest by finish()
+    std::vector<int> stream;     ///< leased compute stream per used device
+    std::size_t total_n = 0;     ///< non-NaN elements over all shards
+    std::size_t skew_bound = 0;  ///< the opening's TileBound
+    ShardAccounting acct;        ///< merge fields set by the passes, the rest by finish()
 
     double t0 = 0.0;
     std::uint64_t bytes0 = 0;
@@ -164,6 +238,7 @@ struct ShardEnv {
         // returns the streams leased so far.
         const std::size_t shards = o.plan.shards;
         total_n = o.clean_n;
+        skew_bound = o.skew_bound;
         acct.nan_count = o.nan;
         devices_used = static_cast<int>(
             std::min<std::size_t>(shards, static_cast<std::size_t>(group.size())));
@@ -299,11 +374,7 @@ private:
 /// nodes, so no candidate passes through the host before the root has them
 /// all.
 template <typename T>
-struct Candidates {
-    std::vector<simt::PooledBuffer<T>> per_device;
-    std::size_t tiles = 0;       ///< T: sorted tiles over all shards
-    std::size_t max_stride = 0;  ///< max_t ceil(n_t / (s_t + 1))
-};
+using Candidates = std::vector<simt::PooledBuffer<T>>;
 
 /// Phase A: every shard is staged and cut into tiles of
 /// bitonic::kMaxSortSize elements; one `sample` launch sorts each tile in
@@ -316,14 +387,10 @@ Result<Candidates<T>> shard_candidates(ShardEnv<T>& env) {
     const auto per_tile = static_cast<std::size_t>(4 * env.cfg.splitter_buckets);
     const auto devices = static_cast<std::size_t>(env.devices_used);
     Candidates<T> cand;
-    cand.per_device.resize(devices);
+    cand.resize(devices);
     std::vector<std::size_t> fill(devices, 0);
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
         const TileSample shape{.n = env.chunks[j].size(), .per_tile = per_tile};
-        for (std::size_t t = 0; t < shape.tiles(); ++t) {
-            cand.max_stride = std::max(cand.max_stride, shape.stride(t));
-        }
-        cand.tiles += shape.tiles();
         fill[static_cast<std::size_t>(env.shard_dev[j])] += shape.total();
     }
     for (int d = 0; d < env.devices_used; ++d) {
@@ -331,7 +398,7 @@ Result<Candidates<T>> shard_candidates(ShardEnv<T>& env) {
         if (fill[i] == 0) continue;
         auto buf = env.template checkout<T>(d, fill[i]);
         if (!buf.ok()) return buf.status();
-        cand.per_device[i] = buf.take();
+        cand[i] = buf.take();
     }
     std::fill(fill.begin(), fill.end(), 0);
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
@@ -340,7 +407,7 @@ Result<Candidates<T>> shard_candidates(ShardEnv<T>& env) {
         const int d = env.shard_dev[j];
         const auto i = static_cast<std::size_t>(d);
         const TileSample shape{.n = chunk.size(), .per_tile = per_tile};
-        const std::span<T> dst = cand.per_device[i].span().subspan(fill[i], shape.total());
+        const std::span<T> dst = cand[i].span().subspan(fill[i], shape.total());
         const SampleSelectConfig sc = env.on_device(d);
         const PipelineContext ctx(env.group.device(d), sc, sc.stream);
         Status st = with_fault_retry(ctx, [&] {
@@ -396,7 +463,7 @@ Status merge_candidates(ShardEnv<T>& env, Candidates<T>& cand, std::vector<Searc
     };
     std::vector<Node> active;
     for (int d = 0; d < env.devices_used; ++d) {
-        auto& buf = cand.per_device[static_cast<std::size_t>(d)];
+        auto& buf = cand[static_cast<std::size_t>(d)];
         if (!buf.empty()) active.push_back({d, std::move(buf)});
     }
     if (active.empty()) {
@@ -451,15 +518,8 @@ Status merge_candidates(ShardEnv<T>& env, Candidates<T>& cand, std::vector<Searc
     for (const std::size_t r : regular_ranks(merged.size(), env.cfg.splitter_buckets)) {
         splitters.push_back(merged[r]);
     }
-    const std::size_t b = splitters.size() + 1;
-    const std::size_t gap = (merged.size() + b - 1) / b;  // g = ceil(|C| / b_eff)
     env.acct.merge_candidates = merged.size();
-    // A non-equality bucket holds fewer than 2g candidates: at most g up to
-    // its upper splitter, plus the ties of its lower splitter that sort
-    // before that splitter's position (fewer than g, or the splitter would
-    // repeat and get an equality bucket).  Each of them, and each tile once,
-    // stands for at most one rank stride of its tile's elements.
-    env.acct.skew_bound = (2 * gap + cand.tiles) * cand.max_stride;
+    env.acct.skew_bound = env.skew_bound;
     Status st = broadcast_tree(
         env, splitters, [](std::vector<T> s) { return SearchTree<T>::build(std::move(s)); }, tree);
     root.buf = {};
@@ -777,7 +837,8 @@ template <typename T>
 Result<ShardedSelectResult<T>> try_sharded_select(simt::DeviceGroup& group,
                                                   std::span<const T> input, std::size_t rank,
                                                   const ShardSelectConfig& cfg) {
-    Result<Opening> o = open_shards(group, input, cfg, check_rank(input.size(), rank));
+    Result<Opening> o =
+        open_shards(group, input, cfg, check_rank(input.size(), rank), /*gathers=*/true);
     if (!o.ok()) return o.status();
     if (rank >= o.value().clean_n) {
         // The rank falls inside the NaN tail: NaNs are the largest keys.
@@ -795,7 +856,8 @@ Result<ShardedApproxSelectResult<T>> try_sharded_approx_select(simt::DeviceGroup
                                                                std::span<const T> input,
                                                                std::size_t rank,
                                                                const ShardSelectConfig& cfg) {
-    Result<Opening> o = open_shards(group, input, cfg, check_rank(input.size(), rank));
+    Result<Opening> o =
+        open_shards(group, input, cfg, check_rank(input.size(), rank), /*gathers=*/false);
     if (!o.ok()) return o.status();
     if (rank >= o.value().clean_n) {
         return ShardedApproxSelectResult<T>{.value = quiet_nan<T>(),
@@ -820,7 +882,7 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
         k == 0 || k > input.size()
             ? Status::failure(SelectError::rank_out_of_range, "top-k k must be in [1, n]")
             : Status::success();
-    Result<Opening> o = open_shards(group, input, cfg, range);
+    Result<Opening> o = open_shards(group, input, cfg, range, /*gathers=*/true);
     if (!o.ok()) return o.status();
     const std::size_t nan = o.value().nan;
     ShardedTopKResult<T> res;

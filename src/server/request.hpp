@@ -49,15 +49,6 @@ enum class ResponseMode : std::uint8_t {
     degraded,  ///< exact request downgraded to approximate under overload
 };
 
-[[nodiscard]] constexpr const char* response_mode_name(ResponseMode m) noexcept {
-    switch (m) {
-        case ResponseMode::exact: return "exact";
-        case ResponseMode::approx: return "approx";
-        case ResponseMode::degraded: return "degraded";
-    }
-    return "?";
-}
-
 /// One client request.
 struct Request {
     RequestKind kind = RequestKind::select;

@@ -129,7 +129,6 @@ struct RobustnessCounters {
         return *this;
     }
     bool operator==(const RobustnessCounters&) const = default;
-    [[nodiscard]] bool all_zero() const noexcept { return *this == RobustnessCounters{}; }
 };
 
 std::ostream& operator<<(std::ostream& os, const RobustnessCounters& c);

@@ -222,7 +222,6 @@ public:
     [[nodiscard]] const std::vector<PlannerEvent>& planner_log() const noexcept {
         return planner_log_;
     }
-    void clear_planner_log() { planner_log_.clear(); }
 
     // ---- SimTSan ----------------------------------------------------------
     // The Device owns the sanitizer (simt/sanitizer.hpp) so one shadow

@@ -12,9 +12,6 @@ namespace {
 /// exceed it when binaries move between machines).
 Level cpu_level() noexcept {
 #if defined(__GNUC__) || defined(__clang__)
-#if defined(GPUSEL_SIMD_AVX512)
-    if (__builtin_cpu_supports("avx512f")) return Level::avx512;
-#endif
 #if defined(GPUSEL_SIMD_AVX2)
     if (__builtin_cpu_supports("avx2")) return Level::avx2;
 #endif
@@ -28,18 +25,18 @@ Level min_level(Level a, Level b) noexcept {
     return static_cast<int>(a) < static_cast<int>(b) ? a : b;
 }
 
-/// GPUSEL_SIMD parse: "off"/"0"/"scalar" disable, or a tier name caps the
-/// dispatch; unset/unknown leaves the fastest supported tier active.  The
-/// retired "sse2" keeps its cap meaning: the highest tier at or below it.
+/// GPUSEL_SIMD parse: "off"/"0"/"scalar" disable; unset or any other value
+/// ("avx2", the retired "avx512", ...) leaves the fastest supported tier
+/// active.  The retired "sse2" keeps its cap meaning: the highest tier at or
+/// below it.
 Level env_cap() noexcept {
     const char* env = std::getenv("GPUSEL_SIMD");
-    if (env == nullptr) return Level::avx512;
+    if (env == nullptr) return Level::avx2;
     const std::string_view v{env};
     if (v == "off" || v == "0" || v == "scalar" || v == "none" || v == "sse2") {
         return Level::scalar;
     }
-    if (v == "avx2") return Level::avx2;
-    return Level::avx512;
+    return Level::avx2;
 }
 
 /// Hardware-and-environment ceiling, computed once.
@@ -50,7 +47,7 @@ Level hard_cap() noexcept {
 
 /// In-process override (tests sweep tiers); relaxed is fine -- callers
 /// that flip it synchronize externally.
-std::atomic<Level> g_soft_cap{Level::avx512};
+std::atomic<Level> g_soft_cap{Level::avx2};
 
 }  // namespace
 
@@ -60,13 +57,12 @@ Level active_level() noexcept {
 
 void set_level(Level cap) noexcept { g_soft_cap.store(cap, std::memory_order_relaxed); }
 
-void set_enabled(bool on) noexcept { set_level(on ? Level::avx512 : Level::scalar); }
+void set_enabled(bool on) noexcept { set_level(on ? Level::avx2 : Level::scalar); }
 
 const char* level_name(Level l) noexcept {
     switch (l) {
         case Level::scalar: return "scalar";
         case Level::avx2: return "avx2";
-        case Level::avx512: return "avx512";
     }
     return "unknown";
 }

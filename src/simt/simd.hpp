@@ -2,12 +2,11 @@
 // Portable lane-vector layer for the SIMT simulator's warp hot loops.
 //
 // The simulator models a 32-lane warp; on the host that tile maps exactly
-// onto x86 vector registers (2 x 16-lane AVX-512 or 4 x 8-lane AVX2 for
-// floats).  This header provides the small set of *semantics-exact* tile
-// primitives the hot loops need -- masked compares, search-tree
-// traversal, compress-store, bitonic compare-exchange and a horizontal
-// histogram-accumulate -- each with a scalar fallback that is the original
-// per-lane loop.
+// onto x86 vector registers (4 x 8-lane AVX2 for floats).  This header
+// provides the small set of *semantics-exact* tile primitives the hot
+// loops need -- masked compares, search-tree traversal, compress-store,
+// bitonic compare-exchange and a horizontal histogram-accumulate -- each
+// with a scalar fallback that is the original per-lane loop.
 //
 // Contract: every primitive is bit-identical to its scalar fallback on all
 // inputs, including NaN and duplicate handling (compares use the exact
@@ -16,13 +15,14 @@
 // here: callers charge per *tile* (see WarpCtx::add_instr etc.), so the
 // counters do not depend on which tier executed the arithmetic.
 //
-// Tier selection:
-//   * compile time: the best tier the build enables (CMake probes AVX2 and
-//     AVX-512 with check_cxx_source_runs; see the top-level CMakeLists).
+// Two tiers: the scalar reference and AVX2.
+//   * compile time: AVX2 when the build enables it (CMake probes it with
+//     check_cxx_source_runs; see the top-level CMakeLists).
 //   * run time: capped by the GPUSEL_SIMD environment variable
-//     ("off"/"0"/"scalar", "avx2", "avx512"; unset = fastest; the retired
-//     "sse2" caps at scalar) and a defensive __builtin_cpu_supports check.
-//     Tests flip tiers in-process via set_level()/set_enabled().
+//     ("off"/"0"/"scalar" or "avx2"; unset or any other value = fastest;
+//     the retired "sse2" caps at scalar) and a defensive
+//     __builtin_cpu_supports check.  Tests flip tiers in-process via
+//     set_level()/set_enabled().
 
 #include <bit>
 #include <cstddef>
@@ -30,16 +30,8 @@
 #include <cstring>
 #include <type_traits>
 
-#if !defined(GPUSEL_SIMD_DISABLE)
-#if defined(__AVX512F__)
-#define GPUSEL_SIMD_AVX512 1
-#endif
-#if defined(__AVX2__)
+#if !defined(GPUSEL_SIMD_DISABLE) && defined(__AVX2__)
 #define GPUSEL_SIMD_AVX2 1
-#endif
-#endif
-
-#if defined(GPUSEL_SIMD_AVX512) || defined(GPUSEL_SIMD_AVX2)
 #include <immintrin.h>
 #endif
 
@@ -53,15 +45,13 @@ inline constexpr int kTileLanes = 32;
 /// must use the caller's own scratch (BlockCtx::distinct).
 inline constexpr std::size_t kMaxHistogramBins = 4096;
 
-/// Value 1 was the retired SSE2 tier; the others keep their numbers because
-/// BM_FilterCompressStore names its bench rows by them.
-enum class Level : int { scalar = 0, avx2 = 2, avx512 = 3 };
+/// Values 1 and 3 were the retired SSE2 and AVX-512 tiers; the others keep
+/// their numbers because BM_FilterCompressStore names its bench rows by them.
+enum class Level : int { scalar = 0, avx2 = 2 };
 
 /// Best tier compiled into this binary.
 [[nodiscard]] constexpr Level compiled_level() noexcept {
-#if defined(GPUSEL_SIMD_AVX512)
-    return Level::avx512;
-#elif defined(GPUSEL_SIMD_AVX2)
+#if defined(GPUSEL_SIMD_AVX2)
     return Level::avx2;
 #else
     return Level::scalar;
@@ -288,7 +278,7 @@ inline void traverse_tree(const float* nodes, const std::int32_t* leq, std::int3
 }
 
 /// 32-lane double traversal: 4-lane gathers at every level (no wide
-/// permute tables pre-AVX-512; gathers still beat the scalar chain).
+/// permute tables for 8-byte lanes; gathers still beat the scalar chain).
 inline void traverse_tree(const double* nodes, const std::int32_t* leq, std::int32_t height,
                           const double* elems, std::int32_t* bucket) {
     const __m128i one = _mm_set1_epi32(1);
@@ -455,10 +445,10 @@ inline std::uint32_t byte_gt_mask(const std::uint8_t* v, std::uint8_t x, int lan
 
 namespace detail {
 
-/// Permute-index tables emulating AVX-512 vcompressps on AVX2
-/// (x86-simd-sort's partitioning trick): entry [m] lists the set-bit
-/// positions of the 8-bit (4-bit pair) mask m in ascending order, so a
-/// single permutevar8x32 packs the selected lanes to the vector front.
+/// Permute-index table emulating vcompressps on AVX2 (x86-simd-sort's
+/// partitioning trick): entry [m] lists the set-bit positions of the 8-bit
+/// mask m in ascending order, so a single permutevar8x32 packs the selected
+/// lanes to the vector front.
 struct CompressLut8 {
     std::int32_t idx[256][8];
 };
@@ -474,31 +464,6 @@ constexpr CompressLut8 make_compress_lut8() {
     return t;
 }
 inline constexpr CompressLut8 kCompressLut8 = make_compress_lut8();
-
-/// 8-byte-lane variant: 4-bit masks over epi64 lanes, expressed as pairs
-/// of epi32 permute indices (2b, 2b+1) so the same permutevar8x32 applies.
-struct CompressLut4 {
-    std::int32_t idx[16][8];
-};
-constexpr CompressLut4 make_compress_lut4() {
-    CompressLut4 t{};
-    for (int m = 0; m < 16; ++m) {
-        int n = 0;
-        for (int b = 0; b < 4; ++b) {
-            if ((m >> b) & 1) {
-                t.idx[m][2 * n] = 2 * b;
-                t.idx[m][2 * n + 1] = 2 * b + 1;
-                ++n;
-            }
-        }
-        for (; n < 4; ++n) {
-            t.idx[m][2 * n] = 0;
-            t.idx[m][2 * n + 1] = 0;
-        }
-    }
-    return t;
-}
-inline constexpr CompressLut4 kCompressLut4 = make_compress_lut4();
 
 }  // namespace detail
 
@@ -530,36 +495,6 @@ inline int compress_store_4(const void* src, std::uint32_t mask, int lanes, void
         if ((mask >> l) & 1u) {
             std::memcpy(out + 4u * static_cast<unsigned>(written),
                         in + 4u * static_cast<unsigned>(l), 4);
-            ++written;
-        }
-    }
-    return written;
-}
-
-/// 8-byte-lane compress-store (KeyPayload/double payloads).
-inline int compress_store_8(const void* src, std::uint32_t mask, int lanes, void* dst) {
-    const auto* in = static_cast<const unsigned char*>(src);
-    auto* out = static_cast<unsigned char*>(dst);
-    const __m256i pair_ids = _mm256_setr_epi64x(0, 1, 2, 3);
-    int written = 0;
-    int l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-        const std::uint32_t m4 = (mask >> l) & 0xfu;
-        const __m256i v =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 8u * static_cast<unsigned>(l)));
-        const __m256i perm = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(detail::kCompressLut4.idx[m4]));
-        const __m256i packed = _mm256_permutevar8x32_epi32(v, perm);
-        const int cnt = std::popcount(m4);
-        const __m256i keep = _mm256_cmpgt_epi64(_mm256_set1_epi64x(cnt), pair_ids);
-        _mm256_maskstore_epi64(
-            reinterpret_cast<long long*>(out + 8u * static_cast<unsigned>(written)), keep, packed);
-        written += cnt;
-    }
-    for (; l < lanes; ++l) {
-        if ((mask >> l) & 1u) {
-            std::memcpy(out + 8u * static_cast<unsigned>(written),
-                        in + 8u * static_cast<unsigned>(l), 8);
             ++written;
         }
     }
@@ -667,188 +602,6 @@ inline void bitonic_step(double* a, std::size_t m, std::size_t j, std::size_t k)
 #endif  // GPUSEL_SIMD_AVX2
 
 // ===========================================================================
-// AVX-512 tier: 16-lane float tiles; tree levels up to 32 entries resolve
-// with vpermps/vpermi2ps, deeper levels gather.  Only AVX-512F (+AVX2 for
-// the 32-bit double-index helpers) instructions are used.
-// ===========================================================================
-
-#if defined(GPUSEL_SIMD_AVX512)
-namespace avx512 {
-
-inline void traverse_tree(const float* nodes, const std::int32_t* leq, std::int32_t height,
-                          const float* elems, std::int32_t* bucket) {
-    const __m512i one = _mm512_set1_epi32(1);
-    __m512 e[2];
-    __m512i j[2];
-    for (int v = 0; v < 2; ++v) {
-        e[v] = _mm512_loadu_ps(elems + 16 * v);
-        j[v] = _mm512_setzero_si512();
-    }
-    for (std::int32_t lev = 0; lev < height; ++lev) {
-        const std::size_t size = std::size_t{1} << lev;
-        const float* tab = nodes + (size - 1);
-        const std::int32_t* qtab = leq + (size - 1);
-        __m512 t0{}, t1{};
-        __m512i q0{}, q1{};
-        if (size <= 16) {
-            const __mmask16 lm =
-                size >= 16 ? static_cast<__mmask16>(0xffff)
-                           : static_cast<__mmask16>((1u << size) - 1u);
-            t0 = _mm512_maskz_loadu_ps(lm, tab);
-            q0 = _mm512_maskz_loadu_epi32(lm, qtab);
-        } else if (size == 32) {
-            t0 = _mm512_loadu_ps(tab);
-            t1 = _mm512_loadu_ps(tab + 16);
-            q0 = _mm512_loadu_si512(qtab);
-            q1 = _mm512_loadu_si512(qtab + 16);
-        }
-        for (int v = 0; v < 2; ++v) {
-            __m512 node;
-            __m512i q;
-            if (size <= 16) {
-                node = _mm512_permutexvar_ps(j[v], t0);
-                q = _mm512_permutexvar_epi32(j[v], q0);
-            } else if (size == 32) {
-                node = _mm512_permutex2var_ps(t0, j[v], t1);
-                q = _mm512_permutex2var_epi32(q0, j[v], q1);
-            } else {
-                node = _mm512_i32gather_ps(j[v], tab, 4);
-                q = _mm512_i32gather_epi32(j[v], qtab, 4);
-            }
-            const __mmask16 is_leq = _mm512_test_epi32_mask(q, q);
-            const __mmask16 nlt = _mm512_cmp_ps_mask(node, e[v], _CMP_NLT_UQ);
-            const __mmask16 lt = _mm512_cmp_ps_mask(e[v], node, _CMP_LT_OQ);
-            const auto left = static_cast<__mmask16>((is_leq & nlt) | (~is_leq & lt));
-            j[v] = _mm512_add_epi32(j[v], j[v]);
-            j[v] = _mm512_mask_add_epi32(j[v], static_cast<__mmask16>(~left), j[v], one);
-        }
-    }
-    for (int v = 0; v < 2; ++v) {
-        _mm512_storeu_si512(bucket + 16 * v, j[v]);
-    }
-}
-
-inline void traverse_tree(const double* nodes, const std::int32_t* leq, std::int32_t height,
-                          const double* elems, std::int32_t* bucket) {
-    const __m512i one = _mm512_set1_epi64(1);
-    for (int v = 0; v < 4; ++v) {
-        const __m512d e = _mm512_loadu_pd(elems + 8 * v);
-        __m512i j = _mm512_setzero_si512();  // 8 x 64-bit local indices
-        for (std::int32_t lev = 0; lev < height; ++lev) {
-            const std::size_t size = std::size_t{1} << lev;
-            const double* tab = nodes + (size - 1);
-            const std::int32_t* qtab = leq + (size - 1);
-            const __m256i j32 = _mm512_cvtepi64_epi32(j);
-            const __m512d node = _mm512_i32gather_pd(j32, tab, 8);
-            const __m256i q32 = _mm256_i32gather_epi32(qtab, j32, 4);
-            const __m512i q = _mm512_cvtepi32_epi64(q32);
-            const __mmask8 is_leq = _mm512_test_epi64_mask(q, q);
-            const __mmask8 nlt = _mm512_cmp_pd_mask(node, e, _CMP_NLT_UQ);
-            const __mmask8 lt = _mm512_cmp_pd_mask(e, node, _CMP_LT_OQ);
-            const auto left = static_cast<__mmask8>((is_leq & nlt) | (~is_leq & lt));
-            j = _mm512_add_epi64(j, j);
-            j = _mm512_mask_add_epi64(j, static_cast<__mmask8>(~left), j, one);
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(bucket + 8 * v),
-                            _mm512_cvtepi64_epi32(j));
-    }
-}
-
-inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) {
-    if (lanes == 32) {
-        const __m512i a = _mm512_loadu_si512(v);
-        const __m512i b = _mm512_loadu_si512(v + 16);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm512_cvtepi32_epi8(a));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16), _mm512_cvtepi32_epi8(b));
-        return;
-    }
-    scalar::pack_low_bytes(v, lanes, out);
-}
-
-inline void bitonic_step(float* a, std::size_t m, std::size_t j, std::size_t k) {
-    if (j < 16) {
-#if defined(GPUSEL_SIMD_AVX2)
-        avx2::bitonic_step(a, m, j, k);
-#else
-        scalar::bitonic_step(a, m, j, k);
-#endif
-        return;
-    }
-    for (std::size_t base = 0; base < m; base += 2 * j) {
-        const bool ascending = (base & k) == 0;
-        for (std::size_t off = base; off < base + j; off += 16) {
-            const __m512 lo = _mm512_loadu_ps(a + off);
-            const __m512 hi = _mm512_loadu_ps(a + off + j);
-            const __mmask16 swp = ascending ? _mm512_cmp_ps_mask(lo, hi, _CMP_GT_OQ)
-                                            : _mm512_cmp_ps_mask(lo, hi, _CMP_NGT_UQ);
-            _mm512_storeu_ps(a + off, _mm512_mask_blend_ps(swp, lo, hi));
-            _mm512_storeu_ps(a + off + j, _mm512_mask_blend_ps(swp, hi, lo));
-        }
-    }
-}
-
-inline void bitonic_step(double* a, std::size_t m, std::size_t j, std::size_t k) {
-    if (j < 8) {
-#if defined(GPUSEL_SIMD_AVX2)
-        avx2::bitonic_step(a, m, j, k);
-#else
-        scalar::bitonic_step(a, m, j, k);
-#endif
-        return;
-    }
-    for (std::size_t base = 0; base < m; base += 2 * j) {
-        const bool ascending = (base & k) == 0;
-        for (std::size_t off = base; off < base + j; off += 8) {
-            const __m512d lo = _mm512_loadu_pd(a + off);
-            const __m512d hi = _mm512_loadu_pd(a + off + j);
-            const __mmask8 swp = ascending ? _mm512_cmp_pd_mask(lo, hi, _CMP_GT_OQ)
-                                           : _mm512_cmp_pd_mask(lo, hi, _CMP_NGT_UQ);
-            _mm512_storeu_pd(a + off, _mm512_mask_blend_pd(swp, lo, hi));
-            _mm512_storeu_pd(a + off + j, _mm512_mask_blend_pd(swp, hi, lo));
-        }
-    }
-}
-
-/// Native masked compress-store of 4-byte lanes (vcompressps family).
-/// Partial chunks use a masked load so no bytes past `lanes` are touched.
-inline int compress_store_4(const void* src, std::uint32_t mask, int lanes, void* dst) {
-    const auto* in = static_cast<const unsigned char*>(src);
-    auto* out = static_cast<unsigned char*>(dst);
-    int written = 0;
-    for (int l = 0; l < lanes; l += 16) {
-        const int take = lanes - l;
-        const __mmask16 lm =
-            take >= 16 ? static_cast<__mmask16>(0xffffu)
-                       : static_cast<__mmask16>((1u << take) - 1u);
-        const auto m16 = static_cast<__mmask16>((mask >> l) & lm);
-        const __m512i v = _mm512_maskz_loadu_epi32(lm, in + 4u * static_cast<unsigned>(l));
-        _mm512_mask_compressstoreu_epi32(out + 4u * static_cast<unsigned>(written), m16, v);
-        written += std::popcount(static_cast<std::uint32_t>(m16));
-    }
-    return written;
-}
-
-/// 8-byte-lane native compress-store (vcompresspd family).
-inline int compress_store_8(const void* src, std::uint32_t mask, int lanes, void* dst) {
-    const auto* in = static_cast<const unsigned char*>(src);
-    auto* out = static_cast<unsigned char*>(dst);
-    int written = 0;
-    for (int l = 0; l < lanes; l += 8) {
-        const int take = lanes - l;
-        const __mmask8 lm = take >= 8 ? static_cast<__mmask8>(0xffu)
-                                      : static_cast<__mmask8>((1u << take) - 1u);
-        const auto m8 = static_cast<__mmask8>((mask >> l) & lm);
-        const __m512i v = _mm512_maskz_loadu_epi64(lm, in + 8u * static_cast<unsigned>(l));
-        _mm512_mask_compressstoreu_epi64(out + 8u * static_cast<unsigned>(written), m8, v);
-        written += std::popcount(static_cast<std::uint32_t>(m8));
-    }
-    return written;
-}
-
-}  // namespace avx512
-#endif  // GPUSEL_SIMD_AVX512
-
-// ===========================================================================
 // Dispatch layer: runtime-tier switch in front of the implementations.
 // All functions accept any lane count; fast paths engage on full tiles.
 // ===========================================================================
@@ -865,20 +618,12 @@ template <typename T>
 inline void traverse_tree(const T* nodes, const std::int32_t* leq32, std::int32_t height,
                           const T* elems, int lanes, std::int32_t* bucket) {
     if constexpr (kVectorizable<T>) {
-        const Level lvl = active_level();
-#if defined(GPUSEL_SIMD_AVX512)
-        if (lvl >= Level::avx512 && lanes == kTileLanes) {
-            avx512::traverse_tree(nodes, leq32, height, elems, bucket);
-            return;
-        }
-#endif
 #if defined(GPUSEL_SIMD_AVX2)
-        if (lvl >= Level::avx2 && lanes == kTileLanes) {
+        if (active_level() >= Level::avx2 && lanes == kTileLanes) {
             avx2::traverse_tree(nodes, leq32, height, elems, bucket);
             return;
         }
 #endif
-        (void)lvl;
     }
     scalar::traverse_tree(nodes, leq32, height, elems, lanes, bucket);
 }
@@ -954,35 +699,24 @@ inline void mask_to_pred(std::uint32_t mask, int lanes, bool* pred) {
     for (int l = 0; l < lanes; ++l) pred[l] = ((mask >> l) & 1u) != 0;
 }
 
-/// Element types the compress-store engines handle: any trivially
-/// copyable 4- or 8-byte value moves through the integer permute/compress
-/// units bit-for-bit (float, int32, double, KeyPayload<float, uint32>).
+/// Element types the compress-store engine handles: any trivially
+/// copyable 4-byte value moves through the integer permute unit
+/// bit-for-bit (float, int32).  8-byte lanes (double, KeyPayload<float,
+/// uint32>) take the scalar loop.
 template <typename T>
-inline constexpr bool kCompressible =
-    std::is_trivially_copyable_v<T> && (sizeof(T) == 4 || sizeof(T) == 8);
+inline constexpr bool kCompressible = std::is_trivially_copyable_v<T> && sizeof(T) == 4;
 
 /// Masked compress-store: packs the lanes of `src` whose mask bit is set
 /// into a contiguous run at `dst`, preserving lane order; returns the
-/// count written.  Mask bits at positions >= lanes are ignored.  AVX-512
-/// uses the native vcompress path; AVX2 emulates it with a lookup-table
-/// permute (the x86-simd-sort partition trick).
+/// count written.  Mask bits at positions >= lanes are ignored.  AVX2
+/// emulates vcompressps with a lookup-table permute (the x86-simd-sort
+/// partition trick).
 template <typename T>
 inline int compress_store(const T* src, std::uint32_t mask, int lanes, T* dst) {
     if constexpr (kCompressible<T>) {
-        const Level lvl = active_level();
-#if defined(GPUSEL_SIMD_AVX512)
-        if (lvl >= Level::avx512) {
-            if constexpr (sizeof(T) == 4) return avx512::compress_store_4(src, mask, lanes, dst);
-            else return avx512::compress_store_8(src, mask, lanes, dst);
-        }
-#endif
 #if defined(GPUSEL_SIMD_AVX2)
-        if (lvl >= Level::avx2) {
-            if constexpr (sizeof(T) == 4) return avx2::compress_store_4(src, mask, lanes, dst);
-            else return avx2::compress_store_8(src, mask, lanes, dst);
-        }
+        if (active_level() >= Level::avx2) return avx2::compress_store_4(src, mask, lanes, dst);
 #endif
-        (void)lvl;
     }
     return scalar::compress_store(src, mask, lanes, dst);
 }
@@ -1000,20 +734,12 @@ inline int compress_store_reverse(const T* src, std::uint32_t mask, int lanes, T
 
 /// out[l] = uint8(v[l]) -- oracle-byte narrowing; values must be in [0, 255].
 inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) {
-    const Level lvl = active_level();
-#if defined(GPUSEL_SIMD_AVX512)
-    if (lvl >= Level::avx512) {
-        avx512::pack_low_bytes(v, lanes, out);
-        return;
-    }
-#endif
 #if defined(GPUSEL_SIMD_AVX2)
-    if (lvl >= Level::avx2) {
+    if (active_level() >= Level::avx2) {
         avx2::pack_low_bytes(v, lanes, out);
         return;
     }
 #endif
-    (void)lvl;
     scalar::pack_low_bytes(v, lanes, out);
 }
 
@@ -1024,20 +750,12 @@ inline void pack_low_bytes(const std::int32_t* v, int lanes, std::uint8_t* out) 
 template <typename T>
 inline void bitonic_step(T* a, std::size_t m, std::size_t j, std::size_t k) {
     if constexpr (kVectorizable<T>) {
-        const Level lvl = active_level();
-#if defined(GPUSEL_SIMD_AVX512)
-        if (lvl >= Level::avx512) {
-            avx512::bitonic_step(a, m, j, k);
-            return;
-        }
-#endif
 #if defined(GPUSEL_SIMD_AVX2)
-        if (lvl >= Level::avx2) {
+        if (active_level() >= Level::avx2) {
             avx2::bitonic_step(a, m, j, k);
             return;
         }
 #endif
-        (void)lvl;
     }
     scalar::bitonic_step(a, m, j, k);
 }

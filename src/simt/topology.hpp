@@ -96,16 +96,6 @@ public:
     /// or the architecture's datasheet capacity).
     [[nodiscard]] std::size_t mem_capacity_bytes() const noexcept;
 
-    /// Dedicated link streams (created at construction, never leased out).
-    /// Sends serialize on the source's link-out stream, landings on the
-    /// destination's link-in stream.
-    [[nodiscard]] int link_out_stream(int dev) const {
-        return link_out_.at(static_cast<std::size_t>(dev));
-    }
-    [[nodiscard]] int link_in_stream(int dev) const {
-        return link_in_.at(static_cast<std::size_t>(dev));
-    }
-
     /// Copies count elements from src[src_base...] on device `from` to
     /// dst[dst_base...] on device `to`.  Ordering: the send waits for an
     /// event recorded on `from_stream` (the producer's stream), the landing
@@ -155,6 +145,9 @@ private:
     // Device pins itself (the pool's clock hook captures `this`), so the
     // group owns through stable unique_ptrs.
     std::vector<std::unique_ptr<Device>> devices_;
+    /// Dedicated link streams per device (created at construction, never
+    /// leased out): sends serialize on the source's link-out stream,
+    /// landings on the destination's link-in stream.
     std::vector<int> link_in_;
     std::vector<int> link_out_;
     /// Wire-busy-until time per directed pair (transfers in one direction

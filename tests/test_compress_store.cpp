@@ -186,7 +186,7 @@ TEST_P(CompressLevels, CmpGtMaskMatchesScalarWithSpecials) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, CompressLevels,
-                         ::testing::Values(Level::scalar, Level::avx2, Level::avx512),
+                         ::testing::Values(Level::scalar, Level::avx2),
                          [](const ::testing::TestParamInfo<Level>& pi) {
                              return simt::simd::level_name(pi.param);
                          });

@@ -514,6 +514,55 @@ TEST(ShardedSelect, TileBoundScalesWithTilesAt32Shards) {
                             std::size_t{1} << 21);
 }
 
+TEST(ShardedSelect, RejectsAnInputWhoseMergeCannotFitDeviceZero) {
+    // 2^23 floats on 4 x 1 MiB: 128 shards whose tile sample holds 262,144
+    // candidates (1 MiB) and bounds a bucket at 589,824 floats (2.25 MiB).
+    // Neither fits device 0, so every front-end fails in its prologue.
+    const std::size_t n = std::size_t{1} << 23;
+    const auto input = random_floats(n, 20);
+    simt::DeviceGroup group(tiny_spec(4, kMiB));
+    const auto [cand, bound] = tile_bound(n, 128, ShardSelectConfig{}.splitter_buckets);
+    EXPECT_EQ(cand * sizeof(float), kMiB);
+    EXPECT_EQ(bound * sizeof(float), 9 * kMiB / 4);
+    const ShardSelectConfig cfg;
+    std::vector<std::uint64_t> launches;
+    for (int d = 0; d < group.size(); ++d) launches.push_back(group.device(d).launch_count());
+    EXPECT_EQ(core::try_sharded_select<float>(group, input, n / 3, cfg).error(),
+              core::SelectError::invalid_argument);
+    EXPECT_EQ(core::try_sharded_approx_select<float>(group, input, n / 3, cfg).error(),
+              core::SelectError::invalid_argument);
+    EXPECT_EQ(core::try_sharded_topk<float>(group, input, 100, cfg).error(),
+              core::SelectError::invalid_argument);
+    for (int d = 0; d < group.size(); ++d) {
+        EXPECT_EQ(group.device(d).launch_count(), launches[static_cast<std::size_t>(d)])
+            << "device " << d;
+    }
+}
+
+TEST(ShardedSelect, RejectsAGatherThatCannotFitDeviceZero) {
+    // 10x the 64 KiB capacity in floats: 40 one-tile shards, so the merge
+    // fits (2 |C| = 10,240 floats, 40 KiB), but a bucket at skew_bound
+    // (11,520 floats, 45 KiB) next to one staged shard's level does not.
+    // Exact select and top-k gather, so they fail before any launch;
+    // approximate select only merges and runs.
+    const std::size_t n = 10 * kTinyCapacity / sizeof(float);
+    const auto input = random_floats(n, 125);
+    simt::DeviceGroup group(tiny_spec(2));
+    const auto [cand, bound] = tile_bound(n, 40, ShardSelectConfig{}.splitter_buckets);
+    EXPECT_EQ(2 * cand * sizeof(float), 40 * std::size_t{1024});
+    EXPECT_EQ(bound, 11520u);
+    const ShardSelectConfig cfg;
+    EXPECT_EQ(core::try_sharded_select<float>(group, input, n / 3, cfg).error(),
+              core::SelectError::invalid_argument);
+    EXPECT_EQ(core::try_sharded_topk<float>(group, input, 100, cfg).error(),
+              core::SelectError::invalid_argument);
+    for (int d = 0; d < group.size(); ++d) EXPECT_EQ(group.device(d).launch_count(), 0u);
+    auto approx = core::try_sharded_approx_select<float>(group, input, n / 3, cfg);
+    ASSERT_TRUE(approx.ok()) << approx.status().message;
+    EXPECT_EQ(approx.value().acct.shards, 40u);
+    EXPECT_LE(approx.value().acct.max_shard_aux_bytes, group.mem_capacity_bytes());
+}
+
 // ---- approximate sharded selection ------------------------------------------
 
 TEST(ShardedApprox, ErrorWithinReportedBound) {

@@ -239,7 +239,7 @@ TEST_P(SimdEquivalence, CountKernelPipeline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, SimdEquivalence,
-                         ::testing::Values(Level::scalar, Level::avx2, Level::avx512),
+                         ::testing::Values(Level::scalar, Level::avx2),
                          [](const ::testing::TestParamInfo<Level>& pinfo) {
                              return simt::simd::level_name(pinfo.param);
                          });
