@@ -20,6 +20,7 @@
 // Internal to src/core: the public entry points are the try_* front-ends.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -121,19 +122,21 @@ private:
 /// records the descent (host-side, no launches), then runs and stamps it.
 /// The caller has run the opening's checks and guarantees rank < size.
 /// `stream` overrides the selection's stream (every launch and pooled
-/// checkout); the default -1 keeps cfg.stream.
+/// checkout); the default -1 keeps cfg.stream.  A `first` tree stands in
+/// for the first level's sample launch (SelectionPipeline::reset).
 template <typename T>
-[[nodiscard]] Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev,
-                                                               DataHolder<T> data,
-                                                               std::size_t rank,
-                                                               const SampleSelectConfig& cfg,
-                                                               int stream = -1);
+[[nodiscard]] Result<SelectResult<T>> try_sample_select_staged(
+    simt::Device& dev, DataHolder<T> data, std::size_t rank, const SampleSelectConfig& cfg,
+    int stream = -1, std::optional<SearchTree<T>> first = std::nullopt);
 
 extern template Result<SelectResult<float>> try_sample_select_staged<float>(
-    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
+    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int,
+    std::optional<SearchTree<float>>);
 extern template Result<SelectResult<double>> try_sample_select_staged<double>(
-    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
+    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int,
+    std::optional<SearchTree<double>>);
 extern template Result<SelectResult<ArgPair>> try_sample_select_staged<ArgPair>(
-    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
+    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int,
+    std::optional<SearchTree<ArgPair>>);
 
 }  // namespace gpusel::core

@@ -44,7 +44,7 @@ T LevelOutcome<T>::equality_value(std::int32_t b) const {
 template <typename T>
 LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data,
                              std::size_t rank, simt::LaunchOrigin origin, SearchTree<T> tree,
-                             const LevelOptions& opt) {
+                             const LevelOptions& opt, std::span<std::int32_t> totals) {
     simt::Device& dev = ctx.dev();
     const SampleSelectConfig& cfg = ctx.cfg();
     const std::size_t n = data.size();
@@ -57,11 +57,18 @@ LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data
     lv.tree = std::move(tree);
 
     if (opt.write_oracles) lv.oracles = ctx.scratch<std::uint8_t>(n);
-    lv.totals = ctx.scratch<std::int32_t>(num_buckets);
+    if (totals.empty()) {
+        lv.totals = ctx.scratch<std::int32_t>(num_buckets);
+        totals = lv.totals.span();
+    } else if (totals.size() != num_buckets) {
+        throw std::invalid_argument("finish_level: totals row size mismatch");
+    } else {
+        lv.totals_row = totals;
+    }
     if (shared_mode) {
         lv.block_counts = ctx.scratch<std::int32_t>(static_cast<std::size_t>(grid) * num_buckets);
     } else {
-        launch_memset32(dev, lv.totals.span(), origin, ctx.stream());
+        launch_memset32(dev, totals, origin, ctx.stream());
     }
     // The level's last counting kernel (the reduce in shared mode, the
     // count in global mode) locates the rank in its grid epilogue.
@@ -72,21 +79,21 @@ LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data
     }
     RankLocate* const locate = opt.locate ? &loc : nullptr;
 
-    const int used_grid = count_kernel<T>(dev, data, lv.tree, lv.oracles.span(),
-                                          lv.totals.span(), lv.block_counts.span(), cfg, origin,
-                                          ctx.stream(), shared_mode ? nullptr : locate);
+    const int used_grid = count_kernel<T>(dev, data, lv.tree, lv.oracles.span(), totals,
+                                          lv.block_counts.span(), cfg, origin, ctx.stream(),
+                                          shared_mode ? nullptr : locate);
     if (used_grid != grid) throw std::logic_error("pipeline: grid sizing mismatch");
 
     if (shared_mode) {
-        reduce_kernel(dev, lv.block_counts.span(), grid, static_cast<int>(num_buckets),
-                      lv.totals.span(), opt.keep_block_offsets, origin, ctx.stream(), locate);
+        reduce_kernel(dev, lv.block_counts.span(), grid, static_cast<int>(num_buckets), totals,
+                      opt.keep_block_offsets, origin, ctx.stream(), locate);
     }
 
     if (opt.locate) {
         lv.bucket = loc.bucket;
         const auto ub = static_cast<std::size_t>(lv.bucket);
         lv.equality = lv.tree.equality[ub] != 0;
-        lv.bucket_size = static_cast<std::size_t>(lv.totals[ub]);
+        lv.bucket_size = static_cast<std::size_t>(totals[ub]);
         lv.rank_offset = static_cast<std::size_t>(lv.prefix[ub]);
         lv.rank_above = n - static_cast<std::size_t>(lv.prefix[ub + 1]);
     }
@@ -333,10 +340,12 @@ template class LevelTail<double>;
 template class LevelTail<ArgPair>;
 template LevelOutcome<float> finish_level<float>(const PipelineContext&, std::span<const float>,
                                                  std::size_t, simt::LaunchOrigin,
-                                                 SearchTree<float>, const LevelOptions&);
+                                                 SearchTree<float>, const LevelOptions&,
+                                                 std::span<std::int32_t>);
 template LevelOutcome<double> finish_level<double>(const PipelineContext&, std::span<const double>,
                                                    std::size_t, simt::LaunchOrigin,
-                                                   SearchTree<double>, const LevelOptions&);
+                                                   SearchTree<double>, const LevelOptions&,
+                                                   std::span<std::int32_t>);
 template Result<LevelOutcome<float>> try_level_step<float>(
     const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin, std::uint64_t,
     DescentPath&, ProgressTally&, std::optional<SearchTree<float>>);
@@ -377,7 +386,8 @@ template struct LevelOutcome<ArgPair>;
 template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
                                                      std::span<const ArgPair>, std::size_t,
                                                      simt::LaunchOrigin, SearchTree<ArgPair>,
-                                                     const LevelOptions&);
+                                                     const LevelOptions&,
+                                                     std::span<std::int32_t>);
 template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(
     const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
     std::uint64_t, const LevelOptions&, std::optional<SearchTree<ArgPair>>);

@@ -176,11 +176,16 @@ struct LevelOutcome {
     std::size_t rank_above = 0;     ///< n - prefix[bucket+1]: elements in higher buckets
 
     simt::PooledBuffer<std::uint8_t> oracles;
+    /// The level's own totals; empty when they went to a caller's row.
     simt::PooledBuffer<std::int32_t> totals;
+    /// The caller's row the totals went to (finish_level's `totals`).
+    std::span<std::int32_t> totals_row;
     simt::PooledBuffer<std::int32_t> block_counts;
     simt::PooledBuffer<std::int32_t> prefix;
 
-    [[nodiscard]] std::span<const std::int32_t> totals_span() const { return totals.span(); }
+    [[nodiscard]] std::span<const std::int32_t> totals_span() const {
+        return totals.empty() ? totals_row : totals.span();
+    }
     [[nodiscard]] std::span<const std::int32_t> prefix_span() const { return prefix.span(); }
 
     /// The value every element of equality bucket `b` holds (Sec. IV-C
@@ -198,11 +203,14 @@ struct LevelOutcome {
 /// sharded passes over a merged splitter tree.  Buffer lengths follow the
 /// *tree's* bucket count -- identical to cfg.num_buckets on the sampled
 /// path, so its event stream and pool traffic are unchanged.  `rank` is
-/// only read when opt.locate is set.
+/// only read when opt.locate is set.  A `totals` row of the tree's b
+/// buckets (a row of the sharded locate's count table) takes the level's
+/// totals; empty, the level checks out totals of its own.
 template <typename T>
 [[nodiscard]] LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data,
                                            std::size_t rank, simt::LaunchOrigin origin,
-                                           SearchTree<T> tree, const LevelOptions& opt = {});
+                                           SearchTree<T> tree, const LevelOptions& opt = {},
+                                           std::span<std::int32_t> totals = {});
 
 /// Runs one sampled bucketing level over `data`: sample splitters -> count
 /// -> (reduce in shared mode), locating `rank` when opt.locate, under
@@ -511,7 +519,13 @@ public:
         : ctx_(dev, cfg, stream) {}
 
     [[nodiscard]] const PipelineContext& context() const noexcept { return ctx_; }
-    void reset(DataHolder<T> input) { data_.reset(std::move(input)); }
+    /// Adopts `input`; a `first` tree stands in for the first level's
+    /// drawn tree, as a filter tail's would (a stalled rerun samples
+    /// afresh).
+    void reset(DataHolder<T> input, std::optional<SearchTree<T>> first = std::nullopt) {
+        data_.reset(std::move(input));
+        drawn_ = std::move(first);
+    }
     [[nodiscard]] std::span<const T> data() const noexcept { return data_.data(); }
     [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
     [[nodiscard]] T value_at(std::size_t i) const noexcept { return data_.data()[i]; }
@@ -628,11 +642,13 @@ extern template class LevelTail<ArgPair>;
 extern template LevelOutcome<float> finish_level<float>(const PipelineContext&,
                                                         std::span<const float>, std::size_t,
                                                         simt::LaunchOrigin, SearchTree<float>,
-                                                        const LevelOptions&);
+                                                        const LevelOptions&,
+                                                        std::span<std::int32_t>);
 extern template LevelOutcome<double> finish_level<double>(const PipelineContext&,
                                                           std::span<const double>, std::size_t,
                                                           simt::LaunchOrigin, SearchTree<double>,
-                                                          const LevelOptions&);
+                                                          const LevelOptions&,
+                                                          std::span<std::int32_t>);
 extern template Result<LevelOutcome<float>> try_level_step<float>(
     const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin, std::uint64_t,
     DescentPath&, ProgressTally&, std::optional<SearchTree<float>>);
@@ -674,7 +690,8 @@ extern template struct LevelOutcome<ArgPair>;
 extern template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
                                                             std::span<const ArgPair>, std::size_t,
                                                             simt::LaunchOrigin, SearchTree<ArgPair>,
-                                                            const LevelOptions&);
+                                                            const LevelOptions&,
+                                                            std::span<std::int32_t>);
 extern template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(
     const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
     std::uint64_t, const LevelOptions&, std::optional<SearchTree<ArgPair>>);

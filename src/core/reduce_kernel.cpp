@@ -96,21 +96,23 @@ void reduce_kernel(simt::Device& dev, std::span<std::int32_t> block_counts, int 
 
 namespace {
 
-/// The locate, run by one block: the exclusive prefix sum r_i over
-/// `totals` into `prefix` and the bucket containing `rank`, i.e. the
-/// largest i with prefix[i] <= rank.
+/// The locate, run by one block: the exclusive prefix sum r_i over the
+/// column sums of `totals` (rows of b = prefix.size() - 1 counts) into
+/// `prefix` and the bucket containing `rank`, i.e. the largest i with
+/// prefix[i] <= rank.
 std::int32_t locate_rank(simt::BlockCtx& blk, std::span<const std::int32_t> totals,
                          std::span<std::int32_t> prefix, std::size_t rank) {
-    const auto b = totals.size();
+    const std::size_t b = prefix.size() - 1;
+    const std::size_t rows = totals.size() / b;
     std::int32_t running = 0;
     for (std::size_t i = 0; i < b; ++i) {
         blk.st(prefix, i, running);
-        running += blk.ld(totals, i);
+        for (std::size_t r = 0; r < rows; ++r) running += blk.ld(totals, r * b + i);
     }
     blk.st(prefix, b, running);
-    blk.charge_global_read(b * sizeof(std::int32_t));
+    blk.charge_global_read(totals.size() * sizeof(std::int32_t));
     blk.charge_global_write((b + 1) * sizeof(std::int32_t));
-    blk.charge_instr(b);
+    blk.charge_instr(totals.size());
     // lower_bound over the prefix sums
     std::size_t lo = 0;
     for (std::size_t i = 0; i < b; ++i) {
@@ -124,7 +126,8 @@ std::int32_t locate_rank(simt::BlockCtx& blk, std::span<const std::int32_t> tota
 
 simt::Device::KernelFn locate_epilogue(std::span<const std::int32_t> totals, RankLocate* loc) {
     if (loc == nullptr) return {};
-    if (loc->prefix.size() != totals.size() + 1) {
+    if (loc->prefix.size() < 2 || totals.empty() ||
+        totals.size() % (loc->prefix.size() - 1) != 0) {
         throw std::invalid_argument("prefix size mismatch");
     }
     return [totals, loc](simt::BlockCtx& blk) {

@@ -25,8 +25,10 @@ struct RankLocate {
 };
 
 /// The grid epilogue that locates `loc` over `totals` on one block; empty
-/// (no epilogue, no tickets) when `loc` is null.  The one copy of the
-/// locate: a level's last counting kernel runs it after its grid, and
+/// (no epilogue, no tickets) when `loc` is null.  `totals` holds one or
+/// more rows of b = loc->prefix.size() - 1 counts, and the locate runs over
+/// their column sums.  The one copy of the locate: a level's last counting
+/// kernel runs it after its grid over its one row, and
 /// select_bucket_kernel launches it on its own.
 [[nodiscard]] simt::Device::KernelFn locate_epilogue(std::span<const std::int32_t> totals,
                                                      RankLocate* loc);
@@ -51,7 +53,10 @@ void reduce_kernel(simt::Device& dev, std::span<std::int32_t> block_counts, int 
                    simt::LaunchOrigin origin, int stream = 0, RankLocate* locate = nullptr);
 
 /// The tiny bucket-selection kernel: locate_epilogue as a one-block launch,
-/// for callers that locate outside a counting kernel.  Returns the bucket.
+/// for callers that locate outside a counting kernel.  `totals` may hold
+/// several rows of prefix.size() - 1 counts (the sharded locate's one row
+/// per shard); one row is charged exactly as a level's own locate.
+/// Returns the bucket.
 std::int32_t select_bucket_kernel(simt::Device& dev, std::span<const std::int32_t> totals,
                                   std::span<std::int32_t> prefix, std::size_t rank,
                                   simt::LaunchOrigin origin, int stream = 0);

@@ -1,5 +1,6 @@
 #include "core/sample_select.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "core/float_order.hpp"
@@ -11,14 +12,14 @@ namespace gpusel::core {
 
 template <typename T>
 Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T> data,
-                                                 std::size_t rank,
-                                                 const SampleSelectConfig& cfg, int stream) {
+                                                 std::size_t rank, const SampleSelectConfig& cfg,
+                                                 int stream, std::optional<SearchTree<T>> first) {
     record_descent(dev, linear_descent(data.size(), cfg), data.size(), rank,
                    stream < 0 ? cfg.stream : stream);
 
     const Stamp<SelectResult<T>> stamp(dev);
     SelectionPipeline<T> pipe(dev, cfg, stream);
-    pipe.reset(std::move(data));
+    pipe.reset(std::move(data), std::move(first));
     SelectResult<T> res;
     // Exact selection follows the rank's bucket down, and stops early in an
     // equality bucket: every element there equals the splitter (Sec. IV-C).
@@ -72,10 +73,13 @@ template Result<SelectResult<double>> try_sample_select<double>(
 template Result<SelectResult<ArgPair>> try_sample_select<ArgPair>(
     simt::Device&, std::span<const ArgPair>, std::size_t, const SampleSelectConfig&);
 template Result<SelectResult<float>> try_sample_select_staged<float>(
-    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int);
+    simt::Device&, DataHolder<float>, std::size_t, const SampleSelectConfig&, int,
+    std::optional<SearchTree<float>>);
 template Result<SelectResult<double>> try_sample_select_staged<double>(
-    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int);
+    simt::Device&, DataHolder<double>, std::size_t, const SampleSelectConfig&, int,
+    std::optional<SearchTree<double>>);
 template Result<SelectResult<ArgPair>> try_sample_select_staged<ArgPair>(
-    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int);
+    simt::Device&, DataHolder<ArgPair>, std::size_t, const SampleSelectConfig&, int,
+    std::optional<SearchTree<ArgPair>>);
 
 }  // namespace gpusel::core

@@ -93,30 +93,34 @@ TileBound tile_bound(std::size_t n, std::size_t shards, int splitter_buckets) {
 }
 
 /// Whether device 0 can hold a multi-shard call's merge and gather, from
-/// sizes alone (docs/sharding.md, "What device 0 holds").  The merge holds
-/// at most 2 |C| candidates on it: the gather buffer and the node it held
-/// before the last round.  A gather (`gathers`: exact select and top-k)
-/// holds the rank's bucket, at most skew_bound elements, next to one
-/// staged shard's counted level.
+/// sizes alone (docs/sharding.md, "What device 0 holds"), and how many
+/// counted levels besides its last shard's each device may keep from the
+/// locate for the gather.  The merge holds |C| candidates on device 0, in
+/// the buffer its own tile samples went to, next to one staged shard in the
+/// candidate phase: 2 |C| within capacity covers both, as a staged shard
+/// takes at most a quarter of it.  A gather (`gathers`: exact select and
+/// top-k) holds the rank's bucket, at most skew_bound elements, next to one
+/// staged shard's counted level; each kept level fills the room left with
+/// its scratch, its shard re-staged only for its filter.
 template <typename T>
-Status check_root_fits(const simt::DeviceGroup& group, const ShardSelectConfig& cfg,
-                       const ShardPlan& plan, const TileBound& tb, bool gathers) {
+Result<std::size_t> check_root_fits(const simt::DeviceGroup& group, const ShardSelectConfig& cfg,
+                                    const ShardPlan& plan, const TileBound& tb, bool gathers) {
     const std::size_t capacity = group.mem_capacity_bytes();
     if (2 * tb.candidates * sizeof(T) > capacity) {
         return Status::failure(SelectError::invalid_argument,
                                "sharded select: the splitter merge cannot fit device 0");
     }
-    if (!gathers) return Status::success();
+    if (!gathers) return std::size_t{0};
     SampleSelectConfig shard_cfg = cfg.select;
     shard_cfg.num_buckets = cfg.splitter_buckets;
-    const std::size_t shard_level =
-        plan.shard_elems * sizeof(T) +
+    const std::size_t scratch =
         PipelinePlan::make(group.device(0), plan.shard_elems, shard_cfg).scratch_bytes();
-    if (tb.skew_bound * sizeof(T) + shard_level > capacity) {
+    const std::size_t held = (tb.skew_bound + plan.shard_elems) * sizeof(T) + scratch;
+    if (held > capacity) {
         return Status::failure(SelectError::invalid_argument,
                                "sharded select: the rank's bucket cannot fit device 0");
     }
-    return Status::success();
+    return (capacity - held) / scratch;
 }
 
 /// What the prologue every sharded front-end shares decided.
@@ -125,6 +129,9 @@ struct Opening {
     std::size_t clean_n = 0;  ///< non-NaN elements
     ShardPlan plan;
     std::size_t skew_bound = 0;  ///< the plan's TileBound, reported once the merge runs
+    /// Counted levels a device keeps for the gather besides its last
+    /// shard's (check_root_fits); 0 when the front-end does not gather.
+    std::size_t kept_levels = 0;
 };
 
 /// The shared prologue, in its fixed check order: config validation, the
@@ -149,7 +156,9 @@ Result<Opening> open_shards(const simt::DeviceGroup& group, std::span<const T> i
     const TileBound tb = tile_bound(o.clean_n, o.plan.shards, cfg.splitter_buckets);
     o.skew_bound = tb.skew_bound;
     if (o.plan.shards > 1) {
-        if (Status s = check_root_fits<T>(group, cfg, o.plan, tb, gathers); !s.ok()) return s;
+        Result<std::size_t> kept = check_root_fits<T>(group, cfg, o.plan, tb, gathers);
+        if (!kept.ok()) return kept.status();
+        o.kept_levels = kept.value();
     }
     return o;
 }
@@ -216,9 +225,10 @@ struct ShardEnv {
     std::vector<int> shard_dev;          ///< owning device per shard (j % devices_used)
     int devices_used = 0;
     std::vector<int> stream;     ///< leased compute stream per used device
-    std::size_t total_n = 0;     ///< non-NaN elements over all shards
-    std::size_t skew_bound = 0;  ///< the opening's TileBound
-    ShardAccounting acct;        ///< merge fields set by the passes, the rest by finish()
+    std::size_t total_n = 0;      ///< non-NaN elements over all shards
+    std::size_t skew_bound = 0;   ///< the opening's TileBound
+    std::size_t kept_levels = 0;  ///< the opening's kept-level budget per device
+    ShardAccounting acct;         ///< merge fields set by the passes, the rest by finish()
 
     double t0 = 0.0;
     std::uint64_t bytes0 = 0;
@@ -239,6 +249,7 @@ struct ShardEnv {
         const std::size_t shards = o.plan.shards;
         total_n = o.clean_n;
         skew_bound = o.skew_bound;
+        kept_levels = o.kept_levels;
         acct.nan_count = o.nan;
         devices_used = static_cast<int>(
             std::min<std::size_t>(shards, static_cast<std::size_t>(group.size())));
@@ -314,20 +325,29 @@ struct ShardEnv {
     }
 
     /// Moves `src`, produced on device `from`'s leased stream, to
-    /// dst[dst_base...] on device `to`, and adopts both edges of the
-    /// transfer: `to`'s leased stream waits for the landing and `from`'s for
-    /// the send, so the landing may be read and the source released.
+    /// dst[dst_base...] on device `to`, and adopts the send's edge: `from`'s
+    /// leased stream waits for the send, so the source may be released.
+    /// Returns the landing's ready event, which `to`'s leased stream must
+    /// wait on before it reads the landing.
     template <typename U>
-    [[nodiscard]] Status send(int from, std::span<const U> src, int to, std::span<U> dst,
-                              std::size_t dst_base) {
+    [[nodiscard]] Result<double> post(int from, std::span<const U> src, int to, std::span<U> dst,
+                                      std::size_t dst_base) {
         simt::TransferRecord rec;
         Status st = retry(from, [&] {
             rec = group.template transfer<U>(from, src, 0, to, dst, dst_base, src.size(),
                                              stream_of(from));
         });
         if (!st.ok()) return st;
-        group.device(to).wait_event(stream_of(to), rec.ready_ns);
         group.device(from).wait_event(stream_of(from), rec.src_done_ns);
+        return rec.ready_ns;
+    }
+    /// post(), with `to`'s leased stream waiting for the landing at once.
+    template <typename U>
+    [[nodiscard]] Status send(int from, std::span<const U> src, int to, std::span<U> dst,
+                              std::size_t dst_base) {
+        Result<double> ready = post(from, src, to, dst, dst_base);
+        if (!ready.ok()) return ready.status();
+        group.device(to).wait_event(stream_of(to), ready.value());
         return Status::success();
     }
 
@@ -369,45 +389,111 @@ private:
     ShardEnv(simt::DeviceGroup& g, const ShardSelectConfig& c) : group(g), cfg(c) {}
 };
 
-/// Splitter candidates: one buffer per used device holding the tile samples
-/// of its shards in shard order.  The buffers are the merge's per-device
-/// nodes, so no candidate passes through the host before the root has them
-/// all.
+/// A counted level a device keeps from the locate for the gather: the
+/// oracles and block offsets a filter needs and, for the device's last
+/// shard, its staging.  Its totals row went to the locate's count table,
+/// which is gone by the gather: the gather sizes its slices from the
+/// host's copy of the rows.
 template <typename T>
-using Candidates = std::vector<simt::PooledBuffer<T>>;
+struct KeptLevel {
+    DataHolder<T> data;  ///< the shard, still staged; empty: the gather re-stages it
+    LevelOutcome<T> level;
+};
+
+/// Where a rank fell among the merged global splitters.
+template <typename T>
+struct Located {
+    std::vector<SearchTree<T>> tree;     ///< merged splitter tree, one copy per used device
+    std::vector<T> candidates;           ///< the merged splitter candidates, sorted
+    std::vector<std::int64_t> prefix;    ///< exclusive global bucket prefix, size b + 1
+    std::vector<std::size_t> in_bucket;  ///< per shard: its elements in the located bucket
+    std::size_t bucket = 0;
+    /// Root stream clock when the host learned `bucket`: the end of
+    /// select_bucket, or the arrival of the last totals on the int64 path.
+    double located_ns = 0.0;
+    /// Per shard, the level the gather filters without a recount.
+    std::vector<std::optional<KeptLevel<T>>> kept;
+};
+
+/// One node of the candidate merge: a device's candidate buffer, sized for
+/// every candidate of the merge group the device leads, and how many of
+/// them it holds so far.
+template <typename T>
+struct CandidateNode {
+    int dev = 0;
+    simt::PooledBuffer<T> buf;
+    std::size_t fill = 0;
+};
+
+/// The merge's fan-in schedule over `active`, the nodes in device order:
+/// each round cuts them into runs of `fanin`, and `land(run)` lands the
+/// other nodes of a run of two or more in its first, the leader, in order.
+/// The leaders go on to the next round until one node is left.
+template <typename Node, typename Land>
+Status merge_rounds(std::vector<Node>& active, std::size_t fanin, Land land) {
+    while (active.size() > 1) {
+        std::vector<Node> next;
+        for (std::size_t g = 0; g < active.size(); g += fanin) {
+            const std::size_t end = std::min(active.size(), g + fanin);
+            if (end - g > 1) {
+                if (Status st = land(std::span<Node>(active).subspan(g, end - g)); !st.ok()) {
+                    return st;
+                }
+            }
+            next.push_back(std::move(active[g]));
+        }
+        active = std::move(next);
+    }
+    return Status::success();
+}
 
 /// Phase A: every shard is staged and cut into tiles of
 /// bitonic::kMaxSortSize elements; one `sample` launch sorts each tile in
 /// shared memory and writes s_t = min(4 * splitter_buckets, n_t) of its
 /// elements, at regular ranks, into its device's candidate buffer.  A
 /// deterministic regular sample of locally sorted sources (parallel sorting
-/// by regular sampling), not a random one.
+/// by regular sampling), not a random one.  Each buffer is sized from the
+/// merge's schedule for the group its device leads, so the merge lands its
+/// members in place.  Returns one node per used device.
 template <typename T>
-Result<Candidates<T>> shard_candidates(ShardEnv<T>& env) {
+Result<std::vector<CandidateNode<T>>> shard_candidates(ShardEnv<T>& env) {
     const auto per_tile = static_cast<std::size_t>(4 * env.cfg.splitter_buckets);
     const auto devices = static_cast<std::size_t>(env.devices_used);
-    Candidates<T> cand;
-    cand.resize(devices);
-    std::vector<std::size_t> fill(devices, 0);
+    std::vector<std::size_t> own(devices, 0);
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
         const TileSample shape{.n = env.chunks[j].size(), .per_tile = per_tile};
-        fill[static_cast<std::size_t>(env.shard_dev[j])] += shape.total();
+        own[static_cast<std::size_t>(env.shard_dev[j])] += shape.total();
     }
+    // The schedule run on sizes alone: the room each leader's group needs.
+    std::vector<CandidateNode<T>> cand;
+    for (int d = 0; d < env.devices_used; ++d) {
+        const std::size_t n = own[static_cast<std::size_t>(d)];
+        if (n > 0) cand.push_back({d, {}, n});
+    }
+    std::vector<std::size_t> room = own;
+    (void)merge_rounds(cand, static_cast<std::size_t>(env.cfg.merge_fanin),
+                       [&](std::span<CandidateNode<T>> run) {
+                           for (const auto& m : run.subspan(1)) run[0].fill += m.fill;
+                           room[static_cast<std::size_t>(run[0].dev)] = run[0].fill;
+                           return Status::success();
+                       });
+    cand.clear();
+    cand.resize(devices);
     for (int d = 0; d < env.devices_used; ++d) {
         const auto i = static_cast<std::size_t>(d);
-        if (fill[i] == 0) continue;
-        auto buf = env.template checkout<T>(d, fill[i]);
+        cand[i].dev = d;
+        if (room[i] == 0) continue;
+        auto buf = env.template checkout<T>(d, room[i]);
         if (!buf.ok()) return buf.status();
-        cand[i] = buf.take();
+        cand[i].buf = buf.take();
     }
-    std::fill(fill.begin(), fill.end(), 0);
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
         const auto& chunk = env.chunks[j];
         if (chunk.empty()) continue;
         const int d = env.shard_dev[j];
-        const auto i = static_cast<std::size_t>(d);
+        CandidateNode<T>& node = cand[static_cast<std::size_t>(d)];
         const TileSample shape{.n = chunk.size(), .per_tile = per_tile};
-        const std::span<T> dst = cand[i].span().subspan(fill[i], shape.total());
+        const std::span<T> dst = node.buf.span().subspan(node.fill, shape.total());
         const SampleSelectConfig sc = env.on_device(d);
         const PipelineContext ctx(env.group.device(d), sc, sc.stream);
         Status st = with_fault_retry(ctx, [&] {
@@ -417,7 +503,7 @@ Result<Candidates<T>> shard_candidates(ShardEnv<T>& env) {
         });
         if (!st.ok()) return st;
         env.sample_peaks();
-        fill[i] += shape.total();
+        node.fill += shape.total();
     }
     return cand;
 }
@@ -448,71 +534,49 @@ Status broadcast_tree(ShardEnv<T>& env, const std::vector<T>& values, Build buil
     return Status::success();
 }
 
-/// Phase B0: hierarchical candidate gather.  The per-device candidate
-/// buffers are merged toward device 0 in rounds of `merge_fanin`; every hop
-/// is a real DeviceGroup::transfer whose ready/src-done events order the
-/// gather writes and the source releases.  The merged set is sorted on the
-/// host (|C| is tiny next to n) and cut into global splitters at regular
-/// candidate gaps, which the root then broadcasts so every used device
-/// builds the same SearchTree.
+/// Phase B0: hierarchical candidate gather.  The candidate nodes are
+/// merged toward device 0 in rounds of `merge_fanin`; every hop is a real
+/// DeviceGroup::transfer into the leader's buffer, whose ready/src-done
+/// events order the landing and the source release.  The merged set is
+/// sorted on the host (|C| is tiny next to n), kept in `loc.candidates`,
+/// and cut into global splitters at regular candidate gaps, which the root
+/// then broadcasts so every used device builds the same SearchTree.
 template <typename T>
-Status merge_candidates(ShardEnv<T>& env, Candidates<T>& cand, std::vector<SearchTree<T>>& tree) {
-    struct Node {
-        int dev = 0;
-        simt::PooledBuffer<T> buf;
-    };
-    std::vector<Node> active;
-    for (int d = 0; d < env.devices_used; ++d) {
-        auto& buf = cand[static_cast<std::size_t>(d)];
-        if (!buf.empty()) active.push_back({d, std::move(buf)});
+Status merge_candidates(ShardEnv<T>& env, std::vector<CandidateNode<T>>& cand, Located<T>& loc) {
+    std::vector<CandidateNode<T>> active;
+    for (auto& node : cand) {
+        if (node.fill > 0) active.push_back(std::move(node));
     }
     if (active.empty()) {
         return Status::failure(SelectError::internal, "sharded merge produced no candidates");
     }
-    const auto fanin = static_cast<std::size_t>(env.cfg.merge_fanin);
-    while (active.size() > 1) {
-        std::vector<Node> next;
-        for (std::size_t g = 0; g < active.size(); g += fanin) {
-            const std::size_t end = std::min(active.size(), g + fanin);
-            if (end - g == 1) {
-                next.push_back(std::move(active[g]));
-                continue;
-            }
-            Node& leader = active[g];
-            std::size_t total = 0;
-            for (std::size_t m = g; m < end; ++m) total += active[m].buf.size();
-            simt::Device& ldev = env.group.device(leader.dev);
-            simt::PooledBuffer<T> gather;
-            Status st = env.retry(leader.dev, [&] {
-                gather = ldev.template pooled<T>(total, env.stream_of(leader.dev));
-                launch_copy<T>(ldev, std::span<const T>(leader.buf.span()), 0, gather.span(), 0,
-                               leader.buf.size(), simt::LaunchOrigin::host,
-                               env.cfg.select.block_dim, env.stream_of(leader.dev));
-            });
-            if (!st.ok()) return st;
-            std::size_t off = leader.buf.size();
-            for (std::size_t m = g + 1; m < end; ++m) {
-                Node& mem = active[m];
+    Status st = merge_rounds(
+        active, static_cast<std::size_t>(env.cfg.merge_fanin),
+        [&](std::span<CandidateNode<T>> run) -> Status {
+            CandidateNode<T>& leader = run[0];
+            for (CandidateNode<T>& mem : run.subspan(1)) {
                 // The leader reads after the landing write; the member's
                 // buffer is released only after the send finished.
-                st = env.send(mem.dev, std::span<const T>(mem.buf.span()), leader.dev,
-                              gather.span(), off);
-                if (!st.ok()) return st;
-                off += mem.buf.size();
+                if (Status s = env.send(mem.dev, std::span<const T>(mem.buf.span().first(mem.fill)),
+                                        leader.dev, leader.buf.span(), leader.fill);
+                    !s.ok()) {
+                    return s;
+                }
+                leader.fill += mem.fill;
                 mem.buf = {};
             }
             env.sample_peaks();
-            leader.buf = {};
-            next.push_back({leader.dev, std::move(gather)});
-        }
-        active = std::move(next);
-    }
-    Node& root = active.front();
+            return Status::success();
+        });
+    if (!st.ok()) return st;
+    CandidateNode<T>& root = active.front();
     if (root.dev != 0) {
         return Status::failure(SelectError::internal,
                                "candidate merge did not land on the root device");
     }
-    std::vector<T> merged(root.buf.span().begin(), root.buf.span().end());
+    std::vector<T>& merged = loc.candidates;
+    merged.assign(root.buf.span().begin(),
+                  root.buf.span().begin() + static_cast<std::ptrdiff_t>(root.fill));
     std::sort(merged.begin(), merged.end(), [](T a, T b) { return total_less(a, b); });
     std::vector<T> splitters;
     for (const std::size_t r : regular_ranks(merged.size(), env.cfg.splitter_buckets)) {
@@ -520,118 +584,120 @@ Status merge_candidates(ShardEnv<T>& env, Candidates<T>& cand, std::vector<Searc
     }
     env.acct.merge_candidates = merged.size();
     env.acct.skew_bound = env.skew_bound;
-    Status st = broadcast_tree(
-        env, splitters, [](std::vector<T> s) { return SearchTree<T>::build(std::move(s)); }, tree);
+    st = broadcast_tree(
+        env, splitters, [](std::vector<T> s) { return SearchTree<T>::build(std::move(s)); },
+        loc.tree);
     root.buf = {};
     env.sample_peaks();
     return st;
 }
 
-/// A counted level a device keeps from the locate for the gather: its last
-/// shard, still staged, with the oracles and block offsets a filter needs.
-template <typename T>
-struct KeptLevel {
-    std::size_t shard = 0;
-    DataHolder<T> data;
-    LevelOutcome<T> level;
-};
-
-/// Where a rank fell among the merged global splitters.
-template <typename T>
-struct Located {
-    std::vector<SearchTree<T>> tree;     ///< merged splitter tree, one copy per used device
-    std::vector<std::int64_t> prefix;    ///< exclusive global bucket prefix, size b + 1
-    std::vector<std::size_t> in_bucket;  ///< per shard: its elements in the located bucket
-    std::size_t bucket = 0;
-    /// Root stream clock when the host learned `bucket`: the end of
-    /// select_bucket, or the arrival of the last totals on the int64 path.
-    double located_ns = 0.0;
-    /// Per used device, the level the gather filters without a recount.
-    std::vector<std::optional<KeptLevel<T>>> kept;
-};
-
-/// Phase B1: out-of-core count.  Every shard is re-staged, counted against
-/// its device's copy of the merged tree, and released before the next shard
-/// touches the device; per-shard int32 counts travel to the root over the
-/// link and accumulate in int64 (the global n may exceed int32).  Then
-/// `rank`'s global bucket is located.  With `keep`, each device's last
-/// shard is counted with oracles and block offsets, and its level stays
-/// staged in `loc.kept` for the gather.
+/// Phase B1: out-of-core count.  Every shard is re-staged and counted
+/// against its device's copy of the merged tree, and its b int32 totals go
+/// to its row of one count table on device 0, a device's rows one run.
+/// Device 0's levels write their rows in place; every other device counts
+/// its shards into one buffer and sends it once, after its last shard.
+/// Device 0 waits for those landings only before select_bucket, which sums
+/// the table's columns and locates `rank`.  The host reads every row as
+/// well and sums the rows in int64; it locates `rank` itself when the
+/// global n exceeds int32.  With `keep`, each device keeps for the gather
+/// its last shard's level, still staged, and the levels of up to
+/// env.kept_levels of its other shards, all counted with the oracles and
+/// block offsets a filter needs.
 template <typename T>
 Status count_shards(ShardEnv<T>& env, std::size_t rank, bool keep, Located<T>& loc) {
     const std::size_t shards = env.chunks.size();
+    const auto devices = static_cast<std::size_t>(env.devices_used);
     const auto b = static_cast<std::size_t>(loc.tree[0].num_buckets);
+    std::vector<std::size_t> row(shards, 0);
+    std::vector<std::size_t> first_row(devices + 1, 0);
+    std::vector<std::size_t> last(devices, shards);
+    for (std::size_t d = 0; d < devices; ++d) {
+        first_row[d + 1] = first_row[d];
+        for (std::size_t j = 0; j < shards; ++j) {
+            if (static_cast<std::size_t>(env.shard_dev[j]) != d || env.chunks[j].empty()) continue;
+            row[j] = first_row[d + 1]++;
+            last[d] = j;
+        }
+    }
+    // counts[0] is the whole table; counts[d] holds device d's rows.
+    std::vector<simt::PooledBuffer<std::int32_t>> counts(devices);
+    for (std::size_t d = 0; d < devices; ++d) {
+        const std::size_t rows = d == 0 ? first_row[devices] : first_row[d + 1] - first_row[d];
+        if (rows == 0) continue;
+        auto got = env.template checkout<std::int32_t>(static_cast<int>(d), rows * b);
+        if (!got.ok()) return got.status();
+        counts[d] = got.take();
+    }
     std::vector<std::vector<std::int64_t>> shard_totals(shards, std::vector<std::int64_t>(b, 0));
     std::vector<std::int64_t> totals(b, 0);
-    simt::Device& rdev = env.group.device(0);
-    const int rstream = env.stream_of(0);
-    simt::PooledBuffer<std::int32_t> landing;
-    std::vector<std::size_t> last(static_cast<std::size_t>(env.devices_used), shards);
-    for (std::size_t j = 0; j < shards; ++j) {
-        if (!env.chunks[j].empty()) last[static_cast<std::size_t>(env.shard_dev[j])] = j;
-    }
-    loc.kept.resize(static_cast<std::size_t>(env.devices_used));
+    std::vector<double> landings;  ///< ready events of the rows sent to device 0
+    std::vector<std::size_t> kept_on(devices, 0);
+    loc.kept.resize(shards);
 
     for (std::size_t j = 0; j < shards; ++j) {
         const auto& chunk = env.chunks[j];
         if (chunk.empty()) continue;
         const int d = env.shard_dev[j];
-        const bool kept = keep && last[static_cast<std::size_t>(d)] == j;
+        const auto i = static_cast<std::size_t>(d);
+        const bool last_shard = last[i] == j;
+        const bool kept = keep && (last_shard || kept_on[i] < env.kept_levels);
+        const std::span<std::int32_t> counted_row =
+            counts[i].span().subspan((row[j] - (d == 0 ? 0 : first_row[i])) * b, b);
         simt::Device& dev = env.group.device(d);
         SampleSelectConfig sc = env.on_device(d);
         sc.num_buckets = static_cast<int>(b);
         PipelineContext ctx(dev, sc, sc.stream);
-        // The level owns the device totals; it stays alive until their
-        // transfer to the root is issued below.
         DataHolder<T> staged;
         std::optional<LevelOutcome<T>> lv;
         Status st = with_fault_retry(ctx, [&] {
             lv.reset();
             staged = DataHolder<T>::stage(ctx, chunk);
             lv.emplace(finish_level<T>(ctx, std::span<const T>(staged.span()), 0,
-                                       simt::LaunchOrigin::host,
-                                       loc.tree[static_cast<std::size_t>(d)],
-                                       kept ? kCountForFilter : kCountOnly));
+                                       simt::LaunchOrigin::host, loc.tree[i],
+                                       kept ? kCountForFilter : kCountOnly, counted_row));
         });
         if (!st.ok()) return st;
         env.sample_peaks();
-        for (std::size_t i = 0; i < b; ++i) {
-            shard_totals[j][i] = lv->totals[i];
-            totals[i] += lv->totals[i];
-        }
-        if (d != 0) {
-            // The counts travel to the root like any other payload, so the
-            // merge's link cost is modeled even though the values are
-            // already host-visible.
-            if (landing.empty()) {
-                auto got = env.template checkout<std::int32_t>(0, b);
-                if (!got.ok()) return got.status();
-                landing = got.take();
-            }
-            if (Status s = env.send(d, lv->totals_span(), 0, landing.span(), 0); !s.ok()) {
-                return s;
-            }
+        const std::span<const std::int32_t> counted = lv->totals_span();
+        for (std::size_t k = 0; k < b; ++k) {
+            shard_totals[j][k] = counted[k];
+            totals[k] += counted[k];
         }
         if (kept) {
-            loc.kept[static_cast<std::size_t>(d)].emplace(
-                KeptLevel<T>{.shard = j, .data = std::move(staged), .level = std::move(*lv)});
+            if (!last_shard) ++kept_on[i];
+            lv->totals_row = {};
+            loc.kept[j].emplace(KeptLevel<T>{
+                .data = last_shard ? std::move(staged) : DataHolder<T>{}, .level = std::move(*lv)});
+        }
+        if (d != 0 && last_shard) {
+            // The rows travel to the root like any other payload, so the
+            // link cost is modeled even though the values are already
+            // host-visible.
+            Result<double> ready =
+                env.post(d, std::span<const std::int32_t>(counts[i].span()), 0, counts[0].span(),
+                         first_row[i] * b);
+            if (!ready.ok()) return ready.status();
+            landings.push_back(ready.value());
         }
     }
 
+    simt::Device& rdev = env.group.device(0);
+    const int rstream = env.stream_of(0);
+    for (const double ready : landings) rdev.wait_event(rstream, ready);
     loc.prefix = prefix_sums(totals);
     if (loc.prefix[b] != static_cast<std::int64_t>(env.total_n)) {
         return Status::failure(SelectError::internal, "sharded count lost elements");
     }
     if (loc.prefix[b] <= std::numeric_limits<std::int32_t>::max()) {
-        // The totals were summed on the host, so no device kernel counted
-        // them last: a one-block select_bucket launch runs the locate the
-        // single-device levels run in their reduce's epilogue (Sec. IV-E).
+        // The table's rows were counted by several devices, so no device
+        // kernel counted the totals last: a one-block select_bucket launch
+        // sums them and runs the locate the single-device levels run in
+        // their reduce's epilogue (Sec. IV-E).
         Status st = env.retry(0, [&] {
-            auto dtot = rdev.pooled<std::int32_t>(b, rstream);
-            for (std::size_t i = 0; i < b; ++i) dtot[i] = static_cast<std::int32_t>(totals[i]);
             auto dpre = rdev.pooled<std::int32_t>(b + 1, rstream);
             loc.bucket = static_cast<std::size_t>(
-                select_bucket_kernel(rdev, std::span<const std::int32_t>(dtot.span()),
+                select_bucket_kernel(rdev, std::span<const std::int32_t>(counts[0].span()),
                                      dpre.span(), rank, simt::LaunchOrigin::host, rstream));
         });
         if (!st.ok()) return st;
@@ -640,25 +706,25 @@ Status count_shards(ShardEnv<T>& env, std::size_t rank, bool keep, Located<T>& l
         loc.bucket = locate_bucket(loc.prefix, rank);
     }
     loc.located_ns = rdev.stream_clock(rstream);
-    for (const auto& row : shard_totals) {
-        loc.in_bucket.push_back(static_cast<std::size_t>(row[loc.bucket]));
+    for (const auto& r : shard_totals) {
+        loc.in_bucket.push_back(static_cast<std::size_t>(r[loc.bucket]));
     }
     const auto& eq = loc.tree[0].equality;
-    for (std::size_t i = 0; i < b; ++i) {
-        if (eq[i]) continue;
-        env.acct.max_bucket = std::max(env.acct.max_bucket, static_cast<std::size_t>(totals[i]));
+    for (std::size_t k = 0; k < b; ++k) {
+        if (eq[k]) continue;
+        env.acct.max_bucket = std::max(env.acct.max_bucket, static_cast<std::size_t>(totals[k]));
     }
     return Status::success();
 }
 
 /// Candidates -> merge -> count: locates `rank` among the merged global
-/// splitters, keeping one counted level per device when `keep`.
+/// splitters, keeping counted levels for the gather when `keep`.
 template <typename T>
 Result<Located<T>> locate(ShardEnv<T>& env, std::size_t rank, bool keep) {
-    Result<Candidates<T>> cand = shard_candidates(env);
+    Result<std::vector<CandidateNode<T>>> cand = shard_candidates(env);
     if (!cand.ok()) return cand.status();
     Located<T> loc;
-    if (Status st = merge_candidates(env, cand.value(), loc.tree); !st.ok()) return st;
+    if (Status st = merge_candidates(env, cand.value(), loc); !st.ok()) return st;
     if (Status st = count_shards(env, rank, keep, loc); !st.ok()) return st;
     return loc;
 }
@@ -667,32 +733,37 @@ Result<Located<T>> locate(ShardEnv<T>& env, std::size_t rank, bool keep) {
 /// device 0, device by device.  Device 0's shards filter straight into
 /// `out`; every other device filters all its shards' slices into one buffer
 /// and sends it with one transfer.  Each device's stream first advances to
-/// `start_ns`, when the host learned `bucket`.  A device's `kept` level is
-/// filtered first, without a recount; every other shard is re-staged and
-/// counted for the filter.  `known[j]`, when given, is shard j's count of
-/// the bucket from the locate: it sizes each device's slice, and a shard
-/// that holds none is not staged.  Without it, each shard's own count
-/// places its slice at a running offset in a slice of the room left in
-/// `out`.  Returns the elements gathered.
+/// `start_ns`, when the host learned `bucket`.  A shard with a `kept` level
+/// is filtered without a recount, the one still staged first and every
+/// other one re-staged (a host copy), and its level goes right after its
+/// filter; every other shard is re-staged and counted for the filter.
+/// `known[j]`, when given, is shard j's count of the bucket from the
+/// locate: it sizes each device's slice, and a shard that holds none is not
+/// staged.  Without it, each shard's own count places its slice at a
+/// running offset in a slice of the room left in `out`.  Returns the
+/// elements gathered.
 template <typename T>
 Result<std::size_t> gather_bucket(ShardEnv<T>& env, const std::vector<SearchTree<T>>& tree,
                                   std::int32_t bucket, std::span<const std::size_t> known,
                                   std::vector<std::optional<KeptLevel<T>>> kept, double start_ns,
                                   simt::PooledBuffer<T>& out) {
-    kept.resize(static_cast<std::size_t>(env.devices_used));
+    kept.resize(env.chunks.size());
     std::size_t off = 0;
     for (int d = 0; d < env.devices_used; ++d) {
         simt::Device& dev = env.group.device(d);
         dev.advance_stream(env.stream_of(d), start_ns);
-        std::optional<KeptLevel<T>>& keep = kept[static_cast<std::size_t>(d)];
         std::vector<std::size_t> order;
-        if (keep) order.push_back(keep->shard);
         std::size_t room = known.empty() ? out.size() - off : 0;
         for (std::size_t j = 0; j < env.chunks.size(); ++j) {
             if (env.shard_dev[j] != d || env.chunks[j].empty()) continue;
             if (!known.empty()) room += known[j];
-            const bool skip = (keep && keep->shard == j) || (!known.empty() && known[j] == 0);
-            if (!skip) order.push_back(j);
+            if (!known.empty() && known[j] == 0) {
+                kept[j].reset();
+            } else if (kept[j] && !kept[j]->data.empty()) {
+                order.insert(order.begin(), j);
+            } else {
+                order.push_back(j);
+            }
         }
         room = std::min(room, out.size() - off);
         simt::PooledBuffer<T> slice;
@@ -711,25 +782,27 @@ Result<std::size_t> gather_bucket(ShardEnv<T>& env, const std::vector<SearchTree
         const PipelineContext ctx(dev, sc, sc.stream);
         std::size_t used = 0;
         for (const std::size_t j : order) {
-            const bool reuse = keep && keep->shard == j;
+            std::optional<KeptLevel<T>>& keep = kept[j];
             std::size_t q = 0;
             Status st = with_fault_retry(ctx, [&] {
                 DataHolder<T> staged;
                 std::optional<LevelOutcome<T>> fresh;
-                if (!reuse) {
-                    staged = DataHolder<T>::stage(ctx, env.chunks[j]);
+                if (!keep || keep->data.empty()) staged = DataHolder<T>::stage(ctx, env.chunks[j]);
+                if (!keep) {
                     fresh.emplace(finish_level<T>(ctx, std::span<const T>(staged.span()), 0,
                                                   simt::LaunchOrigin::host, dtree,
                                                   kCountForFilter));
                 }
-                const LevelOutcome<T>& lv = reuse ? keep->level : *fresh;
-                q = static_cast<std::size_t>(lv.totals[static_cast<std::size_t>(bucket)]);
+                const LevelOutcome<T>& lv = keep ? keep->level : *fresh;
+                const auto ub = static_cast<std::size_t>(bucket);
+                q = known.empty() ? static_cast<std::size_t>(lv.totals_span()[ub]) : known[j];
                 if (q == 0 || used + q > dst.size()) return;
-                filter_bucket<T>(ctx, reuse ? keep->data.span() : staged.span(), lv, bucket,
+                const bool still_staged = keep && !keep->data.empty();
+                filter_bucket<T>(ctx, still_staged ? keep->data.span() : staged.span(), lv, bucket,
                                  dst.subspan(used, q), simt::LaunchOrigin::host);
             });
             if (!st.ok()) return st;
-            if (reuse) keep.reset();  // the kept shard's staging goes first
+            keep.reset();
             env.sample_peaks();
             if (used + q > dst.size()) {
                 return Status::failure(SelectError::internal,
@@ -748,10 +821,36 @@ Result<std::size_t> gather_bucket(ShardEnv<T>& env, const std::vector<SearchTree
     return off;
 }
 
+/// The root descent's first tree, cut at regular ranks from the merged
+/// candidates in the located bucket: a regular sample of it, as the
+/// global splitters are of the input.  None under force_fallback (its
+/// level takes a pivot tripartition), for bucket 0 (no tile samples its
+/// lowest stride of elements, so they would crowd the lowest sub-bucket),
+/// or when the bucket holds fewer than cfg.num_buckets - 1 candidates.
+template <typename T>
+std::optional<SearchTree<T>> root_tree(const Located<T>& loc, const SampleSelectConfig& cfg) {
+    if (cfg.force_fallback || loc.bucket == 0) return std::nullopt;
+    const SearchTree<T>& tree = loc.tree[0];
+    const auto bkt = static_cast<std::int32_t>(loc.bucket);
+    // The candidates are sorted, so the bucket's are one run.
+    const auto lo = std::partition_point(loc.candidates.begin(), loc.candidates.end(),
+                                         [&](T x) { return tree.find_bucket(x) < bkt; });
+    const auto hi = std::partition_point(lo, loc.candidates.end(),
+                                         [&](T x) { return tree.find_bucket(x) == bkt; });
+    const auto m = static_cast<std::size_t>(hi - lo);
+    if (m + 1 < static_cast<std::size_t>(cfg.num_buckets)) return std::nullopt;
+    std::vector<T> splitters;
+    for (const std::size_t r : regular_ranks(m, cfg.num_buckets)) {
+        splitters.push_back(lo[static_cast<std::ptrdiff_t>(r)]);
+    }
+    return SearchTree<T>::build(std::move(splitters));
+}
+
 /// The exact selection over an opened env: a single shard takes the
 /// single-device front-end on the leased stream; several shards locate the
 /// rank's global bucket, gather it onto device 0 and finish the descent
-/// there.  The accounting is left to the caller.
+/// there, its first level cut from the merge (root_tree).  The accounting
+/// is left to the caller.
 template <typename T>
 Result<ShardedSelectResult<T>> run_exact(ShardEnv<T>& env, std::size_t rank) {
     ShardedSelectResult<T> out;
@@ -796,7 +895,8 @@ Result<ShardedSelectResult<T>> run_exact(ShardEnv<T>& env, std::size_t rank) {
         return s;
     }
     auto r = try_sample_select_staged<T>(rdev, DataHolder<T>::from_pooled(merged.take()),
-                                         rank - rank_offset, rcfg, env.stream_of(0));
+                                         rank - rank_offset, rcfg, env.stream_of(0),
+                                         root_tree(loc, rcfg));
     if (!r.ok()) return r.status();
     env.sample_peaks();
     out.value = r.value().value;

@@ -28,8 +28,9 @@
 // traffic is charged like global memory, serialized per directed link, and
 // rendered as per-link chrome-trace tracks.  Devices hold at most one
 // shard's staging at a time (out-of-core: phases re-stage rather than
-// cache; the one exception is each device's last counted level, which
-// the gather filters without a recount), and all cross-device reads are
+// cache staging; the gather filters the levels the locate counted, as
+// many per device as device 0's capacity leaves room for, and only each
+// device's last shard stays staged), and all cross-device reads are
 // ordered by transfer ready events -- StreamSan-clean by construction,
 // with the broken-scenario tests demonstrating the hazards the edges
 // prevent.  A call starts at the group clock and a gather when the root

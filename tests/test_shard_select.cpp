@@ -4,7 +4,9 @@
 // deterministic splitter skew bound (measured max bucket <= guarantee),
 // the per-shard auxiliary-memory invariant, approximate selection's exact
 // rank-error bound, sharded top-k, the streaming quantile sketch, NaN
-// policies, determinism, golden hashes of each front-end's launches, link
+// policies, determinism, the locate's work reused (one count transfer per
+// device, the gather filtering the counted levels, the root's first tree
+// cut from the merge), golden hashes of each front-end's launches, link
 // traffic and accounting, and the cross-device StreamSan broken scenarios:
 // consuming a transfer's landing buffer without its ready edge and
 // overwriting the staging buffer mid-send are each a reportable hazard of
@@ -27,6 +29,8 @@
 #include <vector>
 
 #include "core/float_order.hpp"
+#include "core/sample_kernel.hpp"
+#include "core/searchtree.hpp"
 #include "data/distributions.hpp"
 #include "data/rng.hpp"
 #include "golden_hash.hpp"
@@ -156,8 +160,8 @@ TEST(ShardedSelect, AccountingInvariantsHold) {
     EXPECT_GT(a.launches, 0u);
     // 32 shards of one tile: a tile-sample launch and a counting pass per
     // shard, a filter per shard holding the bucket and a recount for all
-    // but each device's last, the merge, 19 transfers and the root's
-    // descent (measured 232).
+    // but each device's last (no other counted level fits the kept-level
+    // budget here), 4 transfers and the root's descent (measured 201).
     EXPECT_LE(a.launches, 260u);
     EXPECT_EQ(a.nan_count, 0u);
 }
@@ -362,6 +366,177 @@ TEST(ShardedSelect, GatherStartsAfterTheBucketIsLocated) {
         const simt::KernelProfile& first_gather = *send.base();
         EXPECT_GE(first_gather.start_ns, located)
             << "device " << d << ": " << first_gather.name << " starts before the bucket is known";
+    }
+}
+
+// ---- the locate's work, reused ------------------------------------------------
+
+/// Launches in [first, last) named `name`.
+std::size_t launches_named(std::vector<simt::KernelProfile>::const_iterator first,
+                           std::vector<simt::KernelProfile>::const_iterator last,
+                           const std::string& name) {
+    return static_cast<std::size_t>(
+        std::count_if(first, last, [&](const simt::KernelProfile& p) { return p.name == name; }));
+}
+
+/// Counting launches of a level: the filter's count and the count-only one.
+std::size_t count_launches(std::vector<simt::KernelProfile>::const_iterator first,
+                           std::vector<simt::KernelProfile>::const_iterator last) {
+    return launches_named(first, last, "count") + launches_named(first, last, "count_nowrite");
+}
+
+/// The locate of docs/sharding.md, redone on the host: `shards` near-equal
+/// contiguous shards, each tile's regular sample (core::TileSample), the
+/// global splitters at regular ranks of the sorted candidates, each shard's
+/// row of b bucket counts, and the bucket whose prefix range holds `rank`.
+struct HostLocate {
+    std::vector<std::size_t> candidates;         ///< per shard
+    std::vector<std::vector<std::size_t>> rows;  ///< per shard, b counts
+    std::size_t bucket = 0;
+};
+
+HostLocate host_locate(const std::vector<float>& input, std::size_t shards, int b,
+                       std::size_t rank) {
+    HostLocate h;
+    std::vector<std::vector<float>> chunk(shards);
+    std::vector<float> cand;
+    std::size_t src = 0;
+    for (std::size_t j = 0; j < shards; ++j) {
+        const std::size_t nj = input.size() / shards + (j < input.size() % shards ? 1 : 0);
+        chunk[j].assign(input.begin() + static_cast<std::ptrdiff_t>(src),
+                        input.begin() + static_cast<std::ptrdiff_t>(src + nj));
+        src += nj;
+        const core::TileSample shape{.n = nj, .per_tile = static_cast<std::size_t>(4 * b)};
+        h.candidates.push_back(shape.total());
+        for (std::size_t t = 0; t < shape.tiles(); ++t) {
+            const auto begin = chunk[j].begin() + static_cast<std::ptrdiff_t>(t * 4096);
+            std::vector<float> tile(begin, begin + static_cast<std::ptrdiff_t>(shape.length(t)));
+            std::sort(tile.begin(), tile.end());
+            for (std::size_t i = 0; i < shape.samples(t); ++i) {
+                cand.push_back(tile[shape.rank(t, i)]);
+            }
+        }
+    }
+    std::sort(cand.begin(), cand.end());
+    std::vector<float> splitters;
+    const auto buckets = static_cast<std::size_t>(b);
+    for (std::size_t t = 1; t < buckets; ++t) {
+        const std::size_t idx = t * cand.size() / buckets;
+        splitters.push_back(cand[idx > 0 ? idx - 1 : 0]);
+    }
+    const auto tree = core::SearchTree<float>::build(splitters);
+    std::vector<std::size_t> totals(buckets, 0);
+    for (const auto& c : chunk) {
+        auto& r = h.rows.emplace_back(buckets, 0);
+        for (const float x : c) ++r[static_cast<std::size_t>(tree.find_bucket(x))];
+        for (std::size_t i = 0; i < buckets; ++i) totals[i] += r[i];
+    }
+    std::size_t below = 0;
+    while (rank >= below + totals[h.bucket]) below += totals[h.bucket++];
+    return h;
+}
+
+TEST(ShardedSelect, OneCountTransferPerDevice) {
+    // Every device but the root sends its shards' count rows in one
+    // transfer, and device 0 lands the three of them before select_bucket.
+    const auto input = random_floats(kBenchN, 126);
+    const std::size_t rank = kBenchN / 3;
+    simt::DeviceGroup group(tiny_spec(4, kMiB));
+    const ShardSelectConfig cfg;
+    auto res = core::try_sharded_select<float>(group, input, rank, cfg);
+    ASSERT_TRUE(res.ok()) << res.status().message;
+    EXPECT_EQ(res.value().value, reference_select(input, rank));
+    const core::ShardAccounting& a = res.value().acct;
+    ASSERT_EQ(a.shards, 8u);
+    // Per device but the root: its candidates, its count rows and its slice
+    // of the bucket, three transfers to device 0 and the splitters back.
+    EXPECT_EQ(group.transfer_count(), 12u);
+
+    const auto& root = group.device(0).profiles();
+    const auto named = [](const char* name) {
+        return [name](const simt::KernelProfile& p) { return p.name == name; };
+    };
+    const auto sb = std::find_if(root.begin(), root.end(), named("select_bucket"));
+    ASSERT_NE(sb, root.end());
+    const auto broadcast =
+        std::find_if(std::make_reverse_iterator(sb), root.rend(), named("link_send")).base();
+    ASSERT_NE(broadcast, root.begin());
+    EXPECT_EQ(launches_named(broadcast, sb, "link_recv"), 3u);
+
+    // The bucket device 0 located is the one the host locates over the
+    // per-shard rows: each device's link carried its candidates, its rows
+    // and exactly its shards' counts of that bucket.
+    const HostLocate h = host_locate(input, a.shards, cfg.splitter_buckets, rank);
+    const auto b = static_cast<std::size_t>(cfg.splitter_buckets);
+    for (int d = 1; d < group.size(); ++d) {
+        std::size_t elems = 0;
+        for (std::size_t j = static_cast<std::size_t>(d); j < a.shards; j += 4) {
+            elems += h.candidates[j] + h.rows[j][h.bucket];
+        }
+        EXPECT_EQ(group.link_bytes(d, 0), elems * sizeof(float) + 2 * b * sizeof(std::int32_t))
+            << "device " << d;
+    }
+}
+
+TEST(ShardedSelect, GatherFiltersTheLocatesLevels) {
+    // Each device keeps the levels it counted in the locate, within the
+    // kept-level budget, and the gather filters them without a recount.
+    const auto input = random_floats(kBenchN, 127);
+    for (const std::size_t rank : {std::size_t{0}, kBenchN / 3, kBenchN - 1}) {
+        simt::DeviceGroup group(tiny_spec(4, kMiB));
+        auto res = core::try_sharded_select<float>(group, input, rank, {});
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        EXPECT_EQ(res.value().value, reference_select(input, rank)) << "rank " << rank;
+        EXPECT_LE(res.value().acct.max_shard_aux_bytes, kMiB) << "rank " << rank;
+        // One count launch per shard, two per device, up to the root's
+        // descent, which starts after the last gather landing.
+        for (int d = 0; d < group.size(); ++d) {
+            const auto& prof = group.device(d).profiles();
+            auto end = prof.end();
+            if (d == 0) {
+                end = std::find_if(prof.rbegin(), prof.rend(), [](const simt::KernelProfile& p) {
+                          return p.name == "link_recv";
+                      }).base();
+            }
+            EXPECT_EQ(count_launches(prof.begin(), end), 2u) << "rank " << rank << " device " << d;
+        }
+    }
+    // 2^21 floats on 4 x 1 MiB: eight shards per device, and room for one
+    // kept level besides the last shard's, so six shards per device recount.
+    const std::size_t n = std::size_t{1} << 21;
+    const auto big = random_floats(n, 128);
+    for (const std::size_t rank : {std::size_t{0}, n / 3, n - 1}) {
+        simt::DeviceGroup group(tiny_spec(4, kMiB));
+        auto res = core::try_sharded_select<float>(group, big, rank, {});
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        ASSERT_EQ(res.value().acct.shards, 32u);
+        EXPECT_EQ(res.value().value, reference_select(big, rank)) << "rank " << rank;
+        EXPECT_LE(res.value().acct.max_shard_aux_bytes, kMiB) << "rank " << rank;
+        for (int d = 1; d < group.size(); ++d) {
+            const auto& prof = group.device(d).profiles();
+            EXPECT_EQ(count_launches(prof.begin(), prof.end()), 8u + 6u)
+                << "rank " << rank << " device " << d;
+        }
+    }
+}
+
+TEST(ShardedSelect, RootLevelReusesTheMerge) {
+    // The root's first level takes its tree from the merged candidates in
+    // the located bucket and launches no sample, except in bucket 0, whose
+    // lowest elements no tile samples.
+    const auto input = random_floats(kBenchN, 129);
+    for (const auto& [rank, samples] : {std::pair{kBenchN / 3, std::size_t{0}},
+                                        std::pair{std::size_t{0}, std::size_t{1}}}) {
+        simt::DeviceGroup group(tiny_spec(4, kMiB));
+        auto res = core::try_sharded_select<float>(group, input, rank, {});
+        ASSERT_TRUE(res.ok()) << res.status().message;
+        EXPECT_EQ(res.value().value, reference_select(input, rank)) << "rank " << rank;
+        const auto& root = group.device(0).profiles();
+        const auto sb = std::find_if(root.begin(), root.end(), [](const simt::KernelProfile& p) {
+            return p.name == "select_bucket";
+        });
+        ASSERT_NE(sb, root.end());
+        EXPECT_EQ(launches_named(sb, root.end(), "sample"), samples) << "rank " << rank;
     }
 }
 
@@ -750,7 +925,7 @@ TEST(ShardGolden, ExactSelectTwoDevices) {
         h.add(static_cast<std::uint64_t>(res.value().equality_exit));
         add_accounting(h, res.value().acct);
     });
-    EXPECT_EQ(hash, 0x6dd9afb7107adbf9ULL);
+    EXPECT_EQ(hash, 0xdbcfc48414732ddfULL);
 }
 
 TEST(ShardGolden, ExactSelectFourDevicesMultiRoundGather) {
@@ -769,7 +944,7 @@ TEST(ShardGolden, ExactSelectFourDevicesMultiRoundGather) {
         h.add(static_cast<std::uint64_t>(res.value().equality_exit));
         add_accounting(h, res.value().acct);
     });
-    EXPECT_EQ(hash, 0x56ef2470010dec20ULL);
+    EXPECT_EQ(hash, 0x2a95cf86a27ed11aULL);
 }
 
 TEST(ShardGolden, ApproxSelect) {
@@ -782,7 +957,7 @@ TEST(ShardGolden, ApproxSelect) {
         h.add(static_cast<std::uint64_t>(res.value().rank_error_bound));
         add_accounting(h, res.value().acct);
     });
-    EXPECT_EQ(hash, 0xc1a5c8d297e6784eULL);
+    EXPECT_EQ(hash, 0xca37d95f46f5f888ULL);
 }
 
 TEST(ShardGolden, TopK) {
@@ -796,7 +971,7 @@ TEST(ShardGolden, TopK) {
         h.add(res.value().threshold);
         add_accounting(h, res.value().acct);
     });
-    EXPECT_EQ(hash, 0xf5a3944239a480faULL);
+    EXPECT_EQ(hash, 0xd2771e6505ca6a3cULL);
 }
 
 TEST(ShardGolden, StreamingQuantileThreeChunks) {
